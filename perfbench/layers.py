@@ -1,6 +1,6 @@
 """Statistics and span-tree readers shared by the benchmark processes.
 
-Stdlib only: ``run.py`` imports this module without importing ``repro``.
+``run.py`` imports this module without importing ``repro`` or NumPy.
 The span trees read here are the ones the program already returns from
 ``Job.trace()`` and ``ServiceClient.trace()``; nothing in ``src/`` is
 instrumented for the benchmark.
@@ -8,10 +8,16 @@ instrumented for the benchmark.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import statistics
+import time
 from typing import Dict, Iterable, List, Optional
+
+#: Kernel passes, in time order, whose median scales one job: the passes
+#: just before and after it and one more on either side.
+SPEED_WINDOW = 5
 
 #: Chunk-span ``engine`` attribute (the backend class) -> layer name.
 ENGINES = {
@@ -39,6 +45,78 @@ def nearest_rank(values: Iterable[float], q: float) -> float:
 def beyond(count: int, q: float) -> int:
     """How many of ``count`` samples lie above the nearest-rank ``q`` quantile."""
     return count - max(1, math.ceil(q * count)) if count else 0
+
+
+# The shared host this benchmark runs on changes speed by up to a factor
+# of 1.7 from one second to the next (neighbours' load; process CPU time
+# tracks wall time, so it is not visible as steal).  A reference kernel
+# touches nothing of the program, so its time gauges the host alone, and
+# scaling a job's time by the kernel time measured beside it cancels the
+# host's drift while keeping every change the program's own code makes.
+# Each workload uses the kernel its own jobs resemble: a slow spell of the
+# host lengthened GHZ jobs (pure-Python stabilizer) 1.72-1.76 times and
+# the interpreter kernel 1.65-1.70 times, but the noisy-device jobs
+# (NumPy arrays) only 1.34-1.51 times, like the array kernel (1.37).
+
+
+def interpreter_kernel() -> float:
+    """Run a fixed pure-Python kernel once; return its wall time."""
+    start = time.perf_counter()
+    table: Dict[int, int] = {}
+    for i in range(8000):
+        key = (i * 7919) % 211
+        table[key] = table.get(key, 0) + i // 3
+    ordered = sorted(((value * 31) % 1009, key) for key, value in table.items())
+    words = [str(key) for _, key in ordered] * 24
+    "".join(words).count("7")
+    return time.perf_counter() - start
+
+
+@functools.lru_cache(maxsize=1)
+def _array_operands() -> tuple:
+    import numpy
+
+    rng = numpy.random.default_rng(0)
+    gaussian = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    unitary = numpy.linalg.qr(gaussian)[0]
+    batch = rng.standard_normal((1024, 32)) + 1j * rng.standard_normal((1024, 32))
+    rho = unitary @ numpy.diag(numpy.linspace(0.0, 1.0, 32)) @ unitary.conj().T
+    return numpy, unitary, batch, rho
+
+
+def array_kernel() -> float:
+    """Run a fixed NumPy kernel once -- a batch of 5-qubit state vectors
+    and a 5-qubit density matrix evolved -- and return its wall time."""
+    numpy, unitary, states, rho = _array_operands()
+    start = time.perf_counter()
+    for _ in range(4):
+        states = states @ unitary
+        norms = (states.real ** 2 + states.imag ** 2).sum(axis=1)
+        states = states / numpy.sqrt(norms)[:, None]
+    adjoint = unitary.conj().T
+    for _ in range(30):
+        rho = unitary @ rho @ adjoint
+        numpy.trace(rho)
+    return time.perf_counter() - start
+
+
+#: Each kernel with its wall time per pass on the reference host.  Every
+#: end-to-end time but ``setup_s`` is reported in reference-host seconds:
+#: the wall time measured, times this over the kernel time measured beside it.
+KERNELS = {
+    "interpreter": (interpreter_kernel, 0.0011),
+    "array": (array_kernel, 0.0025),
+}
+
+
+def rolling_scales(samples: List[float], reference_s: float,
+                   width: int = SPEED_WINDOW) -> List[float]:
+    """Factors from this host's wall seconds to reference-host seconds: the
+    reference pass time over the median of each sample's ``width``
+    time-ordered neighbours."""
+    half = width // 2
+    return [reference_s / median(samples[max(0, i - half):i + half + 1])
+            for i in range(len(samples))]
 
 
 def children(node: dict, name: str) -> List[dict]:

@@ -13,15 +13,22 @@ Workloads (closed loops; ``--seed`` generates every input, see
 * ``noisy-assertions`` -- the paper's classical, entanglement and
   superposition assertions on the noisy ibmqx4 model, alternating the
   density-matrix and trajectory engines; every job transpiles afresh.
-* ``service-wire`` -- two client threads against a durable
+* ``service-wire`` -- one client thread against a durable
   ``RuntimeService`` served over HTTP from a child process.
 
 A run starts ``STARTUPS`` fresh interpreters one after another, each in a
 hermetic environment: every ``REPRO_*`` variable is cleared and each gets
 its own empty ``REPRO_CACHE_DIR``, so no start-up or run warms another.
 All of them measure set-up; the last one then runs the timed window.
-``setup_s`` is the median over the start-ups after the first, which only
-warms the page cache.
+``setup_s`` is the median wall time over the start-ups after the first,
+which only warms the page cache.
+
+The run and every process it starts keep to one CPU.  Before each job
+the client runs a reference kernel (``layers.KERNELS``) on that CPU, and
+the job's times are scaled to the reference host by the kernel passes
+around it, so the window's times follow the program and not the shared
+host's speed of the moment.  The run record keeps the wall-clock figures
+too.
 
 ``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json`` with the
 program at its defaults; ``--trace 1`` reports the per-layer split.  The
@@ -160,6 +167,9 @@ def main() -> int:
     wanted = spec["per_layer"] if args.trace else spec["end_to_end"]
 
     deadline = time.monotonic() + RUN_DEADLINE_S
+    # One CPU for the run and every process it starts, so the reference
+    # kernel gauges the very CPU that runs the jobs.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     env, removed = hermetic_env(root)
     work = os.path.join(root, STATE_DIR, "tmp",
                         f"{args.workload}-seed{args.seed}-{os.getpid()}")
@@ -202,6 +212,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": window["numpy"],
         "cleared_env": removed,
+        "cpus": sorted(os.sched_getaffinity(0)),
         "settings": reports[-1]["settings"],
         "setup_samples": [s["setup_s"] for s in warm],
         "discarded_setup_s": reports[0]["setup"]["setup_s"],

@@ -68,7 +68,10 @@ NOISY_TRAJECTORY_KINDS = ("classical", "classical", "superposition",
 NOISY_SHOTS = 1024
 PREPARE_SAMPLES = 24
 
-WIRE_CLIENTS = 2
+#: One client: with two, GIL hand-offs and thread wake-ups between the
+#: clients and the server's threads made latency bimodal from run to run
+#: (quartile spread 0.18-0.22 of the median, 0.05 with one).
+WIRE_CLIENTS = 1
 WIRE_SEEDS = 8
 WIRE_SHOTS = 1024
 WIRE_TRACE_SAMPLES = 300
@@ -137,10 +140,11 @@ def split_metrics(splits: list, latencies: list) -> dict:
     return metrics
 
 
-def throughput(phases: list, traced: bool) -> float:
-    jobs = sum(p["ok_jobs"] for p in phases if p["traced"] == traced)
-    seconds = sum(p["elapsed_s"] for p in phases if p["traced"] == traced)
-    return jobs / seconds if seconds else 0.0
+def scaled_rate(samples: list, loops: int) -> float:
+    """Correct jobs per reference-host second of ``loops`` closed loops,
+    each busy for the sum of its jobs' scaled spans."""
+    busy = sum(s["span_s"] * s["scale"] for s in samples)
+    return loops * sum(s["ok"] for s in samples) / busy if busy else 0.0
 
 
 class InProcess:
@@ -152,6 +156,8 @@ class InProcess:
     """
 
     specs: tuple = ()
+    loops = 1  # closed loops (clients) running at once
+    kernel = "interpreter"  # the reference kernel, see layers.KERNELS
 
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
@@ -175,9 +181,10 @@ class InProcess:
         from repro.core import evaluate_assertions
         from repro.runtime import execute
 
-        sample = {"ok": False, "traced": traced, "spec": spec}
+        sample = {"ok": False, "traced": traced, "spec": spec,
+                  "kernel_s": layers.KERNELS[self.kernel][0]()}
         job = None
-        start = time.perf_counter()
+        start = sample["start"] = time.perf_counter()
         try:
             injector = make()
             instrumented = time.perf_counter()
@@ -190,10 +197,12 @@ class InProcess:
             if job is not None:
                 job.cancel()
             sample["error"] = f"{type(exc).__name__}: {exc}"
+            sample["span_s"] = time.perf_counter() - start
             return sample
         done = time.perf_counter()
         sample.update(
             latency_s=done - start,
+            span_s=done - start,
             instrument_s=instrumented - start,
             execute_s=submitted - instrumented,
             evaluate_s=done - ran,
@@ -338,6 +347,7 @@ class NoisyAssertions(InProcess):
     """
 
     specs = NOISY_SPECS
+    kernel = "array"
 
     def __init__(self, rng: random.Random) -> None:
         super().__init__(rng)
@@ -407,8 +417,12 @@ class NoisyAssertions(InProcess):
 
 
 class ServiceWire:
-    """Two client threads, each with one ``ServiceClient``, against a
-    durable ``RuntimeService`` served over HTTP from a child process."""
+    """``WIRE_CLIENTS`` client threads, each with one ``ServiceClient``,
+    against a durable ``RuntimeService`` served over HTTP from a child
+    process."""
+
+    loops = WIRE_CLIENTS
+    kernel = "interpreter"
 
     def __init__(self, rng: random.Random, work_dir: str) -> None:
         self.rng = rng
@@ -496,8 +510,9 @@ class ServiceWire:
         index = rng.randrange(len(self.programs))
         seed = rng.choice(self.seeds)
         injector = self.programs[index]
-        sample = {"ok": False, "traced": traced, "key": (index, seed), "rejected": 0}
-        start = time.perf_counter()
+        sample = {"ok": False, "traced": traced, "key": (index, seed), "rejected": 0,
+                  "kernel_s": layers.KERNELS[self.kernel][0]()}
+        start = sample["start"] = time.perf_counter()
         try:
             for attempt in range(WIRE_MAX_REJECTS + 1):
                 try:
@@ -515,10 +530,12 @@ class ServiceWire:
             report = evaluate_assertions(Counts(counts), injector.records)
         except Exception as exc:  # a failed or hung job is counted, not fatal
             sample["error"] = f"{type(exc).__name__}: {exc}"
+            sample["span_s"] = time.perf_counter() - start
             return sample
         done = time.perf_counter()
         sample.update(
             latency_s=done - start,
+            span_s=done - start,
             submit_s=submitted - start,
             counts_s=collected - submitted,
             evaluate_s=done - collected,
@@ -684,9 +701,17 @@ def run_window(workload, seconds: float, trace: bool, trace_file: str) -> dict:
     samples, phases, elapsed = workload.run_window(seconds, trace)
     rss = workload.peak_rss()
     after = workload.scrape()
+    # Each job's wall times are scaled by the host speed measured by the
+    # reference kernel passes run just before it and its neighbours.
+    samples.sort(key=lambda s: s["start"])  # client threads interleave
+    scales = layers.rolling_scales([s["kernel_s"] for s in samples],
+                                   layers.KERNELS[workload.kernel][1])
+    for sample, scale in zip(samples, scales):
+        sample["scale"] = scale
     rerun_failures = workload.verify(samples)
     ok = [s for s in samples if s["ok"]]
-    latencies = [s["latency_s"] for s in ok]
+    latencies = [s["latency_s"] * s["scale"] for s in ok]
+    wall = [s["latency_s"] for s in ok]
     window = {
         "attempted": len(samples),
         "failed": len(samples) - len(ok) + len(rerun_failures),
@@ -697,8 +722,16 @@ def run_window(workload, seconds: float, trace: bool, trace_file: str) -> dict:
         "beyond_p90": layers.beyond(len(latencies), 0.9),
         "executors": sorted({s.get("executor") or "service" for s in ok}),
         "numpy": numpy.__version__,
-        "end_to_end": {
+        "kernel": workload.kernel,
+        "host_scale": {"median": layers.median(scales), "min": min(scales),
+                       "max": max(scales)},
+        "wall": {
             "jobs_per_s": len(ok) / elapsed,
+            "job_latency_p50_s": layers.median(wall),
+            "job_latency_p90_s": layers.nearest_rank(wall, 0.9),
+        },
+        "end_to_end": {
+            "jobs_per_s": scaled_rate(samples, workload.loops),
             "job_latency_p50_s": layers.median(latencies),
             "job_latency_p90_s": layers.nearest_rank(latencies, 0.9),
             "peak_rss_mb": rss,
@@ -707,7 +740,8 @@ def run_window(workload, seconds: float, trace: bool, trace_file: str) -> dict:
     if trace:
         per_layer = registry_deltas(before, after)
         per_layer.update(workload.layer_metrics(samples))
-        untraced, traced = throughput(phases, False), throughput(phases, True)
+        untraced = scaled_rate([s for s in samples if not s["traced"]], workload.loops)
+        traced = scaled_rate([s for s in samples if s["traced"]], workload.loops)
         per_layer["trace_overhead"] = untraced / traced - 1.0 if traced else 0.0
         window["per_layer"] = per_layer
         with open(trace_file, "w") as handle:
