@@ -416,7 +416,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--runtime-stats",
         action="store_true",
-        help="print the runtime cache and executor-pool statistics when done",
+        help="when done, print the process-wide metrics registry (the "
+        "/v1/metrics exposition: pools, caches, cost model, scheduler, "
+        "service) in Prometheus text format",
     )
     parser.add_argument(
         "--runtime-stats-json",
@@ -537,52 +539,9 @@ def main(argv=None) -> int:
         print(runner(args.workers, args.executor).summary())
         print()
     if args.runtime_stats:
-        from repro.runtime import distribution_cache_stats, pool_stats
+        from repro.obs.metrics import DEFAULT_REGISTRY
 
-        def _cache_line(label: str, stats: dict) -> str:
-            line = (
-                f"runtime {label} cache: "
-                f"{stats['entries']} entries, {stats['hits']} hits, "
-                f"{stats['misses']} misses (hit rate {stats['hit_rate']:.0%})"
-            )
-            disk = stats["disk"]
-            if disk is not None:
-                line += (
-                    f"\n  disk tier [{disk['directory']}]: "
-                    f"{disk['entries']} entries, {disk['hits']} hits, "
-                    f"{disk['stores']} stores"
-                )
-            return line
-
-        print(_cache_line("transpile", runtime_cache.transpile_cache_stats()))
-        print(_cache_line("distribution", distribution_cache_stats()))
-        pools = pool_stats()
-        print(
-            "runtime executor pools: "
-            f"{pools['active']} active {pools['pools']}, "
-            f"{pools['created']} created, {pools['reused']} reused"
-        )
-        from repro.runtime import cost_model_stats
-
-        profiles = cost_model_stats()["profiles"]
-        print(f"runtime cost model: {len(profiles)} profiled key(s)")
-        for label, entry in profiles.items():
-            per_shot = entry["per_shot"]
-            per_prepare = entry["per_prepare"]
-            print(
-                f"  {label}: "
-                + (
-                    f"{per_shot * 1e3:.3f} ms/shot"
-                    if per_shot is not None
-                    else "no shot samples"
-                )
-                + f" ({entry['shot_samples']} chunk(s))"
-                + (
-                    f", prepare {per_prepare * 1e3:.3f} ms"
-                    if per_prepare is not None
-                    else ""
-                )
-            )
+        print(DEFAULT_REGISTRY.render_prometheus(), end="")
     if args.runtime_stats_json:
         _write_runtime_stats_json(args.runtime_stats_json)
     return 0

@@ -1,11 +1,8 @@
 """Observability layer: job trace span trees and a unified metrics registry.
 
 The stack spans five layers (HTTP -> service -> scheduler -> executor
-pools -> batched simulators) and, before this package, each kept private
-telemetry: `service.stats` rolled its own latency windows, the scheduler
-and :class:`~repro.runtime.store.CacheStore` kept ad-hoc counters, and
-the :class:`~repro.runtime.profile.CostModel` learned from wall-clocks
-nobody could inspect per job.  ``repro.obs`` closes the loop:
+pools -> batched simulators); ``repro.obs`` gives them one trace format
+and one metrics registry:
 
 * :mod:`repro.obs.trace` — per-job span trees (submit -> admission ->
   queue wait -> dispatch -> prepare -> per-chunk simulate -> collect ->
@@ -15,12 +12,15 @@ nobody could inspect per job.  ``repro.obs`` closes the loop:
   the parent tree on completion.  Tracing is always on and cheap (a few
   dict/list appends per chunk); :func:`set_tracing_enabled` exists so
   benchmarks can measure the overhead, not so production can avoid it.
-* :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
-  (counters, gauges, histograms with bounded reservoirs) that the
-  existing ad-hoc stats register into: executor pools, both cache
-  tiers, the cost model, scheduler counters and the service layer all
-  publish through one snapshot with one exposition format
-  (:meth:`MetricsRegistry.render_prometheus` backs ``GET /v1/metrics``).
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters,
+  gauges, histograms with bounded reservoirs).  The scheduler and the
+  service keep every count in instruments of a registry they own, and
+  their ``stats()`` are views over those instruments; the process-wide
+  :data:`DEFAULT_REGISTRY` mounts the newest scheduler's and service's
+  registries next to collectors over the executor pools, both cache
+  tiers and the cost model, so one snapshot and one exposition format
+  (:meth:`MetricsRegistry.render_prometheus` backs ``GET /v1/metrics``)
+  show them all.
 
 Nothing in here imports the runtime or service layers at module import
 time — those layers import *us* and register their sources — so the

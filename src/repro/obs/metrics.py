@@ -9,14 +9,17 @@ come in two flavours:
   update and on read, so a snapshot never observes a torn value (e.g. a
   histogram whose ``count`` and ``sum`` disagree) and counters are
   monotone across successive snapshots.
-* **collectors** — callables registered by subsystems that already keep
-  their own counters (executor pools, cache tiers, the cost model, the
-  scheduler, the service).  A collector returns samples on demand; it is
-  only invoked at snapshot/exposition time, so registering one costs
-  nothing on the hot path.  Collectors registered under the same name
-  replace each other (a fresh service instance takes over the
-  ``service`` slot), and a collector that raises is dropped from that
-  snapshot rather than poisoning the scrape.
+* **collectors** — callables registered by subsystems that keep their
+  own counters (executor pools, cache tiers, the cost model, circuit
+  breakers).  A collector returns samples on demand; it is only invoked
+  at snapshot/exposition time, so registering one costs nothing on the
+  hot path.  Collectors registered under the same name replace each
+  other, and a collector that raises is dropped from that snapshot
+  rather than poisoning the scrape.
+* **mounts** — child registries shown as part of this one, held weakly
+  and replaced by slot name.  Each scheduler and service keeps its
+  instruments in a registry it owns; :data:`DEFAULT_REGISTRY` mounts the
+  newest one under the ``scheduler`` / ``service`` slot.
 
 :meth:`MetricsRegistry.snapshot` returns plain JSON-safe dicts (the
 ``--runtime-stats-json`` shape); :meth:`MetricsRegistry.render_prometheus`
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+import weakref
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -142,10 +146,11 @@ class Histogram(_Metric):
     """Count/sum/min/max plus a bounded reservoir for percentiles.
 
     The reservoir is a ``deque(maxlen=...)`` keeping the most recent
-    observations — the same sliding-window flavour as the service's
-    ``LatencyWindow`` — so memory stays bounded under storms while
-    ``count``/``sum`` remain exact totals.  ``snapshot()`` copies state
-    under the instrument lock: never torn, even mid-storm.
+    observations, so memory stays bounded under storms while
+    ``count``/``sum``/``min``/``max`` remain exact lifetime totals and the
+    percentiles describe the ``window`` most recent samples.
+    ``snapshot()`` copies state under the instrument lock: never torn,
+    even mid-storm.
     """
 
     kind = "histogram"
@@ -186,6 +191,7 @@ class Histogram(_Metric):
             "min": lo,
             "max": hi,
             "mean": (total / count) if count else None,
+            "window": len(window),
         }
         for q in (0.5, 0.9, 0.99):
             stats[f"p{int(q * 100)}"] = _nearest_rank(window, q)
@@ -200,12 +206,13 @@ def _nearest_rank(ordered: List[float], quantile: float) -> Optional[float]:
 
 
 class MetricsRegistry:
-    """Get-or-create instrument factory plus on-demand collectors."""
+    """Get-or-create instrument factory, collectors and mounts."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, Tuple], _Metric] = {}
         self._collectors: Dict[str, Callable[[], Iterable[Sample]]] = {}
+        self._mounts: Dict[str, "weakref.ref[MetricsRegistry]"] = {}
 
     # ------------------------------------------------------------------
     # Instruments
@@ -250,9 +257,38 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.pop(str(name), None)
 
-    def _collect(self) -> List[Tuple[str, Tuple, float, str]]:
+    # ------------------------------------------------------------------
+    # Mounts
+    # ------------------------------------------------------------------
+
+    def mount(self, slot: str, registry: "MetricsRegistry") -> None:
+        """Show ``registry``'s metrics under ``slot`` while its owner keeps
+        it alive; a later mount under the same slot replaces it."""
         with self._lock:
-            collectors = list(self._collectors.items())
+            self._mounts[str(slot)] = weakref.ref(registry)
+
+    def _registries(self) -> List["MetricsRegistry"]:
+        """This registry followed by every live mounted one (recursively)."""
+        with self._lock:
+            mounted = [ref() for ref in self._mounts.values()]
+        found = [self]
+        for child in mounted:
+            if child is not None:
+                found.extend(child._registries())
+        return found
+
+    def _instruments(self) -> List[_Metric]:
+        metrics: List[_Metric] = []
+        for registry in self._registries():
+            with registry._lock:
+                metrics.extend(registry._metrics.values())
+        return metrics
+
+    def _collect(self) -> List[Tuple[str, Tuple, float, str]]:
+        collectors = []
+        for registry in self._registries():
+            with registry._lock:
+                collectors.extend(registry._collectors.items())
         samples: List[Tuple[str, Tuple, float, str]] = []
         for _name, fn in collectors:
             try:
@@ -280,10 +316,8 @@ class MetricsRegistry:
         collector samples land under ``gauges``/``counters`` keyed by
         their rendered name.
         """
-        with self._lock:
-            metrics = list(self._metrics.values())
         out: Dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for metric in metrics:
+        for metric in self._instruments():
             if isinstance(metric, Counter):
                 out["counters"][metric.full_name] = metric.value
             elif isinstance(metric, Histogram):
@@ -304,9 +338,7 @@ class MetricsRegistry:
             entry = families.setdefault(name, {"kind": kind, "help": help, "lines": []})
             return entry["lines"]
 
-        with self._lock:
-            metrics = list(self._metrics.values())
-        for metric in metrics:
+        for metric in self._instruments():
             labels = _render_labels(metric.label_key)
             if isinstance(metric, Counter):
                 family(metric.name, "counter", metric.help).append(

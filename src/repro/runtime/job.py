@@ -493,14 +493,15 @@ class Job:
         return result
 
     def _prepare_for_fanout(self) -> Tuple["Backend", "QuantumCircuit"]:
-        """Transpile once in the parent before process fan-out.
+        """Transpile once in the parent before fan-out.
 
         A process-pool worker unpickles a backend whose explicit
         :class:`~repro.runtime.cache.TranspileCache` ships configuration,
-        not contents — so without this step every chunk task re-lowers the
-        circuit from scratch.  Instead the parent runs ``prepare()`` once
-        (through the cache) and ships the *prepared* circuit with a
-        transpile-disabled copy of the backend: the workers execute exactly
+        not contents, and concurrent thread chunks can all miss a shared
+        cache before the first one stores — so without this step chunk
+        tasks re-lower the circuit.  Instead the parent runs ``prepare()``
+        once (through the cache) and ships the *prepared* circuit with a
+        transpile-disabled copy of the backend: the chunks execute exactly
         the circuit a direct ``run()`` would have, so counts are untouched,
         and the measured prepare cost feeds the cost model.
 
@@ -553,8 +554,8 @@ class Job:
         invisible to collection: ``self._futures`` never changes after
         submit.  Tasks are the picklable module-level
         :func:`_execute_chunk`, so any executor kind — serial, thread or
-        process — can run them.  Process fan-out ships a
-        parent-side-prepared circuit (see :meth:`_prepare_for_fanout`).
+        process — can run them.  Every kind ships a parent-side-prepared
+        circuit (see :meth:`_prepare_for_fanout`).
         On a distribution-cache miss, a done-callback on the first chunk
         publishes the distribution at *completion* time — a chunked job's
         merged distribution is exactly its first chunk's — so overlapping
@@ -566,9 +567,7 @@ class Job:
         from repro.runtime.pool import executor_kind
 
         kind = executor_kind(executor)
-        backend, circuit = self.backend, self.circuit
-        if kind == "process":
-            backend, circuit = self._prepare_for_fanout()
+        backend, circuit = self._prepare_for_fanout()
         runs: List[_ChunkRun] = []
         for index, (shots, seed) in enumerate(self.chunk_plan()):
             span = ctx = None

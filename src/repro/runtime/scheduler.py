@@ -42,13 +42,16 @@ sizing exactly where it is count-transparent or explicitly requested:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
 import time
+import weakref
 from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import CircuitOpen, JobError, QueueTimeout
+from repro.obs.metrics import DEFAULT_REGISTRY, Counter, MetricsRegistry
 from repro.obs.trace import Span, tracing_enabled
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.profile import DEFAULT_COST_MODEL, CostModel, profile_key
@@ -470,53 +473,94 @@ class ScheduledBatch:
         )
 
 
+#: Per-client scheduler counts, in ``Scheduler.stats()`` order.  The
+#: three in :data:`_EXPOSED_CLIENT_COUNTS` are exposition families
+#: (``repro_scheduler_client_<field>_total{client}``); the rest are
+#: instruments read only by ``stats()``.
+_CLIENT_COUNTS = (
+    "submitted_batches",
+    "dispatched_batches",
+    "completed_batches",
+    "failed_batches",
+    "dropped_batches",
+    "cancelled_batches",
+    "reprioritized_batches",
+    "preempted_batches",
+    "submitted_jobs",
+    "completed_jobs",
+)
+_EXPOSED_CLIENT_COUNTS = {
+    "submitted_jobs": "Jobs submitted, per client",
+    "dispatched_batches": "Batches dispatched, per client",
+    "completed_jobs": "Jobs retired (any outcome), per client",
+}
+
+
 class _ClientState:
-    """Per-client queue and statistics (scheduler lock guards everything)."""
+    """Per-client queue and count instruments (the scheduler lock guards
+    the queue; each instrument is resolved once, here)."""
 
-    __slots__ = ("name", "weight", "pending", "stats")
+    __slots__ = ("name", "weight", "pending") + _CLIENT_COUNTS
 
-    def __init__(self, name: str, weight: int) -> None:
+    def __init__(self, name: str, weight: int, registry: MetricsRegistry) -> None:
         self.name = name
         self.weight = weight
         #: Pending (batch, entry) kept sorted: higher priority first,
         #: submission order within a priority.
         self.pending: List[tuple] = []
-        self.stats = {
-            "submitted_batches": 0,
-            "dispatched_batches": 0,
-            "completed_batches": 0,
-            "failed_batches": 0,
-            "dropped_batches": 0,
-            "cancelled_batches": 0,
-            "reprioritized_batches": 0,
-            "preempted_batches": 0,
-            "submitted_jobs": 0,
-            "completed_jobs": 0,
-        }
+        labels = {"client": name}
+        for field in _CLIENT_COUNTS:
+            text = _EXPOSED_CLIENT_COUNTS.get(field)
+            setattr(self, field, (
+                registry.counter(f"repro_scheduler_client_{field}_total", labels, text)
+                if text is not None
+                else Counter(field, labels)
+            ))
+        registry.gauge(
+            "repro_scheduler_client_weight", labels,
+            "Current round-robin weight, per client", fn=lambda: self.weight,
+        )
+
+    def counts(self) -> Dict[str, int]:
+        return {field: int(getattr(self, field).value) for field in _CLIENT_COUNTS}
 
     def _retire(self, batch: "ScheduledBatch") -> None:
         """Jobs that will never run still count as settled — submitted vs
         completed must keep reconciling."""
-        self.stats["completed_batches"] += 1
-        self.stats["completed_jobs"] += batch.size
+        self.completed_batches.inc()
+        self.completed_jobs.inc(batch.size)
 
     def record_failure(self, batch: "ScheduledBatch", error) -> None:
         """Retire ``batch`` as failed (dispatch error)."""
         self._retire(batch)
-        self.stats["failed_batches"] += 1
+        self.failed_batches.inc()
         batch._mark_failed(error)
 
     def record_dropped(self, batch: "ScheduledBatch", error: QueueTimeout) -> None:
         """Retire ``batch`` as dropped (queue deadline expired)."""
         self._retire(batch)
-        self.stats["dropped_batches"] += 1
+        self.dropped_batches.inc()
         batch._mark_failed(error)
 
     def record_cancelled(self, batch: "ScheduledBatch") -> None:
         """Retire ``batch`` as cancelled while still queued."""
         self._retire(batch)
-        self.stats["cancelled_batches"] += 1
+        self.cancelled_batches.inc()
         batch._mark_cancelled()
+
+
+def _breaker_samples(breakers: Dict[str, CircuitBreaker]) -> List[tuple]:
+    """Collector samples for a scheduler's circuit breakers (which keep
+    their own counts)."""
+    state_codes = {"closed": 0, "open": 1, "half_open": 2}
+    samples = []
+    for key, breaker in list(breakers.items()):
+        snap = breaker.snapshot()
+        labels = {"backend": key}
+        samples.append(("repro_breaker_state", labels, state_codes.get(snap["state"], -1)))
+        samples.append(("repro_breaker_rejections_total", labels, snap["rejections"], "counter"))
+        samples.append(("repro_breaker_transitions_total", labels, snap["transitions"], "counter"))
+    return samples
 
 
 class Scheduler:
@@ -639,67 +683,39 @@ class Scheduler:
         self._in_flight: List[ScheduledBatch] = []
         self._in_flight_jobs = 0
         self._sequence = 0
-        self._dispatched_total = 0
-        self._queue_waits: List[float] = []  # recent dispatch wait samples
         self._closed = False
         self._thread: Optional[threading.Thread] = None
-        # Publish the scheduler's counters through the process-wide
-        # metrics registry.  The collector holds only a weak reference —
-        # short-lived schedulers (tests, embedded uses) are collectable —
-        # and the fixed "scheduler" slot means the newest instance owns
-        # the exposition, matching the one-service-per-process deployment.
-        self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        import weakref
-
-        from repro.obs.metrics import DEFAULT_REGISTRY
-
+        # Every scheduler count lives in an instrument of this registry,
+        # which stats() reads and DEFAULT_REGISTRY mounts (weakly; the
+        # newest scheduler owns the "scheduler" slot).
+        self.metrics = MetricsRegistry()
+        self._dispatched = self.metrics.counter(
+            "repro_scheduler_dispatched_batches_total", help="Batches dispatched"
+        )
+        self.queue_wait = self.metrics.histogram(
+            "repro_scheduler_queue_wait_seconds",
+            help="Seconds batches spent in the fair-share queue",
+            reservoir=4096,
+        )
+        self.metrics.gauge(
+            "repro_scheduler_max_in_flight", help="In-flight job bound"
+        ).set(self.max_in_flight)
         ref = weakref.ref(self)
-
-        def collect():
-            scheduler = ref()
-            if scheduler is None or scheduler._closed:
-                return []
-            stats = scheduler.stats()
-            samples = [
-                ("repro_scheduler_in_flight_jobs", None, stats["in_flight_jobs"]),
-                ("repro_scheduler_in_flight_batches", None, stats["in_flight_batches"]),
-                ("repro_scheduler_queued_batches", None, stats["queued_batches"]),
-                ("repro_scheduler_max_in_flight", None, stats["max_in_flight"]),
-                (
-                    "repro_scheduler_dispatched_batches_total",
-                    None,
-                    stats["dispatched_batches"],
-                    "counter",
-                ),
-            ]
-            if stats["queue_wait_mean_s"] is not None:
-                samples.append(
-                    ("repro_scheduler_queue_wait_mean_seconds", None, stats["queue_wait_mean_s"])
-                )
-            for name, client in stats["clients"].items():
-                labels = {"client": name}
-                samples.append(("repro_scheduler_client_weight", labels, client["weight"]))
-                for field in ("submitted_jobs", "completed_jobs", "dispatched_batches"):
-                    samples.append(
-                        (f"repro_scheduler_client_{field}_total", labels, client[field], "counter")
-                    )
-            state_codes = {"closed": 0, "open": 1, "half_open": 2}
-            for key, snap in stats.get("breakers", {}).items():
-                labels = {"backend": key}
-                samples.append(
-                    ("repro_breaker_state", labels, state_codes.get(snap["state"], -1))
-                )
-                samples.append(
-                    ("repro_breaker_rejections_total", labels, snap["rejections"], "counter")
-                )
-                samples.append(
-                    ("repro_breaker_transitions_total", labels, snap["transitions"], "counter")
-                )
-            return samples
-
-        DEFAULT_REGISTRY.register_collector("scheduler", collect)
+        for name, text, read in (
+            ("in_flight_jobs", "Jobs in the execution stack", lambda s: s._in_flight_jobs),
+            ("in_flight_batches", "Batches in the execution stack", lambda s: len(s._in_flight)),
+            ("queued_batches", "Batches waiting in the queue", lambda s: s.queue_depth()),
+        ):
+            # Read through a weak reference: a dead scheduler's gauges
+            # read NaN and drop out of the exposition.
+            self.metrics.gauge(
+                f"repro_scheduler_{name}", help=text,
+                fn=lambda read=read: read(ref()),
+            )
+        self.metrics.register_collector(
+            "breakers", functools.partial(_breaker_samples, self._breakers)
+        )
+        DEFAULT_REGISTRY.mount("scheduler", self.metrics)
 
     # ------------------------------------------------------------------
     # Client surface
@@ -717,7 +733,7 @@ class Scheduler:
         with self._lock:
             state = self._clients.get(name)
             if state is None:
-                self._clients[name] = _ClientState(name, int(weight))
+                self._clients[name] = _ClientState(name, int(weight), self.metrics)
             else:
                 state.weight = int(weight)
 
@@ -862,7 +878,7 @@ class Scheduler:
                         f"Scheduler.client({client!r}) "
                         f"(registered: {sorted(self._clients) or 'none'})"
                     )
-                state = _ClientState(client, 1)
+                state = _ClientState(client, 1, self.metrics)
                 self._clients[client] = state
             breaker_key = self._breaker_key_for(backend)
             if breaker_key is not None:
@@ -885,8 +901,8 @@ class Scheduler:
                     position = i
                     break
             state.pending.insert(position, (entry, batch))
-            state.stats["submitted_batches"] += 1
-            state.stats["submitted_jobs"] += batch.size
+            state.submitted_batches.inc()
+            state.submitted_jobs.inc(batch.size)
             self._ensure_thread()
             self._lock.notify_all()
         return batch
@@ -955,11 +971,9 @@ class Scheduler:
             options.setdefault("max_workers", self.max_workers)
         self._in_flight.append(batch)
         self._in_flight_jobs += batch.size
-        state.stats["dispatched_batches"] += 1
-        self._dispatched_total += 1
-        self._queue_waits.append(time.monotonic() - batch.submitted_at)
-        if len(self._queue_waits) > 4096:
-            del self._queue_waits[:2048]
+        state.dispatched_batches.inc()
+        self._dispatched.inc()
+        self.queue_wait.observe(time.monotonic() - batch.submitted_at)
         batch._finish_queue_span()
         dispatch_span = (
             batch.trace_span.child("dispatch") if batch.trace_span is not None else None
@@ -1004,9 +1018,7 @@ class Scheduler:
         for batch in finished:
             self._in_flight.remove(batch)
             self._in_flight_jobs -= batch.size
-            state = self._clients[batch.client]
-            state.stats["completed_batches"] += 1
-            state.stats["completed_jobs"] += batch.size
+            self._clients[batch.client]._retire(batch)
             if batch._breaker_key is not None:
                 from repro.runtime.job import JobStatus
 
@@ -1055,7 +1067,7 @@ class Scheduler:
                     if not batch._boosted:
                         entry = (_URGENT_RANK, entry[1], entry[2])
                         batch._boosted = True
-                        state.stats["reprioritized_batches"] += 1
+                        state.reprioritized_batches.inc()
                         resort = changed = True
                 elif (
                     self.preempt_after is not None
@@ -1064,7 +1076,7 @@ class Scheduler:
                 ):
                     entry = (_URGENT_RANK, entry[1], entry[2])
                     batch._boosted = True
-                    state.stats["preempted_batches"] += 1
+                    state.preempted_batches.inc()
                     # The aged client takes the very next dispatch slot.
                     self._round.insert(0, state.name)
                     resort = changed = True
@@ -1159,22 +1171,28 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Return queue depth, in-flight load, and per-client counters."""
+        """Return queue depth, in-flight load, and per-client counters.
+
+        A view over :attr:`metrics`.  A client's ``completed_batches`` /
+        ``completed_jobs`` count every *retired* batch — done, failed,
+        dropped or cancelled — so submitted and completed reconcile; the
+        service's per-client ``completed_batches`` counts successes only.
+        ``queue_wait_samples`` / ``queue_wait_mean_s`` are lifetime
+        figures of the queue-wait histogram.
+        """
+        wait = self.queue_wait.snapshot()
         with self._lock:
-            waits = list(self._queue_waits)
             breakers = list(self._breakers.items())
             snapshot = {
                 "max_in_flight": self.max_in_flight,
                 "in_flight_jobs": self._in_flight_jobs,
                 "in_flight_batches": len(self._in_flight),
                 "queued_batches": self._queued_batches(),
-                "dispatched_batches": self._dispatched_total,
-                "queue_wait_samples": len(waits),
-                "queue_wait_mean_s": (
-                    sum(waits) / len(waits) if waits else None
-                ),
+                "dispatched_batches": int(self._dispatched.value),
+                "queue_wait_samples": wait["count"],
+                "queue_wait_mean_s": wait["mean"],
                 "clients": {
-                    name: dict(state.stats, weight=state.weight)
+                    name: dict(state.counts(), weight=state.weight)
                     for name, state in self._clients.items()
                 },
             }

@@ -7,8 +7,9 @@ stable id, completion streams through ``async for`` over
 ``as_completed()``, and admission is gated by hashed-token
 authentication with expiry and scopes (:mod:`repro.service.auth`),
 per-client concurrency quotas and shots/sec token buckets
-(:mod:`repro.service.quota`), with service-level observability
-(:mod:`repro.service.stats`) behind one ``stats()`` call.
+(:mod:`repro.service.quota`).  ``stats()`` is a view over the service's
+and its scheduler's :mod:`repro.obs.metrics` instruments — the same
+numbers ``GET /v1/metrics`` exposes.
 
 The service is restart-durable: every submission and settlement is
 write-ahead-journaled through a disk-backed store
@@ -59,7 +60,6 @@ from repro.service.quota import (
     TokenBucket,
 )
 from repro.service.service import RecoveredJob, RuntimeService, ServiceJob
-from repro.service.stats import ClientStats, LatencyWindow, RateMeter
 
 __all__ = [
     "AuthenticationError",
@@ -67,16 +67,13 @@ __all__ = [
     "CircuitOpen",
     "ClientIdentity",
     "ClientQuota",
-    "ClientStats",
     "CostLedger",
     "DEFAULT_SCOPES",
     "JobJournal",
-    "LatencyWindow",
     "OVER_QUOTA_POLICIES",
     "QueueTimeout",
     "QuotaExceeded",
     "RateLimited",
-    "RateMeter",
     "RecoveredJob",
     "RegistrationConflict",
     "RuntimeService",

@@ -42,6 +42,7 @@ Design rules:
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import logging
 import threading
@@ -56,7 +57,7 @@ from repro.exceptions import (
     ServiceOverloaded,
     UnknownJob,
 )
-from repro.obs.metrics import DEFAULT_REGISTRY
+from repro.obs.metrics import DEFAULT_REGISTRY, Counter, MetricsRegistry
 from repro.obs.trace import Span, tracing_enabled
 from repro.runtime.scheduler import ScheduledBatch, Scheduler
 from repro.runtime.store import CacheStore, default_cache_dir
@@ -70,7 +71,6 @@ from repro.service.quota import (
     RateLimited,
     TokenBucket,
 )
-from repro.service.stats import ClientStats, LatencyWindow, RateMeter
 
 logger = logging.getLogger("repro.service")
 
@@ -83,46 +83,31 @@ _TERMINAL_STATUSES = ("done", "failed", "dropped", "cancelled")
 #: restarts.
 _service_job_counter = itertools.count(1)
 
-# Process-wide service instruments (shared across service instances —
-# they describe the process, like the pool and cache collectors).  Hot
-# paths touch pre-created instruments only; labeled variants are
-# pre-created per known terminal status / rejection reason so a storm
-# never takes the registry lock.
-_M_SUBMITTED = DEFAULT_REGISTRY.counter(
-    "repro_service_submitted_jobs_total", help="Jobs admitted by submit()"
-)
-_M_SETTLED = {
-    status: DEFAULT_REGISTRY.counter(
-        "repro_service_settled_jobs_total",
-        {"status": status},
-        help="Jobs settled, by terminal status",
-    )
-    for status in _TERMINAL_STATUSES
-}
-_M_REJECTED = {
-    reason: DEFAULT_REGISTRY.counter(
-        "repro_service_rejected_total",
-        {"reason": reason},
-        help="Submissions rejected before admission",
-    )
-    for reason in ("auth", "quota", "rate", "overload")
-}
-_M_SETTLEMENT_ERRORS = {
-    stage: DEFAULT_REGISTRY.counter(
-        "repro_service_settlement_errors_total",
-        {"stage": stage},
-        help="Settlement bookkeeping failures, by stage",
-    )
-    for stage in ("collect", "journal", "ledger")
-}
-_M_QUEUE_WAIT = DEFAULT_REGISTRY.histogram(
-    "repro_service_queue_wait_seconds",
-    help="Seconds batches spent in the fair-share queue",
-)
-_M_JOB_LATENCY = DEFAULT_REGISTRY.histogram(
-    "repro_service_job_latency_seconds",
-    help="Submit-to-settle seconds per submission",
-)
+def _terminal_status(batch: ScheduledBatch) -> tuple:
+    """Return a settled batch's ``(terminal status, error or None)``.
+
+    The one classification of a settlement: its counters, ``stats()``,
+    journal record and trace root all use it.  A batch that left the
+    queue without running keeps its queue outcome (``"failed"``,
+    ``"dropped"``, ``"cancelled"``); one whose jobs ran is ``"failed"``
+    when any job errored, ``"cancelled"`` when any was cancelled, else
+    ``"done"``.
+    """
+    status = batch.status()
+    if status in ("failed", "dropped", "cancelled"):
+        return status, batch._error
+    from repro.runtime.job import JobStatus
+
+    jobset = batch._jobset
+    statuses = jobset.statuses()
+    if JobStatus.ERROR in statuses:
+        error = next(
+            (job._error for job in jobset.jobs if job._error is not None), None
+        )
+        return "failed", error
+    if JobStatus.CANCELLED in statuses:
+        return "cancelled", None
+    return "done", None
 
 
 class ServiceJob:
@@ -137,11 +122,9 @@ class ServiceJob:
 
     def __init__(
         self, service: "RuntimeService", client: str, batch: ScheduledBatch,
-        size: int, loop: asyncio.AbstractEventLoop,
-        job_id: Optional[int] = None,
+        size: int, loop: asyncio.AbstractEventLoop, job_id: int,
     ) -> None:
-        numeric = job_id if job_id is not None else next(_service_job_counter)
-        self.journal_id = int(numeric)
+        self.journal_id = int(job_id)
         self.job_id = f"svc-{self.journal_id}"
         self.client = client
         self.batch = batch
@@ -398,14 +381,43 @@ class RecoveredJob:
 
 
 class _ServiceClient:
-    """Service-side per-client state: quota machinery and counters."""
+    """Service-side per-client state: quota machinery and count instruments.
 
-    __slots__ = ("identity", "quota", "bucket", "stats", "in_flight_jobs",
-                 "condition")
+    ``completed_jobs`` and the in-flight gauge are exposition families of
+    the service's registry; the per-status batch settlements, rejections
+    and backpressure waits are instruments only ``stats()`` reads.
+    """
+
+    __slots__ = ("identity", "quota", "bucket", "in_flight_jobs", "condition",
+                 "completed_jobs", "settled", "rejected", "queued_waits")
 
     def __init__(self, identity: ClientIdentity, quota: ClientQuota,
-                 clock) -> None:
+                 clock, registry: MetricsRegistry) -> None:
         self.identity = identity
+        self.set_quota(quota, clock)
+        self.in_flight_jobs = 0
+        self.condition: Optional[asyncio.Condition] = None
+        labels = {"client": identity.name}
+        self.completed_jobs = registry.counter(
+            "repro_service_client_completed_jobs_total", labels,
+            "Jobs settled done, per client",
+        )
+        registry.gauge(
+            "repro_service_client_in_flight_jobs", labels,
+            "Jobs admitted and not yet settled, per client",
+            fn=lambda: self.in_flight_jobs,
+        )
+        self.settled = {
+            status: Counter("settled_batches", dict(labels, status=status))
+            for status in _TERMINAL_STATUSES
+        }
+        self.rejected = {
+            reason: Counter("rejected", dict(labels, reason=reason))
+            for reason in ("quota", "rate", "overload")  # auth has no client
+        }
+        self.queued_waits = Counter("queued_waits", labels)
+
+    def set_quota(self, quota: ClientQuota, clock) -> None:
         self.quota = quota
         self.bucket = (
             TokenBucket(
@@ -418,9 +430,26 @@ class _ServiceClient:
             if quota.shots_per_second is not None
             else None
         )
-        self.stats = ClientStats()
-        self.in_flight_jobs = 0
-        self.condition: Optional[asyncio.Condition] = None
+
+    def view(self, scheduler: Optional[dict]) -> dict:
+        """This client's ``stats()["clients"]`` entry; ``scheduler`` is its
+        :meth:`Scheduler.stats` entry (the source of submit counts)."""
+        snapshot = {
+            ("completed" if status == "done" else status) + "_batches":
+                int(counter.value)
+            for status, counter in self.settled.items()
+        }
+        for reason, counter in self.rejected.items():
+            snapshot[f"rejected_{reason}"] = int(counter.value)
+        for field in ("submitted_batches", "submitted_jobs"):
+            snapshot[field] = scheduler[field] if scheduler is not None else 0
+        snapshot["completed_jobs"] = int(self.completed_jobs.value)
+        snapshot["queued_waits"] = int(self.queued_waits.value)
+        snapshot["in_flight_jobs"] = self.in_flight_jobs
+        snapshot["weight"] = self.identity.weight
+        if scheduler is not None:
+            snapshot["scheduler"] = scheduler
+        return snapshot
 
 
 class RuntimeService:
@@ -573,65 +602,51 @@ class RuntimeService:
         self._jobs: Dict[str, object] = {}  # job_id -> ServiceJob/RecoveredJob
         self._backend_cache: Dict[str, object] = {}  # spec -> resolved backend
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._rejected_auth = 0
-        self._settlement_errors = 0
         self._settlement_warned: set = set()  # (stage, exc type) seen
-        self._queue_latency = LatencyWindow()
-        self._completions = RateMeter(clock=clock)
-        self._started = clock()
+        self._started = started = clock()
+        # Every service count lives in an instrument of this registry,
+        # which stats() reads and DEFAULT_REGISTRY mounts (weakly; the
+        # newest service owns the "service" slot).  Gauge callbacks close
+        # over state containers, never over the service itself.
+        self.metrics = metrics = MetricsRegistry()
+
+        def by_label(name, label, values, text):
+            return {v: metrics.counter(name, {label: v}, text) for v in values}
+
+        self._submitted = metrics.counter(
+            "repro_service_submitted_jobs_total",
+            help="Jobs admitted by submit() or re-submitted by recover()",
+        )
+        self._settled = by_label(
+            "repro_service_settled_jobs_total", "status", _TERMINAL_STATUSES,
+            "Jobs settled, by terminal status",
+        )
+        self._rejected = by_label(
+            "repro_service_rejected_total", "reason",
+            ("auth", "quota", "rate", "overload"),
+            "Submissions rejected before admission",
+        )
+        self._settlement_errors = by_label(
+            "repro_service_settlement_errors_total", "stage",
+            ("collect", "journal", "ledger"),
+            "Settlement bookkeeping failures, by stage",
+        )
+        self._job_latency = metrics.histogram(
+            "repro_service_job_latency_seconds",
+            help="Submit-to-settle seconds per submission",
+        )
+        metrics.gauge("repro_service_uptime_seconds",
+                      help="Seconds since the service started",
+                      fn=lambda: clock() - started)
+        metrics.gauge("repro_service_known_jobs",
+                      help="Job ids this service answers for",
+                      fn=functools.partial(len, self._jobs))
+        metrics.gauge("repro_service_clients",
+                      help="Clients with service-side state",
+                      fn=functools.partial(len, self._clients))
+        DEFAULT_REGISTRY.mount("service", metrics)
         if self.authenticator.allow_anonymous:
             self.scheduler.client(TokenAuthenticator.ANONYMOUS, weight=1)
-        self._register_metrics()
-
-    def _register_metrics(self) -> None:
-        """Expose this service's live gauges through the registry.
-
-        Registered under the fixed collector name ``"service"`` —
-        replace-by-name means the newest service instance owns the slot
-        (the common case is one per process; tests churn through many).
-        The weakref keeps dead instances collectable.
-        """
-        import weakref
-
-        ref = weakref.ref(self)
-
-        def collect():
-            service = ref()
-            if service is None:
-                return []
-            with service._lock:
-                clients = dict(service._clients)
-                rejected_auth = service._rejected_auth
-                settlement_errors = service._settlement_errors
-            samples = [
-                ("repro_service_uptime_seconds", None,
-                 service._clock() - service._started),
-                ("repro_service_jobs_per_second", None,
-                 service._completions.rate()),
-                ("repro_service_completed_jobs", None,
-                 service._completions.total, "counter"),
-                ("repro_service_rejected_auth", None, rejected_auth,
-                 "counter"),
-                ("repro_service_settlement_errors", None, settlement_errors,
-                 "counter"),
-                ("repro_service_known_jobs", None, len(service._jobs)),
-                ("repro_service_clients", None, len(clients)),
-            ]
-            for name, state in clients.items():
-                labels = {"client": name}
-                samples.append(
-                    ("repro_service_client_in_flight_jobs", labels,
-                     state.in_flight_jobs)
-                )
-                snapshot = state.stats.snapshot()
-                for field in ("submitted_jobs", "completed_jobs"):
-                    samples.append(
-                        (f"repro_service_client_{field}_total", labels,
-                         snapshot.get(field, 0), "counter")
-                    )
-            return samples
-
-        DEFAULT_REGISTRY.register_collector("service", collect)
 
     # ------------------------------------------------------------------
     # Tenant management
@@ -670,14 +685,12 @@ class RuntimeService:
             state = self._clients.get(name)
             if state is None:
                 self._clients[name] = _ServiceClient(
-                    identity, effective, self._clock
+                    identity, effective, self._clock, self.metrics
                 )
             else:
                 # Re-registration updates policy but keeps counters.
-                fresh = _ServiceClient(identity, effective, self._clock)
                 state.identity = identity
-                state.quota = effective
-                state.bucket = fresh.bucket
+                state.set_quota(effective, self._clock)
         return token
 
     def _client_state(self, identity: ClientIdentity) -> _ServiceClient:
@@ -689,7 +702,8 @@ class RuntimeService:
                     if identity.quota is not None
                     else self.default_quota
                 )
-                state = _ServiceClient(identity, quota, self._clock)
+                state = _ServiceClient(identity, quota, self._clock,
+                                       self.metrics)
                 self._clients[identity.name] = state
             return state
 
@@ -736,8 +750,7 @@ class RuntimeService:
         must not debit a client's token bucket for work it refuses.
         """
         if self._draining:
-            state.stats.bump("rejected_overload")
-            _M_REJECTED["overload"].inc()
+            self._reject("overload", state)
             raise ServiceOverloaded(
                 "service is draining and no longer accepts submissions",
                 retry_after=5.0,
@@ -747,8 +760,7 @@ class RuntimeService:
             return
         depth = self.scheduler.queue_depth()
         if depth >= self.max_queue_depth:
-            state.stats.bump("rejected_overload")
-            _M_REJECTED["overload"].inc()
+            self._reject("overload", state)
             raise ServiceOverloaded(
                 f"scheduler queue holds {depth} batch(es), at the "
                 f"load-shedding watermark of {self.max_queue_depth}",
@@ -756,6 +768,13 @@ class RuntimeService:
                 queue_depth=depth,
                 limit=self.max_queue_depth,
             )
+
+    def _reject(self, reason: str,
+                state: Optional[_ServiceClient] = None) -> None:
+        """Count one refused submission (per client where one is known)."""
+        self._rejected[reason].inc()
+        if state is not None:
+            state.rejected[reason].inc()
 
     def _try_admit(self, state: _ServiceClient, size: int, total_shots: int):
         """One admission attempt; returns ``(kind, retry_after)``.
@@ -814,9 +833,7 @@ class RuntimeService:
         try:
             identity = self.authenticator.authenticate(token, scope="submit")
         except (AuthenticationError, ScopeDenied):
-            with self._lock:
-                self._rejected_auth += 1
-            _M_REJECTED["auth"].inc()
+            self._reject("auth")
             raise
         state = self._client_state(identity)
         self._check_admission_open(state)
@@ -837,8 +854,7 @@ class RuntimeService:
                 break
             if state.quota.over_quota == "reject":
                 if kind == "quota":
-                    state.stats.bump("rejected_quota")
-                    _M_REJECTED["quota"].inc()
+                    self._reject("quota", state)
                     raise QuotaExceeded(
                         f"client {identity.name!r} has "
                         f"{state.in_flight_jobs} job(s) in flight; "
@@ -848,8 +864,7 @@ class RuntimeService:
                         in_flight=state.in_flight_jobs,
                         limit=state.quota.max_in_flight_jobs,
                     )
-                state.stats.bump("rejected_rate")
-                _M_REJECTED["rate"].inc()
+                self._reject("rate", state)
                 raise RateLimited(
                     f"client {identity.name!r} exceeded "
                     f"{state.quota.shots_per_second:g} shots/sec; retry in "
@@ -858,7 +873,7 @@ class RuntimeService:
                     retry_after=retry_after,
                 )
             # Backpressure: wait for capacity without blocking the loop.
-            state.stats.bump("queued_waits")
+            state.queued_waits.inc()
             if admission_span is not None:
                 admission_span.event("backpressure", kind=kind)
             if kind == "rate":
@@ -925,21 +940,30 @@ class RuntimeService:
                 # saw rejected.
                 self.journal.record_settlement(numeric_id, "failed", error=exc)
             raise
-        state.stats.bump("submitted_batches")
-        state.stats.bump("submitted_jobs", size)
-        _M_SUBMITTED.inc(size)
-        handle = ServiceJob(self, identity.name, batch, size, loop,
-                            job_id=numeric_id)
-        handle._circuits = circuit_list
-        handle._backend = backend
-        handle._shots = shots
+        handle = self._track(identity.name, batch, size, loop, numeric_id,
+                             circuit_list, backend, shots, root_span)
         if root_span is not None:
             root_span.set(
                 job_id=handle.job_id,
                 backend=backend if isinstance(backend, str)
                 else getattr(backend, "name", None),
             )
-            handle._span = root_span
+        return handle
+
+    def _track(self, client: str, batch: ScheduledBatch, size: int, loop,
+               job_id: int, circuits, backend, shots,
+               span: Optional[Span]) -> ServiceJob:
+        """Count a batch the scheduler accepted and return its handle.
+
+        The one path :meth:`submit` and :meth:`recover` share, so a
+        re-submitted job is counted like a fresh one.
+        """
+        self._submitted.inc(size)
+        handle = ServiceJob(self, client, batch, size, loop, job_id=job_id)
+        handle._circuits = circuits
+        handle._backend = backend
+        handle._shots = shots
+        handle._span = span
         with self._lock:
             self._jobs[handle.job_id] = handle
         # The bridge out of the threaded scheduler: fires on dispatch,
@@ -963,18 +987,10 @@ class RuntimeService:
     # ------------------------------------------------------------------
 
     def _on_left_queue(self, handle: ServiceJob) -> None:
-        """The handle's batch left the queue: record latency, arm
-        completion callbacks (or settle immediately on a queue-side
-        terminal state)."""
+        """The handle's batch left the queue: arm completion callbacks (or
+        settle immediately on a queue-side terminal state)."""
         handle._dispatched.set()
         batch = handle.batch
-        if batch.dispatched_at is not None:
-            wait = batch.wait_time()
-            self._queue_latency.add(wait)
-            _M_QUEUE_WAIT.observe(wait)
-            state = self._clients.get(handle.client)
-            if state is not None:
-                state.stats.queue_latency.add(wait)
         status = batch.status()
         if status in ("failed", "dropped", "cancelled"):
             self._settle(handle)
@@ -1002,36 +1018,20 @@ class RuntimeService:
         if handle._settled.is_set():
             return
         handle._settled.set()
-        state = self._clients.get(handle.client)
-        status = handle.batch.status()
+        status, error = _terminal_status(handle.batch)
         if handle._span is not None:
             handle._settle_span = handle._span.child("settle", status=status)
-        _M_SETTLED.get(status, _M_SETTLED["done"]).inc(handle.size)
-        _M_JOB_LATENCY.observe(
+        self._settled[status].inc(handle.size)
+        self._job_latency.observe(
             max(0.0, time.monotonic() - handle.batch.submitted_at)
         )
+        state = self._clients.get(handle.client)
         if state is not None:
             with self._lock:
                 state.in_flight_jobs -= handle.size
-            if status == "dropped":
-                state.stats.bump("dropped_batches")
-            elif status == "cancelled":
-                state.stats.bump("cancelled_batches")
-            elif status == "failed":
-                state.stats.bump("failed_batches")
-            else:
-                from repro.runtime.job import JobStatus
-
-                jobset = handle.batch._jobset
-                statuses = jobset.statuses()
-                if any(s is JobStatus.ERROR for s in statuses):
-                    state.stats.bump("failed_batches")
-                elif any(s is JobStatus.CANCELLED for s in statuses):
-                    state.stats.bump("cancelled_batches")
-                else:
-                    state.stats.bump("completed_batches")
-                    state.stats.bump("completed_jobs", handle.size)
-                    self._completions.tick(handle.size)
+            state.settled[status].inc()
+            if status == "done":
+                state.completed_jobs.inc(handle.size)
             if state.condition is not None:
                 # Wake over-quota waiters; we are already on the loop.
                 asyncio.ensure_future(self._notify(state.condition))
@@ -1041,7 +1041,7 @@ class RuntimeService:
             # record unsettled, which recovery treats as re-runnable.
             try:
                 handle._loop.run_in_executor(
-                    None, self._record_settlement, handle
+                    None, self._record_settlement, handle, status, error
                 )
             except RuntimeError:
                 self._finalize_trace(handle, status)
@@ -1069,47 +1069,30 @@ class RuntimeService:
         async with condition:
             condition.notify_all()
 
-    def _record_settlement(self, handle: ServiceJob) -> None:
+    def _record_settlement(self, handle: ServiceJob, terminal: str,
+                           error: Optional[BaseException]) -> None:
         """Journal a handle's terminal outcome and charge its ledger.
 
         Runs in the loop's default executor: collecting results (chunk
-        merging) and the store writes both block.  Mirrors the status
-        logic of :meth:`_settle`; never raises — durability bookkeeping
-        must not take the service down — but never *swallows* either: a
-        failed journal write means recovery will re-run this job, a
-        failed ledger charge under-bills the tenant, so each failure is
-        counted (``stats()["settlement_errors"]``) and logged once per
-        failure class via :meth:`_note_settlement_error`.
+        merging) and the store writes both block.  ``terminal``/``error``
+        come from :func:`_terminal_status`, like every other record of
+        the settlement.  Never raises — durability bookkeeping must not
+        take the service down — but never *swallows* either: a failed
+        journal write means recovery will re-run this job, a failed
+        ledger charge under-bills the tenant, so each failure is counted
+        (``stats()["settlement_errors"]``) and logged once per failure
+        class via :meth:`_note_settlement_error`.
         """
-        try:
-            status = handle.batch.status()
-            counts = shots_out = error = None
-            if status in ("failed", "dropped", "cancelled"):
-                terminal = status
-                error = handle.batch._error
-            else:
-                from repro.runtime.job import JobStatus
-
-                jobset = handle.batch._jobset
-                statuses = jobset.statuses()
-                if any(s is JobStatus.ERROR for s in statuses):
-                    terminal = "failed"
-                    error = next(
-                        (job._error for job in jobset.jobs
-                         if job._error is not None),
-                        None,
-                    )
-                elif any(s is JobStatus.CANCELLED for s in statuses):
-                    terminal = "cancelled"
-                else:
-                    terminal = "done"
-                    results = jobset.result()
-                    counts = [dict(r.counts) for r in results]
-                    shots_out = [r.shots for r in results]
-        except Exception as exc:
-            self._note_settlement_error("collect", handle, exc)
-            self._finalize_trace(handle, handle.batch.status())
-            return
+        counts = shots_out = None
+        if terminal == "done":
+            try:
+                results = handle.batch._jobset.result()
+            except Exception as exc:
+                self._note_settlement_error("collect", handle, exc)
+                self._finalize_trace(handle, terminal)
+                return
+            counts = [dict(r.counts) for r in results]
+            shots_out = [r.shots for r in results]
         trace = self._finalize_trace(handle, terminal)
         if self.journal is not None:
             try:
@@ -1140,13 +1123,10 @@ class RuntimeService:
         storm does not turn the log into the bottleneck.
         """
         key = (stage, type(exc))
+        self._settlement_errors[stage].inc()
         with self._lock:
-            self._settlement_errors += 1
             first = key not in self._settlement_warned
             self._settlement_warned.add(key)
-        counter = _M_SETTLEMENT_ERRORS.get(stage)
-        if counter is not None:
-            counter.inc()
         span = handle._settle_span or handle._span
         if span is not None:
             span.event(
@@ -1345,20 +1325,9 @@ class RuntimeService:
                     self.journal.record(record["id"])
                 )
             return None
-        state.stats.bump("submitted_batches")
-        state.stats.bump("submitted_jobs", size)
-        handle = ServiceJob(self, name, batch, size, loop,
-                            job_id=record["id"])
-        handle._circuits = record["circuits"]
-        handle._backend = record["backend"]
-        handle._shots = record["shots"]
-        handle._span = root_span
-        with self._lock:
-            self._jobs[handle.job_id] = handle
-        batch.add_dispatch_callback(
-            lambda _batch: self._post(loop, self._on_left_queue, handle)
-        )
-        return handle
+        return self._track(name, batch, size, loop, record["id"],
+                           record["circuits"], record["backend"],
+                           record["shots"], root_span)
 
     def job(self, job_id: str, token: Optional[str] = None):
         """Look a handle up by its stable ``svc-N`` id.
@@ -1417,49 +1386,53 @@ class RuntimeService:
     def stats(self) -> dict:
         """Snapshot service-wide and per-client statistics.
 
-        ``jobs_per_second`` is the completion rate over the meter's
-        sliding window; ``queue_latency`` carries p50/p99/max over the
-        recent dispatch waits.  Scheduler-side counters (queue depth,
-        preemptions, drops) are folded in so one call tells the whole
-        story.
+        A view over this service's and its scheduler's registry
+        instruments (the numbers ``/v1/metrics`` exposes).
+        ``jobs_per_second`` is the lifetime ``completed_jobs /
+        uptime_s``; ``queue_latency`` summarises the scheduler's
+        queue-wait histogram (lifetime count, mean and max, percentiles
+        over the most recent ``window_count`` waits).  Scheduler-side
+        counters (queue depth, preemptions, drops) are folded in so one
+        call tells the whole story.
         """
         scheduler = self.scheduler.stats()
+        uptime = self._clock() - self._started
+        completed = int(self._settled["done"].value)
         with self._lock:
             clients = dict(self._clients)
-            rejected_auth = self._rejected_auth
-            settlement_errors = self._settlement_errors
-        per_client = {}
-        for name, state in clients.items():
-            snapshot = state.stats.snapshot()
-            snapshot["in_flight_jobs"] = state.in_flight_jobs
-            snapshot["weight"] = state.identity.weight
-            scheduler_view = scheduler["clients"].get(name)
-            if scheduler_view is not None:
-                snapshot["scheduler"] = scheduler_view
-            per_client[name] = snapshot
+        per_client = {
+            name: state.view(scheduler["clients"].get(name))
+            for name, state in clients.items()
+        }
         totals = {
             field: sum(c["scheduler"][field] for c in per_client.values()
                        if "scheduler" in c)
             for field in ("preempted_batches", "reprioritized_batches",
                           "dropped_batches")
         }
+        wait = self.scheduler.queue_wait.snapshot()
         return {
-            "uptime_s": self._clock() - self._started,
-            "jobs_per_second": self._completions.rate(),
-            "completed_jobs": self._completions.total,
-            "rejected_auth": rejected_auth,
-            "settlement_errors": settlement_errors,
+            "uptime_s": uptime,
+            "jobs_per_second": completed / uptime if uptime > 0 else 0.0,
+            "completed_jobs": completed,
+            "rejected_auth": int(self._rejected["auth"].value),
+            "settlement_errors": int(sum(
+                counter.value for counter in self._settlement_errors.values()
+            )),
             "queued_batches": scheduler["queued_batches"],
             "in_flight_jobs": scheduler["in_flight_jobs"],
             "max_in_flight": scheduler["max_in_flight"],
             "dispatched_batches": scheduler["dispatched_batches"],
-            "queue_latency": self._queue_latency.snapshot(),
+            "queue_latency": {
+                "window_count": wait["window"],
+                "total_count": wait["count"],
+                "mean_s": wait["mean"],
+                "p50_s": wait["p50"],
+                "p99_s": wait["p99"],
+                "max_s": wait["max"],
+            },
             **totals,
-            "journal": (
-                {"records": len(self.journal), "durable": self.journal.durable}
-                if self.journal is not None
-                else None
-            ),
+            "journal": self._journal_view(),
             "accounting": (
                 self.accounting.snapshot()
                 if self.accounting is not None
@@ -1468,6 +1441,11 @@ class RuntimeService:
             "scheduler_weights": self.scheduler.client_weights(),
             "clients": per_client,
         }
+
+    def _journal_view(self) -> Optional[dict]:
+        if self.journal is None:
+            return None
+        return {"records": len(self.journal), "durable": self.journal.durable}
 
     def health(self) -> dict:
         """Liveness + readiness snapshot for ``GET /v1/health``.
@@ -1513,11 +1491,7 @@ class RuntimeService:
                 "active": pools["active"],
                 "rebuilds": pools["rebuilds"],
             },
-            "journal": (
-                {"records": len(self.journal), "durable": self.journal.durable}
-                if self.journal is not None
-                else None
-            ),
+            "journal": self._journal_view(),
         }
         if not ready:
             report["retry_after"] = 5.0 if self._draining else 1.0

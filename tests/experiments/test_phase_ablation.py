@@ -47,6 +47,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Fig. 6" in out
 
+    def test_runtime_stats_prints_registry_exposition(self, capsys):
+        from repro.experiments.__main__ import main
+
+        assert main(["fig6", "--runtime-stats"]) == 0
+        out = capsys.readouterr().out
+        assert "Fig. 6" in out
+        assert "# TYPE repro_executor_pools_active gauge" in out
+        assert "# TYPE repro_cache_hits_total counter" in out
+
     def test_unknown_experiment_errors(self):
         from repro.experiments.__main__ import main
 

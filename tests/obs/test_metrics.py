@@ -132,6 +132,28 @@ class TestCollectors:
         assert snap["gauges"]["b"] == 3
 
 
+class TestMounts:
+    def test_mount_replaced_by_slot_and_held_weakly(self):
+        import gc
+
+        registry = MetricsRegistry()
+        first = MetricsRegistry()
+        first.counter("a_total").inc()
+        first.histogram("wait_seconds").observe(0.5)
+        registry.mount("slot", first)
+        snap = registry.snapshot()
+        assert snap["counters"]["a_total"] == 1
+        assert snap["histograms"]["wait_seconds"]["count"] == 1
+        second = MetricsRegistry()
+        second.counter("b_total").inc(2)
+        registry.mount("slot", second)  # the newest owner takes the slot
+        assert registry.snapshot()["counters"] == {"b_total": 2}
+        del first, second
+        gc.collect()
+        assert registry.snapshot()["counters"] == {}
+        assert registry.render_prometheus() == ""
+
+
 class TestPrometheusRendering:
     def test_families_typed_and_sorted(self):
         registry = MetricsRegistry()

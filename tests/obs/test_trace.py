@@ -213,8 +213,8 @@ class TestTracedExecution:
         assert jobs.trace() == [span.to_dict() for span in circuits]
 
     def test_cache_hit_marked_in_prepare_span(self):
-        # prepare spans live on the process fan-out path, where the
-        # parent transpiles once before shipping chunks to workers
+        # the parent transpiles once (the prepare span) before fanning
+        # chunks out to workers
         qc = traced_batch(1)[0]
         execute(
             qc, "noisy:ibmqx4", shots=16, seed=1, executor="process"

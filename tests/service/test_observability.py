@@ -346,7 +346,7 @@ class TestWireExposition:
         finally:
             conn.close()
         assert "# TYPE repro_service_submitted_jobs_total counter" in body
-        assert "repro_service_queue_wait_seconds_count" in body
+        assert "repro_scheduler_queue_wait_seconds_count" in body
         assert "repro_scheduler_in_flight_jobs" in body
         assert "repro_executor_pools_active" in body
 
@@ -376,21 +376,17 @@ class TestWireExposition:
         assert settled["duration_s"] is not None
 
 
+def sample(text, name):
+    """The value of one exposition sample (``name`` includes labels)."""
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            return float(line.rsplit(" ", 1)[1])
+    return None
+
+
 class TestRegistryServiceCounters:
     def test_submissions_and_settlements_counted(self):
-        from repro.obs.metrics import DEFAULT_REGISTRY
-
-        def counters():
-            snap = DEFAULT_REGISTRY.snapshot()["counters"]
-            return (
-                snap.get("repro_service_submitted_jobs_total", 0),
-                snap.get(
-                    'repro_service_settled_jobs_total{status="done"}', 0
-                ),
-            )
-
         async def main():
-            before = counters()
             service = RuntimeService(executor="thread", journal=False,
                                      accounting=False)
             try:
@@ -407,8 +403,92 @@ class TestRegistryServiceCounters:
                     await asyncio.sleep(0.01)
             finally:
                 await service.close()
-            after = counters()
-            assert after[0] >= before[0] + 2
-            assert after[1] >= before[1] + 2
+            return service.metrics.snapshot()["counters"]
 
-        run(main())
+        counters = run(main())
+        assert counters["repro_service_submitted_jobs_total"] == 2
+        assert counters['repro_service_settled_jobs_total{status="done"}'] == 2
+        assert counters[
+            'repro_service_client_completed_jobs_total{client="alice"}'
+        ] == 2
+
+    def test_failed_chunks_settle_failed_everywhere(self, tmp_path):
+        """A batch whose every chunk fails is "failed" in the exposition,
+        in stats(), in the journal and on the trace root alike."""
+        from repro.faults import FaultPlan
+        from repro.obs.metrics import DEFAULT_REGISTRY
+
+        plan = FaultPlan(seed=1, sites={"chunk.simulate": 1.0})
+
+        async def main():
+            service = RuntimeService(executor="thread",
+                                     cache_dir=str(tmp_path),
+                                     accounting=False)
+            try:
+                token = service.register_client("alice")
+                handle = await service.submit(
+                    [measured_ghz(2), measured_ghz(3)], "statevector",
+                    shots=32, seed=1, token=token, retry=0, fault_plan=plan,
+                )
+                await handle.wait(30)
+                await service.drain(30)
+                # the journal leg of settlement runs off-loop; let it land
+                for _ in range(200):
+                    if handle.trace()["duration_s"] is not None:
+                        break
+                    await asyncio.sleep(0.01)
+                return (
+                    DEFAULT_REGISTRY.render_prometheus(),
+                    service.stats(),
+                    service.journal.record(handle.journal_id),
+                    handle.trace(),
+                )
+            finally:
+                await service.close()
+
+        exposition, stats, record, trace = run(main())
+        settled = "repro_service_settled_jobs_total"
+        assert sample(exposition, settled + '{status="failed"}') == 2
+        assert sample(exposition, settled + '{status="done"}') == 0
+        alice = stats["clients"]["alice"]
+        assert alice["failed_batches"] == 1
+        assert alice["completed_batches"] == 0
+        assert stats["completed_jobs"] == 0
+        assert record["status"] == "failed"
+        assert trace["attrs"]["status"] == "failed"
+
+    def test_recovered_jobs_are_counted(self, tmp_path):
+        """Jobs re-submitted by recover() count as submitted, like fresh
+        ones, in the counter, the exposition and stats()."""
+        from repro.obs.metrics import DEFAULT_REGISTRY
+        from repro.service import JobJournal
+
+        journal = JobJournal(cache_dir=str(tmp_path))
+        for seed in range(3):
+            journal.record_submission(
+                journal.next_id(), "anonymous", [measured_ghz(2)],
+                "statevector", shots=32, seed=seed,
+            )
+
+        async def main():
+            service = RuntimeService(executor="thread",
+                                     cache_dir=str(tmp_path),
+                                     accounting=False)
+            try:
+                summary = await service.recover()
+                await service.drain(30)
+                return (
+                    summary,
+                    service.metrics.snapshot()["counters"],
+                    DEFAULT_REGISTRY.render_prometheus(),
+                    service.stats(),
+                )
+            finally:
+                await service.close()
+
+        summary, counters, exposition, stats = run(main())
+        assert summary["resubmitted"] == 3
+        submitted = "repro_service_submitted_jobs_total"
+        assert counters[submitted] == 3
+        assert sample(exposition, submitted) == 3
+        assert stats["clients"]["anonymous"]["submitted_jobs"] == 3

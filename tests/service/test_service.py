@@ -635,6 +635,24 @@ class TestServiceStats:
 
         run(main())
 
+    def test_jobs_per_second_is_lifetime_rate(self):
+        """One completion five seconds after start reads 0.2 jobs/s, not
+        a rate over the instant of the completion."""
+        now = [0.0]
+
+        async def main():
+            async with RuntimeService(clock=lambda: now[0]) as service:
+                now[0] = 5.0
+                handle = await service.submit(named_circuit("x"),
+                                              RecordingBackend([]), shots=4)
+                await handle.wait(30)
+                return service.stats()
+
+        stats = run(main())
+        assert stats["completed_jobs"] == 1
+        assert stats["uptime_s"] == 5.0
+        assert stats["jobs_per_second"] == pytest.approx(0.2)
+
     def test_anonymous_client_appears_after_first_submission(self):
         async def main():
             async with RuntimeService() as service:
