@@ -89,6 +89,51 @@ class TestInstruments:
         assert stats["mean"] is None and stats["p50"] is None
 
 
+class TestHistogramPercentiles:
+    """The queue-wait and job-latency views of the scheduler and the
+    service read these nearest-rank percentiles."""
+
+    def test_percentiles_nearest_rank(self):
+        hist = MetricsRegistry().histogram("wait_seconds")
+        for ms in range(1, 101):  # 0.001 .. 0.100
+            hist.observe(ms / 1000.0)
+        stats = hist.snapshot()
+        assert stats["window"] == stats["count"] == 100
+        assert stats["p50"] == pytest.approx(0.050)
+        assert stats["p90"] == pytest.approx(0.090)
+        assert stats["p99"] == pytest.approx(0.099)
+        assert stats["max"] == pytest.approx(0.100)
+        assert stats["mean"] == pytest.approx(0.0505)
+
+    def test_single_sample_is_every_percentile(self):
+        hist = MetricsRegistry().histogram("wait_seconds")
+        hist.observe(0.25)
+        stats = hist.snapshot()
+        assert stats["p50"] == stats["p90"] == stats["p99"] == 0.25
+
+    def test_percentiles_ignore_arrival_order(self):
+        hist = MetricsRegistry().histogram("wait_seconds")
+        for ms in (5, 1, 9, 3, 7, 2, 8):
+            hist.observe(ms / 1000.0)
+        stats = hist.snapshot()
+        assert stats["p50"] == pytest.approx(0.005)  # rank 4 of 7
+        assert stats["p99"] == pytest.approx(0.009)
+        assert stats["min"] == pytest.approx(0.001)
+
+    def test_window_split_from_lifetime(self):
+        hist = MetricsRegistry().histogram("wait_seconds", reservoir=10)
+        hist.observe(9.0)  # the spike, about to fall out of the window
+        for _ in range(20):
+            hist.observe(0.001)
+        stats = hist.snapshot()
+        assert stats["window"] == 10  # what the percentiles cover
+        assert stats["count"] == 21  # lifetime samples
+        assert stats["max"] == 9.0  # lifetime max survives eviction
+        assert stats["p99"] == pytest.approx(0.001)
+        # the mean is lifetime, so mean * count is the real total
+        assert stats["mean"] * stats["count"] == pytest.approx(9.02)
+
+
 class TestCollectors:
     def test_collector_samples_land_in_snapshot(self):
         registry = MetricsRegistry()
@@ -152,6 +197,37 @@ class TestMounts:
         gc.collect()
         assert registry.snapshot()["counters"] == {}
         assert registry.render_prometheus() == ""
+
+    def test_mounted_collectors_and_instruments_rendered(self):
+        registry = MetricsRegistry()
+        registry.counter("own_total").inc()
+        child = MetricsRegistry()
+        child.gauge("child_depth").set(4)
+        child.register_collector(
+            "breakers", lambda: [("child_trips_total", None, 2, "counter")]
+        )
+        registry.mount("child", child)
+        snap = registry.snapshot()
+        assert snap["counters"] == {"own_total": 1, "child_trips_total": 2}
+        assert snap["gauges"]["child_depth"] == 4
+        text = registry.render_prometheus()
+        assert "# TYPE child_depth gauge" in text
+        assert "# TYPE child_trips_total counter" in text
+        assert "# TYPE own_total counter" in text
+
+    def test_mounts_nest(self):
+        root, middle, leaf = (MetricsRegistry() for _ in range(3))
+        leaf.counter("leaf_total").inc(3)
+        middle.mount("leaf", leaf)
+        root.mount("middle", middle)
+        assert root.snapshot()["counters"] == {"leaf_total": 3}
+        # unrelated slots coexist
+        other = MetricsRegistry()
+        other.counter("other_total").inc()
+        root.mount("other", other)
+        assert root.snapshot()["counters"] == {
+            "leaf_total": 3, "other_total": 1,
+        }
 
 
 class TestPrometheusRendering:

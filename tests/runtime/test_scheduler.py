@@ -1002,3 +1002,50 @@ class TestSchedulerQueueStats:
             stats = scheduler.stats()
         assert stats["queue_wait_samples"] == 1
         assert stats["queue_wait_mean_s"] >= 0.0
+
+    def test_queue_wait_histogram_backs_stats(self):
+        with Scheduler(executor="serial") as scheduler:
+            for seed in range(3):
+                scheduler.submit(named_circuit("c"), "statevector", shots=8,
+                                 seed=seed).result(timeout=30)
+            assert scheduler.wait_idle(timeout=10)
+            stats = scheduler.stats()
+            wait = scheduler.queue_wait.snapshot()
+            exposed = scheduler.metrics.snapshot()["histograms"][
+                "repro_scheduler_queue_wait_seconds"
+            ]
+        assert stats["queue_wait_samples"] == wait["count"] == 3
+        assert exposed["count"] == 3
+        assert stats["queue_wait_mean_s"] == pytest.approx(wait["mean"])
+
+    def test_stats_are_per_instance(self):
+        with Scheduler(executor="serial") as busy, \
+                Scheduler(executor="serial") as idle:
+            for name in ("a", "b"):
+                busy.submit(named_circuit(name), "statevector", shots=8,
+                            seed=1, client="alice").result(timeout=30)
+            assert busy.wait_idle(timeout=10)
+            busy_stats, idle_stats = busy.stats(), idle.stats()
+            counters = busy.metrics.snapshot()["counters"]
+        assert busy_stats["dispatched_batches"] == 2
+        assert counters["repro_scheduler_dispatched_batches_total"] == 2
+        assert counters[
+            'repro_scheduler_client_submitted_jobs_total{client="alice"}'
+        ] == 2
+        assert busy_stats["clients"]["alice"]["submitted_batches"] == 2
+        assert idle_stats["dispatched_batches"] == 0
+        assert idle_stats["queue_wait_samples"] == 0
+        assert idle_stats["clients"] == {}
+
+    def test_newest_scheduler_shown_in_default_registry(self):
+        from repro.obs.metrics import DEFAULT_REGISTRY
+
+        dispatched = "repro_scheduler_dispatched_batches_total"
+        with Scheduler(executor="serial") as older:
+            older.submit(named_circuit("c"), "statevector", shots=8,
+                         seed=1).result(timeout=30)
+            assert older.wait_idle(timeout=10)
+            assert DEFAULT_REGISTRY.snapshot()["counters"][dispatched] == 1
+            with Scheduler(executor="serial"):
+                # the newer scheduler takes the slot; its count is its own
+                assert DEFAULT_REGISTRY.snapshot()["counters"][dispatched] == 0

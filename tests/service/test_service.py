@@ -653,6 +653,140 @@ class TestServiceStats:
         assert stats["uptime_s"] == 5.0
         assert stats["jobs_per_second"] == pytest.approx(0.2)
 
+    def test_jobs_per_second_zero_without_completions(self):
+        clock = FakeClock()
+
+        async def main():
+            async with RuntimeService(clock=clock) as service:
+                at_start = service.stats()["jobs_per_second"]  # uptime 0
+                clock.advance(30.0)
+                return at_start, service.stats()
+
+        at_start, stats = run(main())
+        assert at_start == 0.0
+        assert stats["jobs_per_second"] == 0.0
+        assert stats["uptime_s"] == 30.0
+
+    def test_jobs_per_second_counts_every_completion(self):
+        clock = FakeClock()
+
+        async def main():
+            async with RuntimeService(clock=clock) as service:
+                for i in range(10):
+                    clock.advance(1.0)
+                    handle = await service.submit(
+                        named_circuit(f"j{i}"), RecordingBackend([]), shots=4
+                    )
+                    await handle.result()
+                return service.stats()
+
+        stats = run(main())
+        assert stats["completed_jobs"] == 10
+        assert stats["jobs_per_second"] == pytest.approx(1.0)
+
+    def test_queue_latency_empty_before_any_dispatch(self):
+        async def main():
+            async with RuntimeService() as service:
+                return service.stats()
+
+        assert run(main())["queue_latency"] == {
+            "window_count": 0, "total_count": 0, "mean_s": None,
+            "p50_s": None, "p99_s": None, "max_s": None,
+        }
+
+    def test_client_entry_counts_one_multi_job_submission(self):
+        async def main():
+            async with RuntimeService() as service:
+                token = service.register_client("alice")
+                handle = await service.submit(
+                    [named_circuit(f"m{i}") for i in range(4)],
+                    RecordingBackend([]), shots=4, token=token,
+                )
+                await handle.result()
+                return service.stats()["clients"]["alice"]
+
+        alice = run(main())
+        assert alice["submitted_batches"] == 1
+        assert alice["submitted_jobs"] == 4
+        assert alice["completed_batches"] == 1
+        assert alice["completed_jobs"] == 4
+        for field in ("failed_batches", "dropped_batches",
+                      "cancelled_batches", "rejected_quota", "rejected_rate",
+                      "rejected_overload", "queued_waits"):
+            assert alice[field] == 0, field
+
+    def test_failed_batch_is_not_a_completion(self):
+        """The service counts successes as completed; its scheduler view
+        counts every retired batch."""
+        async def main():
+            async with RuntimeService() as service:
+                handle = await service.submit(named_circuit("x"),
+                                              FailingBackend(), shots=4)
+                await handle.wait(30)
+                assert (await service.drain(30))["settled"]
+                return (service.stats(),
+                        service.metrics.snapshot()["counters"])
+
+        stats, counters = run(main())
+        anonymous = stats["clients"][TokenAuthenticator.ANONYMOUS]
+        assert anonymous["failed_batches"] == 1
+        assert anonymous["completed_batches"] == 0
+        assert anonymous["completed_jobs"] == 0
+        assert anonymous["scheduler"]["completed_batches"] == 1
+        assert stats["completed_jobs"] == 0
+        settled = "repro_service_settled_jobs_total"
+        assert counters[settled + '{status="failed"}'] == 1
+        assert counters[settled + '{status="done"}'] == 0
+
+    def test_stats_read_the_service_registry(self):
+        clock = FakeClock()
+
+        async def main():
+            service = RuntimeService(allow_anonymous=False, clock=clock)
+            try:
+                with pytest.raises(AuthenticationError):
+                    await service.submit(named_circuit("x"),
+                                         RecordingBackend([]), shots=4)
+                token = service.register_client(
+                    "alice",
+                    quota=ClientQuota(shots_per_second=10, burst_shots=10),
+                )
+                handle = await service.submit(named_circuit("a"),
+                                              RecordingBackend([]), shots=10,
+                                              token=token)
+                await handle.result()
+                with pytest.raises(RateLimited):
+                    await service.submit(named_circuit("b"),
+                                         RecordingBackend([]), shots=10,
+                                         token=token)
+                return service.stats(), service.metrics.snapshot()["counters"]
+            finally:
+                await service.close()
+
+        stats, counters = run(main())
+        rejected = "repro_service_rejected_total"
+        assert stats["rejected_auth"] == counters[rejected + '{reason="auth"}'] == 1
+        assert stats["clients"]["alice"]["rejected_rate"] == 1
+        assert counters[rejected + '{reason="rate"}'] == 1
+        assert stats["completed_jobs"] == counters[
+            'repro_service_settled_jobs_total{status="done"}'
+        ] == 1
+        assert counters["repro_service_submitted_jobs_total"] == 1
+
+    def test_stats_are_per_instance(self):
+        async def main():
+            async with RuntimeService() as busy, RuntimeService() as idle:
+                handle = await busy.submit(named_circuit("x"),
+                                           RecordingBackend([]), shots=4)
+                await handle.result()
+                return busy.stats(), idle.stats()
+
+        busy, idle = run(main())
+        assert busy["completed_jobs"] == 1
+        assert idle["completed_jobs"] == 0
+        assert idle["queue_latency"]["total_count"] == 0
+        assert idle["clients"] == {}
+
     def test_anonymous_client_appears_after_first_submission(self):
         async def main():
             async with RuntimeService() as service:
