@@ -10,9 +10,9 @@ simulated once and every duplicate job re-uses or re-samples the cached
 distribution.
 
 The v2 benches cover the two cross-call reuse paths: the shared process
-pool on a GIL-bound stabilizer batch (thread fan-out buys nothing there),
-and the distribution cache on a repeated noisy sweep (the second call
-re-samples instead of re-simulating).
+pool on a GIL-bound looped-trajectory batch (thread fan-out buys nothing
+there), and the distribution cache on a repeated noisy sweep (the second
+call re-samples instead of re-simulating).
 
 The v3 bench covers the *cross-process* path: the same sweep run in two
 fresh interpreter processes against one ``REPRO_CACHE_DIR``.  The first
@@ -176,30 +176,31 @@ def test_resampled_shot_sweep_simulates_once():
 def test_process_pool_accelerates_per_shot_batch():
     """v2: the process pool is the fan-out that helps the GIL-bound engines.
 
-    The stabilizer tableau engine is pure Python, so a thread pool cannot
-    overlap its shots — only worker processes can.  Counts must be
-    bit-identical to the serial path under the same seeds; the wall-clock
-    win is asserted only where extra cores exist to deliver it.
+    The ``method="loop"`` trajectory engine walks the circuit in Python
+    once per shot, so a thread pool cannot overlap its shots — only worker
+    processes can.  Counts must be bit-identical to the serial path under
+    the same seeds; the wall-clock win is asserted only where extra cores
+    exist to deliver it.
     """
     circuits = []
-    for i in range(4):
-        injector = AssertionInjector(library.ghz_state(20 + i))
-        injector.assert_entangled(list(range(20 + i)), mode="pairwise")
+    for n, mode in ((4, "single"), (3, "pairwise"), (3, "single"), (2, "pairwise")):
+        injector = AssertionInjector(library.ghz_state(n))
+        injector.assert_entangled(list(range(n)), mode=mode)
         injector.measure_program()
         circuits.append(injector.circuit)
-    backend = get_backend("stabilizer")
+    backend = get_backend("trajectory:ibmqx4", method="loop")
     seeds = [31, 32, 33, 34]
 
     start = time.perf_counter()
     serial = execute(
-        circuits, backend, shots=96, seed=seeds, executor="serial", dedupe=False
+        circuits, backend, shots=128, seed=seeds, executor="serial", dedupe=False
     ).counts()
     serial_s = time.perf_counter() - start
 
     workers = min(4, os.cpu_count() or 1)
     start = time.perf_counter()
     pooled = execute(
-        circuits, backend, shots=96, seed=seeds, executor="process",
+        circuits, backend, shots=128, seed=seeds, executor="process",
         max_workers=workers, dedupe=False,
     ).counts()
     process_s = time.perf_counter() - start
@@ -215,12 +216,13 @@ def test_process_pool_accelerates_per_shot_batch():
             f"({serial_s:.3f}s) on {os.cpu_count()} cores"
         )
     record(
-        "stabilizer_process_pool", serial_s, process_s,
+        "trajectory_loop_process_pool", serial_s, process_s,
         workers=workers, cores=os.cpu_count(),
     )
     emit(
-        "runtime bench — GIL-bound stabilizer batch, serial vs process pool\n"
-        f"jobs            : {len(circuits)} (GHZ 20-23, pairwise assertions)\n"
+        "runtime bench — GIL-bound looped trajectory batch, serial vs process pool\n"
+        f"jobs            : {len(circuits)} (GHZ 2-4 assertions on ibmqx4, "
+        "method='loop')\n"
         f"serial          : {serial_s:8.3f} s\n"
         f"process pool    : {process_s:8.3f} s  "
         f"({workers} workers on {os.cpu_count()} core(s), "

@@ -127,9 +127,14 @@ class DensityMatrixBackend(Backend):
 
 
 class StabilizerBackend(Backend):
-    """Clifford-only backend for large-qubit-count runs."""
+    """Clifford-only backend for large-qubit-count runs.
+
+    The engine makes one tableau pass per job and samples every shot in
+    one batched draw, so it is a batch-axis engine and runs on threads.
+    """
 
     name = "stabilizer"
+    vectorized_shots = True
 
     def __init__(self) -> None:
         self._simulator = StabilizerSimulator()

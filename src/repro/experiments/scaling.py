@@ -9,9 +9,9 @@ assertion still passes deterministically at scale.
 All (size, mode) configurations are submitted as one batch through
 :func:`repro.runtime.execute`; per-row timings come from each job's
 measured engine wall-clock.  The batch runs serially by default: the
-tableau engine is GIL-bound pure Python, so concurrent jobs would starve
-each other and inflate every row's measured time.  Pass ``max_workers``
-explicitly to trade timing fidelity for throughput.
+tableau pass is a run of small NumPy calls that hold the GIL between
+them, so concurrent jobs would inflate each other's measured time.  Pass
+``max_workers`` explicitly to trade timing fidelity for throughput.
 """
 
 from __future__ import annotations
@@ -69,10 +69,7 @@ def run_scaling(
 
     ``max_workers`` defaults to 1 so per-row wall-clock timings measure one
     engine run at a time (see the module docstring); counts are
-    seed-deterministic at any worker count.  The tableau engine is
-    GIL-bound pure Python, so when throughput matters more than per-row
-    timing fidelity, ``executor="process"`` with a wider ``max_workers``
-    is the fan-out that actually helps.
+    seed-deterministic at any worker count and executor kind.
     """
     result = ScalingResult(shots=shots)
     configs = []  # (n, mode, injector)

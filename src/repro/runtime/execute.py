@@ -17,8 +17,8 @@ Semantics:
 * **Batching** — a list of circuits becomes a :class:`~repro.runtime.job.JobSet`
   whose jobs fan out over a shared executor (see :mod:`repro.runtime.pool`):
   ``executor="thread"`` for the NumPy engines (their kernels release the
-  GIL), ``"process"`` for the GIL-bound per-shot engines (stabilizer,
-  trajectory), ``"serial"`` for inline execution.  Executors are
+  GIL), ``"process"`` for the GIL-bound per-shot engines (the looped
+  trajectory walker), ``"serial"`` for inline execution.  Executors are
   process-wide and reused across calls — no per-call pool churn.
 * **Deduplication** — with ``dedupe=True`` (default), jobs with the same
   ``(circuit.fingerprint(), backend)`` simulate the distribution once and
@@ -158,8 +158,8 @@ def execute(
         ``"serial"``, ``"thread"`` or ``"process"``; ``None`` reads
         ``$REPRO_EXECUTOR``.  With neither set, the adaptive schedule
         picks per backend — ``"process"`` for the GIL-bound per-shot
-        engines (stabilizer, trajectory; work crosses the boundary by
-        pickle, and device circuits are transpiled once in the parent
+        engines (the looped trajectory walker; work crosses the boundary
+        by pickle, and device circuits are transpiled once in the parent
         before fan-out), ``"thread"`` for the NumPy engines — while
         ``schedule="fixed"`` keeps the flat ``"thread"`` default.
     priority:

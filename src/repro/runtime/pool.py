@@ -2,9 +2,10 @@
 
 PR 1's runtime built a fresh ``ThreadPoolExecutor`` inside every
 ``execute()`` call — pure churn for single-job callers like ``run_table1``,
-and useless for the GIL-bound per-shot engines (stabilizer, trajectory)
-where thread fan-out buys nothing.  This module replaces that with three
-selectable executor kinds behind one lazily-created, process-wide registry:
+and useless for GIL-bound per-shot engines (such as the looped trajectory
+walker) where thread fan-out buys nothing.  This module replaces that with
+three selectable executor kinds behind one lazily-created, process-wide
+registry:
 
 ``serial``
     Run every task inline on the calling thread (:class:`SerialExecutor`).

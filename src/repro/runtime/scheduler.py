@@ -12,9 +12,11 @@ discipline of profile-guided optimisation:
   scheduling overhead dominates.  Exact-distribution engines are never
   chunked (their simulation cost is shots-independent).
 * :func:`executor_kind_for` maps a backend to its natural executor:
-  ``"process"`` for the GIL-bound per-shot engines (stabilizer,
-  trajectory), ``"thread"`` for the NumPy engines whose kernels release
-  the GIL.  ``$REPRO_EXECUTOR`` and an explicit ``executor=`` always win.
+  ``"process"`` for the GIL-bound per-shot engines (the looped
+  trajectory walker, arbitrary user engines), ``"thread"`` for the NumPy
+  engines whose kernels release the GIL — including the batch-axis
+  (``vectorized_shots``) stabilizer and batched trajectory engines.
+  ``$REPRO_EXECUTOR`` and an explicit ``executor=`` always win.
 * :class:`Scheduler` is a submission front door for *many clients*:
   weighted round-robin dispatch across per-client queues, priority order
   within a client, and bounded in-flight admission control layered on the
@@ -116,7 +118,8 @@ def is_per_shot_backend(backend) -> bool:
     simulate once and draw counts in a single multinomial — shots cost
     next to nothing, so neither chunking nor process fan-out helps them.
     Everything else (stabilizer, trajectory, arbitrary user engines) pays
-    per shot and is worth sharding.
+    per shot and is worth sharding; whether it also wants worker
+    processes is :func:`executor_kind_for`'s call.
     """
     return not getattr(backend, "returns_probabilities", False)
 
@@ -124,12 +127,13 @@ def is_per_shot_backend(backend) -> bool:
 def executor_kind_for(backend) -> str:
     """Return the backend's natural executor kind (no overrides applied).
 
-    The per-shot engines are pure Python, so only worker *processes* can
-    overlap their shots; the NumPy engines release the GIL inside their
-    kernels and run cheaper on threads (no pickling, shared caches).
-    Per-shot engines that simulate along a batch axis
-    (``vectorized_shots``, e.g. the batched trajectory engine) count as
-    NumPy engines for this purpose.
+    Per-shot engines that step shot by shot in Python (the looped
+    trajectory walker, user engines) only overlap in worker *processes*;
+    the NumPy engines release the GIL inside their kernels and run
+    cheaper on threads (no pickling, shared caches).  Per-shot engines
+    that sample along a batch axis (``vectorized_shots``: the stabilizer
+    engine and the batched trajectory engine) count as NumPy engines for
+    this purpose.
     """
     if not is_per_shot_backend(backend):
         return "thread"

@@ -50,6 +50,11 @@ def measured_ghz(n):
     return circuit
 
 
+def looped_trajectory():
+    """A per-shot engine that still steps shot by shot in Python."""
+    return get_backend("trajectory:ibmqx4", method="loop")
+
+
 # ----------------------------------------------------------------------
 # Backend classification and executor defaults
 # ----------------------------------------------------------------------
@@ -66,8 +71,12 @@ class TestBackendClassification:
         assert not is_per_shot_backend(get_backend("noisy:ibmqx4"))
 
     def test_executor_kind_mapping(self):
-        assert executor_kind_for(get_backend("stabilizer")) == "process"
+        assert executor_kind_for(looped_trajectory()) == "process"
         assert executor_kind_for(get_backend("statevector")) == "thread"
+
+    def test_batch_axis_stabilizer_routes_to_threads(self):
+        assert is_per_shot_backend(get_backend("stabilizer"))
+        assert executor_kind_for(get_backend("stabilizer")) == "thread"
 
 
 class TestExecutorDefaults:
@@ -75,7 +84,7 @@ class TestExecutorDefaults:
 
     def test_per_shot_defaults_to_process(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        job = execute(measured_bell(), "stabilizer", shots=8, seed=1,
+        job = execute(measured_bell(), looped_trajectory(), shots=8, seed=1,
                       schedule="adaptive")
         assert job.plan["executor"] == "process"
 
@@ -107,7 +116,7 @@ class TestExecutorDefaults:
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         jobs = execute(
             [measured_bell(), measured_bell()],
-            [get_backend("stabilizer"), get_backend("statevector")],
+            [looped_trajectory(), get_backend("statevector")],
             shots=8, seed=1, schedule="adaptive",
         )
         assert jobs[0].plan["executor"] == "process"
@@ -165,7 +174,7 @@ class TestPlanChunkShots:
         assert chunk == 250  # one chunk per worker
 
     def test_warm_model_targets_chunk_seconds(self):
-        backend = get_backend("stabilizer")
+        backend = looped_trajectory()
         model = CostModel()
         model.observe_run(profile_key(backend, measured_bell()), 1000, 1.0)
         chunk = plan_chunk_shots(backend, measured_bell(), 1000, width=4,
