@@ -5,8 +5,8 @@ assertion point, measure the qubits under test directly across many shots,
 and run a statistical hypothesis test on the resulting histogram.  Its two
 structural costs — each assertion point needs its own batch of executions,
 and the program cannot continue past the measurement — are exactly what the
-dynamic assertion circuits remove.  The comparison benchmark (DESIGN.md A3)
-quantifies both costs.
+dynamic assertion circuits remove.  The comparison benchmark (experiment
+A3 in the README's *Reproducing the paper* index) quantifies both costs.
 """
 
 from __future__ import annotations

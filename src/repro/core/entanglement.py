@@ -11,8 +11,8 @@ passing shots are projected back onto the even-parity (entangled) subspace.
 The even-count requirement is the Fig. 4 subtlety: with an odd number of
 CNOTs the ancilla stays entangled with the tested qubits, silently
 corrupting the rest of the program.  :func:`append_parity_assertion`
-enforces it; the ablation benchmark (DESIGN.md A1) demonstrates what goes
-wrong without it.
+enforces it; the ablation benchmark (experiment A1 in the README's
+*Reproducing the paper* index) demonstrates what goes wrong without it.
 """
 
 from __future__ import annotations

@@ -85,7 +85,8 @@ class DeviceModel:
         ----------
         scale:
             Multiplier on every error rate and readout flip probability —
-            the knob used by the noise-sweep ablation (DESIGN.md A4).
+            the knob used by the noise-sweep ablation (experiment A4
+            in the README's *Reproducing the paper* index).
             ``scale=0`` yields an ideal model.
         """
         if scale < 0:

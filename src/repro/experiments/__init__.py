@@ -6,7 +6,7 @@ same rows the paper reports, next to the paper's published numbers.  The
 benchmarks under ``benchmarks/`` call these and assert the qualitative
 shape (who wins, by roughly what factor).
 
-Index (DESIGN.md §4):
+Index (the README's *Reproducing the paper* section lists the same ids):
 
 =======  ==========================================  =======================
 Exp. id  Paper artifact                              Module

@@ -4,15 +4,20 @@ Unravels each Kraus channel stochastically on a statevector: after every
 noisy gate, one Kraus operator is sampled with probability
 ``<psi| K^dagger K |psi>`` and applied (renormalised).  Memory scales like a
 statevector instead of a density matrix, trading exactness for sampling
-noise — the cross-validation benchmark (DESIGN.md A5) checks it converges to
-the density-matrix engine's exact distribution.
+noise — the cross-validation benchmark (experiment A5 in the README's
+*Reproducing the paper* index, ``benchmarks/bench_simulators.py``) checks
+it converges to the density-matrix engine's exact distribution.
 
-Shots execute through :mod:`repro.simulators._batched`: by default all
-trajectories of a ``max_batch`` tile evolve together along a NumPy batch
-axis (``method="batched"``), with the historical per-shot walker retained
-as ``method="loop"``.  Each trajectory draws from its own counter-based
-Philox substream keyed by ``(seed, trajectory index)``, and both paths
-consume identical substreams with identical row arithmetic — so batched
+Shots execute through :mod:`repro.simulators._batched`.  By default
+(``method="batched"``) all trajectories of a ``max_batch`` tile advance
+together, with one state per distinct stochastic history rather than per
+shot, so weak device noise costs far less than one statevector walk per
+shot; the historical per-shot walker is retained as ``method="loop"``.
+Each trajectory draws from its own counter-based Philox substream keyed
+by ``(seed, trajectory index)``: the batched path generates a tile's
+substreams in one vectorised pass (:mod:`repro.simulators._philox`), the
+loop path with NumPy's own generator, and the two agree double for
+double.  Both paths share column-wise deterministic kernels, so batched
 and looped counts are **bit-identical** for a fixed seed at every
 ``max_batch`` tiling.  Duck-typed noise models (anything that is not a
 :class:`repro.noise.model.NoiseModel`) are queried per shot and therefore

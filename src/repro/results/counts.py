@@ -2,7 +2,7 @@
 
 Keys are bitstrings over *classical bits* in clbit-index order, with clbit 0
 as the **leftmost** character — matching the paper's ``q0q1q2`` table labels
-(see DESIGN.md §3).  Counts supports the manipulations the assertion
+(see the README's *Bit-order conventions*).  Counts supports the manipulations the assertion
 machinery needs: marginalisation, post-selection on specific bit values,
 conversion to probabilities and distribution distances.
 """

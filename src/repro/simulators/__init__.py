@@ -1,7 +1,7 @@
 """Simulation engines.
 
-Four engines with one convention (DESIGN.md §3: qubit 0 is the most
-significant statevector bit):
+Four engines with one convention (qubit 0 is the most significant
+statevector bit; see the README's *Bit-order conventions*):
 
 * :class:`~repro.simulators.statevector.StatevectorSimulator` — exact pure
   states, branch-enumerated measurement (the "QUIRK" substrate).

@@ -3,11 +3,31 @@
 This module is the machinery behind ``method="batched"`` on the
 :class:`~repro.noise.trajectories.TrajectorySimulator` and the statevector
 engine's post-``max_branches`` per-shot fallback: instead of re-walking the
-circuit once per shot in Python, all shots of a (sub-)batch evolve together
-as one batch-last ``(2, ..., 2, B)`` state tensor through the batched
-kernels in :mod:`repro.simulators._kernels`.  Classically conditioned instructions are
-handled by masking the rows whose classical bits do not match; memory is
-bounded by tiling the shots into ``max_batch``-sized sub-batches.
+circuit once per shot in Python, all shots of a ``max_batch`` tile advance
+together through the batched kernels in :mod:`repro.simulators._kernels`.
+
+History classes
+---------------
+Two trajectories that have made the same Kraus, measurement and reset
+choices so far hold bit-identical states, so the walker stores one state
+column per **history class** (a batch-last ``(2, ..., 2, C)`` tensor) plus
+a ``(B,)`` row-to-class map, and its cost follows the number of distinct
+histories ``C`` rather than the number of shots ``B``.  Gates act on the
+class columns.  A stochastic step computes its branch weights per class,
+lets every row decide with its own uniform, and refines the classes by
+``(class, choice)`` with one ``np.unique``; each new class column is built
+from its parent column with the same arithmetic the row would have seen.
+Readout flips touch only the rows' classical bits.  A classically
+conditioned step splits classes on the condition bit first and acts on the
+matching classes only.  Weak device noise keeps ``C`` small: on the
+paper's ibmqx4 assertion circuits a 1024-shot tile holds tens to a few
+hundred classes.
+
+Why this is exact: every batched kernel is **column-wise deterministic** —
+a column's output floats depend only on that column's input, never on the
+batch width or on the other columns (see the kernels module).  Evolving a
+class column once therefore gives, bit for bit, the state each of its rows
+would have had alone, and the per-row decisions compare the same floats.
 
 Determinism contract (batch-width invariant by construction)
 ------------------------------------------------------------
@@ -15,15 +35,15 @@ Every trajectory draws from its **own counter-based substream**: shot ``t``
 of a run seeded ``s`` uses ``Philox(SeedSequence(s).spawn(shots)[t])``, and
 consumes one uniform per stochastic decision it actually executes (Kraus
 branch choice, measurement outcome, readout flip, reset), in program order.
-The batched path pre-generates each trajectory's uniforms and advances a
-per-row cursor; the retained loop path (``method="loop"``, also the
-fallback for duck-typed noise models) draws the same uniforms sequentially
-from the same substream.  Both paths share the per-trajectory decision
-arithmetic (the batched kernels are row-wise bitwise deterministic, and the
-loop path runs them at batch width 1), so batched and looped counts are
-bit-identical for a fixed seed at **every** ``max_batch`` tiling — which is
-what lets the runtime's chunk-seed plan, dedup and cost model treat
-``method`` and ``max_batch`` as pure throughput knobs.
+The batched path builds a whole tile's uniforms in one vectorised pass
+(:mod:`repro.simulators._philox`, exact against NumPy's generator) and
+advances a per-row cursor; the retained loop path (``method="loop"``, also
+the fallback for duck-typed noise models) draws the same uniforms from
+NumPy's own per-shot ``Generator``, and shares the kernels and the Kraus
+decision arithmetic at batch width 1.  Batched and looped counts are
+therefore bit-identical for a fixed seed at **every** ``max_batch`` tiling
+— which is what lets the runtime's chunk-seed plan, dedup and cost model
+treat ``method`` and ``max_batch`` as pure throughput knobs.
 
 The loop fallback is taken when the noise model is duck-typed (anything
 that is not a :class:`repro.noise.model.NoiseModel`): its ``channels_for``
@@ -39,7 +59,7 @@ import numpy as np
 
 from repro.circuits.gates import Gate, x_matrix
 from repro.exceptions import SimulationError
-from repro.simulators import _kernels
+from repro.simulators import _kernels, _philox
 
 #: Selectable execution methods for the sampling engines.
 METHODS = ("auto", "batched", "loop")
@@ -166,62 +186,128 @@ def _max_draws(steps: List[tuple]) -> int:
 # ----------------------------------------------------------------------
 
 
-def _apply_rows(states, rows, new_rows) -> np.ndarray:
-    """Write the processed subset back (whole-batch writes skip the copy).
+def _refine(klass, rows, labels, num_labels):
+    """Split history classes by a per-row label.
 
-    The batch axis is the states' **last** axis (see the kernels module).
+    ``rows`` carry ``labels`` in ``0..num_labels-1``; every other row keeps
+    its class under the label ``-1``.  Returns ``(klass, parents, labels)``:
+    the new ``(B,)`` row-to-class map, and each new class's parent column
+    and label.
     """
-    if rows.shape[0] == states.shape[-1]:
-        return new_rows
-    states[..., rows] = new_rows
-    return states
+    width = num_labels + 1
+    key = klass * width
+    key[rows] += labels + 1
+    unique, klass = np.unique(key, return_inverse=True)
+    parents, labels = np.divmod(unique, width)
+    return klass, parents, labels - 1
 
 
-def _sample_kraus_rows(sub, operators, targets, uniforms):
-    """Vectorised per-trajectory Kraus unravelling for one channel.
+def _split(states, parents, labels, build):
+    """Return the refined class columns.
 
-    All operator weights are computed batched (every branch tensor is
-    live until selection — peak memory is ``m + 2`` state tensors), then
-    each trajectory takes its sampled branch (shared
-    :func:`_kernels.kraus_select` decision) and renormalises by that
-    branch's Born weight.  Rows are assembled per-branch so no
-    additional ``(m, B, ...)`` stack is materialised on top.
+    An unlabelled class (``-1``) copies its parent column; the labelled ones
+    come from ``build(parents, labels)`` restricted to them.
+    """
+    active = labels >= 0
+    if active.all():
+        return build(parents, labels)
+    out = states[..., parents]
+    out[..., active] = build(parents[active], labels[active])
+    return out
+
+
+def _apply_gate(states, klass, rows, matrix, qubits):
+    """Apply a gate to the classes of ``rows``; returns ``(states, klass)``.
+
+    A conditioned gate that only some rows pass first splits the classes
+    on the condition, then acts on the passing classes alone.
+    """
+    if rows.shape[0] == klass.shape[0]:
+        return _kernels.batched_apply_matrix(states, matrix, qubits), klass
+    klass, parents, labels = _refine(klass, rows, np.zeros_like(rows), 1)
+
+    def build(parents, _):
+        return _kernels.batched_apply_matrix(states[..., parents], matrix, qubits)
+
+    return _split(states, parents, labels, build), klass
+
+
+def _sample_kraus_rows(states, klass, rows, operators, targets, uniforms):
+    """Per-trajectory Kraus unravelling of one channel over history classes.
+
+    Every branch ``K_j psi`` and its Born weight are computed once per
+    class column.  Each row in ``rows`` then picks its branch with the
+    shared :func:`_kernels.kraus_select` decision, applied to its class's
+    weights and its own uniform, and the classes are refined by
+    ``(class, choice)``.  A new class column is its parent's branch divided
+    by the square root of that branch's weight: the arithmetic the row
+    would have done alone, so the result is bit-identical to evolving every
+    row separately.  Returns the new ``(states, klass)``.
     """
     branches = [
-        _kernels.batched_apply_matrix(sub, k_op, targets) for k_op in operators
+        _kernels.batched_apply_matrix(states, k_op, targets) for k_op in operators
     ]
     weights = np.stack([_kernels.batched_norm_sq(branch) for branch in branches])
-    choice = _kernels.kraus_select(weights, uniforms)
-    out = np.empty_like(sub)
-    for index, branch in enumerate(branches):
-        rows = np.nonzero(choice == index)[0]
-        if rows.size:
-            out[..., rows] = branch[..., rows] / np.sqrt(weights[index, rows])
-    return out
+    choice = _kernels.kraus_select(weights[:, klass[rows]], uniforms)
+    klass, parents, labels = _refine(klass, rows, choice, len(operators))
+
+    def build(parents, labels):
+        out = np.empty(states.shape[:-1] + parents.shape, dtype=states.dtype)
+        for index, branch in enumerate(branches):
+            picked = np.nonzero(labels == index)[0]
+            if picked.size:
+                columns = parents[picked]
+                out[..., picked] = branch[..., columns] / np.sqrt(
+                    weights[index, columns]
+                )
+        return out
+
+    return _split(states, parents, labels, build), klass
+
+
+def _sample_outcomes(states, klass, rows, qubit, uniforms, reset):
+    """Measure (or reset) ``qubit`` per row; returns ``(states, klass, outcomes)``.
+
+    ``P(1)`` is computed per class column, each row compares its own
+    uniform against its class's probability, and the classes are refined
+    by ``(class, outcome)`` before the collapse.  A reset then flips the
+    classes that collapsed to ``|1>``.
+    """
+    p_one = _kernels.batched_probability_of_one(states, qubit)
+    outcomes = (uniforms < p_one[klass[rows]]).astype(np.uint8)
+    klass, parents, labels = _refine(klass, rows, outcomes, 2)
+
+    def build(parents, labels):
+        collapsed, _ = _kernels.batched_collapse(states[..., parents], qubit, labels)
+        if reset:
+            ones = np.nonzero(labels == 1)[0]
+            if ones.size:
+                collapsed[..., ones] = _kernels.batched_apply_matrix(
+                    collapsed[..., ones], x_matrix(), [qubit]
+                )
+        return collapsed
+
+    return _split(states, parents, labels, build), klass, outcomes
 
 
 def run_batched(
     steps: List[tuple],
     num_qubits: int,
     num_clbits: int,
-    children: List[np.random.SeedSequence],
+    root: np.random.SeedSequence,
+    shots: int,
     initial_state: Optional[np.ndarray],
     max_batch: int = DEFAULT_MAX_BATCH,
 ) -> Dict[str, int]:
-    """Simulate every trajectory substream in ``max_batch``-sized tiles."""
+    """Simulate trajectories ``0..shots-1`` of ``root`` in ``max_batch`` tiles."""
     counts: Dict[str, int] = {}
     draws = _max_draws(steps)
-    for start in range(0, len(children), max_batch):
-        tile = children[start : start + max_batch]
-        batch = len(tile)
-        if draws:
-            uniforms = np.empty((batch, draws))
-            for row, child in enumerate(tile):
-                uniforms[row] = substream_generator(child).random(draws)
-        else:
-            uniforms = np.empty((batch, 0))
+    for start in range(0, shots, max_batch):
+        batch = min(max_batch, shots - start)
+        uniforms = _philox.substream_uniforms(root, start, batch, draws)
         cursor = np.zeros(batch, dtype=np.intp)
-        states = _kernels.batched_state_tensor(batch, num_qubits, initial_state)
+        states = _kernels.batched_state_tensor(1, num_qubits, initial_state)
+        klass = np.zeros(batch, dtype=np.intp)
         clbits = np.zeros((batch, num_clbits), dtype=np.uint8)
         all_rows = np.arange(batch)
 
@@ -231,34 +317,26 @@ def run_batched(
             return values
 
         for step in steps:
-            condition = step[-1]
-            if condition is None:
-                rows = all_rows
-            else:
+            kind, condition = step[0], step[-1]
+            rows = all_rows
+            if condition is not None:
                 clbit, value = condition
                 rows = np.nonzero(clbits[:, clbit] == value)[0]
                 if rows.shape[0] == 0:
                     continue
-            kind = step[0]
             if kind == _GATE:
                 _, matrix, qubits, _ = step
-                sub = states if rows is all_rows else states[..., rows]
-                states = _apply_rows(
-                    states, rows, _kernels.batched_apply_matrix(sub, matrix, qubits)
-                )
+                states, klass = _apply_gate(states, klass, rows, matrix, qubits)
             elif kind == _KRAUS:
                 _, operators, targets, _ = step
-                sub = states if rows is all_rows else states[..., rows]
-                states = _apply_rows(
-                    states, rows, _sample_kraus_rows(sub, operators, targets, take(rows))
+                states, klass = _sample_kraus_rows(
+                    states, klass, rows, operators, targets, take(rows)
                 )
             elif kind == _MEASURE:
                 _, qubit, clbit, confusion, _ = step
-                sub = states if rows is all_rows else states[..., rows]
-                p_one = _kernels.batched_probability_of_one(sub, qubit)
-                outcomes = (take(rows) < p_one).astype(np.uint8)
-                collapsed, _ = _kernels.batched_collapse(sub, qubit, outcomes)
-                states = _apply_rows(states, rows, collapsed)
+                states, klass, outcomes = _sample_outcomes(
+                    states, klass, rows, qubit, take(rows), reset=False
+                )
                 recorded = outcomes
                 if confusion is not None:
                     flip_prob = np.where(
@@ -269,16 +347,9 @@ def run_batched(
                 clbits[rows, clbit] = recorded
             elif kind == _RESET:
                 _, qubit, _ = step
-                sub = states if rows is all_rows else states[..., rows]
-                p_one = _kernels.batched_probability_of_one(sub, qubit)
-                outcomes = (take(rows) < p_one).astype(np.uint8)
-                collapsed, _ = _kernels.batched_collapse(sub, qubit, outcomes)
-                ones = np.nonzero(outcomes == 1)[0]
-                if ones.shape[0]:
-                    collapsed[..., ones] = _kernels.batched_apply_matrix(
-                        collapsed[..., ones], x_matrix(), [qubit]
-                    )
-                states = _apply_rows(states, rows, collapsed)
+                states, klass, _ = _sample_outcomes(
+                    states, klass, rows, qubit, take(rows), reset=True
+                )
         for key, value in _kernels.pack_counts(clbits).items():
             counts[key] = counts.get(key, 0) + value
     return counts
@@ -420,17 +491,18 @@ def sample_shots(
     """
     resolved = resolve_method(method, noise_model)
     max_batch = validate_max_batch(max_batch)
-    children = spawn_substreams(seed, shots)
     if resolved == "batched":
         steps = build_program(circuit, noise_model)
         counts = run_batched(
             steps,
             circuit.num_qubits,
             circuit.num_clbits,
-            children,
+            np.random.SeedSequence(seed),
+            shots,
             initial_state,
             max_batch,
         )
     else:
+        children = spawn_substreams(seed, shots)
         counts = run_loop(circuit, noise_model, children, initial_state)
     return counts, resolved

@@ -3,7 +3,7 @@
 States are stored as rank-``n`` tensors of shape ``(2,) * n`` where tensor
 axis ``k`` is qubit ``k``.  Flattening in C order therefore makes qubit 0 the
 most-significant bit of the statevector index, matching the bitstring
-convention in DESIGN.md §3.
+convention in the README's *Bit-order conventions*.
 """
 
 from __future__ import annotations
@@ -91,13 +91,14 @@ def basis_label(index: int, num_qubits: int) -> str:
 # tensor axis ``k`` is qubit ``k`` and the **last** axis indexes the
 # trajectory.  Batch-last keeps every qubit-basis slice contiguous over
 # the batch, so the elementwise kernels stream long runs instead of
-# strided singles.  Every kernel below is *trajectory-wise independent*:
-# each trajectory's output amplitudes and norms are computed by a
-# fixed-order sum over that trajectory's own amplitudes only (elementwise
-# ufuncs and fixed-length axis-0 reductions, never a batch-shaped BLAS
-# call), so the floats a trajectory sees are identical whether it runs in
-# a batch of 1, 7 or 4096.  That invariance is what makes the engines'
-# batched/looped determinism contract hold bit-for-bit (see
+# strided singles.  Every kernel below is *column-wise deterministic*:
+# each column's output amplitudes and norms are computed by a fixed-order
+# sum over that column's own amplitudes only (elementwise ufuncs and
+# fixed-length axis-0 reductions, never a batch-shaped BLAS call), so the
+# floats a column sees are identical whether it runs in a batch of 1, 7
+# or 4096, and whichever other columns sit beside it.  That invariance is
+# what lets the batched walker evolve one column per history class and
+# still match the per-shot loop bit-for-bit (see
 # :mod:`repro.simulators._batched`).
 
 #: Born weights at or below this are treated as unsupported Kraus branches.

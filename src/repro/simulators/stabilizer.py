@@ -3,9 +3,10 @@
 All three of the paper's assertion circuits — classical-value (CNOT),
 entanglement (CNOT parity) and equal-superposition (CNOT/H sandwich) — are
 Clifford circuits, as are the GHZ/Bell workloads they guard.  The tableau
-representation therefore lets the scaling benchmarks (DESIGN.md experiment
-A2) run the full assertion pipeline on hundreds of qubits in milliseconds,
-far beyond the statevector engine's reach.
+representation therefore lets the scaling benchmarks (experiment A2 in
+the README's *Reproducing the paper* index) run the full assertion
+pipeline on hundreds of qubits in milliseconds, far beyond the
+statevector engine's reach.
 
 The implementation follows Aaronson & Gottesman, "Improved simulation of
 stabilizer circuits" (PRA 70, 052328, 2004): a binary tableau of 2n+1 rows

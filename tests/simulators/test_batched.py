@@ -1,15 +1,16 @@
 """Batched-shot simulation: the batched/looped determinism contract.
 
-The sampling engines' ``method="batched"`` path evolves all shots of a
-``max_batch`` tile along a NumPy batch axis; ``method="loop"`` re-walks the
-circuit per shot.  Both consume identical per-trajectory Philox substreams
-keyed by ``(seed, trajectory index)``, so counts must be **bit-identical**
-across methods and across every ``max_batch`` tiling for a fixed seed —
-that invariance is what lets the runtime treat the knobs as pure
-throughput.  These tests pin the contract (hypothesis properties across
-noisy backends and tilings), the convergence of the batched path against
-the density-matrix engine's exact distribution, and the loop fallback for
-duck-typed noise models.
+The sampling engines' ``method="batched"`` path advances all shots of a
+``max_batch`` tile together, one state per distinct stochastic history;
+``method="loop"`` re-walks the circuit per shot.  Both consume identical
+per-trajectory Philox substreams keyed by ``(seed, trajectory index)``, so
+counts must be **bit-identical** across methods and across every
+``max_batch`` tiling for a fixed seed — that invariance is what lets the
+runtime treat the knobs as pure throughput.  These tests pin the contract
+(hypothesis properties across noisy backends, noise strengths and
+tilings), golden counts that engine rewrites must keep, the convergence of
+the batched path against the density-matrix engine's exact distribution,
+and the loop fallback for duck-typed noise models.
 """
 
 import pytest
@@ -26,6 +27,7 @@ from repro.noise.channels import amplitude_damping, depolarizing
 from repro.noise.model import NoiseModel
 from repro.noise.readout import ReadoutError
 from repro.noise.trajectories import TrajectorySimulator
+from repro.runtime import get_backend
 from repro.simulators import _batched
 from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.simulators.statevector import StatevectorSimulator
@@ -62,6 +64,30 @@ def stochastic_circuit():
 def instrumented_bell():
     injector = AssertionInjector(library.bell_pair())
     injector.assert_entangled([0, 1])
+    injector.measure_program()
+    return injector.circuit
+
+
+def paper_assertion(kind, theta=0.1234):
+    """The paper's three assertion circuits, each after one ``rz(theta)``."""
+    if kind == "classical":
+        program = QuantumCircuit(2, name="classical")
+        program.x(1)
+        program.rz(theta, 0)
+        injector = AssertionInjector(program)
+        injector.assert_classical([0, 1], [0, 1])
+    elif kind == "entanglement":
+        program = library.ghz_state(3)
+        program.rz(theta, 0)
+        injector = AssertionInjector(program)
+        injector.assert_entangled([0, 1, 2], mode="single")
+    else:
+        program = QuantumCircuit(2, name="superposition")
+        program.h(0)
+        program.h(1)
+        program.rz(theta, 0)
+        injector = AssertionInjector(program)
+        injector.assert_uniform([0, 1])
     injector.measure_program()
     return injector.circuit
 
@@ -129,23 +155,38 @@ class TestBatchedEqualsLooped:
             assert batched.metadata["per_shot_method"] == "batched"
             assert dict(batched.counts) == dict(loop.counts), max_batch
 
-    @given(seed=SEEDS)
-    @settings(max_examples=8, deadline=None)
-    def test_device_backend_methods_agree(self, seed):
-        """The provider-level knob: trajectory device backends too."""
-        circuit = instrumented_bell()
+    @pytest.mark.parametrize("kind, noise_scale, shots, examples", [
+        ("bell", 0.25, 64, 8),
+        *[(kind, scale, 256, 2)
+          for kind in ("classical", "entanglement", "superposition")
+          for scale in (1, 30)],
+    ])
+    def test_device_backend_methods_agree(self, kind, noise_scale, shots, examples):
+        """The provider-level knob: trajectory device backends too.
+
+        At ``noise_scale=30`` nearly every trajectory is its own history
+        class, so the batched walker's class splitting is exercised at
+        both extremes.
+        """
+        circuit = instrumented_bell() if kind == "bell" else paper_assertion(kind)
         device = ibmqx4()
-        reference = None
-        for max_batch, method in ((None, "loop"), (1, "batched"),
-                                  (7, "batched"), (64, "auto")):
-            backend = TrajectoryDeviceBackend(
-                device, noise_scale=0.25, method=method,
-                max_batch=max_batch or 64,
-            )
-            counts = dict(backend.run(circuit, shots=64, seed=seed).counts)
-            if reference is None:
-                reference = counts
-            assert counts == reference, (method, max_batch)
+
+        @given(seed=SEEDS)
+        @settings(max_examples=examples, deadline=None)
+        def check(seed):
+            reference = None
+            for max_batch, method in ((None, "loop"), (1, "batched"),
+                                      (7, "batched"), (shots, "auto")):
+                backend = TrajectoryDeviceBackend(
+                    device, noise_scale=noise_scale, method=method,
+                    max_batch=max_batch or shots,
+                )
+                counts = dict(backend.run(circuit, shots=shots, seed=seed).counts)
+                if reference is None:
+                    reference = counts
+                assert counts == reference, (method, max_batch)
+
+        check()
 
     def test_tiling_never_changes_counts_at_scale(self):
         """One non-hypothesis anchor at realistic shot counts."""
@@ -159,6 +200,76 @@ class TestBatchedEqualsLooped:
                 model, method="batched", max_batch=max_batch
             ).run(circuit, shots=1000, seed=2020)
             assert dict(tiled.counts) == dict(reference.counts)
+
+
+#: ``list(counts.items())`` of the per-row batched walker that preceded
+#: the history-class walker, at 1024 shots and the default tiling.  The
+#: class walker must reproduce them exactly, key order included.
+GOLDEN_DEVICE_COUNTS = {
+    ("classical", 11): [
+        ("0000", 67), ("0001", 833), ("0010", 3), ("0011", 30), ("0100", 7),
+        ("0101", 33), ("0110", 1), ("1000", 6), ("1001", 32), ("1010", 3),
+        ("1011", 5), ("1100", 1), ("1101", 3),
+    ],
+    ("classical", 2020): [
+        ("0000", 72), ("0001", 814), ("0011", 34), ("0100", 14), ("0101", 33),
+        ("0110", 1), ("0111", 1), ("1000", 5), ("1001", 36), ("1011", 10),
+        ("1101", 2), ("1111", 2),
+    ],
+    ("entanglement", 11): [
+        ("0000", 344), ("0001", 21), ("0010", 32), ("0011", 45), ("0100", 40),
+        ("0101", 49), ("0110", 31), ("0111", 306), ("1000", 31), ("1001", 7),
+        ("1010", 7), ("1011", 26), ("1100", 35), ("1101", 12), ("1110", 5),
+        ("1111", 33),
+    ],
+    ("entanglement", 2020): [
+        ("0000", 348), ("0001", 23), ("0010", 30), ("0011", 46), ("0100", 41),
+        ("0101", 36), ("0110", 33), ("0111", 319), ("1000", 20), ("1001", 1),
+        ("1010", 11), ("1011", 24), ("1100", 33), ("1101", 11), ("1110", 7),
+        ("1111", 41),
+    ],
+    ("superposition", 11): [
+        ("0000", 231), ("0001", 213), ("0010", 252), ("0011", 207), ("0100", 14),
+        ("0101", 19), ("0110", 16), ("0111", 13), ("1000", 12), ("1001", 9),
+        ("1010", 17), ("1011", 16), ("1100", 2), ("1110", 1), ("1111", 2),
+    ],
+    ("superposition", 2020): [
+        ("0000", 266), ("0001", 211), ("0010", 217), ("0011", 191), ("0100", 22),
+        ("0101", 14), ("0110", 19), ("0111", 18), ("1000", 14), ("1001", 22),
+        ("1010", 13), ("1011", 12), ("1100", 1), ("1101", 2), ("1110", 2),
+    ],
+}
+
+GOLDEN_STOCHASTIC_COUNTS = {
+    7: [
+        ("0000", 348), ("0001", 18), ("0010", 35), ("0011", 2), ("0100", 30),
+        ("0101", 6), ("0110", 30), ("0111", 45), ("1000", 36), ("1001", 364),
+        ("1010", 4), ("1011", 30), ("1100", 3), ("1101", 23), ("1110", 14),
+        ("1111", 36),
+    ],
+    2020: [
+        ("0000", 412), ("0001", 17), ("0010", 35), ("0011", 5), ("0100", 34),
+        ("0110", 21), ("0111", 24), ("1000", 45), ("1001", 339), ("1011", 32),
+        ("1101", 24), ("1110", 16), ("1111", 20),
+    ],
+}
+
+
+class TestGoldenCounts:
+    """Counts, key order included, are pinned across engine rewrites."""
+
+    @pytest.mark.parametrize("kind, seed", sorted(GOLDEN_DEVICE_COUNTS))
+    def test_paper_assertions_on_trajectory_ibmqx4(self, kind, seed):
+        backend = get_backend("trajectory:ibmqx4")
+        counts = backend.run(paper_assertion(kind), shots=1024, seed=seed).counts
+        assert list(counts.items()) == GOLDEN_DEVICE_COUNTS[kind, seed]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_STOCHASTIC_COUNTS))
+    def test_stochastic_circuit_under_noisy_model(self, seed):
+        result = TrajectorySimulator(noisy_model(), method="batched").run(
+            stochastic_circuit(), shots=1024, seed=seed
+        )
+        assert list(result.counts.items()) == GOLDEN_STOCHASTIC_COUNTS[seed]
 
 
 class TestBatchedConvergence:
