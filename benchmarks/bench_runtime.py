@@ -307,7 +307,11 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     injector.assert_entangled([0, 1])
     injector.measure_program()
     circuit = injector.circuit
-    shots = 1536
+    # Long enough that the learned estimate clears the planner's split bar
+    # (width x SPLIT_THRESHOLD_SECONDS) several times over: the batched
+    # engine runs a Bell job of a couple of thousand shots so fast that the
+    # planner rightly keeps it whole.
+    shots = 16384
     # A fixed 4-wide pool: the planner sizes chunks for the pool it is
     # given, and the wall-clock assertion below is gated on the cores
     # actually existing to back those workers.

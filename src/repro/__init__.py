@@ -1,4 +1,4 @@
-"""repro — reproduction of Zhou & Byrd, "Quantum Circuits for Dynamic
+"""repro — reproduction of Liu, Byrd & Zhou, "Quantum Circuits for Dynamic
 Runtime Assertions in Quantum Computation" (ASPLOS 2020).
 
 The package bundles the paper's contribution (:mod:`repro.core`, dynamic

@@ -9,13 +9,45 @@ chi-square contingency test for entanglement assertions.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence, Tuple
+from statistics import NormalDist
+from typing import Mapping, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import AnalysisError
 from repro.results.counts import Counts
+
+
+def chi2_sf(statistic: float, dof: int) -> float:
+    """Return the chi-square survival function ``P(X >= statistic)``.
+
+    For integer ``dof`` the regularised upper incomplete gamma function is a
+    finite series: a Poisson sum ``exp(-y) sum_{j<dof/2} y^j / j!`` (with
+    ``y = statistic / 2``) for even ``dof``, and ``erfc(sqrt(y))`` plus a
+    half-integer sum for odd ``dof``.  The terms are summed in log space,
+    scaled by the largest one, because ``exp(-y)`` alone underflows long
+    before the sum does once ``dof`` reaches the hundreds.
+    """
+    y = 0.5 * statistic
+    if y <= 0.0:
+        return 1.0
+    if math.isinf(y):
+        return 0.0
+    log_y = math.log(y)
+    if dof % 2 == 0:
+        head = 0.0
+        logs = [j * log_y - math.lgamma(j + 1) - y for j in range(dof // 2)]
+    else:
+        head = math.erfc(math.sqrt(y))
+        logs = [
+            (j - 0.5) * log_y - math.lgamma(j + 0.5) - y
+            for j in range(1, dof // 2 + 1)
+        ]
+    if not logs:
+        return head
+    peak = max(logs)
+    tail = math.exp(peak) * math.fsum(math.exp(v - peak) for v in logs)
+    return min(1.0, head + tail)
 
 
 def chi_square_goodness_of_fit(
@@ -50,8 +82,8 @@ def chi_square_goodness_of_fit(
     expected = np.array(
         [expected_probabilities[k] * total for k in keys], dtype=float
     )
-    statistic, p_value = stats.chisquare(observed, expected)
-    return float(statistic), float(p_value)
+    statistic = float(np.sum((observed - expected) ** 2 / expected))
+    return statistic, chi2_sf(statistic, len(keys) - 1)
 
 
 def chi_square_contingency(
@@ -71,8 +103,12 @@ def chi_square_contingency(
         raise AnalysisError("cannot test an empty histogram")
     if (table.sum(axis=0) == 0).any() or (table.sum(axis=1) == 0).any():
         return 0.0, 1.0
-    statistic, p_value, _, _ = stats.chi2_contingency(table, correction=False)
-    return float(statistic), float(p_value)
+    expected = (
+        table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True)
+    ) / table.sum()
+    statistic = float(np.sum((table - expected) ** 2 / expected))
+    # One degree of freedom: the chi-square survival function is erfc.
+    return statistic, math.erfc(math.sqrt(statistic / 2.0))
 
 
 def wilson_interval(
@@ -88,7 +124,7 @@ def wilson_interval(
         raise AnalysisError(f"successes {successes} outside [0, {trials}]")
     if not 0.0 < confidence < 1.0:
         raise AnalysisError("confidence must lie in (0, 1)")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p_hat + z * z / (2 * trials)) / denom
@@ -97,4 +133,8 @@ def wilson_interval(
         * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials))
         / denom
     )
-    return max(0.0, centre - margin), min(1.0, centre + margin)
+    # At 0 or ``trials`` successes the bound is exactly 0 or 1; centre -/+
+    # margin reaches it only up to rounding.
+    low = 0.0 if successes == 0 else max(0.0, centre - margin)
+    high = 1.0 if successes == trials else min(1.0, centre + margin)
+    return low, high

@@ -3,8 +3,8 @@
 This package provides the circuit substrate on which the runtime-assertion
 library (:mod:`repro.core`) is built: gate definitions with exact unitary
 matrices, quantum/classical registers, a :class:`~repro.circuits.QuantumCircuit`
-builder, a standard algorithm library, OpenQASM 2.0 import/export, a text
-drawer and a DAG view used by the transpiler.
+builder, a standard algorithm library, OpenQASM 2.0 import/export and a text
+drawer.
 """
 
 from repro.circuits.gates import (

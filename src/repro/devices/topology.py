@@ -9,9 +9,7 @@ layout, routing and direction fixing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import DeviceError
 
@@ -44,67 +42,113 @@ class CouplingMap:
             raise DeviceError(
                 f"num_qubits={num_qubits} is smaller than the largest edge index"
             )
-        self._directed = nx.DiGraph()
-        self._directed.add_nodes_from(range(self.num_qubits))
-        self._directed.add_edges_from(edge_list)
-        self._undirected = self._directed.to_undirected(as_view=False)
+        # Dicts used as ordered sets.  Neighbour order is the order in which
+        # ``(qubit, successor)`` pairs are first met, scanning qubits in index
+        # order: the search order below, and so the routed paths, depend on it.
+        self._successors: Dict[int, Dict[int, None]] = {
+            q: {} for q in range(self.num_qubits)
+        }
+        for a, b in edge_list:
+            self._successors[a][b] = None
+        self._adjacent: Dict[int, Dict[int, None]] = {
+            q: {} for q in range(self.num_qubits)
+        }
+        for a, successors in self._successors.items():
+            for b in successors:
+                self._adjacent[a][b] = None
+                self._adjacent[b][a] = None
 
     # ------------------------------------------------------------------
 
     @property
     def directed_edges(self) -> List[Tuple[int, int]]:
         """Return the native ``(control, target)`` pairs."""
-        return sorted(self._directed.edges())
+        return sorted((a, b) for a, succ in self._successors.items() for b in succ)
 
     @property
     def undirected_edges(self) -> List[Tuple[int, int]]:
         """Return connected pairs regardless of direction."""
-        return sorted(tuple(sorted(e)) for e in self._undirected.edges())
+        return sorted((a, b) for a, adj in self._adjacent.items() for b in adj if a < b)
 
     def supports(self, control: int, target: int) -> bool:
         """Return True if a native CX exists with this exact orientation."""
-        return self._directed.has_edge(control, target)
+        return target in self._successors.get(control, ())
 
     def connected(self, a: int, b: int) -> bool:
         """Return True if the pair interacts in either direction."""
-        return self._undirected.has_edge(a, b)
+        return b in self._adjacent.get(a, ())
 
     def neighbors(self, qubit: int) -> List[int]:
         """Return qubits connected to ``qubit`` (either direction)."""
         self._check(qubit)
-        return sorted(self._undirected.neighbors(qubit))
+        return sorted(self._adjacent[qubit])
 
     def distance(self, a: int, b: int) -> int:
         """Return the undirected shortest-path distance between two qubits."""
-        self._check(a)
-        self._check(b)
-        try:
-            return nx.shortest_path_length(self._undirected, a, b)
-        except nx.NetworkXNoPath:
-            raise DeviceError(f"qubits {a} and {b} are disconnected") from None
+        return len(self.shortest_path(a, b)) - 1
 
     def shortest_path(self, a: int, b: int) -> List[int]:
-        """Return an undirected shortest path between two qubits."""
+        """Return an undirected shortest path between two qubits.
+
+        A breadth-first search from both ends at once, always growing the
+        smaller frontier by one level, that stops at the first qubit both
+        searches have reached.
+        """
         self._check(a)
         self._check(b)
-        try:
-            return nx.shortest_path(self._undirected, a, b)
-        except nx.NetworkXNoPath:
-            raise DeviceError(f"qubits {a} and {b} are disconnected") from None
+        if a == b:
+            return [a]
+        adjacent = self._adjacent
+        pred: Dict[int, Optional[int]] = {a: None}
+        succ: Dict[int, Optional[int]] = {b: None}
+        forward, reverse = [a], [b]
+        while forward and reverse:
+            if len(forward) <= len(reverse):
+                level, forward = forward, []
+                for v in level:
+                    for w in adjacent[v]:
+                        if w not in pred:
+                            forward.append(w)
+                            pred[w] = v
+                        if w in succ:
+                            return _join(pred, succ, w)
+            else:
+                level, reverse = reverse, []
+                for v in level:
+                    for w in adjacent[v]:
+                        if w not in succ:
+                            succ[w] = v
+                            reverse.append(w)
+                        if w in pred:
+                            return _join(pred, succ, w)
+        raise DeviceError(f"qubits {a} and {b} are disconnected")
 
     def is_connected(self) -> bool:
         """Return True if every qubit can reach every other."""
         if self.num_qubits <= 1:
             return True
-        return nx.is_connected(self._undirected)
+        return len(self._distances_from(0)) == self.num_qubits
 
     def distance_matrix(self) -> Dict[Tuple[int, int], int]:
-        """Return all-pairs undirected distances."""
-        out: Dict[Tuple[int, int], int] = {}
-        for source, lengths in nx.all_pairs_shortest_path_length(self._undirected):
-            for target, dist in lengths.items():
-                out[(source, target)] = dist
-        return out
+        """Return all-pairs undirected distances between connected qubits."""
+        return {
+            (source, target): dist
+            for source in range(self.num_qubits)
+            for target, dist in self._distances_from(source).items()
+        }
+
+    def _distances_from(self, source: int) -> Dict[int, int]:
+        """Return the distance to each reachable qubit, in breadth-first order."""
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            level, frontier = frontier, []
+            for v in level:
+                for w in self._adjacent[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        frontier.append(w)
+        return dist
 
     def _check(self, qubit: int) -> None:
         if not 0 <= qubit < self.num_qubits:
@@ -117,3 +161,20 @@ class CouplingMap:
             f"CouplingMap(num_qubits={self.num_qubits}, "
             f"edges={self.directed_edges})"
         )
+
+
+def _join(
+    pred: Dict[int, Optional[int]], succ: Dict[int, Optional[int]], meet: int
+) -> List[int]:
+    """Splice the two half-paths of a bidirectional search at ``meet``."""
+    path: List[int] = []
+    node: Optional[int] = meet
+    while node is not None:
+        path.append(node)
+        node = pred[node]
+    path.reverse()
+    node = succ[meet]
+    while node is not None:
+        path.append(node)
+        node = succ[node]
+    return path

@@ -5,7 +5,7 @@ noise): merging runs of adjacent single-qubit gates into one ``u`` gate, and
 cancelling back-to-back identical CXs (the entanglement-assertion circuit's
 two parity CNOTs cancel exactly when nothing sits between them — the
 transpiler must *not* be allowed to do that across the ancilla measurement,
-which the wire-DAG structure guarantees).
+which holds because any operation on either wire in between blocks it).
 """
 
 from __future__ import annotations

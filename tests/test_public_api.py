@@ -1,8 +1,14 @@
 """Tests for the public API surface: imports, __all__ hygiene, doctest."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 
 PACKAGES = [
@@ -57,6 +63,25 @@ class TestPublicSurface:
         result = StatevectorBackend().run(injector.circuit, shots=1000, seed=7)
         filtered = postselect_passing(result.counts, injector.records)
         assert sorted(filtered) == ["00", "11"]
+
+
+class TestImportFootprint:
+    def test_fresh_import_loads_neither_scipy_nor_networkx(self):
+        """numpy is the only third-party runtime dependency."""
+        script = (
+            "import sys\n"
+            "import repro, repro.experiments, repro.service, repro.faults\n"
+            "print(*sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'scipy', 'networkx'}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 class TestExceptionHierarchy:
