@@ -14,7 +14,9 @@ from repro.devices.calibration import GateCalibration, QubitCalibration
 from repro.devices.topology import CouplingMap
 from repro.exceptions import DeviceError
 from repro.noise.channels import (
+    KrausChannel,
     depolarizing,
+    lift_operators,
     thermal_relaxation,
     two_qubit_depolarizing,
 )
@@ -128,8 +130,14 @@ class DeviceModel:
                 qcal.t2 / max(scale, 1e-9),
                 cal.duration_ns,
             )
-            model.add_gate_error(cal.name, cal.qubits, _one_qubit_on(channel, qubit, cal.qubits))
-        return
+            lifted = lift_operators(
+                channel.operators, cal.qubits.index(qubit), len(cal.qubits)
+            )
+            model.add_gate_error(
+                cal.name,
+                cal.qubits,
+                KrausChannel(lifted, name=f"{channel.name}@q{qubit}"),
+            )
 
     def average_cx_error(self) -> float:
         """Return the mean calibrated CX error rate (reporting helper)."""
@@ -144,26 +152,3 @@ class DeviceModel:
             f"basis_gates={list(self.basis_gates)})"
         )
 
-
-def _one_qubit_on(channel, qubit: int, gate_qubits: Tuple[int, ...]):
-    """Lift a 1-qubit channel so NoiseModel maps it onto one operand only.
-
-    ``NoiseModel.add_gate_error`` applies a 1-qubit channel to *every*
-    operand; to target a single operand we expand the channel with identity
-    Kraus factors into a full-arity channel.
-    """
-    import numpy as np
-
-    from repro.noise.channels import KrausChannel
-
-    position = gate_qubits.index(qubit)
-    ops = []
-    for k_op in channel.operators:
-        factors = []
-        for i in range(len(gate_qubits)):
-            factors.append(k_op if i == position else np.eye(2, dtype=complex))
-        full = factors[0]
-        for factor in factors[1:]:
-            full = np.kron(full, factor)
-        ops.append(full)
-    return KrausChannel(ops, name=f"{channel.name}@q{qubit}")

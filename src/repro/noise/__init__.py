@@ -6,6 +6,7 @@ from repro.noise.channels import (
     bit_flip,
     bit_phase_flip,
     depolarizing,
+    lift_operators,
     pauli_channel,
     phase_damping,
     phase_flip,
@@ -25,6 +26,7 @@ __all__ = [
     "bit_flip",
     "bit_phase_flip",
     "depolarizing",
+    "lift_operators",
     "pauli_channel",
     "phase_damping",
     "phase_flip",

@@ -92,6 +92,27 @@ class KrausChannel:
         )
 
 
+def lift_operators(
+    operators: Sequence[np.ndarray], position: int, num_qubits: int
+) -> Tuple[np.ndarray, ...]:
+    """Embed 1-qubit Kraus operators on one operand of a ``num_qubits`` gate.
+
+    Each operator becomes ``I x ... x K x ... x I`` with ``K`` at
+    ``position``; operand 0 is the most significant factor, the order of
+    the gate matrices.  Device models use it to attach relaxation to one
+    operand of a CX, and the density-matrix engine to fold a per-operand
+    channel into the gate's superoperator.
+    """
+    identity = np.eye(2, dtype=complex)
+    lifted = []
+    for k_op in operators:
+        full = k_op if position == 0 else identity
+        for index in range(1, num_qubits):
+            full = np.kron(full, k_op if index == position else identity)
+        lifted.append(full)
+    return tuple(lifted)
+
+
 def _validated_probability(p: float, upper: float = 1.0) -> float:
     if not 0.0 <= p <= upper + 1e-12:
         raise NoiseError(f"probability {p} outside [0, {upper}]")

@@ -7,6 +7,10 @@ through two methods:
 
 * ``channels_for(instruction)`` — the channels to apply after a gate,
 * ``readout_confusion(qubit)`` — the confusion matrix at measurement time.
+
+``channels_for`` is memoised by ``(gate name, qubits)``; every ``add_*``
+method starts a new memo, so a model edited between runs is never
+answered from a stale entry.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ class NoiseModel:
         # gate name -> { qubit tuple or None: [channels] }
         self._gate_errors: Dict[str, Dict[Optional[Tuple[int, ...]], List[KrausChannel]]] = {}
         self._readout_errors: Dict[Optional[int], ReadoutError] = {}
+        self._resolved: Dict[Tuple[str, Tuple[int, ...]], list] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -56,6 +61,7 @@ class NoiseModel:
         for name in gate_names:
             slot = self._gate_errors.setdefault(name.lower(), {})
             slot.setdefault(_ANY, []).append(channel)
+        self._resolved = {}
         return self
 
     def add_gate_error(
@@ -73,6 +79,7 @@ class NoiseModel:
         key = tuple(int(q) for q in qubits)
         slot = self._gate_errors.setdefault(gate_name.lower(), {})
         slot.setdefault(key, []).append(channel)
+        self._resolved = {}
         return self
 
     def add_readout_error(
@@ -80,6 +87,7 @@ class NoiseModel:
     ) -> "NoiseModel":
         """Attach a readout confusion matrix (``qubit=None`` -> default)."""
         self._readout_errors[qubit] = error
+        self._resolved = {}
         return self
 
     # ------------------------------------------------------------------
@@ -95,25 +103,37 @@ class NoiseModel:
         the gate's full qubit tuple; a 1-qubit channel on a multi-qubit gate
         is applied to **each** operand qubit (the usual device-model
         convention for e.g. per-qubit thermal relaxation during a CX).
+        The operator tuples are the channels' own, shared between calls.
         """
-        slot = self._gate_errors.get(instruction.name)
+        # ``add_*`` replaces the memo after editing the errors, so a lookup
+        # racing an edit stores its answer in the discarded memo.
+        memo = self._resolved
+        key = (instruction.name, tuple(instruction.qubits))
+        resolved = memo.get(key)
+        if resolved is None:
+            resolved = memo[key] = self._resolve(*key)
+        return list(resolved)
+
+    def _resolve(
+        self, name: str, qubits: Tuple[int, ...]
+    ) -> List[Tuple[Tuple[np.ndarray, ...], Tuple[int, ...]]]:
+        slot = self._gate_errors.get(name)
         if not slot:
             return []
         channels: List[KrausChannel] = []
-        channels.extend(slot.get(tuple(instruction.qubits), []))
+        channels.extend(slot.get(qubits, []))
         channels.extend(slot.get(_ANY, []))
         out: List[Tuple[Tuple[np.ndarray, ...], Tuple[int, ...]]] = []
         for channel in channels:
-            if channel.num_qubits == len(instruction.qubits):
-                out.append((channel.operators, tuple(instruction.qubits)))
+            if channel.num_qubits == len(qubits):
+                out.append((channel.operators, qubits))
             elif channel.num_qubits == 1:
-                for qubit in instruction.qubits:
+                for qubit in qubits:
                     out.append((channel.operators, (qubit,)))
             else:
                 raise NoiseError(
                     f"channel {channel.name!r} acts on {channel.num_qubits} "
-                    f"qubit(s) but gate {instruction.name!r} has "
-                    f"{len(instruction.qubits)} operand(s)"
+                    f"qubit(s) but gate {name!r} has {len(qubits)} operand(s)"
                 )
         return out
 

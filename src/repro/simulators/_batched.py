@@ -12,11 +12,14 @@ Two trajectories that have made the same Kraus, measurement and reset
 choices so far hold bit-identical states, so the walker stores one state
 column per **history class** (a batch-last ``(2, ..., 2, C)`` tensor) plus
 a ``(B,)`` row-to-class map, and its cost follows the number of distinct
-histories ``C`` rather than the number of shots ``B``.  Gates act on the
-class columns.  A stochastic step computes its branch weights per class,
-lets every row decide with its own uniform, and refines the classes by
-``(class, choice)`` with one ``np.unique``; each new class column is built
-from its parent column with the same arithmetic the row would have seen.
+histories ``C`` rather than the number of shots ``B``.  The walker runs
+the compiled program of :mod:`repro.simulators._program`: gates act on the
+class columns, and each gate step carries its noise channels.  A
+stochastic step computes its branch weights per class (a Kraus channel's
+later branches only for the classes that need them), lets every row
+decide with its own uniform, and refines the classes by ``(class,
+choice)`` with one ``np.unique``; each new class column is built from its
+parent column with the same arithmetic the row would have seen.
 Readout flips touch only the rows' classical bits.  A classically
 conditioned step splits classes on the condition bit first and acts on the
 matching classes only.  Weak device noise keeps ``C`` small: on the
@@ -59,7 +62,7 @@ import numpy as np
 
 from repro.circuits.gates import Gate, x_matrix
 from repro.exceptions import SimulationError
-from repro.simulators import _kernels, _philox
+from repro.simulators import _kernels, _philox, _program
 
 #: Selectable execution methods for the sampling engines.
 METHODS = ("auto", "batched", "loop")
@@ -68,11 +71,6 @@ METHODS = ("auto", "batched", "loop")
 #: small enough that ``B * 2^n`` (plus one Kraus branch copy per operator)
 #: stays cache- and memory-friendly for the paper's circuit sizes.
 DEFAULT_MAX_BATCH = 1024
-
-_GATE = "gate"
-_KRAUS = "kraus"
-_MEASURE = "measure"
-_RESET = "reset"
 
 
 def supports_batching(noise_model) -> bool:
@@ -131,52 +129,15 @@ def substream_generator(child: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(child))
 
 
-# ----------------------------------------------------------------------
-# Program construction (batched path)
-# ----------------------------------------------------------------------
-
-
-def build_program(circuit, noise_model) -> List[tuple]:
-    """Compile ``circuit.data`` to a flat step list for the batched walker.
-
-    Each step is ``(kind, ..., condition)``; the noise model is queried
-    exactly once per instruction (it must therefore pass
-    :func:`supports_batching`).  Raises on non-gate unitaries, exactly as
-    the per-shot walker would.
-    """
-    steps: List[tuple] = []
-    for inst in circuit.data:
-        if inst.name == "barrier":
-            continue
-        condition = inst.condition
-        if inst.name == "measure":
-            qubit, clbit = inst.qubits[0], inst.clbits[0]
-            confusion = (
-                noise_model.readout_confusion(qubit)
-                if noise_model is not None
-                else None
-            )
-            steps.append((_MEASURE, qubit, clbit, confusion, condition))
-        elif inst.name == "reset":
-            steps.append((_RESET, inst.qubits[0], condition))
-        else:
-            op = inst.operation
-            if not isinstance(op, Gate):
-                raise SimulationError(f"cannot apply non-gate {op.name!r}")
-            steps.append((_GATE, op.matrix, tuple(inst.qubits), condition))
-            if noise_model is not None:
-                for kraus, targets in noise_model.channels_for(inst):
-                    steps.append((_KRAUS, tuple(kraus), tuple(targets), condition))
-    return steps
-
-
 def _max_draws(steps: List[tuple]) -> int:
     """Upper bound on the uniforms any one trajectory consumes."""
     draws = 0
     for step in steps:
-        if step[0] == _MEASURE:
+        if step[0] == _program.GATE:
+            draws += len(step[3])
+        elif step[0] == _program.MEASURE:
             draws += 1 + (1 if step[3] is not None else 0)
-        elif step[0] in (_RESET, _KRAUS):
+        else:
             draws += 1
     return draws
 
@@ -235,31 +196,58 @@ def _apply_gate(states, klass, rows, matrix, qubits):
 def _sample_kraus_rows(states, klass, rows, operators, targets, uniforms):
     """Per-trajectory Kraus unravelling of one channel over history classes.
 
-    Every branch ``K_j psi`` and its Born weight are computed once per
-    class column.  Each row in ``rows`` then picks its branch with the
-    shared :func:`_kernels.kraus_select` decision, applied to its class's
-    weights and its own uniform, and the classes are refined by
-    ``(class, choice)``.  A new class column is its parent's branch divided
-    by the square root of that branch's weight: the arithmetic the row
-    would have done alone, so the result is bit-identical to evolving every
-    row separately.  Returns the new ``(states, klass)``.
+    The first branch ``K_0 psi`` and its Born weight are computed for every
+    class column.  A row whose uniform falls below that weight takes
+    branch 0, which is what :func:`_kernels.kraus_select` decides for it:
+    the cumulative weights never decrease, so no later branch can come
+    first.  Under weak noise that settles almost every row.  The other
+    branches are computed only for the classes of the rows still
+    pending, and those rows decide with :func:`_kernels.kraus_select` on
+    their class's full weight column.  Columns are independent (see the
+    kernels module), so every branch and weight a row sees is the float
+    it would have seen with all branches computed for all classes.
+
+    The classes are then refined by ``(class, choice)``.  A new class
+    column is its parent's branch divided by the square root of that
+    branch's weight: the arithmetic the row would have done alone, so the
+    result is bit-identical to evolving every row separately.  Returns the
+    new ``(states, klass)``.
     """
-    branches = [
-        _kernels.batched_apply_matrix(states, k_op, targets) for k_op in operators
-    ]
-    weights = np.stack([_kernels.batched_norm_sq(branch) for branch in branches])
-    choice = _kernels.kraus_select(weights[:, klass[rows]], uniforms)
+    first = _kernels.batched_apply_matrix(states, operators[0], targets)
+    first_weight = _kernels.batched_norm_sq(first)
+    row_class = klass[rows]
+    row_weight = first_weight[row_class]
+    pending = (uniforms >= row_weight) | (row_weight <= _kernels.KRAUS_EPS)
+    choice = np.zeros(rows.shape[0], dtype=np.intp)
+    # The sorted distinct classes; a bare np.unique would import numpy.ma.
+    columns = np.flatnonzero(
+        np.bincount(row_class[pending], minlength=first.shape[-1])
+    )
+    rest, weights = [], None
+    if columns.size:
+        subset = states[..., columns]
+        rest = [
+            _kernels.batched_apply_matrix(subset, k_op, targets)
+            for k_op in operators[1:]
+        ]
+        weights = np.stack(
+            [first_weight[columns]] + [_kernels.batched_norm_sq(b) for b in rest]
+        )
+        at = np.searchsorted(columns, row_class[pending])
+        choice[pending] = _kernels.kraus_select(weights[:, at], uniforms[pending])
     klass, parents, labels = _refine(klass, rows, choice, len(operators))
 
     def build(parents, labels):
         out = np.empty(states.shape[:-1] + parents.shape, dtype=states.dtype)
-        for index, branch in enumerate(branches):
+        picked = np.nonzero(labels == 0)[0]
+        if picked.size:
+            sources = parents[picked]
+            out[..., picked] = first[..., sources] / np.sqrt(first_weight[sources])
+        for index, branch in enumerate(rest, start=1):
             picked = np.nonzero(labels == index)[0]
             if picked.size:
-                columns = parents[picked]
-                out[..., picked] = branch[..., columns] / np.sqrt(
-                    weights[index, columns]
-                )
+                at = np.searchsorted(columns, parents[picked])
+                out[..., picked] = branch[..., at] / np.sqrt(weights[index, at])
         return out
 
     return _split(states, parents, labels, build), klass
@@ -324,15 +312,14 @@ def run_batched(
                 rows = np.nonzero(clbits[:, clbit] == value)[0]
                 if rows.shape[0] == 0:
                     continue
-            if kind == _GATE:
-                _, matrix, qubits, _ = step
+            if kind == _program.GATE:
+                _, matrix, qubits, channels, _ = step
                 states, klass = _apply_gate(states, klass, rows, matrix, qubits)
-            elif kind == _KRAUS:
-                _, operators, targets, _ = step
-                states, klass = _sample_kraus_rows(
-                    states, klass, rows, operators, targets, take(rows)
-                )
-            elif kind == _MEASURE:
+                for operators, targets in channels:
+                    states, klass = _sample_kraus_rows(
+                        states, klass, rows, operators, targets, take(rows)
+                    )
+            elif kind == _program.MEASURE:
                 _, qubit, clbit, confusion, _ = step
                 states, klass, outcomes = _sample_outcomes(
                     states, klass, rows, qubit, take(rows), reset=False
@@ -345,7 +332,7 @@ def run_batched(
                     flips = (take(rows) < flip_prob).astype(np.uint8)
                     recorded = outcomes ^ flips
                 clbits[rows, clbit] = recorded
-            elif kind == _RESET:
+            elif kind == _program.RESET:
                 _, qubit, _ = step
                 states, klass, _ = _sample_outcomes(
                     states, klass, rows, qubit, take(rows), reset=True
@@ -492,7 +479,7 @@ def sample_shots(
     resolved = resolve_method(method, noise_model)
     max_batch = validate_max_batch(max_batch)
     if resolved == "batched":
-        steps = build_program(circuit, noise_model)
+        steps = _program.build_program(circuit, noise_model)
         counts = run_batched(
             steps,
             circuit.num_qubits,

@@ -8,6 +8,7 @@ convention in the README's *Bit-order conventions*.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -35,8 +36,8 @@ def apply_matrix(
     """Apply a ``2^k x 2^k`` matrix to the given tensor axes of ``state``.
 
     Works for any rank-``n`` tensor whose axes are qubits (statevectors) —
-    the density-matrix engine calls it twice, once for row axes and once for
-    column axes.
+    the density-matrix engine passes a gate's superoperator with its row
+    and column axes together.
     """
     k = len(qubits)
     if matrix.shape != (2 ** k, 2 ** k):
@@ -100,6 +101,13 @@ def basis_label(index: int, num_qubits: int) -> str:
 # what lets the batched walker evolve one column per history class and
 # still match the per-shot loop bit-for-bit (see
 # :mod:`repro.simulators._batched`).
+#
+# Plans are cached so no call re-derives structure: the basis-slice index
+# tuples per ``(qubits, ndim)``, and each operator's scalar, monomial or
+# dense plan in a bounded cache keyed by its content (a gate rebuilt with
+# the same angle, or a Kraus operator of a channel applied again, hits the
+# same plan).  A plan holds the operator's own scalars, so the floats are
+# those the uncached kernel computed.
 
 #: Born weights at or below this are treated as unsupported Kraus branches.
 KRAUS_EPS = 1e-15
@@ -115,16 +123,54 @@ def batched_state_tensor(
     )
 
 
-def _basis_slices(states: np.ndarray, qubits: Sequence[int], dim: int) -> list:
-    """Return views of ``states`` sliced to each basis index of ``qubits``."""
+@functools.lru_cache(maxsize=512)
+def _slice_keys(qubits: Tuple[int, ...], ndim: int) -> Tuple[tuple, ...]:
+    """Return the index tuples selecting each basis index of ``qubits``."""
     k = len(qubits)
-    slices = []
-    for index in range(dim):
-        key: list = [slice(None)] * states.ndim
+    keys = []
+    for index in range(2 ** k):
+        key: list = [slice(None)] * ndim
         for position, axis in enumerate(qubits):
             key[axis] = (index >> (k - 1 - position)) & 1
-        slices.append(states[tuple(key)])
-    return slices
+        keys.append(tuple(key))
+    return tuple(keys)
+
+
+_SCALAR = "scalar"
+_MONOMIAL = "monomial"
+_DENSE = "dense"
+
+
+def _operator_plan(matrix: np.ndarray) -> tuple:
+    """Return the cached ``(kind, data)`` plan of a square operator."""
+    return _plan_for_content(matrix.dtype.str, matrix.shape, matrix.tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _plan_for_content(dtype: str, shape: Tuple[int, int], data: bytes) -> tuple:
+    """Plan the operator with the given content (see :func:`_operator_plan`).
+
+    The structure test is exact (no tolerance), so matrices with equal
+    content share one plan.  The plan keeps the matrix's own scalars, so a
+    kernel reading it multiplies by exactly the floats it would have read
+    from the matrix.
+    """
+    matrix = np.frombuffer(data, dtype=dtype).reshape(shape)
+    dim = shape[0]
+    nonzero = matrix != 0
+    if np.all(nonzero.sum(axis=1) == 1):
+        # Monomial matrix (one nonzero per row): Pauli factors, CX/CZ/SWAP,
+        # phase rotations and the scaled-identity Kraus branch that
+        # dominates every weak channel.  One multiply per basis slice.
+        columns = nonzero.argmax(axis=1)
+        coefficients = matrix[np.arange(dim), columns]
+        if (columns == np.arange(dim)).all() and (
+            coefficients == coefficients[0]
+        ).all():
+            # Scalar multiple of the identity: one contiguous pass.
+            return _SCALAR, coefficients[0]
+        return _MONOMIAL, tuple(zip(coefficients, (int(c) for c in columns)))
+    return _DENSE, tuple(tuple(row) for row in matrix)
 
 
 def batched_apply_matrix(
@@ -144,33 +190,21 @@ def batched_apply_matrix(
         raise SimulationError(
             f"matrix shape {matrix.shape} does not act on {k} qubit(s)"
         )
-    nonzero = matrix != 0
-    if np.all(nonzero.sum(axis=1) == 1):
-        # Monomial matrix (one nonzero per row): Pauli factors, CX/CZ/SWAP,
-        # phase rotations and the scaled-identity Kraus branch that
-        # dominates every weak channel.  One multiply per basis slice
-        # (exact structural test — no tolerance, no batch dependence).
-        columns = nonzero.argmax(axis=1)
-        coefficients = matrix[np.arange(dim), columns]
-        if (columns == np.arange(dim)).all() and (
-            coefficients == coefficients[0]
-        ).all():
-            # Scalar multiple of the identity: one contiguous pass.
-            return coefficients[0] * states
-        sources = _basis_slices(states, qubits, dim)
-        out = np.empty_like(states)
-        targets = _basis_slices(out, qubits, dim)
-        for i in range(dim):
-            targets[i][...] = coefficients[i] * sources[columns[i]]
-        return out
-    sources = _basis_slices(states, qubits, dim)
+    kind, data = _operator_plan(matrix)
+    if kind == _SCALAR:
+        return data * states
+    keys = _slice_keys(tuple(qubits), states.ndim)
     out = np.empty_like(states)
-    targets = _basis_slices(out, qubits, dim)
-    for i in range(dim):
-        acc = matrix[i, 0] * sources[0]
+    if kind == _MONOMIAL:
+        for key, (coefficient, column) in zip(keys, data):
+            np.multiply(coefficient, states[keys[column]], out=out[key])
+        return out
+    sources = [states[key] for key in keys]
+    for key, row in zip(keys, data):
+        acc = out[key]
+        np.multiply(row[0], sources[0], out=acc)
         for j in range(1, dim):
-            acc += matrix[i, j] * sources[j]
-        targets[i][...] = acc
+            acc += row[j] * sources[j]
     return out
 
 

@@ -1,12 +1,19 @@
 """Exact mixed-state (density-matrix) simulation with noise channels.
 
-This engine is the substitute for the paper's IBM Q hardware runs: it applies
-each gate's ideal unitary followed by the Kraus channels a
-:class:`~repro.noise.model.NoiseModel` attaches to it, and models readout
-error as a classical confusion process at measurement time.  Measurement uses
-the same branch-enumeration strategy as the statevector engine, so the
-classical-outcome distribution is **exact** — shot histograms are multinomial
-samples from it, exactly like repeated runs on a (modelled) device.
+This engine is the substitute for the paper's IBM Q hardware runs.  Each
+run compiles the circuit and its :class:`~repro.noise.model.NoiseModel`
+once (:mod:`repro.simulators._program`), so the model is queried once per
+instruction per run.  A gate and the Kraus channels the model attaches to
+it become one superoperator ``S = C_r ... C_1 (U (x) conj(U))`` on the
+gate's row and column axes, where ``C = sum_j K_j (x) conj(K_j)`` and a
+1-qubit channel on one operand of a wider gate is first lifted to the
+gate's arity.  ``C`` does not depend on the gate angle and is cached, so a
+gate costs one tensor contraction whatever its noise.  Readout error is a
+classical confusion process at measurement time.  Measurement uses the
+same branch-enumeration strategy as the statevector engine, so the
+classical-outcome distribution is **exact** — shot histograms are
+multinomial samples from it, exactly like repeated runs on a (modelled)
+device.
 
 The density matrix is stored as a rank-``2n`` tensor with row axes
 ``0..n-1`` and column axes ``n..2n-1``; axis ``k`` / ``n+k`` is qubit ``k``.
@@ -14,17 +21,18 @@ The density matrix is stored as a rank-``2n`` tensor with row axes
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import Gate
-from repro.circuits.instructions import Instruction
+from repro.circuits.gates import x_matrix
 from repro.exceptions import SimulationError
+from repro.noise.channels import lift_operators
 from repro.results.counts import Counts, counts_from_probabilities
 from repro.results.result import Result
-from repro.simulators import _kernels
+from repro.simulators import _kernels, _program
 
 
 class DensityMatrix:
@@ -94,39 +102,85 @@ def _rho_tensor(num_qubits: int, initial: Optional[np.ndarray]) -> np.ndarray:
     return rho.reshape((2,) * (2 * num_qubits))
 
 
-def _apply_unitary(rho: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Apply ``U rho U^dagger`` on the given qubits."""
-    n = rho.ndim // 2
-    rho = _kernels.apply_matrix(rho, matrix, qubits)
-    col_axes = [n + q for q in qubits]
-    return _kernels.apply_matrix(rho, matrix.conj(), col_axes)
+#: Folded channel superoperators per (gate qubits, channel list); see
+#: :func:`_channel_segments`.
+_SEGMENTS: Dict[tuple, tuple] = {}
+_SEGMENTS_SIZE = 256
+_SEGMENTS_LOCK = threading.Lock()
+
+_X_SUPEROPERATOR = np.kron(x_matrix(), x_matrix().conj())
 
 
-def _apply_kraus(
-    rho: np.ndarray, kraus: Sequence[np.ndarray], qubits: Sequence[int]
-) -> np.ndarray:
-    """Apply the channel ``sum_k K rho K^dagger`` on the given qubits."""
-    n = rho.ndim // 2
-    col_axes = [n + q for q in qubits]
+def _superoperator(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """Return ``sum_j K_j (x) conj(K_j)``, the channel on ``(rows, cols)``."""
     total = None
     for k_op in kraus:
-        term = _kernels.apply_matrix(rho, k_op, qubits)
-        term = _kernels.apply_matrix(term, k_op.conj(), col_axes)
+        term = np.kron(k_op, k_op.conj())
         total = term if total is None else total + term
     if total is None:
         raise SimulationError("channel has no Kraus operators")
     return total
 
 
-def _measure_probability(rho: np.ndarray, qubit: int, outcome: int) -> float:
-    """Return P(outcome) for a computational-basis measurement."""
+def _channel_segments(qubits: Tuple[int, ...], channels: tuple) -> list:
+    """Fold a gate's channels into superoperators ``[(targets, C), ...]``.
+
+    The first segment acts on the gate's own qubits.  A channel on the
+    gate's qubits, or a 1-qubit channel on one operand (lifted to the
+    gate's arity), multiplies into the current gate-qubit segment; a
+    channel on other qubits, which only a duck-typed model returns, gets a
+    segment of its own, so the channels keep their order.
+
+    ``C`` does not depend on the gate angle, so the segments are cached,
+    keyed by the qubits and the identity of the channels' operator tuples.
+    The entry holds those tuples, so their ids stay unique while it lives;
+    a :class:`~repro.noise.model.NoiseModel` edited by ``add_*`` resolves to
+    a new channel list and misses.  The cache is cleared when full, which
+    bounds it for models that build fresh operators on every call.
+    """
+    key = (qubits, tuple((id(kraus), targets) for kraus, targets in channels))
+    with _SEGMENTS_LOCK:
+        cached = _SEGMENTS.get(key)
+    if cached is not None:
+        return cached[1]
+    identity = np.eye(4 ** len(qubits), dtype=complex)
+    segments = [(qubits, identity)]
+    for kraus, targets in channels:
+        if targets == qubits:
+            operators = kraus
+        elif len(targets) == 1 and targets[0] in qubits:
+            operators = lift_operators(kraus, qubits.index(targets[0]), len(qubits))
+        else:
+            segments.append((targets, _superoperator(kraus)))
+            continue
+        if segments[-1][0] != qubits:
+            segments.append((qubits, identity))
+        segments[-1] = (qubits, _superoperator(operators) @ segments[-1][1])
+    with _SEGMENTS_LOCK:
+        if len(_SEGMENTS) >= _SEGMENTS_SIZE:
+            _SEGMENTS.clear()
+        _SEGMENTS[key] = (channels, segments)
+    return segments
+
+
+def _gate_superoperators(matrix, qubits, channels) -> list:
+    """Return the ``(qubits, S)`` contractions of one noisy gate.
+
+    ``S = C_r ... C_1 (U (x) conj(U))`` acts on the gate's row and column
+    axes at once: one contraction per gate instead of two per Kraus
+    operator.
+    """
+    first, *rest = _channel_segments(qubits, channels)
+    return [(qubits, first[1] @ np.kron(matrix, matrix.conj())), *rest]
+
+
+def _apply_superoperator(
+    rho: np.ndarray, superop: np.ndarray, qubits: Sequence[int]
+) -> np.ndarray:
+    """Apply a ``4^k x 4^k`` superoperator to the rows and columns of ``qubits``."""
     n = rho.ndim // 2
-    sliced = np.take(np.take(rho, outcome, axis=qubit), outcome, axis=n - 1 + qubit)
-    # After the double take the remaining axes pair up as (rows, cols) of the
-    # reduced operator; its trace is the diagonal sum over matching indices.
-    m = n - 1
-    flat = sliced.reshape(2 ** m, 2 ** m) if m else sliced.reshape(1, 1)
-    return float(np.real(np.trace(flat)))
+    axes = list(qubits) + [n + q for q in qubits]
+    return _kernels.apply_matrix(rho, superop, axes)
 
 
 def _project(rho: np.ndarray, qubit: int, outcome: int) -> Tuple[np.ndarray, float]:
@@ -159,7 +213,9 @@ class DensityMatrixSimulator:
     noise_model:
         Optional :class:`~repro.noise.model.NoiseModel`.  The engine only
         relies on its ``channels_for(instruction)`` and
-        ``readout_confusion(qubit)`` methods, so any duck-typed model works.
+        ``readout_confusion(qubit)`` methods, so a duck-typed model works
+        too.  Each run asks it once per instruction, when the circuit is
+        compiled, and applies the answer to every measurement branch.
     max_branches:
         Cap on measurement branches (true-outcome x recorded-value pairs).
     """
@@ -247,22 +303,26 @@ class DensityMatrixSimulator:
     ) -> List[_Branch]:
         rho = _rho_tensor(circuit.num_qubits, initial_state)
         branches = [_Branch(1.0, [0] * circuit.num_clbits, rho)]
-        for inst in circuit.data:
-            if inst.name == "barrier":
-                continue
+        for step in _program.build_program(circuit, self.noise_model):
+            kind, condition = step[0], step[-1]
+            if kind == _program.GATE:
+                _, matrix, qubits, channels, _ = step
+                superops = _gate_superoperators(matrix, qubits, channels)
             new_branches: List[_Branch] = []
             for branch in branches:
-                if inst.condition is not None:
-                    clbit, value = inst.condition
+                if condition is not None:
+                    clbit, value = condition
                     if branch.clbits[clbit] != value:
                         new_branches.append(branch)
                         continue
-                if inst.name == "measure":
-                    new_branches.extend(self._measure(branch, inst))
-                elif inst.name == "reset":
-                    new_branches.append(self._reset(branch, inst))
+                if kind == _program.MEASURE:
+                    _, qubit, clbit, confusion, _ = step
+                    new_branches.extend(self._measure(branch, qubit, clbit, confusion))
+                elif kind == _program.RESET:
+                    new_branches.append(self._reset(branch, step[1]))
                 else:
-                    branch.rho = self._apply_instruction(branch.rho, inst)
+                    for targets, superop in superops:
+                        branch.rho = _apply_superoperator(branch.rho, superop, targets)
                     new_branches.append(branch)
             branches = _merge_equal_clbits(new_branches)
             if len(branches) > self.max_branches:
@@ -271,22 +331,9 @@ class DensityMatrixSimulator:
                 )
         return branches
 
-    def _apply_instruction(self, rho: np.ndarray, inst: Instruction) -> np.ndarray:
-        op = inst.operation
-        if not isinstance(op, Gate):
-            raise SimulationError(f"cannot apply non-gate {op.name!r}")
-        rho = _apply_unitary(rho, op.matrix, inst.qubits)
-        if self.noise_model is not None:
-            for kraus, targets in self.noise_model.channels_for(inst):
-                rho = _apply_kraus(rho, kraus, targets)
-        return rho
-
-    def _measure(self, branch: _Branch, inst: Instruction) -> Iterable[_Branch]:
-        qubit = inst.qubits[0]
-        clbit = inst.clbits[0]
-        confusion = None
-        if self.noise_model is not None:
-            confusion = self.noise_model.readout_confusion(qubit)
+    def _measure(
+        self, branch: _Branch, qubit: int, clbit: int, confusion
+    ) -> Iterable[_Branch]:
         for outcome in (0, 1):
             projected, prob = _project(branch.rho, qubit, outcome)
             if prob <= 1e-14:
@@ -305,18 +352,15 @@ class DensityMatrixSimulator:
                 clbits[clbit] = recorded
                 yield _Branch(branch.probability * prob * record_prob, clbits, projected)
 
-    def _reset(self, branch: _Branch, inst: Instruction) -> _Branch:
+    def _reset(self, branch: _Branch, qubit: int) -> _Branch:
         """Reset is the deterministic channel |0><0| + |0><1| rho ..."""
-        from repro.circuits.gates import x_matrix
-
-        qubit = inst.qubits[0]
         zero, p0 = _project(branch.rho, qubit, 0)
         one, p1 = _project(branch.rho, qubit, 1)
         total = None
         if p0 > 1e-14:
             total = p0 * zero
         if p1 > 1e-14:
-            flipped = _apply_unitary(one, x_matrix(), [qubit])
+            flipped = _apply_superoperator(one, _X_SUPEROPERATOR, [qubit])
             total = p1 * flipped if total is None else total + p1 * flipped
         branch.rho = total if total is not None else branch.rho
         return branch

@@ -23,26 +23,15 @@ from repro.core.injector import AssertionInjector
 from repro.devices.backend import TrajectoryDeviceBackend
 from repro.devices.ibmqx4 import ibmqx4
 from repro.exceptions import SimulationError
-from repro.noise.channels import amplitude_damping, depolarizing
-from repro.noise.model import NoiseModel
-from repro.noise.readout import ReadoutError
 from repro.noise.trajectories import TrajectorySimulator
 from repro.runtime import get_backend
 from repro.simulators import _batched
 from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.simulators.statevector import StatevectorSimulator
 
+from noisy_circuits import DuckTypedNoise, noisy_model, paper_assertion
+
 SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
-
-
-def noisy_model():
-    return (
-        NoiseModel("unit-noise")
-        .add_all_qubit_gate_error(["h", "x"], depolarizing(0.1))
-        .add_all_qubit_gate_error(["cx"], depolarizing(0.05))
-        .add_all_qubit_gate_error(["x"], amplitude_damping(0.2))
-        .add_readout_error(ReadoutError(0.08, 0.04))
-    )
 
 
 def stochastic_circuit():
@@ -66,45 +55,6 @@ def instrumented_bell():
     injector.assert_entangled([0, 1])
     injector.measure_program()
     return injector.circuit
-
-
-def paper_assertion(kind, theta=0.1234):
-    """The paper's three assertion circuits, each after one ``rz(theta)``."""
-    if kind == "classical":
-        program = QuantumCircuit(2, name="classical")
-        program.x(1)
-        program.rz(theta, 0)
-        injector = AssertionInjector(program)
-        injector.assert_classical([0, 1], [0, 1])
-    elif kind == "entanglement":
-        program = library.ghz_state(3)
-        program.rz(theta, 0)
-        injector = AssertionInjector(program)
-        injector.assert_entangled([0, 1, 2], mode="single")
-    else:
-        program = QuantumCircuit(2, name="superposition")
-        program.h(0)
-        program.h(1)
-        program.rz(theta, 0)
-        injector = AssertionInjector(program)
-        injector.assert_uniform([0, 1])
-    injector.measure_program()
-    return injector.circuit
-
-
-class DuckTypedNoise:
-    """A noise interface that is *not* a NoiseModel (stateful in principle)."""
-
-    name = "duck"
-
-    def __init__(self):
-        self._inner = noisy_model()
-
-    def channels_for(self, instruction):
-        return self._inner.channels_for(instruction)
-
-    def readout_confusion(self, qubit):
-        return self._inner.readout_confusion(qubit)
 
 
 class TestBatchedEqualsLooped:
