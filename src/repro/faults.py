@@ -20,7 +20,8 @@ Sites are plain strings; the ones the codebase consults are listed in
     honoured under process executors — in a thread or serial executor
     the "worker" is the caller's interpreter.
 ``journal.write``
-    A journal store write raises (exercises settlement-error paths).
+    A journal log append raises (exercises submit rollback and
+    settlement-error paths).
 ``http.accept``
     An accepted HTTP connection is dropped before reading the request
     (exercises client reconnect/retry).

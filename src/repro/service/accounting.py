@@ -11,9 +11,12 @@ the estimated seconds those shots cost, and
 adjustment the service can feed back into
 :meth:`~repro.runtime.scheduler.Scheduler.client`.
 
-Ledgers persist through a :class:`~repro.runtime.store.CacheStore` disk
-tier under ``<cache_dir>/service/accounting/``, alongside the job
-journal, so a restarted service resumes accounting where it left off.
+Ledgers persist in a :class:`~repro.service.recordlog.RecordLog` at
+``<cache_dir>/service/accounting.log``, next to the job journal: each
+charge appends the tenant's updated totals as one frame, replay keeps the
+last frame per tenant, and a checkpoint shrinks the file back to one
+frame per tenant.  A restarted service resumes accounting where it left
+off.
 
 The feedback policy is deliberately conservative:
 
@@ -27,14 +30,15 @@ The feedback policy is deliberately conservative:
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from typing import Dict, Optional
 
-from repro.runtime.store import CacheStore
+from repro.service.recordlog import RecordLog
 
-#: Ledger records live under this namespace inside the shared cache dir.
-ACCOUNTING_NAMESPACE = "service/accounting"
+#: The ledgers' log file, relative to the shared cache dir.
+LEDGER_LOG = os.path.join("service", "accounting.log")
 
 #: effective_weight never exceeds ``base * WEIGHT_CLAMP`` (nor drops below 1).
 WEIGHT_CLAMP = 4
@@ -47,40 +51,25 @@ class CostLedger:
     ----------
     cache_dir:
         Parent cache directory (ledgers live in
-        ``<cache_dir>/service/accounting/``).  Ignored when ``store`` is
-        given; ``None`` keeps the ledger memory-only.
-    store:
-        A pre-built :class:`~repro.runtime.store.CacheStore` to persist
-        through.
+        ``<cache_dir>/service/accounting.log``); ``None`` keeps the ledger
+        memory-only.
 
     Thread-safe: charges arrive from executor settlement threads while
     snapshots are read from anywhere.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        store: Optional[CacheStore] = None,
-        maxsize: int = 1024,
-    ) -> None:
-        if store is None:
-            store = CacheStore(
-                maxsize=maxsize,
-                cache_dir=cache_dir,
-                namespace=ACCOUNTING_NAMESPACE,
-                disk_maxsize=None,  # one record per tenant; never evict
-            )
-        self._store = store
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self._lock = threading.Lock()
         self._ledgers: Dict[str, dict] = {}
-        for key, value in store.items():
-            if (
-                isinstance(key, tuple)
-                and len(key) == 2
-                and key[0] == "ledger"
-                and isinstance(value, dict)
-            ):
-                self._ledgers[key[1]] = {
+        self._log = (
+            RecordLog(os.path.join(cache_dir, LEDGER_LOG))
+            if cache_dir else None
+        )
+        if self._log is None:
+            return
+        for client, value in self._log.replay().items():
+            if isinstance(client, str) and isinstance(value, dict):
+                self._ledgers[client] = {
                     "shots": int(value.get("shots", 0)),
                     "cost_s": float(value.get("cost_s", 0.0)),
                     "jobs": int(value.get("jobs", 0)),
@@ -90,7 +79,7 @@ class CostLedger:
     @property
     def durable(self) -> bool:
         """Whether ledgers reach disk (``False`` = memory-only)."""
-        return self._store.disk is not None
+        return self._log is not None
 
     def charge(
         self, client: str, shots: int, cost_s: Optional[float] = None
@@ -100,7 +89,9 @@ class CostLedger:
         ``cost_s`` is the cost model's estimate for the job in seconds,
         or ``None`` when the workload has never been measured — the shots
         still count, so accounting works before profiles warm up.
-        Returns a copy of the updated ledger.
+        Returns a copy of the updated ledger.  The append happens under
+        the ledger lock, so the log's last frame per tenant is its latest
+        total; an append that fails raises :class:`OSError`.
         """
         with self._lock:
             ledger = self._ledgers.setdefault(
@@ -113,7 +104,8 @@ class CostLedger:
             ledger["jobs"] += 1
             ledger["updated_at"] = time.time()
             snapshot = dict(ledger)
-        self._store.store(("ledger", client), snapshot)
+            if self._log is not None:
+                self._log.append(client, snapshot)
         return snapshot
 
     def spend(self, client: str) -> Optional[dict]:

@@ -61,7 +61,7 @@ import json
 import math
 import re
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import faults
@@ -130,6 +130,10 @@ _REASONS = {
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _MAX_HEADERS = 100
+
+#: How long :meth:`ServiceServer.close` lets in-flight requests finish
+#: before it cancels them.
+CLOSE_GRACE_S = 10.0
 
 _JOB_PATH = re.compile(r"/v1/jobs/([^/]+)(?:/(result|counts|events|trace))?")
 
@@ -234,6 +238,11 @@ class ServiceServer:
         self.host = host
         self._requested_port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._closing = False
+        #: Live connection handlers; the idle ones (waiting for their
+        #: next request) map to their writer so close() can hang up.
+        self._handlers: Set[asyncio.Task] = set()
+        self._idle: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -259,9 +268,23 @@ class ServiceServer:
         await self._server.serve_forever()
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        """Stop accepting, hang up idle keep-alive connections, and wait
+        for the handlers; requests still running after
+        :data:`CLOSE_GRACE_S` are cancelled."""
+        if self._server is None:
+            return
+        self._closing = True
+        self._server.close()
+        for writer in self._idle.values():
+            writer.close()
+        if self._handlers:
+            _done, pending = await asyncio.wait(set(self._handlers),
+                                                timeout=CLOSE_GRACE_S)
+            for task in pending:
+                task.cancel()
+            if pending:
+                await asyncio.wait(pending)
+        await self._server.wait_closed()
 
     async def __aenter__(self) -> "ServiceServer":
         if self._server is None:
@@ -285,14 +308,19 @@ class ServiceServer:
             except (ConnectionError, OSError):
                 pass
             return
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            while True:
+            while not self._closing:
+                self._idle[task] = writer
                 try:
                     request = await self._read_request(reader)
                 except _HttpError as exc:
                     await _send_json(writer, exc.status, exc.body,
                                      keep_alive=False)
                     return
+                finally:
+                    self._idle.pop(task, None)
                 if request is None:
                     return
                 keep_alive = await self._dispatch(request, writer)
@@ -300,7 +328,13 @@ class ServiceServer:
                     return
         except (ConnectionError, asyncio.IncompleteReadError, TimeoutError):
             pass  # peer went away mid-request; nothing to answer
+        except asyncio.CancelledError:
+            if not self._closing:
+                raise
+            # close() ran out of grace for this request: end quietly
+            # rather than leave a cancelled task for the loop to report.
         finally:
+            self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -4,9 +4,9 @@
 ``svc-N`` handle, every result a tenant has not yet collected.  The
 journal closes that gap: each submission is recorded *before* it reaches
 the scheduler, and each settlement (result counts or a typed failure) is
-recorded when the service observes it, both written through a
-:class:`~repro.runtime.store.CacheStore` disk tier under
-``<cache_dir>/service/journal/``.
+recorded when the service observes it, both appended as frames to one
+:class:`~repro.service.recordlog.RecordLog` at
+``<cache_dir>/service/journal.log``.
 
 A restarted service loads the journal and can then
 
@@ -18,10 +18,14 @@ A restarted service loads the journal and can then
   re-running is safe: counts are a pure function of circuit, backend,
   shots and seed).
 
-Durability inherits the store's contract: atomic write-temp-then-rename,
-digest-checked reads, and *corruption is a miss* — a record truncated by
-a crash mid-write simply drops out of the journal instead of poisoning
-recovery.
+Durability is the log's: one ``os.write`` per record and no fsync, so a
+record survives the death of the process but not a power loss.  Replay
+is last-write-wins per job id and digest-checked, and *corruption is a
+miss*: a frame torn by a crash mid-write, or one whose bytes rotted,
+drops out instead of poisoning recovery.  A lost settlement frame leaves
+the job's submission frame, so the job comes back unsettled and re-runs.
+A settlement replaces its submission's frame at the next checkpoint, so
+the file holds about one settled record per job.
 
 Not every submission is durable.  Circuits, backends and options must
 survive a pickle round-trip to be re-submittable; when they do not, the
@@ -32,17 +36,17 @@ even though the job itself could not be re-run.
 
 from __future__ import annotations
 
-import pickle
+import os
 import threading
 import time
 from typing import Dict, List, Optional
 
 from repro import faults
 from repro.exceptions import ServiceError
-from repro.runtime.store import CacheStore
+from repro.service.recordlog import RecordLog, encode
 
-#: Journal records live under this namespace inside the shared cache dir.
-JOURNAL_NAMESPACE = "service/journal"
+#: The journal's log file, relative to the shared cache dir.
+JOURNAL_LOG = os.path.join("service", "journal.log")
 
 #: Terminal statuses a settlement may record.
 SETTLED_STATUSES = ("done", "failed", "dropped", "cancelled")
@@ -55,14 +59,6 @@ def _fingerprint(circuit) -> Optional[str]:
         return None
 
 
-def _probe_picklable(value) -> bool:
-    try:
-        pickle.dumps(value)
-        return True
-    except Exception:
-        return False
-
-
 class JobJournal:
     """Persistent record of every submission and settlement.
 
@@ -70,59 +66,34 @@ class JobJournal:
     ----------
     cache_dir:
         Parent cache directory (the journal lives in
-        ``<cache_dir>/service/journal/``).  Ignored when ``store`` is
-        given.  ``None`` keeps the journal memory-only — useful in tests,
-        pointless for durability.
-    store:
-        A pre-built :class:`~repro.runtime.store.CacheStore` to journal
-        through (the journal adopts its tiers as-is).
-    maxsize:
-        Memory-tier bound when the journal builds its own store.
+        ``<cache_dir>/service/journal.log``).  ``None`` keeps the journal
+        memory-only — useful in tests, pointless for durability.
 
     The journal is thread-safe: submissions arrive on the event loop,
     settlements from executor threads, recovery queries from anywhere.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        store: Optional[CacheStore] = None,
-        maxsize: int = 4096,
-    ) -> None:
-        if store is None:
-            store = CacheStore(
-                maxsize=maxsize,
-                cache_dir=cache_dir,
-                namespace=JOURNAL_NAMESPACE,
-                disk_maxsize=None,  # a journal must not evict live records
-            )
-        self._store = store
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self._lock = threading.Lock()
         self._records: Dict[int, dict] = {}
-        self._next = 1
-        self._load()
+        self._log = (
+            RecordLog(os.path.join(cache_dir, JOURNAL_LOG))
+            if cache_dir else None
+        )
+        highest = 0
+        if self._log is not None:
+            for key, value in self._log.replay().items():
+                if not (isinstance(key, int) and isinstance(value, dict)
+                        and value.get("id") == key):
+                    continue  # malformed record: treat like a corrupt frame
+                self._records[key] = value
+                highest = max(highest, key)
+        self._next = highest + 1
 
     @property
     def durable(self) -> bool:
         """Whether records reach disk (``False`` = memory-only journal)."""
-        return self._store.disk is not None
-
-    def _load(self) -> None:
-        """Populate the in-memory mirror from the store (corrupt ⇒ skip)."""
-        highest = 0
-        for key, value in self._store.items():
-            if not (
-                isinstance(key, tuple)
-                and len(key) == 2
-                and key[0] == "job"
-                and isinstance(key[1], int)
-            ):
-                continue
-            if not isinstance(value, dict) or value.get("id") != key[1]:
-                continue  # malformed record: treat like a corrupt entry
-            self._records[key[1]] = value
-            highest = max(highest, key[1])
-        self._next = highest + 1
+        return self._log is not None
 
     # ------------------------------------------------------------------
     # id allocation
@@ -161,35 +132,33 @@ class JobJournal:
         """
         circuits = list(circuits)
         options = dict(options or {})
-        recoverable = True
-        if self.durable and not _probe_picklable((circuits, backend, options)):
-            recoverable = False
         record = {
             "id": int(job_id),
             "job_id": f"svc-{int(job_id)}",
             "client": str(client),
             "weight": int(weight),
             "fingerprints": [_fingerprint(c) for c in circuits],
-            "circuits": circuits if recoverable else None,
-            "backend": backend if recoverable else repr(backend),
+            "circuits": circuits,
+            "backend": backend,
             "shots": shots,
             "seed": seed,
             "priority": int(priority),
-            "options": options if recoverable else {},
+            "options": options,
             "size": len(circuits),
             "submitted_at": time.time(),
             "settled": False,
             "status": "submitted",
-            "recoverable": recoverable,
+            "recoverable": True,
         }
-        with self._lock:
-            self._records[record["id"]] = record
-            self._next = max(self._next, record["id"] + 1)
-        # Chaos hook: an injected journal.write fault models a wedged
-        # disk at the worst moment — after the in-memory mirror updated,
-        # before the durable write.
-        faults.inject("journal.write")
-        self._store.store(("job", record["id"]), record)
+        frame = None
+        if self._log is not None:
+            try:
+                frame = encode(record["id"], record)
+            except Exception:
+                record.update(circuits=None, backend=repr(backend),
+                              options={}, recoverable=False)
+                frame = encode(record["id"], record)
+        self._commit(record, frame)
         return record
 
     def record_settlement(
@@ -217,38 +186,47 @@ class JobJournal:
             )
         with self._lock:
             record = self._records.get(int(job_id))
-            if record is None:
-                raise ServiceError(
-                    f"cannot settle unknown journal id {job_id!r}"
-                )
-            record = dict(record)
-            record["settled"] = True
-            record["status"] = status
-            record["settled_at"] = time.time()
-            record["counts"] = (
-                [dict(c) for c in counts] if counts is not None else None
-            )
-            record["shots_out"] = list(shots) if shots is not None else None
-            record["error"] = (
-                {"type": type(error).__name__, "message": str(error)}
-                if error is not None
-                else None
-            )
-            if trace is not None:
-                record["trace"] = trace
-            # Settled records no longer need their (potentially large)
-            # re-submission payload.
-            record["circuits"] = None
-            record["options"] = {}
-            if not isinstance(record["backend"], str):
-                record["backend"] = repr(record["backend"])
-            self._records[record["id"]] = record
-        # Chaos hook: a settlement-side journal.write fault is absorbed
-        # by the service's settlement-error accounting, never raised at
-        # a tenant.
-        faults.inject("journal.write")
-        self._store.store(("job", record["id"]), record)
+        if record is None:
+            raise ServiceError(f"cannot settle unknown journal id {job_id!r}")
+        record = dict(record)
+        record["settled"] = True
+        record["status"] = status
+        record["settled_at"] = time.time()
+        record["counts"] = (
+            [dict(c) for c in counts] if counts is not None else None
+        )
+        record["shots_out"] = list(shots) if shots is not None else None
+        record["error"] = (
+            {"type": type(error).__name__, "message": str(error)}
+            if error is not None
+            else None
+        )
+        if trace is not None:
+            record["trace"] = trace
+        # Settled records no longer need their (potentially large)
+        # re-submission payload.
+        record["circuits"] = None
+        record["options"] = {}
+        if not isinstance(record["backend"], str):
+            record["backend"] = repr(record["backend"])
+        frame = encode(record["id"], record) if self._log is not None else None
+        self._commit(record, frame)
         return record
+
+    def _commit(self, record: dict, frame: Optional[bytes]) -> None:
+        """Mirror ``record`` and append its ``frame`` (``None`` when
+        memory-only) in one critical section, so the log's order is the
+        mirror's.  An append that fails raises :class:`OSError`."""
+        with self._lock:
+            self._records[record["id"]] = record
+            self._next = max(self._next, record["id"] + 1)
+            # Chaos hook: an injected journal.write fault models a wedged
+            # disk at the worst moment — after the in-memory mirror
+            # updated, before the durable write.  The service rolls a
+            # submission back on it and counts a settlement's.
+            faults.inject("journal.write")
+            if frame is not None:
+                self._log.write(record["id"], frame)
 
     # ------------------------------------------------------------------
     # read path

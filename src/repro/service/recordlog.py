@@ -1,0 +1,220 @@
+"""Append-only record log: the on-disk format of the journal and ledgers.
+
+:class:`~repro.service.journal.JobJournal` and
+:class:`~repro.service.accounting.CostLedger` keep their live state in
+memory and make it durable by appending every change to one file, the
+classic log-structured write path.  A record costs one pickle and one
+``os.write`` on an ``O_APPEND`` descriptor; nothing is ever rewritten in
+place.
+
+Frame layout
+------------
+Each record is one frame: :data:`MAGIC`, the body length (8 bytes,
+little-endian), a 128-bit BLAKE2b digest of the body, then the body — the
+pickled ``(key, value)`` pair.
+
+Replay
+------
+:meth:`RecordLog.replay` reads the file front to back, last write per
+key wins, so the owner's mirror loads exactly as it was written.  Replay verifies every
+frame and never raises on bad bytes: a frame whose digest (or unpickle)
+fails is skipped and counted in :attr:`RecordLog.corrupt`, and scanning
+resumes at the next :data:`MAGIC`.  A frame cut short at the end of the
+file — the write a dying process never finished — is a torn tail: replay
+stops there, and later appends go after it (the next replay skips the torn
+bytes as one corrupt frame, and the next checkpoint drops them).
+
+Checkpoint
+----------
+When the file grows past twice its size at the last checkpoint (at least
+:data:`CHECKPOINT_FLOOR` bytes), the live frames — the last one per key —
+are copied to a temporary file that is ``os.replace``'d over the log, and
+the write descriptor moves to the new file, all under the log lock.  Owners overwrite keys rather than add them (a
+settlement replaces its submission; a ledger has one key per tenant), so
+the file stays within a constant factor of the live state.
+
+Crash model
+-----------
+Nothing is fsync'd.  A record whose ``os.write`` returned survives the
+death of the process (it is in the kernel's page cache), not a power
+loss or a kernel crash.  An append that fails raises :class:`OSError` to
+the owner; nothing is swallowed.  One process writes a log at a time: a
+checkpoint replaces the file, so a second writer's later appends would
+land in the unlinked copy.  Readers in other processes are safe — they see
+either the old file or the new one.
+
+Logs hold pickles, so they are trusted local state, like the cache
+directory they live in.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+import os
+import pickle
+import struct
+import threading
+import weakref
+from pathlib import Path
+from typing import Any, Dict, Hashable, Optional, Tuple
+
+logger = logging.getLogger(__name__)
+
+#: First bytes of every frame; bump the version byte for a new format.
+MAGIC = b"RLOG\x01\r\n\x1a"
+
+#: ``magic, body length, body digest`` in front of each body.
+HEADER = struct.Struct("<8sQ16s")
+
+#: A log smaller than this is never checkpointed.
+CHECKPOINT_FLOOR = 1 << 20
+
+
+def _digest(body) -> bytes:
+    return hashlib.blake2b(body, digest_size=16).digest()
+
+
+def encode(key: Hashable, value: Any) -> bytes:
+    """Return the frame for one ``(key, value)`` record.
+
+    Raises whatever :func:`pickle.dumps` raises for an unpicklable value,
+    so a caller can pickle once and fall back on failure.
+    """
+    body = pickle.dumps((key, value), pickle.HIGHEST_PROTOCOL)
+    return HEADER.pack(MAGIC, len(body), _digest(body)) + body
+
+
+class RecordLog:
+    """One append-only log file of keyed records.
+
+    Construct, call :meth:`replay` once to read the records back, then
+    :meth:`write` (or :meth:`append`) new ones.  Thread-safe: writes are
+    serialized by the log's own lock.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._fd: Optional[int] = None
+        #: Closes ``_fd`` at a checkpoint, or when the log is collected.
+        self._close_fd = None
+        #: Key -> ``(offset, length)`` of its live frame in the file.
+        self._index: Optional[Dict[Hashable, Tuple[int, int]]] = None
+        self._size = 0
+        self._checkpoint_size = 0
+        #: Frames replay skipped because they failed verification.
+        self.corrupt = 0
+
+    @property
+    def size(self) -> int:
+        """Bytes in the log file, as this writer knows it."""
+        return self._size
+
+    @property
+    def checkpoint_size(self) -> int:
+        """Bytes in the log right after the last checkpoint (or replay)."""
+        return self._checkpoint_size
+
+    def replay(self) -> Dict[Hashable, Any]:
+        """Read the log; return the last value written for each key."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        records: Dict[Hashable, Any] = {}
+        index: Dict[Hashable, Tuple[int, int]] = {}
+        corrupt = 0
+        pos, end = 0, len(data)
+        while pos < end:
+            stop = pos + HEADER.size
+            torn = stop > end
+            if not torn and data.startswith(MAGIC, pos):
+                _magic, length, digest = HEADER.unpack_from(data, pos)
+                torn = stop + length > end
+                body = data[stop:stop + length]
+                if not torn and _digest(body) == digest:
+                    try:
+                        key, value = pickle.loads(body)
+                    except Exception:
+                        pass  # a verified body this interpreter cannot load
+                    else:
+                        records[key] = value
+                        index[key] = (pos, stop + length - pos)
+                        pos = stop + length
+                        continue
+            resume = data.find(MAGIC, pos + 1)
+            if resume < 0 and torn:
+                break  # torn tail: the last write never finished
+            corrupt += 1
+            pos = end if resume < 0 else resume
+        with self._lock:
+            self._index = index
+            self._size = self._checkpoint_size = end
+            self.corrupt = corrupt
+        return records
+
+    def append(self, key: Hashable, value: Any) -> None:
+        """Encode and write one record."""
+        self.write(key, encode(key, value))
+
+    def write(self, key: Hashable, frame: bytes) -> None:
+        """Append a frame from :func:`encode`; raises :class:`OSError`.
+
+        Callers that need their own ordering (the journal updates its
+        mirror and writes under one lock) encode outside their lock and
+        call this inside it.
+        """
+        with self._lock:
+            if self._index is None:
+                raise RuntimeError("replay() the log before writing to it")
+            if self._fd is None:
+                self._fd = self._open()
+            written = 0
+            try:
+                while written < len(frame):
+                    written += os.write(self._fd, frame[written:])
+            finally:
+                self._size += written  # a torn frame still occupies bytes
+            self._index[key] = (self._size - len(frame), len(frame))
+            if self._size > max(2 * self._checkpoint_size, CHECKPOINT_FLOOR):
+                self._checkpoint()
+
+    def _open(self) -> int:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        self._close_fd = weakref.finalize(self, os.close, fd)
+        return fd
+
+    def _checkpoint(self) -> None:
+        """Rewrite the file as its live frames only (caller holds the lock).
+
+        A failure leaves the old file in place and is logged, not raised:
+        the append that triggered it already succeeded.  The next try
+        comes when the file has doubled again.
+        """
+        live = sorted(self._index.items(), key=lambda item: item[1][0])
+        temp = self.path.with_name(self.path.name + ".checkpoint")
+        index: Dict[Hashable, Tuple[int, int]] = {}
+        offset = 0
+        try:
+            data = memoryview(self.path.read_bytes())
+            with open(temp, "wb") as out:
+                for key, (start, length) in live:
+                    out.write(data[start:start + length])
+                    index[key] = (offset, length)
+                    offset += length
+            os.replace(temp, self.path)
+        except OSError as exc:
+            logger.warning("checkpoint of %s failed (%s: %s); keeping the "
+                           "full log", self.path, type(exc).__name__, exc)
+            self._checkpoint_size = self._size
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+            return
+        self._index = index
+        self._size = self._checkpoint_size = offset
+        self._close_fd()
+        self._fd = None  # the next write opens the new file

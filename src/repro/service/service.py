@@ -559,13 +559,13 @@ class RuntimeService:
         if journal is None:
             self.journal = JobJournal(cache_dir=resolved_dir) if resolved_dir else None
         else:
-            self.journal = journal or None  # False disables
+            self.journal = None if journal is False else journal
         if accounting is None:
             self.accounting = (
                 CostLedger(cache_dir=resolved_dir) if resolved_dir else None
             )
         else:
-            self.accounting = accounting or None  # False disables
+            self.accounting = None if accounting is False else accounting
         self.cost_weighted_shares = bool(cost_weighted_shares)
         if cost_model is not None:
             self._cost_model = cost_model

@@ -11,15 +11,15 @@ same ``$REPRO_CACHE_DIR`` and
 * re-runs the unsettled job exactly once, and
 * still honours the pre-restart bearer token (hashed records persist).
 
-A crash *mid-journal-write* is simulated by truncating entry files: the
-store's digest check must turn the torn record into a miss, never a
-crash (corruption-is-a-miss, inherited from PR 3).
+A crash *mid-journal-write* is simulated by tearing or corrupting frames
+of the journal's record log: replay's digest check must turn the damaged
+record into a miss, never a crash, and spare every other record.
 
 The drivers run through :func:`repro.runtime.harness.run_driver_process`
 — the same subprocess contract the persistence sweeps use.
 """
 
-import hashlib
+import pickle
 
 import pytest
 
@@ -27,6 +27,7 @@ from repro.circuits import library
 from repro.runtime import execute
 from repro.runtime.harness import run_driver_process
 from repro.service import JobJournal
+from repro.service.recordlog import HEADER, RecordLog
 
 #: Both executors the scheduler can fan out over; the service must be
 #: restart-durable regardless of which ran the pre-crash jobs.
@@ -167,20 +168,40 @@ def test_killed_service_recovers_bit_identically(tmp_path, executor):
     assert third["counts"] == reference
 
 
+def _frames(data):
+    """Yield ``(start, end, key, value)`` for each frame of an intact log."""
+    pos = 0
+    while pos < len(data):
+        _magic, length, _digest = HEADER.unpack_from(data, pos)
+        end = pos + HEADER.size + length
+        key, value = pickle.loads(data[pos + HEADER.size:end])
+        yield pos, end, key, value
+        pos = end
+
+
 def test_crash_mid_journal_write_is_a_miss_not_a_crash(tmp_path):
     first_life, _ = run_driver_process(
         _FIRST_LIFE, {"executor": "thread"}, cache_dir=tmp_path
     )
-    journal_dir = tmp_path / "service" / "journal"
-    entries = sorted(journal_dir.glob("*.entry"))
-    assert len(entries) == 3
-    # Simulate the crash landing mid-write: tear every record short.
-    # (Atomic rename makes this nearly impossible for the real store, but
-    # a dying disk or copied-around cache dir can still produce it.)
-    for entry in entries:
-        entry.write_bytes(entry.read_bytes()[:37])
+    log = tmp_path / "service" / "journal.log"
+    data = log.read_bytes()
+    frames = list(_frames(data))
+    # Two submissions, two settlements, then the third job's submission,
+    # the last write before the process died.
+    assert len(frames) == 5
+    start, end, key, record = frames[-1]
+    assert key == 3 and not record["settled"]
 
-    # Loading must not raise, and every torn record is simply gone.
+    # A crash mid-append tears the last frame: it is a miss and replay
+    # stops there, keeping everything before it.
+    log.write_bytes(data[:(start + end) // 2])
+    journal = JobJournal(cache_dir=str(tmp_path))
+    assert [r["id"] for r in journal.records()] == [1, 2]
+    assert all(r["settled"] for r in journal.records())
+
+    # Torn inside the very first frame: loading must not raise, and every
+    # record is simply gone.
+    log.write_bytes(data[:37])
     journal = JobJournal(cache_dir=str(tmp_path))
     assert len(journal) == 0
     assert journal.next_id() == 1
@@ -199,33 +220,43 @@ def test_single_torn_record_spares_the_rest(tmp_path):
     first_life, _ = run_driver_process(
         _FIRST_LIFE, {"executor": "thread"}, cache_dir=tmp_path
     )
-    journal_dir = tmp_path / "service" / "journal"
+    log = tmp_path / "service" / "journal.log"
     before = JobJournal(cache_dir=str(tmp_path))
     assert len(before) == 3
-    # Tear exactly the settled first job's record.
-    victim_key = ("job", 1)
-    digest = hashlib.sha256(repr(victim_key).encode()).hexdigest()[:48]
-    victim = journal_dir / f"{digest}.entry"
-    assert victim.exists()
-    victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+    # Corrupt exactly the settled first job's settlement frame.
+    data = bytearray(log.read_bytes())
+    (start, end), = [(start, end) for start, end, key, record
+                     in _frames(bytes(data))
+                     if key == 1 and record["settled"]]
+    data[(start + HEADER.size + end) // 2] ^= 0xFF
+    log.write_bytes(bytes(data))
 
+    replayed = RecordLog(log)
+    replayed.replay()
+    assert replayed.corrupt == 1  # skipped and counted, not a crash
     journal = JobJournal(cache_dir=str(tmp_path))
-    assert len(journal) == 2  # the miss, not a crash
-    assert journal.record(1) is None
-    assert journal.record(2) is not None
+    assert len(journal) == 3
+    # Job 1's submission frame survives, so it comes back unsettled.
+    assert journal.record(1)["settled"] is False
+    assert journal.record(2)["settled"] is True
     # Ids never collide with the survivors.
     assert journal.next_id() == 4
 
-    # Recovery over the remaining records still works end to end.
+    # Recovery over the remaining records still works end to end: job 2
+    # is restored, jobs 1 and 3 re-run, and job 1's re-run reproduces its
+    # pre-crash counts bit for bit.
     second_life, _ = run_driver_process(
         _SECOND_LIFE,
-        {"executor": "thread", "job_ids": [first_life["second"]["id"]],
+        {"executor": "thread",
+         "job_ids": [first_life["first"]["id"], first_life["second"]["id"]],
          "token": "alice-token"},
         cache_dir=tmp_path,
     )
-    assert second_life["summary"]["restored"] == 1
-    assert second_life["summary"]["resubmitted"] == 1
-    assert (
-        second_life["jobs"][first_life["second"]["id"]]["counts"]
-        == first_life["second"]["counts"]
-    )
+    assert second_life["summary"] == {
+        "restored": 1, "resubmitted": 2, "skipped": 0,
+    }
+    jobs = second_life["jobs"]
+    for key, kind in (("first", "ServiceJob"), ("second", "RecoveredJob")):
+        job = jobs[first_life[key]["id"]]
+        assert job["type"] == kind
+        assert job["counts"] == first_life[key]["counts"]

@@ -524,3 +524,25 @@ class TestWireHappyPath:
             sock.sendall(b"NOT A VALID REQUEST\r\n\r\n")
             data = sock.recv(4096)
         assert b"400" in data.split(b"\r\n", 1)[0]
+
+
+class TestShutdown:
+    def test_stop_with_connected_client_logs_no_error(self, caplog):
+        """A client still holding its keep-alive connection when the
+        server stops used to leave a cancelled handler task behind, which
+        asyncio reported as an ERROR with a CancelledError traceback."""
+        import logging
+
+        service = RuntimeService(executor="thread", journal=False,
+                                 accounting=False)
+        with caplog.at_level(logging.ERROR):
+            background = BackgroundServer(service).start()
+            client = ServiceClient(background.url)
+            try:
+                job_id = client.submit(measured_bell(), "statevector",
+                                       shots=16, seed=1)
+                assert sum(client.counts(job_id)[0].values()) == 16
+                background.stop()
+            finally:
+                client.close()
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []

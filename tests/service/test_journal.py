@@ -205,6 +205,23 @@ class TestServiceRecovery:
         assert status == "failed"
         assert failure is not None and "restart" in failure
 
+    def test_explicit_empty_journal_is_kept(self, tmp_path):
+        """A fresh journal has ``len() == 0``; the service used to test
+        its truthiness and silently run without it."""
+        journal = JobJournal(cache_dir=str(tmp_path))
+
+        async def live():
+            service = RuntimeService(journal=journal, accounting=False)
+            assert service.journal is journal
+            job = await service.submit(measured_bell(), "statevector",
+                                       shots=64, seed=0)
+            await job.wait()
+            await service.close()
+            return job.job_id
+
+        job_id = run(live())
+        assert journal.record(int(job_id.split("-")[1]))["job_id"] == job_id
+
     def test_journal_false_disables_durability(self, tmp_path):
         async def live():
             service = RuntimeService(
