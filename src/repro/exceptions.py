@@ -212,6 +212,17 @@ class UnknownJob(ServiceError):
         self.job_id = job_id
 
 
+class JobExpired(UnknownJob):
+    """Raised for a settled job id the service has let go of.
+
+    A service keeps a settled handle in memory only until its journal
+    holds the settlement; a journal-less service keeps just its most
+    recent settled handles.  An older id with no journal to answer for it
+    has expired: it did exist, unlike an :class:`UnknownJob`, which this
+    subclasses so code that handles unknown ids keeps working.
+    """
+
+
 class ScopeDenied(ServiceError):
     """Raised when an authenticated token lacks the scope an API requires.
 

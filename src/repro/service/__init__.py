@@ -12,10 +12,13 @@ and its scheduler's :mod:`repro.obs.metrics` instruments — the same
 numbers ``GET /v1/metrics`` exposes.
 
 The service is restart-durable: every submission and settlement is
-write-ahead-journaled through a disk-backed store
+write-ahead-journaled to an append-only record log
 (:mod:`repro.service.journal`), so a restarted service still answers
 ``status()``/``result()``/``counts()`` for pre-restart ``svc-N`` ids and
-re-runs unsettled work via :meth:`RuntimeService.recover`.  Settled jobs
+re-runs unsettled work via :meth:`RuntimeService.recover`.  The journal
+is also where a settled job lives while the service runs: once its
+settlement is journaled the in-memory handle goes, so memory is bounded
+by the work in flight, not by history.  Settled jobs
 charge per-tenant cost ledgers (:mod:`repro.service.accounting`) that
 can feed back into fair-share weights.
 
@@ -33,6 +36,7 @@ counts, Server-Sent completion events) and
 
 from repro.exceptions import (
     CircuitOpen,
+    JobExpired,
     QueueTimeout,
     RegistrationConflict,
     ScopeDenied,
@@ -69,6 +73,7 @@ __all__ = [
     "ClientQuota",
     "CostLedger",
     "DEFAULT_SCOPES",
+    "JobExpired",
     "JobJournal",
     "OVER_QUOTA_POLICIES",
     "QueueTimeout",

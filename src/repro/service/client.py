@@ -34,6 +34,7 @@ from repro.circuits.qasm import circuit_to_qasm
 from repro.exceptions import (
     CircuitOpen,
     JobError,
+    JobExpired,
     QasmError,
     QueueTimeout,
     ScopeDenied,
@@ -102,6 +103,7 @@ _REBUILDERS = {
     "QueueTimeout": _rebuild_queue_timeout,
     "AuthenticationError": lambda m, i, h: AuthenticationError(m),
     "UnknownJob": lambda m, i, h: UnknownJob(m, job_id=i.get("job_id", "")),
+    "JobExpired": lambda m, i, h: JobExpired(m, job_id=i.get("job_id", "")),
     "QasmError": lambda m, i, h: QasmError(m),
     "ValueError": lambda m, i, h: ValueError(m),
     "TypeError": lambda m, i, h: TypeError(m),

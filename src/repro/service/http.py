@@ -71,6 +71,7 @@ from repro.exceptions import (
     CircuitError,
     CircuitOpen,
     JobError,
+    JobExpired,
     ProviderError,
     QasmError,
     QueueTimeout,
@@ -94,6 +95,7 @@ ERROR_STATUS: Tuple[Tuple[type, int], ...] = (
     (CircuitOpen, 503),        # + Retry-After from the breaker cooldown
     (AuthenticationError, 401),
     (ScopeDenied, 403),
+    (JobExpired, 404),
     (UnknownJob, 404),
     (QueueTimeout, 504),
     (QasmError, 400),         # unparsable circuit payload

@@ -8,9 +8,13 @@ recorded when the service observes it, both appended as frames to one
 :class:`~repro.service.recordlog.RecordLog` at
 ``<cache_dir>/service/journal.log``.
 
-A restarted service loads the journal and can then
+The journal is where a settled job lives.  A durable journal keeps only
+its *unsettled* records in memory; a settled record is read back from
+the log on demand (:meth:`RecordLog.read`: one ``os.pread``), so memory
+grows with the work in flight, not with history.  A service — restarted,
+or one that has simply let go of a settled handle — can then
 
-* answer ``status()``/``result()``/``counts()`` for settled pre-restart
+* answer ``status()``/``result()``/``counts()``/``trace()`` for settled
   jobs — counts come back bit-identical because they are the journaled
   counts themselves, and
 * re-submit journaled-but-unsettled jobs (write-ahead means a crash
@@ -67,7 +71,8 @@ class JobJournal:
     cache_dir:
         Parent cache directory (the journal lives in
         ``<cache_dir>/service/journal.log``).  ``None`` keeps the journal
-        memory-only — useful in tests, pointless for durability.
+        memory-only — every record in a mirror, useful in tests,
+        pointless for durability.
 
     The journal is thread-safe: submissions arrive on the event loop,
     settlements from executor threads, recovery queries from anywhere.
@@ -75,6 +80,8 @@ class JobJournal:
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self._lock = threading.Lock()
+        #: id -> record: every record when memory-only, only the unsettled
+        #: ones when durable (settled ones are read back from the log).
         self._records: Dict[int, dict] = {}
         self._log = (
             RecordLog(os.path.join(cache_dir, JOURNAL_LOG))
@@ -85,8 +92,11 @@ class JobJournal:
             for key, value in self._log.replay().items():
                 if not (isinstance(key, int) and isinstance(value, dict)
                         and value.get("id") == key):
-                    continue  # malformed record: treat like a corrupt frame
-                self._records[key] = value
+                    # Malformed record: treat like a corrupt frame.
+                    self._log.discard(key)
+                    continue
+                if not value["settled"]:
+                    self._records[key] = value
                 highest = max(highest, key)
         self._next = highest + 1
 
@@ -169,26 +179,27 @@ class JobJournal:
         shots: Optional[List[int]] = None,
         error: Optional[BaseException] = None,
         trace: Optional[dict] = None,
+        metadata: Optional[List[dict]] = None,
     ) -> dict:
         """Record a job's terminal outcome; returns the updated record.
 
         ``counts`` is one plain ``{bitstring: occurrences}`` dict per
-        circuit (only for ``status="done"``); ``error`` is journaled as
-        ``{"type", "message"}`` so a restarted service can re-raise a
-        meaningful failure.  ``trace`` is the submission's finished span
-        tree (JSON-safe dicts) — journaling it lets a restarted service
-        answer ``/v1/jobs/{id}/trace`` for pre-restart ids.
+        circuit (only for ``status="done"``), ``metadata`` the matching
+        result metadata; ``error`` is journaled as ``{"type",
+        "message"}`` so a restarted service can re-raise a meaningful
+        failure.  ``trace`` is the submission's finished span tree
+        (JSON-safe dicts) — journaling it lets the service answer
+        ``/v1/jobs/{id}/trace`` once the live handle is gone.  Metadata
+        that does not pickle is dropped rather than failing the record.
         """
         if status not in SETTLED_STATUSES:
             raise ServiceError(
                 f"unknown settlement status {status!r}; valid: "
                 f"{', '.join(SETTLED_STATUSES)}"
             )
-        with self._lock:
-            record = self._records.get(int(job_id))
+        record = self.record(job_id)
         if record is None:
             raise ServiceError(f"cannot settle unknown journal id {job_id!r}")
-        record = dict(record)
         record["settled"] = True
         record["status"] = status
         record["settled_at"] = time.time()
@@ -203,50 +214,88 @@ class JobJournal:
         )
         if trace is not None:
             record["trace"] = trace
+        if metadata is not None:
+            record["metadata"] = [dict(m) for m in metadata]
         # Settled records no longer need their (potentially large)
         # re-submission payload.
         record["circuits"] = None
         record["options"] = {}
         if not isinstance(record["backend"], str):
             record["backend"] = repr(record["backend"])
-        frame = encode(record["id"], record) if self._log is not None else None
+        frame = None
+        if self._log is not None:
+            try:
+                frame = encode(record["id"], record)
+            except Exception:
+                record.pop("metadata", None)
+                frame = encode(record["id"], record)
         self._commit(record, frame)
         return record
 
     def _commit(self, record: dict, frame: Optional[bytes]) -> None:
-        """Mirror ``record`` and append its ``frame`` (``None`` when
-        memory-only) in one critical section, so the log's order is the
-        mirror's.  An append that fails raises :class:`OSError`."""
+        """Append ``record``'s ``frame`` (``None`` when memory-only), then
+        mirror it, in one critical section, so the log's order is the
+        mirror's and the mirror never claims what the log does not hold.
+        A durable journal stops mirroring a record once it is settled.
+        An append that fails raises :class:`OSError`."""
+        job_id = record["id"]
         with self._lock:
-            self._records[record["id"]] = record
-            self._next = max(self._next, record["id"] + 1)
+            self._next = max(self._next, job_id + 1)
             # Chaos hook: an injected journal.write fault models a wedged
-            # disk at the worst moment — after the in-memory mirror
-            # updated, before the durable write.  The service rolls a
-            # submission back on it and counts a settlement's.
+            # disk.  The service rolls a submission back on it and counts
+            # a settlement's; either way the record keeps its last
+            # durable state.
             faults.inject("journal.write")
             if frame is not None:
-                self._log.write(record["id"], frame)
+                self._log.write(job_id, frame)
+            if record["settled"] and self._log is not None:
+                self._records.pop(job_id, None)
+            else:
+                self._records[job_id] = record
 
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
 
     def record(self, job_id: int) -> Optional[dict]:
-        """Return a copy of the record for ``job_id`` (or ``None``)."""
+        """Return a copy of the record for ``job_id`` (or ``None``).
+
+        A durable journal reads a settled record back from the log; a
+        frame that fails verification is a miss.
+        """
+        job_id = int(job_id)
         with self._lock:
-            record = self._records.get(int(job_id))
-            return dict(record) if record is not None else None
+            record = self._records.get(job_id)
+            if record is not None or self._log is None:
+                return dict(record) if record is not None else None
+        return self._log.read(job_id)
+
+    def ids(self) -> List[int]:
+        """Return every journaled id, ascending."""
+        if self._log is not None:
+            return sorted(self._log.keys())
+        with self._lock:
+            return sorted(self._records)
 
     def records(self) -> List[dict]:
-        """Return copies of every record, ordered by id."""
-        with self._lock:
-            return [dict(self._records[i]) for i in sorted(self._records)]
+        """Return copies of every record, ordered by id (a durable journal
+        reads each settled one back from the log)."""
+        records = (self.record(job_id) for job_id in self.ids())
+        return [record for record in records if record is not None]
 
     def unsettled(self) -> List[dict]:
-        """Return copies of journaled-but-unsettled records, by id."""
-        return [r for r in self.records() if not r["settled"]]
+        """Return copies of journaled-but-unsettled records, by id.
+
+        Reads only the in-memory mirror: O(in-flight) for a durable
+        journal, which mirrors nothing else.
+        """
+        with self._lock:
+            return [dict(self._records[i]) for i in sorted(self._records)
+                    if not self._records[i]["settled"]]
 
     def __len__(self) -> int:
+        """Records in the journal (the log's index when durable)."""
+        if self._log is not None:
+            return len(self._log)
         with self._lock:
             return len(self._records)

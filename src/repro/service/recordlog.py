@@ -1,11 +1,13 @@
 """Append-only record log: the on-disk format of the journal and ledgers.
 
 :class:`~repro.service.journal.JobJournal` and
-:class:`~repro.service.accounting.CostLedger` keep their live state in
-memory and make it durable by appending every change to one file, the
-classic log-structured write path.  A record costs one pickle and one
-``os.write`` on an ``O_APPEND`` descriptor; nothing is ever rewritten in
-place.
+:class:`~repro.service.accounting.CostLedger` make their state durable by
+appending every change to one file, the classic log-structured write
+path.  A record costs one pickle and one ``os.write`` on an ``O_APPEND``
+descriptor; nothing is ever rewritten in place.  The log keeps an index
+of each key's live frame, so an owner need not keep every value in
+memory: :meth:`RecordLog.read` fetches one record back with a single
+``os.pread``.
 
 Frame layout
 ------------
@@ -24,14 +26,24 @@ file — the write a dying process never finished — is a torn tail: replay
 stops there, and later appends go after it (the next replay skips the torn
 bytes as one corrupt frame, and the next checkpoint drops them).
 
+Read
+----
+:meth:`RecordLog.read` verifies the one frame it fetches as replay
+does; a frame that fails is a miss (``None``, counted in
+:attr:`RecordLog.corrupt`), never a crash.
+
 Checkpoint
 ----------
 When the file grows past twice its size at the last checkpoint (at least
 :data:`CHECKPOINT_FLOOR` bytes), the live frames — the last one per key —
 are copied to a temporary file that is ``os.replace``'d over the log, and
-the write descriptor moves to the new file, all under the log lock.  Owners overwrite keys rather than add them (a
-settlement replaces its submission; a ledger has one key per tenant), so
-the file stays within a constant factor of the live state.
+the descriptor moves to the new file, all under the log lock.  The copy
+streams runs of adjacent live frames file to file (``os.copy_file_range``
+where the platform has it, else bounded ``os.pread``/``os.write``
+chunks), so a checkpoint's memory does not grow with the log.  Owners
+overwrite keys rather than add them (a settlement replaces its
+submission; a ledger has one key per tenant), so the file stays within a
+constant factor of the live state.
 
 Crash model
 -----------
@@ -70,9 +82,45 @@ HEADER = struct.Struct("<8sQ16s")
 #: A log smaller than this is never checkpointed.
 CHECKPOINT_FLOOR = 1 << 20
 
+#: Largest buffer a checkpoint copies through user space at once.
+COPY_CHUNK = 1 << 20
+
 
 def _digest(body) -> bytes:
     return hashlib.blake2b(body, digest_size=16).digest()
+
+
+def _decode(frame: bytes) -> Optional[Tuple[Hashable, Any]]:
+    """Return the ``(key, value)`` of one whole frame, or ``None`` if it
+    fails verification."""
+    if len(frame) < HEADER.size or not frame.startswith(MAGIC):
+        return None
+    _magic, length, digest = HEADER.unpack_from(frame)
+    body = memoryview(frame)[HEADER.size:]
+    if len(body) != length or _digest(body) != digest:
+        return None
+    try:
+        return pickle.loads(body)
+    except Exception:
+        return None  # a verified body this interpreter cannot load
+
+
+def _copy(src: int, dst: int, offset: int, length: int) -> None:
+    """Append ``length`` bytes of ``src`` at ``offset`` to ``dst``."""
+    while length:
+        copied = 0
+        if hasattr(os, "copy_file_range"):
+            try:
+                copied = os.copy_file_range(src, dst, length, offset)
+            except OSError:
+                pass  # unsupported here (filesystem, kernel): copy by hand
+        if not copied:
+            chunk = os.pread(src, min(length, COPY_CHUNK), offset)
+            if not chunk:
+                raise OSError(f"log ended {length} bytes short of its index")
+            copied = os.write(dst, chunk)
+        offset += copied
+        length -= copied
 
 
 def encode(key: Hashable, value: Any) -> bytes:
@@ -89,14 +137,17 @@ class RecordLog:
     """One append-only log file of keyed records.
 
     Construct, call :meth:`replay` once to read the records back, then
-    :meth:`write` (or :meth:`append`) new ones.  Thread-safe: writes are
-    serialized by the log's own lock.
+    :meth:`write` (or :meth:`append`) new ones and :meth:`read` any live
+    one back.  Thread-safe: reads and writes are serialized by the log's
+    own lock.
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        #: One read-write ``O_APPEND`` descriptor: appends go to the end,
+        #: :meth:`read` uses ``os.pread``.
         self._fd: Optional[int] = None
         #: Closes ``_fd`` at a checkpoint, or when the log is collected.
         self._close_fd = None
@@ -117,6 +168,22 @@ class RecordLog:
         """Bytes in the log right after the last checkpoint (or replay)."""
         return self._checkpoint_size
 
+    def __len__(self) -> int:
+        """Keys with a live frame in the log."""
+        with self._lock:
+            return len(self._index or ())
+
+    def keys(self) -> list:
+        """The keys with a live frame, in no particular order."""
+        with self._lock:
+            return list(self._index or ())
+
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` from the index; the next checkpoint drops its frame."""
+        with self._lock:
+            if self._index is not None:
+                self._index.pop(key, None)
+
     def replay(self) -> Dict[Hashable, Any]:
         """Read the log; return the last value written for each key."""
         try:
@@ -131,19 +198,15 @@ class RecordLog:
             stop = pos + HEADER.size
             torn = stop > end
             if not torn and data.startswith(MAGIC, pos):
-                _magic, length, digest = HEADER.unpack_from(data, pos)
+                length = HEADER.unpack_from(data, pos)[1]
                 torn = stop + length > end
-                body = data[stop:stop + length]
-                if not torn and _digest(body) == digest:
-                    try:
-                        key, value = pickle.loads(body)
-                    except Exception:
-                        pass  # a verified body this interpreter cannot load
-                    else:
-                        records[key] = value
-                        index[key] = (pos, stop + length - pos)
-                        pos = stop + length
-                        continue
+                record = None if torn else _decode(data[pos:stop + length])
+                if record is not None:
+                    key, value = record
+                    records[key] = value
+                    index[key] = (pos, stop + length - pos)
+                    pos = stop + length
+                    continue
             resume = data.find(MAGIC, pos + 1)
             if resume < 0 and torn:
                 break  # torn tail: the last write never finished
@@ -158,6 +221,28 @@ class RecordLog:
     def append(self, key: Hashable, value: Any) -> None:
         """Encode and write one record."""
         self.write(key, encode(key, value))
+
+    def read(self, key: Hashable) -> Any:
+        """Return the live value for ``key``, or ``None`` on a miss.
+
+        One ``os.pread`` of the indexed frame, verified like replay: a
+        frame whose bytes fail is a miss, counted in :attr:`corrupt`.
+        """
+        with self._lock:
+            if self._index is None:
+                raise RuntimeError("replay() the log before reading from it")
+            entry = self._index.get(key)
+            if entry is None:
+                return None
+            if self._fd is None:
+                self._fd = self._open()
+            frame = os.pread(self._fd, entry[1], entry[0])
+        record = _decode(frame)
+        if record is None or record[0] != key:
+            with self._lock:
+                self.corrupt += 1
+            return None
+        return record[1]
 
     def write(self, key: Hashable, frame: bytes) -> None:
         """Append a frame from :func:`encode`; raises :class:`OSError`.
@@ -182,7 +267,7 @@ class RecordLog:
                 self._checkpoint()
 
     def _open(self) -> int:
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
         self._close_fd = weakref.finalize(self, os.close, fd)
         return fd
 
@@ -198,12 +283,20 @@ class RecordLog:
         index: Dict[Hashable, Tuple[int, int]] = {}
         offset = 0
         try:
-            data = memoryview(self.path.read_bytes())
-            with open(temp, "wb") as out:
+            out = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            try:
+                # Copy each run of adjacent live frames in one go.
+                run_start = run_end = 0
                 for key, (start, length) in live:
-                    out.write(data[start:start + length])
+                    if start != run_end:
+                        _copy(self._fd, out, run_start, run_end - run_start)
+                        run_start = start
+                    run_end = start + length
                     index[key] = (offset, length)
                     offset += length
+                _copy(self._fd, out, run_start, run_end - run_start)
+            finally:
+                os.close(out)
             os.replace(temp, self.path)
         except OSError as exc:
             logger.warning("checkpoint of %s failed (%s: %s); keeping the "

@@ -37,11 +37,19 @@ Design rules:
   stack, so a seeded submission's counts are bit-identical to calling
   :func:`repro.runtime.execute.execute` directly
   (``tests/service/test_service.py`` pins it).
+* **Bounded memory.**  The service holds a handle only while something
+  still needs it: a job in flight, or a settled job whose outcome nothing
+  else can answer for.  Once the journal holds a job's settlement the
+  handle goes, and :meth:`RuntimeService.job` answers that id from the
+  journal — the same lookup a restart uses.  Without a journal the last
+  :data:`RECENT_SETTLED_JOBS` settled handles stay; older ids raise
+  :class:`~repro.exceptions.JobExpired`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import functools
 import itertools
 import logging
@@ -51,6 +59,7 @@ from typing import AsyncIterator, Dict, List, Optional
 
 from repro.exceptions import (
     JobError,
+    JobExpired,
     QueueTimeout,
     ScopeDenied,
     ServiceError,
@@ -77,6 +86,11 @@ logger = logging.getLogger("repro.service")
 #: Batch states in which a handle's work is finished even if the
 #: settlement callback has not reached the event loop yet.
 _TERMINAL_STATUSES = ("done", "failed", "dropped", "cancelled")
+
+#: Settled handles a service keeps when its journal does not hold their
+#: settlement (no journal, or the write failed); past this many newer
+#: ones, such an id raises :class:`~repro.exceptions.JobExpired`.
+RECENT_SETTLED_JOBS = 256
 
 #: Fallback id source for journal-less services.  A journaled service
 #: allocates ids from the journal instead, so they stay monotonic across
@@ -279,22 +293,27 @@ class ServiceJob:
 
 
 class RecoveredJob:
-    """A settled pre-restart job, reconstructed from its journal record.
+    """A settled job served from its journal record.
 
-    Mirrors the terminal slice of the :class:`ServiceJob` interface —
-    ``status``/``done``/``wait``/``result``/``counts``/``cancel`` — so
-    tenants polling a ``svc-N`` id across a service restart cannot tell
-    the difference.  Counts come straight from the journal, so they are
-    bit-identical to what the pre-restart service computed; failures
-    re-raise with the journaled type name and message.
+    What :meth:`RuntimeService.job` returns for a settled id it holds no
+    live handle for — after a restart, or once the service has let the
+    handle go.  Mirrors the terminal slice of the :class:`ServiceJob`
+    interface — ``status``/``done``/``wait``/``result``/``counts``/
+    ``trace``/``cancel`` — so tenants polling a ``svc-N`` id cannot tell
+    the difference.  Counts, result metadata and the trace come straight
+    from the journal, so they equal what the live handle returned; only
+    a job ``restored`` across a restart marks its results' metadata
+    ``recovered``.  Failures re-raise with the journaled type name and
+    message.
     """
 
-    def __init__(self, record: dict) -> None:
+    def __init__(self, record: dict, restored: bool = True) -> None:
         self.journal_id = record["id"]
         self.job_id = record["job_id"]
         self.client = record["client"]
         self.size = record.get("size", len(record.get("fingerprints") or []))
         self._record = record
+        self._restored = restored
 
     def status(self) -> str:
         return self._record["status"]
@@ -309,12 +328,12 @@ class RecoveredJob:
         return self
 
     def trace(self) -> dict:
-        """Return the journaled trace span tree for this pre-restart id.
+        """Return the journaled trace span tree for this id.
 
-        The pre-restart service journaled the finished tree at settlement
-        where it could; records settled without one (older journals,
-        tracing disabled, crash before settlement) degrade to a stub
-        built from the journaled submit/settle wall-clock timestamps.
+        The service journaled the finished tree at settlement where it
+        could; records settled without one (older journals, tracing
+        disabled, crash before settlement) degrade to a stub built from
+        the journaled submit/settle wall-clock timestamps.
         """
         trace = self._record.get("trace")
         if trace is not None:
@@ -332,7 +351,7 @@ class RecoveredJob:
                 "job_id": self.job_id,
                 "client": self.client,
                 "status": record["status"],
-                "recovered": True,
+                "recovered": self._restored,
                 "traced": False,
             },
             "children": [],
@@ -350,13 +369,14 @@ class RecoveredJob:
             shots = record.get("shots_out") or [
                 sum(c.values()) for c in counts
             ]
+            metadata = record.get("metadata") or [{} for _ in counts]
+            marker = (
+                {"recovered": True, "job_id": self.job_id}
+                if self._restored else {}
+            )
             return [
-                Result(
-                    counts=Counts(c),
-                    shots=n,
-                    metadata={"recovered": True, "job_id": self.job_id},
-                )
-                for c, n in zip(counts, shots)
+                Result(counts=Counts(c), shots=n, metadata={**m, **marker})
+                for c, n, m in zip(counts, shots, metadata)
             ]
         error = record.get("error") or {}
         message = (
@@ -599,7 +619,16 @@ class RuntimeService:
         self._sleep = sleep
         self._lock = threading.Lock()
         self._clients: Dict[str, _ServiceClient] = {}
-        self._jobs: Dict[str, object] = {}  # job_id -> ServiceJob/RecoveredJob
+        # Live handles, plus settled ones the journal cannot answer for;
+        # ``_recent`` orders the latter for expiry (see _retire).
+        self._jobs: Dict[str, ServiceJob] = {}
+        self._recent: collections.deque = collections.deque()
+        self._expired_through = 0  # newest journal id expired from _jobs
+        # Journal ids at or above this one are known to this life: its own
+        # submissions, or records recover() already handled (``None``:
+        # none yet).
+        self._known_from: Optional[int] = None
+        self._started_wall = time.time()
         self._backend_cache: Dict[str, object] = {}  # spec -> resolved backend
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._settlement_warned: set = set()  # (stage, exc type) seen
@@ -639,7 +668,8 @@ class RuntimeService:
                       help="Seconds since the service started",
                       fn=lambda: clock() - started)
         metrics.gauge("repro_service_known_jobs",
-                      help="Job ids this service answers for",
+                      help="Job handles held in memory: live jobs plus "
+                           "settled ones the journal cannot answer for",
                       fn=functools.partial(len, self._jobs))
         metrics.gauge("repro_service_clients",
                       help="Clients with service-side state",
@@ -885,11 +915,12 @@ class RuntimeService:
                     await state.condition.wait()
         if admission_span is not None:
             admission_span.finish()
-        numeric_id = (
-            self.journal.next_id()
-            if self.journal is not None
-            else next(_service_job_counter)
-        )
+        if self.journal is not None:
+            numeric_id = self.journal.next_id()
+            if self._known_from is None:
+                self._known_from = numeric_id
+        else:
+            numeric_id = next(_service_job_counter)
         circuit_list = (
             [circuits] if isinstance(circuits, QuantumCircuit) else circuits
         )
@@ -1045,8 +1076,29 @@ class RuntimeService:
                 )
             except RuntimeError:
                 self._finalize_trace(handle, status)
+                self._retire(handle, journaled=False)
         else:
             self._finalize_trace(handle, status)
+            self._retire(handle, journaled=False)
+
+    def _retire(self, handle: ServiceJob, journaled: bool) -> None:
+        """Let go of a settled handle.
+
+        At once when the journal holds its settlement (:meth:`job` then
+        answers from the journal); otherwise once
+        :data:`RECENT_SETTLED_JOBS` newer such handles have settled, after
+        which the id raises :class:`~repro.exceptions.JobExpired`.
+        """
+        with self._lock:
+            if journaled:
+                self._jobs.pop(handle.job_id, None)
+                return
+            self._recent.append(handle)
+            while len(self._recent) > RECENT_SETTLED_JOBS:
+                expired = self._recent.popleft()
+                self._jobs.pop(expired.job_id, None)
+                self._expired_through = max(self._expired_through,
+                                            expired.journal_id)
 
     def _finalize_trace(self, handle: ServiceJob, terminal: str):
         """Close the handle's settle and root spans; return the tree.
@@ -1083,31 +1135,37 @@ class RuntimeService:
         (``stats()["settlement_errors"]``) and logged once per failure
         class via :meth:`_note_settlement_error`.
         """
-        counts = shots_out = None
-        if terminal == "done":
-            try:
-                results = handle.batch._jobset.result()
-            except Exception as exc:
-                self._note_settlement_error("collect", handle, exc)
-                self._finalize_trace(handle, terminal)
-                return
-            counts = [dict(r.counts) for r in results]
-            shots_out = [r.shots for r in results]
-        trace = self._finalize_trace(handle, terminal)
-        if self.journal is not None:
-            try:
-                self.journal.record_settlement(
-                    handle.journal_id, terminal,
-                    counts=counts, shots=shots_out, error=error,
-                    trace=trace,
-                )
-            except Exception as exc:
-                self._note_settlement_error("journal", handle, exc)
-        if terminal == "done" and self.accounting is not None:
-            try:
-                self._charge(handle)
-            except Exception as exc:
-                self._note_settlement_error("ledger", handle, exc)
+        journaled = False
+        try:
+            counts = shots_out = metadata = None
+            if terminal == "done":
+                try:
+                    results = handle.batch._jobset.result()
+                except Exception as exc:
+                    self._note_settlement_error("collect", handle, exc)
+                    self._finalize_trace(handle, terminal)
+                    return
+                counts = [dict(r.counts) for r in results]
+                shots_out = [r.shots for r in results]
+                metadata = [r.metadata for r in results]
+            trace = self._finalize_trace(handle, terminal)
+            if self.journal is not None:
+                try:
+                    self.journal.record_settlement(
+                        handle.journal_id, terminal,
+                        counts=counts, shots=shots_out, error=error,
+                        trace=trace, metadata=metadata,
+                    )
+                    journaled = True
+                except Exception as exc:
+                    self._note_settlement_error("journal", handle, exc)
+            if terminal == "done" and self.accounting is not None:
+                try:
+                    self._charge(handle)
+                except Exception as exc:
+                    self._note_settlement_error("ledger", handle, exc)
+        finally:
+            self._retire(handle, journaled)
 
     def _note_settlement_error(self, stage: str, handle: ServiceJob,
                                exc: Exception) -> None:
@@ -1234,10 +1292,9 @@ class RuntimeService:
     async def recover(self) -> dict:
         """Restore journaled jobs after a restart; returns what happened.
 
-        Settled records become :class:`RecoveredJob` handles — their
-        ``status()``/``result()``/``counts()`` answer for the pre-restart
-        ``svc-N`` ids, counts bit-identical because they *are* the
-        journaled counts.  Journaled-but-unsettled records are
+        Settled records need nothing: :meth:`job` answers their pre-restart
+        ``svc-N`` ids from the journal, counts bit-identical because they
+        *are* the journaled counts.  Journaled-but-unsettled records are
         re-submitted to the scheduler exactly once (write-ahead means the
         original run may or may not have started; re-running is safe
         because counts are a pure function of circuit/backend/shots/seed
@@ -1245,39 +1302,39 @@ class RuntimeService:
         Unsettled records whose payload did not survive pickling are
         settled as failed instead of silently dropped.
 
-        Idempotent: ids already known to this service are skipped, so a
-        second ``recover()`` is a no-op.  Returns
+        Idempotent: ids already known to this service — its own
+        submissions, and every record an earlier ``recover()`` handled —
+        are skipped, so a second ``recover()`` is a no-op.  Returns
         ``{"restored": n, "resubmitted": n, "skipped": n}``.
         """
         loop = self._bind_loop()
         summary = {"restored": 0, "resubmitted": 0, "skipped": 0}
         if self.journal is None:
             return summary
-        for record in self.journal.records():
-            job_id = record["job_id"]
-            with self._lock:
-                if job_id in self._jobs:
-                    summary["skipped"] += 1
-                    continue
-            if record["settled"]:
-                with self._lock:
-                    self._jobs[job_id] = RecoveredJob(record)
-                summary["restored"] += 1
-                continue
-            if not record.get("recoverable", False):
-                updated = self.journal.record_settlement(
-                    record["id"], "failed",
+        # Claim every earlier record up front: should a re-submission
+        # raise, the rest stay journaled for the next life instead of
+        # risking a second run in this one.
+        known_from, self._known_from = self._known_from, 0
+        unsettled = {record["id"]: record
+                     for record in self.journal.unsettled()}
+        for job_id in self.journal.ids():
+            record = unsettled.get(job_id)
+            if known_from is not None and job_id >= known_from:
+                summary["skipped"] += 1
+            elif record is None:
+                summary["restored"] += 1  # settled: the journal answers
+            elif not record.get("recoverable", False):
+                self.journal.record_settlement(
+                    job_id, "failed",
                     error=ServiceError(
                         "journaled submission did not survive the restart "
                         "(payload was not picklable); re-submit it"
                     ),
                 )
-                with self._lock:
-                    self._jobs[job_id] = RecoveredJob(updated)
                 summary["skipped"] += 1
-                continue
-            handle = self._resubmit(record, loop)
-            summary["resubmitted" if handle is not None else "skipped"] += 1
+            else:
+                handle = self._resubmit(record, loop)
+                summary["resubmitted" if handle is not None else "skipped"] += 1
         return summary
 
     def _resubmit(self, record: dict, loop) -> Optional[ServiceJob]:
@@ -1320,10 +1377,6 @@ class RuntimeService:
             with self._lock:
                 state.in_flight_jobs -= size
             self.journal.record_settlement(record["id"], "failed", error=exc)
-            with self._lock:
-                self._jobs[record["job_id"]] = RecoveredJob(
-                    self.journal.record(record["id"])
-                )
             return None
         return self._track(name, batch, size, loop, record["id"],
                            record["circuits"], record["backend"],
@@ -1333,15 +1386,20 @@ class RuntimeService:
         """Look a handle up by its stable ``svc-N`` id.
 
         ``token`` must carry the ``read`` scope and belong to the job's
-        owner (or carry ``admin``).  Live :class:`ServiceJob` and
-        post-restart :class:`RecoveredJob` handles come back through the
-        same call — tenants never need to know a restart happened.
+        owner (or carry ``admin``).  A live :class:`ServiceJob` comes back
+        while the service holds one; a settled id it does not hold is
+        answered from the journal as a :class:`RecoveredJob` — after a
+        restart and after the service let the handle go alike, so
+        tenants never need to know either happened.  Raises
+        :class:`~repro.exceptions.JobExpired` for a settled id that left
+        memory with no journal to answer for it, else
+        :class:`~repro.exceptions.UnknownJob`.
         """
         identity = self.authenticator.authenticate(token, scope="read")
         with self._lock:
             handle = self._jobs.get(job_id)
         if handle is None:
-            raise UnknownJob(f"unknown job id {job_id!r}", job_id=str(job_id))
+            handle = self._journaled(job_id)
         if identity.name != handle.client and not identity.has_scope("admin"):
             raise ScopeDenied(
                 f"client {identity.name!r} may not read job {job_id} "
@@ -1352,6 +1410,31 @@ class RuntimeService:
             )
         return handle
 
+    def _journaled(self, job_id: str) -> RecoveredJob:
+        """Answer an id without a live handle from the journal, or raise
+        the typed miss."""
+        prefix, _, digits = str(job_id).partition("-")
+        number = (
+            int(digits)
+            if prefix == "svc" and digits.isascii() and digits.isdigit()
+            else None
+        )
+        record = (
+            self.journal.record(number)
+            if number is not None and self.journal is not None
+            else None
+        )
+        if record is not None and record["settled"]:
+            restored = record.get("settled_at", 0.0) < self._started_wall
+            return RecoveredJob(record, restored=restored)
+        if number is not None and number <= self._expired_through:
+            raise JobExpired(
+                f"job {job_id!r} expired: it settled and left this "
+                f"service's memory, and no journal holds its outcome",
+                job_id=str(job_id),
+            )
+        raise UnknownJob(f"unknown job id {job_id!r}", job_id=str(job_id))
+
     def status(self, job_id: str, token: Optional[str] = None) -> str:
         """Return the job's terminal-or-live status by ``svc-N`` id."""
         return self.job(job_id, token).status()
@@ -1361,7 +1444,7 @@ class RuntimeService:
 
         Owner-or-admin scoped like every per-job read.  Works for live
         handles (spans still in flight report ``duration_s: null``) and
-        for pre-restart ids whose settled trace was journaled.
+        for settled ids whose trace was journaled.
         """
         return self.job(job_id, token).trace()
 

@@ -252,3 +252,79 @@ class TestLoudErrors:
         # The settlement never reached disk: the job comes back unsettled
         # and a restarted service would re-run it.
         assert JobJournal(cache_dir=str(tmp_path)).record(1)["settled"] is False
+
+
+class TestRead:
+    def test_read_returns_the_live_value_or_none(self, tmp_path):
+        log = written_log(tmp_path / "log", [("a", 1), ("b", 2), ("a", 3)])
+        assert log.read("a") == 3
+        assert log.read("b") == 2
+        assert log.read("missing") is None
+        assert len(log) == 2
+        assert sorted(log.keys()) == ["a", "b"]
+
+    def test_read_before_replay_is_refused(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            RecordLog(tmp_path / "log").read("a")
+
+    def test_read_on_a_replayed_log_reads_the_file(self, tmp_path):
+        path = tmp_path / "log"
+        written_log(path, [(i, {"value": i}) for i in range(5)])
+        _, log = replayed(path)
+        assert [log.read(i) for i in range(5)] == [{"value": i}
+                                                   for i in range(5)]
+
+    def test_corrupt_frame_is_a_counted_miss(self, tmp_path):
+        path = tmp_path / "log"
+        log = written_log(path, [(i, {"value": i}) for i in range(3)])
+        size = len(encode(1, {"value": 1}))
+        data = bytearray(path.read_bytes())
+        data[size + size // 2] ^= 0xFF  # inside key 1's body
+        path.write_bytes(bytes(data))
+        assert log.read(1) is None
+        assert log.corrupt == 1
+        assert log.read(0) == {"value": 0}
+        assert log.read(2) == {"value": 2}
+
+    def test_reads_follow_a_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(recordlog, "CHECKPOINT_FLOOR", 1024)
+        log = written_log(tmp_path / "log",
+                          [(i % 5, "v" * 40 + str(i)) for i in range(100)])
+        assert log.checkpoint_size > 0
+        assert {k: log.read(k) for k in range(5)} == {
+            k: "v" * 40 + str(95 + k) for k in range(5)}
+
+
+class TestStreamedCheckpoint:
+    @pytest.mark.parametrize("kernel_copy", [True, False])
+    def test_checkpoint_memory_does_not_grow_with_the_log(
+        self, tmp_path, monkeypatch, kernel_copy
+    ):
+        import tracemalloc
+
+        monkeypatch.setattr(recordlog, "CHECKPOINT_FLOOR", 1 << 30)  # by hand
+        if not kernel_copy:
+            # The portable path: bounded pread/write chunks.
+            monkeypatch.delattr(os, "copy_file_range", raising=False)
+            monkeypatch.setattr(recordlog, "COPY_CHUNK", 4096)
+        path = tmp_path / "log"
+        log = written_log(path, [])
+        value = "x" * 8192
+        for round_ in range(2):  # every key twice: half the log is garbage
+            for key in range(256):
+                log.append(key, value + str(round_))
+        size = log.size
+        assert size > 4 * 1024 * 1024 and log.checkpoint_size == 0
+        tracemalloc.start()
+        try:
+            with log._lock:
+                log._checkpoint()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.size < size and log.checkpoint_size == log.size
+        assert peak < 256 * 1024 + 2 * recordlog.COPY_CHUNK
+        records, replay = replayed(path)
+        assert records == {key: value + "1" for key in range(256)}
+        assert replay.corrupt == 0
+        assert log.read(7) == value + "1"
