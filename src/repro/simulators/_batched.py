@@ -15,14 +15,17 @@ a ``(B,)`` row-to-class map, and its cost follows the number of distinct
 histories ``C`` rather than the number of shots ``B``.  The walker runs
 the compiled program of :mod:`repro.simulators._program`: gates act on the
 class columns, and each gate step carries its noise channels.  A
-stochastic step computes its branch weights per class (a Kraus channel's
-later branches only for the classes that need them), lets every row
-decide with its own uniform, and refines the classes by ``(class,
-choice)`` with one ``np.unique``; each new class column is built from its
-parent column with the same arithmetic the row would have seen.
-Readout flips touch only the rows' classical bits.  A classically
-conditioned step splits classes on the condition bit first and acts on the
-matching classes only.  Weak device noise keeps ``C`` small: on the
+stochastic step computes its branch weights per class and lets every row
+decide with its own uniform.  A Kraus step renormalises every column onto
+branch 0 in place, computes the later branches in one stacked pass only
+for the classes of rows that may leave it, and gives the rows that do
+new columns keyed by ``(class, choice)``; under weak noise it costs what
+the rare branch costs.  A measurement or reset refines the classes by
+``(class, outcome)`` with a counting pass, no sort.  Every new class
+column is built from its parent column with the same arithmetic the row
+would have seen.  Readout flips touch only the rows' classical bits.  A
+classically conditioned step splits classes on the condition bit first
+and acts on the matching classes only.  Weak device noise keeps ``C`` small: on the
 paper's ibmqx4 assertion circuits a 1024-shot tile holds tens to a few
 hundred classes.
 
@@ -40,7 +43,8 @@ consumes one uniform per stochastic decision it actually executes (Kraus
 branch choice, measurement outcome, readout flip, reset), in program order.
 The batched path builds a whole tile's uniforms in one vectorised pass
 (:mod:`repro.simulators._philox`, exact against NumPy's generator) and
-advances a per-row cursor; the retained loop path (``method="loop"``, also
+advances one cursor shared by all rows until a conditioned step splits
+them, then one per row; the retained loop path (``method="loop"``, also
 the fallback for duck-typed noise models) draws the same uniforms from
 NumPy's own per-shot ``Generator``, and shares the kernels and the Kraus
 decision arithmetic at batch width 1.  Batched and looped counts are
@@ -147,20 +151,44 @@ def _max_draws(steps: List[tuple]) -> int:
 # ----------------------------------------------------------------------
 
 
+def _distinct(keys):
+    """``np.unique(keys, return_inverse=True)`` for non-negative ints, by counting.
+
+    Returns the sorted distinct keys and each key's index among them.  A
+    ``bincount`` marks the keys present and its running sum numbers them,
+    so the cost is linear in the key range instead of a sort.
+    """
+    present = np.bincount(keys) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
+
+
 def _refine(klass, rows, labels, num_labels):
     """Split history classes by a per-row label.
 
     ``rows`` carry ``labels`` in ``0..num_labels-1``; every other row keeps
     its class under the label ``-1``.  Returns ``(klass, parents, labels)``:
     the new ``(B,)`` row-to-class map, and each new class's parent column
-    and label.
+    and label, numbered in ``(parent, label)`` order.
     """
     width = num_labels + 1
     key = klass * width
     key[rows] += labels + 1
-    unique, klass = np.unique(key, return_inverse=True)
+    unique, klass = _distinct(key)
     parents, labels = np.divmod(unique, width)
     return klass, parents, labels - 1
+
+
+def _compact(states, klass):
+    """Drop the class columns no row points to, once they outnumber the rest.
+
+    A Kraus step leaves a column behind when all of its rows move to new
+    ones; until then later steps keep evolving it, so the walk costs at
+    most twice its live columns.  The kept columns stay in order.
+    """
+    live = np.bincount(klass, minlength=states.shape[-1]) > 0
+    if 2 * np.count_nonzero(live) >= live.shape[0]:
+        return states, klass
+    return states[..., live], (np.cumsum(live) - 1)[klass]
 
 
 def _split(states, parents, labels, build):
@@ -200,57 +228,58 @@ def _sample_kraus_rows(states, klass, rows, operators, targets, uniforms):
     class column.  A row whose uniform falls below that weight takes
     branch 0, which is what :func:`_kernels.kraus_select` decides for it:
     the cumulative weights never decrease, so no later branch can come
-    first.  Under weak noise that settles almost every row.  The other
-    branches are computed only for the classes of the rows still
-    pending, and those rows decide with :func:`_kernels.kraus_select` on
-    their class's full weight column.  Columns are independent (see the
-    kernels module), so every branch and weight a row sees is the float
-    it would have seen with all branches computed for all classes.
+    first.  Under weak noise that settles almost every row, so every
+    column is renormalised onto branch 0 in place and those rows keep
+    their class.  The later branches are computed in one stacked pass
+    (:func:`_kernels.batched_apply_branches`) only for the classes of the
+    rows still pending, and those rows decide with
+    :func:`_kernels.kraus_select` on their class's full weight column.
+    Columns are independent (see the kernels module), so every branch and
+    weight a row sees is the float it would have seen with all branches
+    computed for all classes.
 
-    The classes are then refined by ``(class, choice)``.  A new class
-    column is its parent's branch divided by the square root of that
-    branch's weight: the arithmetic the row would have done alone, so the
-    result is bit-identical to evolving every row separately.  Returns the
-    new ``(states, klass)``.
+    A row that leaves branch 0 moves to a new column keyed by ``(class,
+    choice)``, appended after the others; columns left without rows are
+    dropped by :func:`_compact`.  Every column is its parent's branch
+    divided by the square root of that branch's weight: the arithmetic the
+    row would have done alone, so the result is bit-identical to evolving
+    every row separately.  Returns the new ``(states, klass)``.
     """
     first = _kernels.batched_apply_matrix(states, operators[0], targets)
     first_weight = _kernels.batched_norm_sq(first)
     row_class = klass[rows]
     row_weight = first_weight[row_class]
-    pending = (uniforms >= row_weight) | (row_weight <= _kernels.KRAUS_EPS)
-    choice = np.zeros(rows.shape[0], dtype=np.intp)
-    # The sorted distinct classes; a bare np.unique would import numpy.ma.
-    columns = np.flatnonzero(
-        np.bincount(row_class[pending], minlength=first.shape[-1])
+    pending = np.flatnonzero(
+        (uniforms >= row_weight) | (row_weight <= _kernels.KRAUS_EPS)
     )
-    rest, weights = [], None
-    if columns.size:
-        subset = states[..., columns]
-        rest = [
-            _kernels.batched_apply_matrix(subset, k_op, targets)
-            for k_op in operators[1:]
-        ]
-        weights = np.stack(
-            [first_weight[columns]] + [_kernels.batched_norm_sq(b) for b in rest]
-        )
-        at = np.searchsorted(columns, row_class[pending])
-        choice[pending] = _kernels.kraus_select(weights[:, at], uniforms[pending])
-    klass, parents, labels = _refine(klass, rows, choice, len(operators))
-
-    def build(parents, labels):
-        out = np.empty(states.shape[:-1] + parents.shape, dtype=states.dtype)
-        picked = np.nonzero(labels == 0)[0]
-        if picked.size:
-            sources = parents[picked]
-            out[..., picked] = first[..., sources] / np.sqrt(first_weight[sources])
-        for index, branch in enumerate(rest, start=1):
-            picked = np.nonzero(labels == index)[0]
-            if picked.size:
-                at = np.searchsorted(columns, parents[picked])
-                out[..., picked] = branch[..., at] / np.sqrt(weights[index, at])
-        return out
-
-    return _split(states, parents, labels, build), klass
+    # A column whose branch 0 has no weight keeps no row on it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first /= np.sqrt(first_weight)
+    if rows.shape[0] != klass.shape[0]:
+        idle = np.bincount(row_class, minlength=first.shape[-1]) == 0
+        first[..., idle] = states[..., idle]
+    if pending.size == 0:
+        return first, klass
+    columns, at = _distinct(row_class[pending])
+    branches, norms = _kernels.batched_apply_branches(
+        states[..., columns], operators[1:], targets
+    )
+    weights = np.concatenate([first_weight[np.newaxis, columns], norms])
+    choice = _kernels.kraus_select(weights[:, at], uniforms[pending])
+    moved = np.flatnonzero(choice)
+    if moved.size == 0:
+        return first, klass
+    # Later branch j of pending column p sits at j * P + p of the flattened
+    # branches; new columns are numbered in (class, choice) order.
+    later, count = len(operators) - 1, columns.shape[0]
+    keys, new_class = _distinct(at[moved] * later + choice[moved] - 1)
+    column, branch = np.divmod(keys, later)
+    picked = branch * count + column
+    flat = branches.reshape(branches.shape[:-2] + (-1,))
+    fresh = flat[..., picked] / np.sqrt(norms.reshape(-1)[picked])
+    klass = klass.copy()
+    klass[rows[pending[moved]]] = first.shape[-1] + new_class
+    return _compact(np.concatenate([first, fresh], axis=-1), klass)
 
 
 def _sample_outcomes(states, klass, rows, qubit, uniforms, reset):
@@ -278,6 +307,32 @@ def _sample_outcomes(states, klass, rows, qubit, uniforms, reset):
     return _split(states, parents, labels, build), klass, outcomes
 
 
+class _Draws:
+    """A tile's uniforms and each row's cursor into its own substream.
+
+    The uniforms are stored draw-major, so while every step has run on all
+    rows they share one cursor and a step reads one contiguous row.  The
+    first conditioned step that only some rows pass switches to per-row
+    cursors.
+    """
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms.T  # (draws, batch), C-contiguous
+        self.shared = 0
+        self.cursor = None
+
+    def take(self, rows):
+        """Return the next uniform of each of ``rows`` and advance them."""
+        if self.cursor is None:
+            if rows.shape[0] == self.uniforms.shape[1]:
+                self.shared += 1
+                return self.uniforms[self.shared - 1]
+            self.cursor = np.full(self.uniforms.shape[1], self.shared, dtype=np.intp)
+        values = self.uniforms[self.cursor[rows], rows]
+        self.cursor[rows] += 1
+        return values
+
+
 def run_batched(
     steps: List[tuple],
     num_qubits: int,
@@ -292,18 +347,11 @@ def run_batched(
     draws = _max_draws(steps)
     for start in range(0, shots, max_batch):
         batch = min(max_batch, shots - start)
-        uniforms = _philox.substream_uniforms(root, start, batch, draws)
-        cursor = np.zeros(batch, dtype=np.intp)
+        take = _Draws(_philox.substream_uniforms(root, start, batch, draws)).take
         states = _kernels.batched_state_tensor(1, num_qubits, initial_state)
         klass = np.zeros(batch, dtype=np.intp)
         clbits = np.zeros((batch, num_clbits), dtype=np.uint8)
         all_rows = np.arange(batch)
-
-        def take(rows):
-            values = uniforms[rows, cursor[rows]]
-            cursor[rows] += 1
-            return values
-
         for step in steps:
             kind, condition = step[0], step[-1]
             rows = all_rows

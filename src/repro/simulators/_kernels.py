@@ -106,8 +106,9 @@ def basis_label(index: int, num_qubits: int) -> str:
 # tuples per ``(qubits, ndim)``, and each operator's scalar, monomial or
 # dense plan in a bounded cache keyed by its content (a gate rebuilt with
 # the same angle, or a Kraus operator of a channel applied again, hits the
-# same plan).  A plan holds the operator's own scalars, so the floats are
-# those the uncached kernel computed.
+# same plan), and likewise each channel's stacked coefficients.  A plan
+# holds the operator's own scalars, so the floats are those the uncached
+# kernel computed.
 
 #: Born weights at or below this are treated as unsupported Kraus branches.
 KRAUS_EPS = 1e-15
@@ -206,6 +207,99 @@ def batched_apply_matrix(
         for j in range(1, dim):
             acc += row[j] * sources[j]
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _plan_branches(contents: Tuple[tuple, ...]) -> tuple:
+    """Group a channel's operators for :func:`batched_apply_branches`.
+
+    ``contents`` holds each operator's ``(dtype, shape, bytes)``.  Returns
+    ``(dim, groups)``; a group is ``(kind, positions, data)``, where
+    ``positions`` are the operators' indices in the channel.  Scalar and
+    monomial operators form one ``_MONOMIAL`` group whose data is the
+    ``(dim, J)`` source columns and ``(dim, J, 1)`` coefficients of each
+    output row; dense operators form one ``_DENSE`` group whose data is
+    the ``(dim, dim, J, 1)`` coefficients indexed ``[column, row]``.
+    Every coefficient is the operator plan's own scalar.
+    """
+    dim = contents[0][1][0]
+    monomial, dense = [], []
+    for position, content in enumerate(contents):
+        kind, data = _plan_for_content(*content)
+        if kind == _DENSE:
+            dense.append((position, data))
+            continue
+        if kind == _SCALAR:
+            data = tuple((data, column) for column in range(dim))
+        monomial.append((position, data))
+    groups = []
+    if monomial:
+        positions, plans = zip(*monomial)
+        columns = np.array([[plan[row][1] for plan in plans] for row in range(dim)])
+        coefficients = np.array(
+            [[plan[row][0] for plan in plans] for row in range(dim)]
+        )
+        groups.append(
+            (_MONOMIAL, np.array(positions), (columns, coefficients[..., np.newaxis]))
+        )
+    if dense:
+        positions, plans = zip(*dense)
+        coefficients = np.array(
+            [
+                [[plan[row][column] for plan in plans] for row in range(dim)]
+                for column in range(dim)
+            ]
+        )
+        groups.append((_DENSE, np.array(positions), coefficients[..., np.newaxis]))
+    return dim, tuple(groups)
+
+
+def batched_apply_branches(
+    states: np.ndarray, operators: Sequence[np.ndarray], qubits: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Apply each of a channel's operators to every batched state at once.
+
+    Returns ``(branches, norms)``: ``branches`` has shape ``(2, ..., 2, J,
+    B)`` with ``branches[..., j, :]`` the result of operator ``j``, and
+    ``norms`` is their ``(J, B)`` squared norms.  The operators' target
+    amplitudes are stacked so one pass serves the whole channel: a gather
+    and a multiply for the monomial operators, ``2^k`` multiply-adds for
+    the dense ones.  Each amplitude is the product, or the same ordered
+    sum of products, that :func:`batched_apply_matrix` computes for that
+    operator, and the norms are one :func:`batched_norm_sq` over the ``J *
+    B`` columns, so every float equals the per-operator kernels'.
+    """
+    dim, groups = _plan_branches(
+        tuple((op.dtype.str, op.shape, op.tobytes()) for op in operators)
+    )
+    qubits = tuple(qubits)
+    if dim != 2 ** len(qubits):
+        raise SimulationError(
+            f"matrix shape {(dim, dim)} does not act on {len(qubits)} qubit(s)"
+        )
+    num_qubits = states.ndim - 1
+    batch = states.shape[-1]
+    rest = tuple(axis for axis in range(num_qubits) if axis not in qubits)
+    # Target amplitudes as a (rest, dim, B) array: basis index i of the
+    # targets reads qubits[0] as its most significant bit.
+    source = states.transpose(rest + qubits + (num_qubits,)).reshape(
+        -1, dim, batch
+    )
+    out = np.empty(states.shape[:-1] + (len(operators), batch), dtype=states.dtype)
+    # The same layout over ``out``: a view to scatter each group into.
+    view = out.transpose(rest + qubits + (num_qubits, num_qubits + 1))
+    for kind, positions, data in groups:
+        if kind == _MONOMIAL:
+            columns, coefficients = data
+            values = np.multiply(coefficients, source[:, columns, :])
+        else:
+            values = np.multiply(data[0], source[:, 0, np.newaxis, np.newaxis, :])
+            for column in range(1, dim):
+                values += data[column] * source[:, column, np.newaxis, np.newaxis, :]
+        index = slice(None) if len(groups) == 1 else positions
+        view[..., index, :] = values.reshape(view.shape[:-2] + values.shape[-2:])
+    flat = out.reshape(states.shape[:-1] + (-1,))
+    return out, batched_norm_sq(flat).reshape(len(operators), batch)
 
 
 def batched_norm_sq(states: np.ndarray) -> np.ndarray:

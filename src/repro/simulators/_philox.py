@@ -126,41 +126,62 @@ def child_keys(root: np.random.SeedSequence, indices) -> np.ndarray:
     return np.stack([out[0] | (out[1] << shift), out[2] | (out[3] << shift)], axis=-1)
 
 
-def _mulhilo(multiplier: int, value: np.ndarray):
-    """Return ``(high, low)`` 64-bit words of ``multiplier * value``."""
+def _mulhilo(multiplier: int, value, high, low, scratch) -> None:
+    """Write the ``high`` and ``low`` 64-bit words of ``multiplier * value``.
+
+    ``high``, ``low`` and the four ``scratch`` arrays are preallocated
+    ``uint64`` buffers of ``value``'s shape, distinct from ``value``.
+    """
     mask = np.uint64(_MASK32)
     shift = np.uint64(32)
     m_lo = np.uint64(multiplier & _MASK32)
     m_hi = np.uint64(multiplier >> 32)
-    v_lo = value & mask
-    v_hi = value >> shift
-    lo_lo = m_lo * v_lo
-    lo_hi = m_lo * v_hi
-    hi_lo = m_hi * v_lo
-    middle = (lo_lo >> shift) + (lo_hi & mask) + (hi_lo & mask)
-    high = m_hi * v_hi + (lo_hi >> shift) + (hi_lo >> shift) + (middle >> shift)
-    return high, value * np.uint64(multiplier)
+    lo_lo, lo_hi, hi_lo, part = scratch
+    np.multiply(value, np.uint64(multiplier), out=low)
+    np.bitwise_and(value, mask, out=lo_lo)
+    np.right_shift(value, shift, out=lo_hi)
+    np.multiply(lo_hi, m_hi, out=high)
+    np.multiply(lo_hi, m_lo, out=lo_hi)
+    np.multiply(lo_lo, m_hi, out=hi_lo)
+    np.multiply(lo_lo, m_lo, out=lo_lo)
+    # middle = (lo_lo >> 32) + (lo_hi & mask) + (hi_lo & mask), in lo_lo.
+    np.right_shift(lo_lo, shift, out=lo_lo)
+    lo_lo += np.bitwise_and(lo_hi, mask, out=part)
+    lo_lo += np.bitwise_and(hi_lo, mask, out=part)
+    # high = hi_hi + (lo_hi >> 32) + (hi_lo >> 32) + (middle >> 32).
+    high += np.right_shift(lo_hi, shift, out=lo_hi)
+    high += np.right_shift(hi_lo, shift, out=hi_lo)
+    high += np.right_shift(lo_lo, shift, out=lo_lo)
 
 
 def _philox4x64(counter: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Philox4x64-10 of the counter blocks ``(c, 0, 0, 0)``, under each key.
 
     ``counter`` is ``(blocks,)`` (the low counter word; the others are 0),
-    ``keys`` is ``(count, 2)``.  Returns ``(count, blocks, 4)`` words.
+    ``keys`` is ``(count, 2)``.  Returns ``(blocks, 4, count)`` words.  The
+    rounds reuse a fixed set of ``uint64`` buffers.
     """
-    shape = (keys.shape[0], counter.shape[0])
-    c0 = np.broadcast_to(counter, shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0 = keys[:, 0:1].copy()
-    k1 = keys[:, 1:2].copy()
+    shape = (counter.shape[0], keys.shape[0])
+    c0 = np.empty(shape, dtype=np.uint64)
+    c0[...] = counter[:, np.newaxis]
+    c1, c2, c3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
+    hi0, lo0, hi1, lo1, *scratch = (np.empty(shape, dtype=np.uint64) for _ in range(8))
+    k0 = keys[:, 0].copy()
+    k1 = keys[:, 1].copy()
     for round_index in range(_PHILOX_ROUNDS):
         if round_index:
             k0 += np.uint64(_PHILOX_W[0])
             k1 += np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1)
+        _mulhilo(_PHILOX_M[0], c0, hi0, lo0, scratch)
+        _mulhilo(_PHILOX_M[1], c2, hi1, lo1, scratch)
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        np.bitwise_xor(hi1, c1, out=c0)
+        c0 ^= k0
+        np.bitwise_xor(hi0, c3, out=c2)
+        c2 ^= k1
+        c1, lo1 = lo1, c1
+        c3, lo0 = lo0, c3
+    return np.stack([c0, c1, c2, c3], axis=1)
 
 
 def substream_uniforms(
@@ -169,7 +190,9 @@ def substream_uniforms(
     """Return the ``(count, draws)`` uniforms of children ``start..start+count``.
 
     Row ``i`` equals ``Generator(Philox(root.spawn(n)[start + i])).random(draws)``
-    for a fresh ``root`` and any ``n > start + i``.
+    for a fresh ``root`` and any ``n > start + i``.  The result is the
+    transpose of a C-contiguous draw-major array, so ``.T`` reads each
+    draw of the tile contiguously.
     """
     if count == 0 or draws == 0:
         return np.empty((count, draws))
@@ -177,5 +200,5 @@ def substream_uniforms(
     blocks = -(-draws // 4)
     counter = np.arange(1, blocks + 1, dtype=np.uint64)
     words = _philox4x64(counter, child_keys(root, indices))
-    words = words.reshape(count, 4 * blocks)[:, :draws]
-    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    words = words.reshape(4 * blocks, count)[:draws]
+    return ((words >> np.uint64(11)) * (1.0 / 9007199254740992.0)).T

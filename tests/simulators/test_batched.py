@@ -13,6 +13,7 @@ the batched path against the density-matrix engine's exact distribution,
 and the loop fallback for duck-typed noise models.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,9 @@ from repro.core.injector import AssertionInjector
 from repro.devices.backend import TrajectoryDeviceBackend
 from repro.devices.ibmqx4 import ibmqx4
 from repro.exceptions import SimulationError
+from repro.noise.channels import amplitude_damping, depolarizing
+from repro.noise.model import NoiseModel
+from repro.noise.readout import ReadoutError
 from repro.noise.trajectories import TrajectorySimulator
 from repro.runtime import get_backend
 from repro.simulators import _batched
@@ -150,6 +154,100 @@ class TestBatchedEqualsLooped:
                 model, method="batched", max_batch=max_batch
             ).run(circuit, shots=1000, seed=2020)
             assert dict(tiled.counts) == dict(reference.counts)
+
+
+def split_then_noisy_circuit():
+    """A conditioned gate only some rows pass, then a run of noisy gates."""
+    qc = QuantumCircuit(3, 3)
+    qc.h(0)
+    qc.cx(0, 1)
+    qc.x(2)
+    qc.measure(0, 0)
+    qc.x(1, condition=(0, 1))
+    qc.reset(2)
+    for index in range(4):
+        qc.h(index % 3)
+        qc.x((index + 1) % 3)
+        qc.cx(index % 3, (index + 2) % 3)
+    qc.measure(1, 1)
+    qc.measure(2, 2)
+    return qc
+
+
+def strong_model():
+    """Noise strong enough that whole history classes leave branch 0."""
+    return (
+        NoiseModel("strong-noise")
+        .add_all_qubit_gate_error(["h", "x"], depolarizing(0.6))
+        .add_all_qubit_gate_error(["cx"], depolarizing(0.3))
+        .add_all_qubit_gate_error(["x"], amplitude_damping(0.4))
+        .add_readout_error(ReadoutError(0.08, 0.04))
+    )
+
+
+class TestClassWalkerSwitchPoints:
+    """The walker's two switch points keep batched == looped counts.
+
+    After the partial conditioned step the rows no longer share one draw
+    cursor, and under strong noise a Kraus step leaves more dead class
+    columns than live ones, which compacts them.
+    """
+
+    def test_batched_equals_loop(self, monkeypatch):
+        seed = 2020
+        circuit, model, shots = split_then_noisy_circuit(), strong_model(), 1024
+        loop = TrajectorySimulator(model, method="loop").run(
+            circuit, shots=shots, seed=seed
+        )
+        compact = _batched._compact
+        take = _batched._Draws.take
+        seen = {"compacted": 0, "per_row": 0}
+
+        def counting_compact(states, klass):
+            kept, klass = compact(states, klass)
+            seen["compacted"] += kept.shape[-1] < states.shape[-1]
+            return kept, klass
+
+        def counting_take(draws, rows):
+            values = take(draws, rows)
+            seen["per_row"] += draws.cursor is not None
+            return values
+
+        monkeypatch.setattr(_batched, "_compact", counting_compact)
+        monkeypatch.setattr(_batched._Draws, "take", counting_take)
+        for max_batch in (1, 7, shots):
+            seen.update(compacted=0, per_row=0)
+            batched = TrajectorySimulator(
+                model, method="batched", max_batch=max_batch
+            ).run(circuit, shots=shots, seed=seed)
+            assert dict(batched.counts) == dict(loop.counts), max_batch
+            assert seen["compacted"] > 0, max_batch
+            # A one-row tile never splits its rows on a condition.
+            assert (seen["per_row"] > 0) == (max_batch > 1), max_batch
+
+
+class TestRefine:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counting_refine_numbers_classes_as_unique(self, seed):
+        """The bincount ``_refine`` gives the sorted ``np.unique`` numbering."""
+        rng = np.random.default_rng(seed)
+        batch, classes, num_labels = 500, int(rng.integers(1, 40)), 4
+        klass = rng.integers(0, classes, size=batch)
+        rows = np.sort(rng.choice(batch, size=int(rng.integers(1, batch)), replace=False))
+        labels = rng.integers(0, num_labels, size=rows.shape[0])
+
+        width = num_labels + 1
+        key = klass * width
+        key[rows] += labels + 1
+        unique, expected_klass = np.unique(key, return_inverse=True)
+        expected_parents, expected_labels = np.divmod(unique, width)
+
+        got_klass, got_parents, got_labels = _batched._refine(
+            klass, rows, labels, num_labels
+        )
+        assert got_klass.tolist() == expected_klass.tolist()
+        assert got_parents.tolist() == expected_parents.tolist()
+        assert got_labels.tolist() == (expected_labels - 1).tolist()
 
 
 #: ``list(counts.items())`` of the per-row batched walker that preceded

@@ -4,18 +4,24 @@
 per-operator plan instead of re-deriving them on every call.  The
 trajectory engine's bit-identity contract rests on it computing every
 output float exactly as the plain kernel below (the implementation that
-preceded the plans, kept verbatim as the reference) does.
+preceded the plans, kept verbatim as the reference) does.  The stacked
+``batched_apply_branches`` must in turn give, for every operator of a
+channel, the bytes the per-operator kernels give.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.circuits.gates import get_gate
+from repro.devices.ibmqx4 import ibmqx4
 from repro.exceptions import SimulationError
 from repro.noise.channels import lift_operators, thermal_relaxation
 from repro.simulators import _kernels
+
+from noisy_circuits import noisy_model
 
 
 def _reference_basis_slices(states, qubits, dim):
@@ -146,3 +152,75 @@ class TestPlanCache:
             _kernels.batched_apply_matrix(states, np.eye(2, dtype=complex), (0, 1))
         with pytest.raises(SimulationError, match="does not act on 1"):
             _kernels.batched_apply_matrix(states, MATRICES["cx"], (0,))
+
+
+def _channels(model, gates):
+    """The distinct Kraus channels ``model`` attaches to ``gates``."""
+    channels = {}
+    for name, qubits in gates:
+        instruction = SimpleNamespace(name=name, qubits=qubits)
+        for operators, targets in model.channels_for(instruction):
+            key = tuple(op.tobytes() for op in operators)
+            channels.setdefault(key, (operators, len(targets)))
+    return list(channels.values())
+
+
+def _device_channels():
+    device = ibmqx4()
+    gates = [(cal.name, cal.qubits or (0,)) for cal in device.gate_calibrations]
+    return _channels(device.noise_model(), gates)
+
+
+CHANNELS = {
+    **{f"ibmqx4-{i}": c for i, c in enumerate(_device_channels())},
+    **{
+        f"unit-noise-{i}": c
+        for i, c in enumerate(
+            _channels(noisy_model(), [("h", (0,)), ("x", (0,)), ("cx", (0, 1))])
+        )
+    },
+}
+
+
+class TestStackedBranchesMatchPerOperator:
+    """``batched_apply_branches`` against per-operator apply and norm."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 300])
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_bytes_equal(self, name, batch):
+        operators, k = CHANNELS[name]
+        states = _random_states(batch, seed=batch)
+        states[..., 0] = 0.0  # a column without support: signed zeros
+        for qubits in QUBITS[k]:
+            # The walker's later branches, and the whole channel, whose
+            # operators mix the monomial and dense plans.
+            for subset in (operators[1:], operators):
+                branches, norms = _kernels.batched_apply_branches(
+                    states, subset, qubits
+                )
+                assert branches.shape == states.shape[:-1] + (len(subset), batch)
+                assert norms.shape == (len(subset), batch)
+                for j, k_op in enumerate(subset):
+                    expected = _kernels.batched_apply_matrix(states, k_op, qubits)
+                    got = np.ascontiguousarray(branches[..., j, :])
+                    assert got.tobytes() == expected.tobytes(), (name, qubits, j)
+                    norm = _kernels.batched_norm_sq(expected)
+                    assert norms[j].tobytes() == norm.tobytes(), (name, qubits, j)
+
+    def test_channels_cover_every_plan(self):
+        """Scalar, monomial and dense operators, on 1 and 2 targets."""
+        covered = {
+            (k, _kernels._operator_plan(op)[0])
+            for operators, k in CHANNELS.values()
+            for op in operators
+        }
+        assert covered >= {
+            (k, kind) for k in (1, 2) for kind in ("scalar", "monomial", "dense")
+        }
+
+    def test_shape_mismatch_raises(self):
+        states = _random_states(2, seed=0)
+        with pytest.raises(SimulationError, match="does not act on 2"):
+            _kernels.batched_apply_branches(
+                states, [np.eye(2, dtype=complex)], (0, 1)
+            )
