@@ -9,10 +9,9 @@ cache and job deduplication on, so each distinct circuit is lowered and
 simulated once and every duplicate job re-uses or re-samples the cached
 distribution.
 
-The v2 benches cover the two cross-call reuse paths: the shared process
-pool on a GIL-bound looped-trajectory batch (thread fan-out buys nothing
-there), and the distribution cache on a repeated noisy sweep (the second
-call re-samples instead of re-simulating).
+The v2 bench covers cross-call reuse: the distribution cache on a
+repeated noisy sweep (the second call re-samples instead of
+re-simulating).
 
 The v3 bench covers the *cross-process* path: the same sweep run in two
 fresh interpreter processes against one ``REPRO_CACHE_DIR``.  The first
@@ -24,12 +23,6 @@ counts.
 The v4 bench covers the scheduler: a long unseeded trajectory job under
 ``schedule="fixed"`` runs as one pool task, while ``schedule="adaptive"``
 shards it into cost-model-sized chunks that saturate the process pool.
-
-The v5 bench covers the batch-axis engine: the same 5-qubit noisy
-assertion workload at 4096 shots through ``method="loop"`` (the per-shot
-walker) vs ``method="batched"`` (all shots of a tile advance together,
-one state per distinct stochastic history) — bit-identical counts,
-target >= 10x.
 
 The v6/v7 benches storm the multi-tenant service layer (concurrent
 tenants vs back-to-back submissions, plus the write-ahead-journal tax);
@@ -54,11 +47,11 @@ Every case also records its wall-clocks into ``BENCH_runtime.json`` (see
 import os
 import time
 
-from conftest import emit, record
+from conftest import SMOKE, emit, record
 
 from repro.circuits import library
 from repro.core.injector import AssertionInjector
-from repro.devices.backend import NoisyDeviceBackend, TrajectoryDeviceBackend
+from repro.devices.backend import NoisyDeviceBackend
 from repro.devices.ibmqx4 import ibmqx4
 from repro.runtime import DistributionCache, TranspileCache, execute, get_backend
 
@@ -171,63 +164,6 @@ def test_resampled_shot_sweep_simulates_once():
         f"sequential loop : {sequential_s:8.3f} s (8 simulations)\n"
         f"batched execute : {batched_s:8.3f} s (1 simulation + 7 resamples, "
         f"speedup {sequential_s / batched_s:.1f}x)"
-    )
-
-
-def test_process_pool_accelerates_per_shot_batch():
-    """v2: the process pool is the fan-out that helps the GIL-bound engines.
-
-    The ``method="loop"`` trajectory engine walks the circuit in Python
-    once per shot, so a thread pool cannot overlap its shots — only worker
-    processes can.  Counts must be bit-identical to the serial path under
-    the same seeds; the wall-clock win is asserted only where extra cores
-    exist to deliver it.
-    """
-    circuits = []
-    for n, mode in ((4, "single"), (3, "pairwise"), (3, "single"), (2, "pairwise")):
-        injector = AssertionInjector(library.ghz_state(n))
-        injector.assert_entangled(list(range(n)), mode=mode)
-        injector.measure_program()
-        circuits.append(injector.circuit)
-    backend = get_backend("trajectory:ibmqx4", method="loop")
-    seeds = [31, 32, 33, 34]
-
-    start = time.perf_counter()
-    serial = execute(
-        circuits, backend, shots=128, seed=seeds, executor="serial", dedupe=False
-    ).counts()
-    serial_s = time.perf_counter() - start
-
-    workers = min(4, os.cpu_count() or 1)
-    start = time.perf_counter()
-    pooled = execute(
-        circuits, backend, shots=128, seed=seeds, executor="process",
-        max_workers=workers, dedupe=False,
-    ).counts()
-    process_s = time.perf_counter() - start
-
-    assert [dict(c) for c in pooled] == [dict(c) for c in serial]
-    if (os.cpu_count() or 1) >= 4:
-        # With 4 workers on >=4 cores the expected speedup is ~3x, leaving
-        # wide headroom against fork+pickle overhead and scheduler noise on
-        # shared runners; fewer cores can't guarantee a win, so there the
-        # equality asserts above carry the whole guarantee.
-        assert process_s < serial_s, (
-            f"process pool ({process_s:.3f}s) should beat serial "
-            f"({serial_s:.3f}s) on {os.cpu_count()} cores"
-        )
-    record(
-        "trajectory_loop_process_pool", serial_s, process_s,
-        workers=workers, cores=os.cpu_count(),
-    )
-    emit(
-        "runtime bench — GIL-bound looped trajectory batch, serial vs process pool\n"
-        f"jobs            : {len(circuits)} (GHZ 2-4 assertions on ibmqx4, "
-        "method='loop')\n"
-        f"serial          : {serial_s:8.3f} s\n"
-        f"process pool    : {process_s:8.3f} s  "
-        f"({workers} workers on {os.cpu_count()} core(s), "
-        f"speedup {serial_s / process_s:.1f}x)"
     )
 
 
@@ -361,62 +297,6 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     )
 
 
-def test_batched_shot_axis_beats_per_shot_loop():
-    """v5: the batch-axis trajectory engine vs the per-shot walker.
-
-    The paper's NISQ error-filtering sweeps burn thousands of trajectory
-    shots per point; re-walking the circuit in Python per shot was the
-    hottest path left after PR 2-4 parallelised and cached around it.
-    ``method="batched"`` advances all shots of a tile together instead,
-    evolving one state per distinct stochastic history.  Both methods
-    consume identical per-trajectory Philox substreams, so the counts are
-    bit-identical — the speedup is pure engine throughput, independent of
-    core count (no pools involved).
-    """
-    injector = AssertionInjector(library.ghz_state(4))
-    injector.assert_entangled([0, 1, 2, 3], mode="single")
-    injector.measure_program()
-    circuit = injector.circuit
-    assert circuit.num_qubits == 5
-    shots, seed = 4096, 2020
-    device = ibmqx4()
-    cache = TranspileCache()
-    looped = TrajectoryDeviceBackend(device, method="loop", cache=cache)
-    batched = TrajectoryDeviceBackend(device, method="batched", cache=cache)
-    looped.prepare(circuit)  # pay the transpile outside both timed regions
-
-    start = time.perf_counter()
-    loop_result = looped.run(circuit, shots=shots, seed=seed)
-    loop_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched_result = batched.run(circuit, shots=shots, seed=seed)
-    batched_s = time.perf_counter() - start
-
-    assert dict(batched_result.counts) == dict(loop_result.counts)
-    assert batched_result.counts.shots == shots
-    speedup = loop_s / batched_s
-    # Measured ~57-60x on a 2-core container (~16x before the walker kept
-    # one state per history class); the 10x acceptance floor leaves
-    # headroom against scheduler noise, and the quantity is a ratio of two single-threaded
-    # CPU-bound runs on the same box, so shared-load noise mostly cancels.
-    assert speedup >= 10, (
-        f"batched shot axis ({batched_s:.3f}s) should be >=10x faster than "
-        f"the per-shot loop ({loop_s:.3f}s), got {speedup:.1f}x"
-    )
-    record(
-        "batched_shot_axis_vs_loop", loop_s, batched_s,
-        shots=shots, qubits=circuit.num_qubits, device="ibmqx4",
-    )
-    emit(
-        "runtime bench — trajectory engine, per-shot loop vs batch axis\n"
-        f"job             : 5-qubit noisy assertion circuit, {shots} shots\n"
-        f"method='loop'   : {loop_s:8.3f} s\n"
-        f"method='batched': {batched_s:8.3f} s  (speedup {speedup:.1f}x, "
-        "bit-identical counts)"
-    )
-
-
 def _run_sweep_process(cache_dir):
     """Time the shared cross-process sweep driver (all four variants)."""
     from repro.runtime.harness import VARIANT_NAMES, run_sweep_process
@@ -483,15 +363,15 @@ def test_service_storm_many_clients(tmp_path):
     jobs/sec — bounded by one-per-elapsed, never the ~1e9/s the pre-fix
     ``RateMeter`` gave a single early event.
 
-    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs.
+    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs, which
+    record nothing.
     """
     import asyncio
 
     from repro.service import ClientQuota, RuntimeService
 
-    smoke = os.environ.get("REPRO_STORM_SMOKE", "").strip() not in ("", "0")
-    clients = 3 if smoke else 6
-    per_client = 3 if smoke else 8
+    clients = 3 if SMOKE else 6
+    per_client = 3 if SMOKE else 8
     shots = 256
     circuit = library.bell_pair()
     circuit.measure_all()
@@ -667,7 +547,6 @@ def test_service_storm_many_clients(tmp_path):
         journaled_s=round(journaled_s, 6),
         journaling_overhead=round(overhead, 4),
         single_job_rate=round(single_rate, 6),
-        smoke=smoke,
     )
     emit(
         "runtime bench — many-client storm through repro.service\n"
@@ -698,7 +577,8 @@ def test_service_wire_storm():
     plain ``execute()`` — OpenQASM serialization, the JSON hop and the
     asyncio front-end must not perturb counts.
 
-    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs.
+    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs, which
+    record nothing.
     """
     import threading
 
@@ -709,9 +589,8 @@ def test_service_wire_storm():
         ServiceClient,
     )
 
-    smoke = os.environ.get("REPRO_STORM_SMOKE", "").strip() not in ("", "0")
-    clients = 3 if smoke else 6
-    per_client = 3 if smoke else 8
+    clients = 3 if SMOKE else 6
+    per_client = 3 if SMOKE else 8
     shots = 256
     circuit = library.bell_pair()
     circuit.measure_all()
@@ -775,7 +654,6 @@ def test_service_wire_storm():
         jobs=jobs,
         shots_per_job=shots,
         jobs_per_second=round(jobs_per_second, 2),
-        smoke=smoke,
     )
     emit(
         "runtime bench — storm over the HTTP wire (repro.service.http)\n"
@@ -802,16 +680,16 @@ def test_traced_storm_overhead():
     full span trees — a "win" from tracing silently not happening would
     be meaningless.
 
-    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs.
+    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs, which
+    record nothing.
     """
     import asyncio
 
     from repro.obs import set_tracing_enabled
     from repro.service import ClientQuota, RuntimeService
 
-    smoke = os.environ.get("REPRO_STORM_SMOKE", "").strip() not in ("", "0")
-    clients = 3 if smoke else 6
-    per_client = 3 if smoke else 8
+    clients = 3 if SMOKE else 6
+    per_client = 3 if SMOKE else 8
     shots = 256
     circuit = library.bell_pair()
     circuit.measure_all()
@@ -902,7 +780,6 @@ def test_traced_storm_overhead():
         traced_jobs_per_second=round(jobs / traced_s, 2),
         tracing_overhead=round(overhead, 4),
         spans_per_job=len(list(walk(trace))),
-        smoke=smoke,
     )
     emit(
         "runtime bench — tracing tax on the many-client storm\n"
@@ -931,7 +808,8 @@ def test_chaos_storm_resilience():
     process-pool worker hard-killed mid-storm heals through pool rebuild
     + resubmission with *zero* failed jobs.
 
-    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs.
+    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs, which
+    record nothing.
     """
     import asyncio
 
@@ -939,9 +817,8 @@ def test_chaos_storm_resilience():
     from repro.runtime import pool_stats
     from repro.service import ClientQuota, RuntimeService
 
-    smoke = os.environ.get("REPRO_STORM_SMOKE", "").strip() not in ("", "0")
-    clients = 3 if smoke else 6
-    per_client = 3 if smoke else 8
+    clients = 3 if SMOKE else 6
+    per_client = 3 if SMOKE else 8
     jobs = clients * per_client
     shots = 256
     retry = {"max_retries": 3, "backoff_s": 0.001, "max_backoff_s": 0.01}
@@ -1078,7 +955,6 @@ def test_chaos_storm_resilience():
         faulted_failed=failed,
         crash_storm_s=round(crash_s, 6),
         crash_jobs_per_second=round(jobs / crash_s, 2),
-        smoke=smoke,
     )
     emit(
         "runtime bench — storm resilience under fault injection\n"

@@ -91,31 +91,22 @@ def test_trajectory_engine(benchmark, circuit, reference, backends):
 
 
 # ----------------------------------------------------------------------
-# Batched-vs-looped shot sweep (PR 5)
+# Trajectory shot sweep
 # ----------------------------------------------------------------------
 #
-# The same noisy trajectory workload through both execution methods, at
-# two shot counts: the per-shot walker scales linearly in Python
-# iterations, the batch-axis path amortises everything over NumPy tiles.
-# Counts are bit-identical (pinned in tests/simulators/test_batched.py);
-# these cases exist to keep the ratio visible in the benchmark table.
+# The noisy trajectory workload at two shot counts: the batch axis
+# amortises kernel dispatch over each tile, so the per-shot cost falls as
+# shots grow.  Counts equal the per-shot reference walker's (pinned in
+# tests/simulators/test_batched.py).
 
 
 @pytest.fixture(scope="module")
-def noisy_backends():
-    return {
-        method: get_backend(
-            "trajectory:ibmqx4", noise_scale=1.0, method=method, transpile=False
-        )
-        for method in ("loop", "batched")
-    }
+def noisy_backend():
+    return get_backend("trajectory:ibmqx4", noise_scale=1.0, transpile=False)
 
 
-@pytest.mark.benchmark(group="trajectory-methods")
-@pytest.mark.parametrize("method", ["loop", "batched"])
+@pytest.mark.benchmark(group="trajectory-shots")
 @pytest.mark.parametrize("shots", [256, 1024])
-def test_trajectory_method_sweep(benchmark, circuit, noisy_backends, method, shots):
-    backend = noisy_backends[method]
-    result = benchmark(backend.run, circuit, shots=shots, seed=7)
+def test_trajectory_method_sweep(benchmark, circuit, noisy_backend, shots):
+    result = benchmark(noisy_backend.run, circuit, shots=shots, seed=7)
     assert result.counts.shots == shots
-    assert result.metadata["method"] == method

@@ -6,7 +6,8 @@ paper tables next to the timing numbers.
 ``bench_runtime.py`` cases additionally :func:`record` their wall-clocks
 and speedups; at session end they are written to ``BENCH_runtime.json``
 in the repo root, so the perf trajectory is machine-readable and can be
-tracked across PRs.
+tracked across changes.  Smoke runs (``REPRO_STORM_SMOKE=1``) shrink the
+storm cases to a load sanity check and write no ledger.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ import json
 import os
 import time
 from pathlib import Path
+
+#: ``REPRO_STORM_SMOKE=1``: shrink the storm cases for CI load checks.
+SMOKE = os.environ.get("REPRO_STORM_SMOKE", "").strip() not in ("", "0")
 
 #: Case name -> {"baseline_s", "optimized_s", "speedup", ...} fields.
 _BENCH_RESULTS: dict = {}
@@ -33,7 +37,8 @@ def record(case: str, baseline_s: float, optimized_s: float, **extra) -> None:
     """Record one bench case's wall-clocks (and derived speedup).
 
     ``extra`` fields (shot counts, worker counts, ...) are stored
-    verbatim so the JSON is self-describing.
+    verbatim so the JSON is self-describing; so is the machine's
+    ``cpu_count``, since a merged ledger holds cases from many runs.
     """
     _BENCH_RESULTS[case] = dict(
         baseline_s=round(float(baseline_s), 6),
@@ -41,6 +46,7 @@ def record(case: str, baseline_s: float, optimized_s: float, **extra) -> None:
         speedup=round(float(baseline_s) / float(optimized_s), 3)
         if optimized_s > 0
         else None,
+        cpu_count=os.cpu_count(),
         **extra,
     )
 
@@ -50,9 +56,9 @@ def pytest_sessionfinish(session) -> None:
 
     Cases not re-run this session keep their previous record, so a
     partial bench invocation (``-k one_case``) never erases the rest of
-    the tracked perf trajectory.
+    the tracked perf trajectory.  A smoke run writes nothing.
     """
-    if not _BENCH_RESULTS:
+    if SMOKE or not _BENCH_RESULTS:
         return
     cases: dict = {}
     try:
@@ -64,7 +70,6 @@ def pytest_sessionfinish(session) -> None:
     cases.update(_BENCH_RESULTS)
     payload = {
         "generated_unix": time.time(),
-        "cpu_count": os.cpu_count(),
         "cases": dict(sorted(cases.items())),
     }
     BENCH_JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -36,13 +36,6 @@ class Backend:
     #: batching layer re-sample counts instead of re-simulating).
     returns_probabilities = False
 
-    #: ``True`` when the engine simulates its shots along a NumPy batch
-    #: axis (GIL-releasing kernels): the runtime then prefers thread
-    #: fan-out and fatter shot chunks over process pools (see
-    #: :mod:`repro.runtime.scheduler`).  Purely a throughput hint — it
-    #: never affects counts.
-    vectorized_shots = False
-
     def run(
         self,
         circuit: QuantumCircuit,
@@ -73,11 +66,10 @@ class Backend:
 class StatevectorBackend(Backend):
     """Ideal pure-state backend (the "QUIRK" role).
 
-    ``method``/``max_batch`` steer the post-``max_branches`` per-shot
-    fallback (see :class:`~repro.simulators.statevector.StatevectorSimulator`);
-    they are pure throughput knobs — fallback counts are bit-identical
-    across both for a fixed seed — so they stay out of the content
-    fingerprint.
+    ``max_batch`` tiles the post-``max_branches`` per-shot fallback (see
+    :class:`~repro.simulators.statevector.StatevectorSimulator`); it is a
+    pure throughput knob — fallback counts are bit-identical across
+    tilings for a fixed seed — so it stays out of the content fingerprint.
     """
 
     name = "statevector"
@@ -86,18 +78,16 @@ class StatevectorBackend(Backend):
     def __init__(
         self,
         max_branches: int = 4096,
-        method: str = "auto",
         max_batch: Optional[int] = None,
     ) -> None:
         from repro.simulators import _batched
 
         self.max_branches = max_branches
-        self.method = method
         self.max_batch = (
             _batched.DEFAULT_MAX_BATCH if max_batch is None else max_batch
         )
         self._simulator = StatevectorSimulator(
-            max_branches=max_branches, method=method, max_batch=self.max_batch
+            max_branches=max_branches, max_batch=self.max_batch
         )
 
     def run(self, circuit, shots=1024, seed=None):
@@ -130,11 +120,10 @@ class StabilizerBackend(Backend):
     """Clifford-only backend for large-qubit-count runs.
 
     The engine makes one tableau pass per job and samples every shot in
-    one batched draw, so it is a batch-axis engine and runs on threads.
+    one batched draw.
     """
 
     name = "stabilizer"
-    vectorized_shots = True
 
     def __init__(self) -> None:
         self._simulator = StabilizerSimulator()
@@ -274,14 +263,10 @@ class TrajectoryDeviceBackend(DeviceBackend):
 
     Extra parameters (on top of :class:`DeviceBackend`):
 
-    method / max_batch:
+    max_batch:
         Forwarded to :class:`~repro.noise.trajectories.TrajectorySimulator`:
-        ``"batched"`` (the ``"auto"`` default resolves to it for device
-        noise models) simulates whole shot tiles along a NumPy batch axis,
-        ``"loop"`` keeps the per-shot walker.  Counts are bit-identical
-        across methods and tilings for a fixed seed, so both are pure
-        throughput knobs; the runtime's cost model still profiles them
-        separately (see :data:`cost_tag`).
+        the shot-tiling bound.  Counts are bit-identical across tilings for
+        a fixed seed, so it is a pure throughput knob.
     """
 
     _family = "trajectory"
@@ -293,12 +278,10 @@ class TrajectoryDeviceBackend(DeviceBackend):
         transpile: bool = True,
         layout=None,
         cache=None,
-        method: str = "auto",
         max_batch: Optional[int] = None,
     ) -> None:
         from repro.simulators import _batched
 
-        self.method = method
         self.max_batch = (
             _batched.DEFAULT_MAX_BATCH if max_batch is None else max_batch
         )
@@ -314,26 +297,5 @@ class TrajectoryDeviceBackend(DeviceBackend):
         from repro.noise.trajectories import TrajectorySimulator
 
         return TrajectorySimulator(
-            noise_model=self._noise_model,
-            method=self.method,
-            max_batch=self.max_batch,
+            noise_model=self._noise_model, max_batch=self.max_batch
         )
-
-    @property
-    def resolved_method(self) -> str:
-        """Return the concrete execution path (``"batched"`` or ``"loop"``)."""
-        from repro.simulators import _batched
-
-        return _batched.resolve_method(self.method, self._noise_model)
-
-    @property
-    def vectorized_shots(self) -> bool:
-        """Batch-axis engines prefer thread fan-out (kernels release the GIL)."""
-        return self.resolved_method == "batched"
-
-    @property
-    def cost_tag(self) -> str:
-        """Cost-model discriminator: batched and looped costs differ ~10x,
-        so they must not share one per-shot EWMA (see
-        :func:`repro.runtime.profile.profile_key`)."""
-        return self.resolved_method

@@ -18,9 +18,9 @@ service layer can be exposed over HTTP with ``--serve HOST:PORT`` (plus
 ``--serve-client NAME:TOKEN[:SCOPES]`` to pre-register tenants), the
 noise sweep re-samples repeat runs through the cross-call distribution
 cache, ``--schedule adaptive|fixed`` picks the runtime scheduling mode
-(adaptive chunk sizing + backend-aware executors; counts are identical
-either way for a fixed seed), ``--cache-dir PATH`` (or
-``$REPRO_CACHE_DIR``) persists the caches *and cost profiles* on disk so a
+(adaptive chunk sizing; counts are identical either way for a fixed
+seed), ``--cache-dir PATH`` (or ``$REPRO_CACHE_DIR``) persists the
+caches *and cost profiles* on disk so a
 *second invocation* skips transpiles and exact-distribution simulations
 entirely and schedules from measured costs, ``--list-backends`` shows
 the provider registry's spec strings, and ``--service-demo`` drives a
@@ -88,8 +88,7 @@ EXPERIMENTS: Dict[str, tuple] = {
     "scaling": (
         "A2: overhead & scaling (stabilizer)",
         # Only an explicit --workers overrides run_scaling's serial default
-        # (its per-row timings assume one engine run at a time); --executor
-        # process is the one that speeds the GIL-bound tableau engine up.
+        # (its per-row timings assume one engine run at a time).
         lambda workers, executor: run_scaling(
             executor=executor,
             **({} if workers is None else {"max_workers": workers}),
@@ -387,17 +386,16 @@ def main(argv=None) -> int:
         choices=["serial", "thread", "process"],
         default=None,
         help="runtime executor kind for batch-shaped experiments "
-        "(default: $REPRO_EXECUTOR or thread; process helps the GIL-bound "
-        "per-shot engines; counts are identical under every kind)",
+        "(default: $REPRO_EXECUTOR or thread; counts are identical under "
+        "every kind)",
     )
     parser.add_argument(
         "--schedule",
         choices=["adaptive", "fixed"],
         default=None,
         help="runtime scheduling mode (default: $REPRO_SCHEDULE or adaptive; "
-        "adaptive picks backend-aware executors and cost-model-driven chunk "
-        "sizes where counts cannot change — for a fixed seed both modes "
-        "produce bit-identical counts)",
+        "adaptive picks cost-model-driven chunk sizes where counts cannot "
+        "change — for a fixed seed both modes produce bit-identical counts)",
     )
     parser.add_argument(
         "--cache-dir",

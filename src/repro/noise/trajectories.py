@@ -8,20 +8,16 @@ noise — the cross-validation benchmark (experiment A5 in the README's
 *Reproducing the paper* index, ``benchmarks/bench_simulators.py``) checks
 it converges to the density-matrix engine's exact distribution.
 
-Shots execute through :mod:`repro.simulators._batched`.  By default
-(``method="batched"``) all trajectories of a ``max_batch`` tile advance
-together, with one state per distinct stochastic history rather than per
-shot, so weak device noise costs far less than one statevector walk per
-shot; the historical per-shot walker is retained as ``method="loop"``.
-Each trajectory draws from its own counter-based Philox substream keyed
-by ``(seed, trajectory index)``: the batched path generates a tile's
-substreams in one vectorised pass (:mod:`repro.simulators._philox`), the
-loop path with NumPy's own generator, and the two agree double for
-double.  Both paths share column-wise deterministic kernels, so batched
-and looped counts are **bit-identical** for a fixed seed at every
-``max_batch`` tiling.  Duck-typed noise models (anything that is not a
-:class:`repro.noise.model.NoiseModel`) are queried per shot and therefore
-always take the loop path.
+Shots execute through :mod:`repro.simulators._batched`: all trajectories
+of a ``max_batch`` tile advance together, with one state per distinct
+stochastic history rather than per shot, so weak device noise costs far
+less than one statevector walk per shot.  Each trajectory draws from its
+own counter-based Philox substream keyed by ``(seed, trajectory index)``,
+so counts are bit-identical for a fixed seed at every ``max_batch``
+tiling.  The noise model is compiled once per run: any model with
+``channels_for`` / ``readout_confusion``, duck-typed or a
+:class:`repro.noise.model.NoiseModel`, is asked for each gate's channels
+once per run.
 """
 
 from __future__ import annotations
@@ -45,14 +41,8 @@ class TrajectorySimulator:
         The same duck-typed interface the density-matrix engine uses
         (``channels_for`` / ``readout_confusion``); ``None`` degenerates to
         ideal per-shot statevector simulation.
-    method:
-        ``"batched"`` evolves whole shot tiles along a NumPy batch axis,
-        ``"loop"`` re-walks the circuit per shot, and ``"auto"`` (default)
-        batches whenever the noise model supports it.  Counts are
-        bit-identical across methods for a fixed seed.
     max_batch:
-        Shot-tiling bound for the batched path (memory knob; never affects
-        counts).
+        Shot-tiling bound (memory knob; never affects counts).
     """
 
     name = "trajectory"
@@ -60,12 +50,9 @@ class TrajectorySimulator:
     def __init__(
         self,
         noise_model=None,
-        method: str = "auto",
         max_batch: int = _batched.DEFAULT_MAX_BATCH,
     ) -> None:
         self.noise_model = noise_model
-        _batched.resolve_method(method, None)  # validate the name eagerly
-        self.method = method
         self.max_batch = _batched.validate_max_batch(max_batch)
 
     def run(
@@ -76,13 +63,12 @@ class TrajectorySimulator:
         initial_state: Optional[np.ndarray] = None,
     ) -> Result:
         """Sample ``shots`` noisy trajectories and return their counts."""
-        counts, resolved = _batched.sample_shots(
+        counts = _batched.sample_shots(
             circuit,
             self.noise_model,
             shots,
             seed,
             initial_state,
-            method=self.method,
             max_batch=self.max_batch,
         )
         return Result(
@@ -92,7 +78,6 @@ class TrajectorySimulator:
                 "engine": self.name,
                 "noise": getattr(self.noise_model, "name", None),
                 "seed": seed,
-                "method": resolved,
                 "max_batch": self.max_batch,
             },
         )

@@ -147,7 +147,9 @@ class Counts(Dict[str, int]):
         p = self.probabilities()
         q = other.probabilities()
         keys = set(p) | set(q)
-        return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+        distance = 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+        # Rounded probabilities can sum past 1 (100/112 + 1/112 + 11/112).
+        return min(distance, 1.0)
 
     def hellinger_distance(self, other: "Counts") -> float:
         """Return the Hellinger distance to another histogram."""

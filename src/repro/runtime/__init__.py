@@ -10,8 +10,7 @@ interchangeable backends.  This package is the layer between the engines
   or a batch, fanning out across circuits and shot chunks on a shared
   executor.
 * :mod:`~repro.runtime.pool` — process-wide ``serial``/``thread``/
-  ``process`` executors, lazily created and reused across calls (the
-  process pool unlocks the GIL-bound per-shot engines).
+  ``process`` executors, lazily created and reused across calls.
 * :class:`~repro.runtime.job.Job` / :class:`~repro.runtime.job.JobSet` —
   submit/status/result/cancel futures with priorities and streaming
   collection (:meth:`~repro.runtime.job.JobSet.as_completed`).
@@ -32,9 +31,8 @@ interchangeable backends.  This package is the layer between the engines
 * :mod:`~repro.runtime.profile` / :mod:`~repro.runtime.scheduler` — the
   adaptive control layer: an online :class:`~repro.runtime.profile.CostModel`
   (EWMA per-shot/per-prepare estimates fed by every completed chunk,
-  persisted through the cache store) drives backend-aware executor
-  defaults and cost-sized shot chunks (``schedule="adaptive"``, the
-  default), and :class:`~repro.runtime.scheduler.Scheduler` adds a
+  persisted through the cache store) drives cost-sized shot chunks and
+  pool widths (``schedule="adaptive"``, the default), and :class:`~repro.runtime.scheduler.Scheduler` adds a
   fair-share multi-client submission queue with weighted round-robin
   dispatch and bounded in-flight admission control.
 
@@ -94,8 +92,6 @@ from repro.runtime.scheduler import (
     ScheduledBatch,
     Scheduler,
     default_schedule_mode,
-    executor_kind_for,
-    is_per_shot_backend,
     plan_chunk_shots,
     plan_width,
 )
@@ -143,10 +139,8 @@ __all__ = [
     "distribution_key",
     "execute",
     "execute_and_collect",
-    "executor_kind_for",
     "get_backend",
     "get_executor",
-    "is_per_shot_backend",
     "list_backends",
     "next_backoff",
     "plan_batches",

@@ -16,10 +16,10 @@ Semantics:
 
 * **Batching** — a list of circuits becomes a :class:`~repro.runtime.job.JobSet`
   whose jobs fan out over a shared executor (see :mod:`repro.runtime.pool`):
-  ``executor="thread"`` for the NumPy engines (their kernels release the
-  GIL), ``"process"`` for the GIL-bound per-shot engines (the looped
-  trajectory walker), ``"serial"`` for inline execution.  Executors are
-  process-wide and reused across calls — no per-call pool churn.
+  ``executor="thread"`` (the default; every engine's NumPy kernels
+  release the GIL), ``"process"`` for worker processes, ``"serial"`` for
+  inline execution.  Executors are process-wide and reused across calls —
+  no per-call pool churn.
 * **Deduplication** — with ``dedupe=True`` (default), jobs with the same
   ``(circuit.fingerprint(), backend)`` simulate the distribution once and
   share/re-sample it (see :mod:`repro.runtime.batching`), preserving the
@@ -44,7 +44,6 @@ Semantics:
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Union
 
 from repro.circuits.circuit import QuantumCircuit
@@ -63,19 +62,11 @@ from repro.runtime.distcache import (
     distribution_key,
 )
 from repro.runtime.job import Job, JobSet
-from repro.runtime.pool import EXECUTOR_ENV_VAR, executor_kind, get_executor
-from repro.runtime.profile import (
-    DEFAULT_COST_MODEL,
-    prepare_profile_key,
-    profile_key,
-)
+from repro.runtime.pool import executor_kind, get_executor
+from repro.runtime.profile import DEFAULT_COST_MODEL, profile_key
 from repro.runtime.provider import resolve_backend
 from repro.runtime.retry import resolve_retry_policy
-from repro.runtime.scheduler import (
-    executor_kind_for,
-    plan_chunk_shots,
-    resolve_schedule_mode,
-)
+from repro.runtime.scheduler import plan_chunk_shots, resolve_schedule_mode
 
 CircuitInput = Union[QuantumCircuit, Sequence[QuantumCircuit]]
 BackendInput = Union[str, Backend, Sequence[Union[str, Backend]]]
@@ -156,12 +147,10 @@ def execute(
         simulated once and re-sampled per job.
     executor:
         ``"serial"``, ``"thread"`` or ``"process"``; ``None`` reads
-        ``$REPRO_EXECUTOR``.  With neither set, the adaptive schedule
-        picks per backend — ``"process"`` for the GIL-bound per-shot
-        engines (the looped trajectory walker; work crosses the boundary
-        by pickle, and device circuits are transpiled once in the parent
-        before fan-out), ``"thread"`` for the NumPy engines — while
-        ``schedule="fixed"`` keeps the flat ``"thread"`` default.
+        ``$REPRO_EXECUTOR``, and with neither set the call runs on
+        threads.  Under ``"process"`` work crosses the boundary by pickle,
+        and device circuits are transpiled once in the parent before
+        fan-out.
     priority:
         Scalar or per-circuit submission priority (default 0).  Higher
         priorities reach the executor queue first; job order in the
@@ -180,9 +169,9 @@ def execute(
     schedule:
         ``"adaptive"`` or ``"fixed"``; ``None`` reads ``$REPRO_SCHEDULE``
         and falls back to ``"adaptive"``.  The adaptive schedule picks
-        backend-aware executors and cost-model-driven chunk sizes — but
-        only where counts cannot change: explicit ``chunk_shots`` /
-        ``executor`` always win, and a seeded job keeps the fixed chunk
+        cost-model-driven chunk sizes and submits transpile-heavy jobs
+        first — but only where counts cannot change: an explicit
+        ``chunk_shots`` always wins, and a seeded job keeps the fixed chunk
         plan unless it opts in with ``chunk_shots="auto"``.  For a fixed
         seed, counts are bit-identical under both modes (see
         :mod:`repro.runtime.scheduler`).  Both modes feed the cost model
@@ -263,23 +252,7 @@ def execute(
         from repro.faults import active_plan
 
         fault_plan = active_plan()
-    # Backend-aware executor selection: an explicit executor=, a
-    # $REPRO_EXECUTOR override, or schedule="fixed" pin one shared pool for
-    # the whole batch; otherwise the adaptive schedule routes each job to
-    # its backend's natural pool kind (per-shot -> process, NumPy ->
-    # thread).  Pool choice never touches counts.
-    shared_pool = None
-    if (
-        executor is not None
-        or not adaptive
-        or os.environ.get(EXECUTOR_ENV_VAR, "").strip()
-    ):
-        shared_pool = get_executor(executor, max_workers)
-
-    def pool_for(target: Backend):
-        if shared_pool is not None:
-            return shared_pool
-        return get_executor(executor_kind_for(target), max_workers)
+    pool = get_executor(executor, max_workers)
 
     # Adaptive chunk sizing, resolved once per (profile key, shots) so that
     # identical jobs inside one call (dedup groups, repeated sweep points)
@@ -352,7 +325,6 @@ def execute(
                 job._cost_probe = (
                     DEFAULT_COST_MODEL,
                     profile_key(backends[index], circuit_list[index]),
-                    prepare_profile_key(backends[index], circuit_list[index]),
                 )
                 to_submit.append(job)
         job.plan = {"schedule": mode, "chunk_shots": job_chunk, "executor": None}
@@ -380,16 +352,14 @@ def execute(
         prepare_estimate = 0.0
         if adaptive and getattr(job.backend, "transpile", False):
             prepare_estimate = (
-                DEFAULT_COST_MODEL.per_prepare(
-                    prepare_profile_key(job.backend, job.circuit)
-                )
+                DEFAULT_COST_MODEL.per_prepare(profile_key(job.backend, job.circuit))
                 or 0.0
             )
         return (-job.priority, -prepare_estimate)
 
+    kind = executor_kind(pool)
     for job in sorted(to_submit, key=submit_rank):
-        pool = pool_for(job.backend)
-        job.plan["executor"] = executor_kind(pool)
+        job.plan["executor"] = kind
         job._submit(pool)
     return jobs[0] if single else JobSet(jobs)
 

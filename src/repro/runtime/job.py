@@ -421,10 +421,9 @@ class Job:
         #: store this job's distribution into once it completes.
         self._dist_store = None
         self._dist_stored = False
-        #: Set by execute(): (CostModel, run key, prepare key) every
-        #: completed chunk / parent-side prepare reports its measured
-        #: wall-clock into (see repro.runtime.profile; the run key carries
-        #: the backend's cost_tag, the prepare key never does).
+        #: Set by execute(): (CostModel, profile key) every completed
+        #: chunk / parent-side prepare reports its measured wall-clock
+        #: into (see repro.runtime.profile).
         self._cost_probe = None
         #: Set by execute(): how the scheduler planned this job —
         #: {"schedule", "chunk_shots", "executor"} — for introspection.
@@ -540,8 +539,8 @@ class Job:
         if span is not None:
             span.finish().set(cache_hit=not lowered)
         if self._cost_probe is not None and lowered:
-            model, _run_key, prepare_key = self._cost_probe
-            model.observe_prepare(prepare_key, elapsed)
+            model, key = self._cost_probe
+            model.observe_prepare(key, elapsed)
         shipped = copy.copy(self.backend)
         shipped.transpile = False
         return shipped, prepared
@@ -626,8 +625,8 @@ class Job:
         if future.cancelled() or future.exception() is not None:
             return
         _result, elapsed, _trace = future.result()
-        model, run_key, _prepare_key = self._cost_probe
-        model.observe_run(run_key, shots, elapsed)
+        model, key = self._cost_probe
+        model.observe_run(key, shots, elapsed)
 
     def _distribution_completed(self, future: Future) -> None:
         """Done-callback: store the finished chunk's distribution."""

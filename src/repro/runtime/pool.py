@@ -1,10 +1,8 @@
 """Process-wide worker pools shared across ``execute()`` calls.
 
-PR 1's runtime built a fresh ``ThreadPoolExecutor`` inside every
-``execute()`` call — pure churn for single-job callers like ``run_table1``,
-and useless for GIL-bound per-shot engines (such as the looped trajectory
-walker) where thread fan-out buys nothing.  This module replaces that with
-three selectable executor kinds behind one lazily-created, process-wide
+Building a fresh pool inside every ``execute()`` call is pure churn for
+single-job callers like ``run_table1``.  This module keeps three
+selectable executor kinds behind one lazily-created, process-wide
 registry:
 
 ``serial``
@@ -13,12 +11,12 @@ registry:
     which makes job priorities directly observable.
 ``thread``
     A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  Right for
-    the NumPy engines (density-matrix, statevector), whose kernels release
-    the GIL.
+    every in-repo engine: all of them sample along NumPy axes whose
+    kernels release the GIL.
 ``process``
-    A shared :class:`~concurrent.futures.ProcessPoolExecutor`.  Right for
-    the pure-Python per-shot engines; circuits, backends and results cross
-    the boundary by pickle (see the runtime's pickling hooks).
+    A shared :class:`~concurrent.futures.ProcessPoolExecutor`, for
+    engines that hold the GIL; circuits, backends and results cross the
+    boundary by pickle (see the runtime's pickling hooks).
 
 Pools are keyed by ``(kind, width)`` and created on first use, so repeated
 ``execute()`` calls with the same configuration reuse one executor instead

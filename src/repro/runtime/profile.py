@@ -1,8 +1,8 @@
 """Online execution-cost profiles: measure every chunk, schedule the next.
 
 The adaptive scheduler (see :mod:`repro.runtime.scheduler`) needs two
-numbers to size work units and pick executors well: what one shot costs on
-a given engine, and what preparing a circuit (transpilation) costs.  This
+numbers to size work units well: what one shot costs on a given engine,
+and what preparing a circuit (transpilation) costs.  This
 module owns those numbers as an **online cost model** — the measure-then-
 decide loop of profile-guided optimisation applied to the runtime:
 
@@ -22,7 +22,7 @@ decide loop of profile-guided optimisation applied to the runtime:
 Observation is always on and always passive: ``schedule="fixed"`` runs
 still feed the model (profiling costs one float per chunk), they just never
 consult it.  Nothing in this module ever touches counts — estimates steer
-chunk sizing and executor choice only where that is count-transparent (see
+chunk sizing and pool width only where that is count-transparent (see
 the scheduler's determinism contract).
 """
 
@@ -49,33 +49,14 @@ FLUSH_EVERY = 8
 
 
 def profile_key(backend, circuit) -> ProfileKey:
-    """Return the *run*-cost key for one ``(backend, circuit)`` pairing.
+    """Return the cost key for one ``(backend, circuit)`` pairing.
 
     The backend ``name`` already encodes the engine family and, for device
     backends, the device (``"noisy(ibmqx4)"``); the qubit count is the
-    dominant cost driver within a family.  Backends whose per-shot cost
-    depends on an execution mode expose a ``cost_tag`` (the trajectory
-    engine's ``"batched"`` vs ``"loop"``, an order of magnitude apart) that
-    is folded into the name so the modes never share one EWMA — which also
-    means a mode switch starts from a cold per-shot estimate rather than a
-    stale cross-mode one.  Seeds, shots and noise scale are deliberately
-    excluded — they change *how much* work runs, not the per-shot unit
-    cost the planner divides by.
-    """
-    name, qubits = prepare_profile_key(backend, circuit)
-    tag = getattr(backend, "cost_tag", None)
-    if tag:
-        name = f"{name}+{tag}"
-    return (name, qubits)
-
-
-def prepare_profile_key(backend, circuit) -> ProfileKey:
-    """Return the *prepare* (transpile) cost key — ``cost_tag``-free.
-
-    Transpilation cost is a property of ``(device, circuit)`` only; the
-    engine's execution mode never touches it, so all modes of one backend
-    share a single ``per_prepare`` EWMA (and profiles persisted before the
-    mode knob existed keep warming it).
+    dominant cost factor within a family.  Both the run (per-shot) and
+    the prepare (transpile) estimates live under this one key.  Seeds,
+    shots and noise scale are deliberately excluded — they change *how
+    much* work runs, not the per-shot unit cost the planner divides by.
     """
     return (str(getattr(backend, "name", type(backend).__name__)),
             int(getattr(circuit, "num_qubits", 0)))
@@ -267,11 +248,12 @@ class CostModel(StoreBackedCache):
         data to plan from and should fall back to its static default.
         """
         total = None
-        run = self.estimate_run(profile_key(backend, circuit), shots)
+        key = profile_key(backend, circuit)
+        run = self.estimate_run(key, shots)
         if run is not None:
             total = run
         if getattr(backend, "transpile", False):
-            prepare = self.per_prepare(prepare_profile_key(backend, circuit))
+            prepare = self.per_prepare(key)
             if prepare is not None:
                 total = prepare if total is None else total + prepare
         return total

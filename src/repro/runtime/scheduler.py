@@ -1,22 +1,17 @@
-"""Cost-model-driven adaptive scheduling: chunk sizing, executor choice,
+"""Cost-model-driven adaptive scheduling: chunk sizing, worker width,
 and a fair-share multi-client submission queue.
 
-PR 2 gave the runtime shared pools and PR 3 persistent caches, but every
-``execute()`` call still picked ``chunk_shots``, executor kind and worker
-width by hand.  This module closes that loop with the measure-then-decide
-discipline of profile-guided optimisation:
+This module sizes each ``execute()`` call's work from measurements, the
+measure-then-decide discipline of profile-guided optimisation:
 
-* :func:`plan_chunk_shots` sizes shot chunks for the per-shot Monte-Carlo
-  engines from the :class:`~repro.runtime.profile.CostModel`'s measured
-  per-shot cost — enough chunks to saturate the pool, never so many that
-  scheduling overhead dominates.  Exact-distribution engines are never
-  chunked (their simulation cost is shots-independent).
-* :func:`executor_kind_for` maps a backend to its natural executor:
-  ``"process"`` for the GIL-bound per-shot engines (the looped
-  trajectory walker, arbitrary user engines), ``"thread"`` for the NumPy
-  engines whose kernels release the GIL — including the batch-axis
-  (``vectorized_shots``) stabilizer and batched trajectory engines.
-  ``$REPRO_EXECUTOR`` and an explicit ``executor=`` always win.
+* :func:`plan_chunk_shots` sizes shot chunks for the sampling engines
+  (stabilizer, trajectory, user engines) from the
+  :class:`~repro.runtime.profile.CostModel`'s measured per-shot cost —
+  enough chunks to saturate the pool, never so many that scheduling
+  overhead dominates.  Exact-distribution engines are never chunked
+  (their simulation cost is shots-independent).
+* :func:`plan_width` grants a dispatch roughly one worker per
+  :data:`WORKER_SECONDS` of estimated work.
 * :class:`Scheduler` is a submission front door for *many clients*:
   weighted round-robin dispatch across per-client queues, priority order
   within a client, and bounded in-flight admission control layered on the
@@ -27,7 +22,7 @@ Determinism contract
 Adaptive decisions never change counts for a seeded call.  Counts are a
 pure function of ``(circuit, backend, shots, seed, chunk_shots)``; the
 adaptive scheduler therefore only varies the pieces outside that tuple —
-executor kind, pool width, dispatch order — and applies cost-driven chunk
+pool width and dispatch order — and applies cost-driven chunk
 sizing exactly where it is count-transparent or explicitly requested:
 
 * ``seed=None`` jobs (no reproducibility contract — every run draws fresh
@@ -65,10 +60,15 @@ SCHEDULE_MODES = ("adaptive", "fixed")
 #: Environment variable naming the default scheduling mode.
 SCHEDULE_ENV_VAR = "REPRO_SCHEDULE"
 
-#: Adaptive chunks aim for roughly this much work per pool task: large
-#: enough that per-task submit/pickle overhead stays in the noise, small
-#: enough that a long job streams progress through the pool.
-TARGET_CHUNK_SECONDS = 0.2
+#: Adaptive chunks aim for roughly this much work per pool task.  The
+#: sampling engines draw their shots along a batch axis, so their
+#: per-shot cost falls with chunk size (kernel dispatch and substream
+#: setup amortise over the tile): chunks are fat, and fine slicing would
+#: be pure overhead.  A long job still streams progress through the pool.
+TARGET_CHUNK_SECONDS = 1.6
+
+#: :func:`plan_width` grants one worker per this much estimated work.
+WORKER_SECONDS = 0.2
 
 #: Estimated job cost below which splitting is pure overhead.
 SPLIT_THRESHOLD_SECONDS = 0.05
@@ -79,12 +79,6 @@ MIN_CHUNK_SHOTS = 16
 #: At most this many chunks per pool worker (bounded oversubscription
 #: keeps the tail short without flooding the queue).
 OVERSUBSCRIBE = 4
-
-#: Chunk-size multiplier for batch-axis (``vectorized_shots``) engines:
-#: their per-shot cost *falls* with chunk size (kernel dispatch and
-#: substream setup amortise over the tile), so bigger chunks pay off and
-#: fine slicing is pure overhead.
-VECTORIZED_CHUNK_FACTOR = 8
 
 
 def default_schedule_mode() -> str:
@@ -111,35 +105,6 @@ def resolve_schedule_mode(schedule: Optional[str]) -> str:
     return schedule
 
 
-def is_per_shot_backend(backend) -> bool:
-    """Return ``True`` for engines that sample shot by shot.
-
-    Backends that report exact distributions (``returns_probabilities``)
-    simulate once and draw counts in a single multinomial — shots cost
-    next to nothing, so neither chunking nor process fan-out helps them.
-    Everything else (stabilizer, trajectory, arbitrary user engines) pays
-    per shot and is worth sharding; whether it also wants worker
-    processes is :func:`executor_kind_for`'s call.
-    """
-    return not getattr(backend, "returns_probabilities", False)
-
-
-def executor_kind_for(backend) -> str:
-    """Return the backend's natural executor kind (no overrides applied).
-
-    Per-shot engines that step shot by shot in Python (the looped
-    trajectory walker, user engines) only overlap in worker *processes*;
-    the NumPy engines release the GIL inside their kernels and run
-    cheaper on threads (no pickling, shared caches).  Per-shot engines
-    that sample along a batch axis (``vectorized_shots``: the stabilizer
-    engine and the batched trajectory engine) count as NumPy engines for
-    this purpose.
-    """
-    if not is_per_shot_backend(backend):
-        return "thread"
-    return "thread" if getattr(backend, "vectorized_shots", False) else "process"
-
-
 def plan_chunk_shots(
     backend,
     circuit,
@@ -161,12 +126,8 @@ def plan_chunk_shots(
       cut into roughly :data:`TARGET_CHUNK_SECONDS` pieces, at least one
       per worker when the job is big enough and at most
       :data:`OVERSUBSCRIBE` per worker.
-    * Batch-axis engines (``vectorized_shots``) aim for chunks
-      :data:`VECTORIZED_CHUNK_FACTOR` times fatter: their kernel dispatch
-      amortises over the tile, so many small chunks would re-pay the
-      per-chunk setup the batching just removed.
     """
-    if shots <= MIN_CHUNK_SHOTS or not is_per_shot_backend(backend):
+    if shots <= MIN_CHUNK_SHOTS or getattr(backend, "returns_probabilities", False):
         return None
     width = width if width is not None else default_max_workers()
     if width <= 1:
@@ -176,13 +137,12 @@ def plan_chunk_shots(
     if per_shot is None:
         chunk = max(MIN_CHUNK_SHOTS, math.ceil(shots / width))
         return chunk if chunk < shots else None
-    target = TARGET_CHUNK_SECONDS
-    if getattr(backend, "vectorized_shots", False):
-        target *= VECTORIZED_CHUNK_FACTOR
     total = per_shot * shots
     if total < SPLIT_THRESHOLD_SECONDS:
         return None
-    chunks = min(width * OVERSUBSCRIBE, max(1, math.ceil(total / target)))
+    chunks = min(
+        width * OVERSUBSCRIBE, max(1, math.ceil(total / TARGET_CHUNK_SECONDS))
+    )
     if total >= width * SPLIT_THRESHOLD_SECONDS:
         chunks = max(chunks, width)  # enough pieces to saturate the pool
     chunks = min(chunks, shots // MIN_CHUNK_SHOTS)
@@ -204,7 +164,7 @@ def plan_width(
     The shared pools default to the full machine width, so every dispatch
     historically competed for (and fragmented) the same maximal pool even
     when the batch was milliseconds of work.  With a measured cost
-    profile, grant roughly one worker per :data:`TARGET_CHUNK_SECONDS` of
+    profile, grant roughly one worker per :data:`WORKER_SECONDS` of
     estimated total cost (prepare + run across the batch), clamped to
     ``[1, max_width]`` — tiny batches take one worker and leave the rest
     of the machine to concurrent clients, huge batches still get the full
@@ -228,7 +188,7 @@ def plan_width(
     total = model.estimate_batch(backend, circuits, shots)
     if total is None:
         return None
-    return max(1, min(cap, math.ceil(total / TARGET_CHUNK_SECONDS)))
+    return max(1, min(cap, math.ceil(total / WORKER_SECONDS)))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Batch-axis trajectory execution shared by the sampling engines.
 
-This module is the machinery behind ``method="batched"`` on the
+This module is how the
 :class:`~repro.noise.trajectories.TrajectorySimulator` and the statevector
-engine's post-``max_branches`` per-shot fallback: instead of re-walking the
-circuit once per shot in Python, all shots of a ``max_batch`` tile advance
-together through the batched kernels in :mod:`repro.simulators._kernels`.
+engine's post-``max_branches`` fallback sample shots: instead of
+re-walking the circuit once per shot in Python, all shots of a
+``max_batch`` tile advance together through the batched kernels in
+:mod:`repro.simulators._kernels`.
 
 History classes
 ---------------
@@ -41,35 +42,27 @@ Every trajectory draws from its **own counter-based substream**: shot ``t``
 of a run seeded ``s`` uses ``Philox(SeedSequence(s).spawn(shots)[t])``, and
 consumes one uniform per stochastic decision it actually executes (Kraus
 branch choice, measurement outcome, readout flip, reset), in program order.
-The batched path builds a whole tile's uniforms in one vectorised pass
-(:mod:`repro.simulators._philox`, exact against NumPy's generator) and
-advances one cursor shared by all rows until a conditioned step splits
-them, then one per row; the retained loop path (``method="loop"``, also
-the fallback for duck-typed noise models) draws the same uniforms from
-NumPy's own per-shot ``Generator``, and shares the kernels and the Kraus
-decision arithmetic at batch width 1.  Batched and looped counts are
-therefore bit-identical for a fixed seed at **every** ``max_batch`` tiling
-— which is what lets the runtime's chunk-seed plan, dedup and cost model
-treat ``method`` and ``max_batch`` as pure throughput knobs.
-
-The loop fallback is taken when the noise model is duck-typed (anything
-that is not a :class:`repro.noise.model.NoiseModel`): its ``channels_for``
-may be stateful, so it must be queried per shot exactly as the historical
-engine did.
+A tile's uniforms are built in one vectorised pass
+(:mod:`repro.simulators._philox`, exact against NumPy's generator), and the
+walker advances one cursor shared by all rows until a conditioned step
+splits them, then one per row.  Counts are therefore bit-identical for a
+fixed seed at **every** ``max_batch`` tiling — which is what lets the
+runtime's chunk-seed plan, dedup and cost model treat ``max_batch`` as a
+pure throughput knob.  The test suite keeps a per-shot walker that draws
+the same uniforms from NumPy's own per-shot ``Generator`` and runs the
+same kernels at batch width 1 (``tests/simulators/loop_reference.py``);
+batched counts must equal its counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.circuits.gates import Gate, x_matrix
+from repro.circuits.gates import x_matrix
 from repro.exceptions import SimulationError
 from repro.simulators import _kernels, _philox, _program
-
-#: Selectable execution methods for the sampling engines.
-METHODS = ("auto", "batched", "loop")
 
 #: Default shot-tiling bound: big enough to amortise kernel dispatch,
 #: small enough that ``B * 2^n`` (plus one Kraus branch copy per operator)
@@ -77,60 +70,10 @@ METHODS = ("auto", "batched", "loop")
 DEFAULT_MAX_BATCH = 1024
 
 
-def supports_batching(noise_model) -> bool:
-    """Return ``True`` when ``noise_model`` is safe to query once per run.
-
-    The batched path asks the model for each instruction's channels a
-    single time and replays the answer across all shots, so it requires
-    the repo's pure :class:`~repro.noise.model.NoiseModel` (or no noise at
-    all).  Arbitrary duck-typed models may be stateful and take the loop
-    fallback instead.
-    """
-    if noise_model is None:
-        return True
-    from repro.noise.model import NoiseModel
-
-    return isinstance(noise_model, NoiseModel)
-
-
-def resolve_method(method: str, noise_model) -> str:
-    """Map a ``method`` argument to the concrete path (``batched``/``loop``)."""
-    if method not in METHODS:
-        raise SimulationError(
-            f"unknown method {method!r}; choose from {list(METHODS)}"
-        )
-    if method == "loop":
-        return "loop"
-    if supports_batching(noise_model):
-        return "batched"
-    if method == "batched":
-        raise SimulationError(
-            "method='batched' requires a repro NoiseModel (duck-typed noise "
-            "models are queried per shot and must use method='loop')"
-        )
-    return "loop"
-
-
 def validate_max_batch(max_batch: int) -> int:
     if int(max_batch) < 1:
         raise SimulationError(f"max_batch must be positive, got {max_batch}")
     return int(max_batch)
-
-
-def spawn_substreams(seed: Optional[int], shots: int) -> List[np.random.SeedSequence]:
-    """Return one child :class:`~numpy.random.SeedSequence` per trajectory.
-
-    Substream ``t`` depends only on ``(seed, t)`` — never on how shots are
-    tiled into batches — which is the root of the batch-width-invariance
-    contract.  ``seed=None`` draws fresh OS entropy for the root.
-    """
-    root = np.random.SeedSequence(seed)
-    return root.spawn(shots) if shots > 0 else []
-
-
-def substream_generator(child: np.random.SeedSequence) -> np.random.Generator:
-    """Return the counter-based generator of one trajectory substream."""
-    return np.random.Generator(np.random.Philox(child))
 
 
 def _max_draws(steps: List[tuple]) -> int:
@@ -391,120 +334,6 @@ def run_batched(
 
 
 # ----------------------------------------------------------------------
-# Retained loop path (batch width 1, identical substreams)
-# ----------------------------------------------------------------------
-
-
-def run_loop(
-    circuit,
-    noise_model,
-    children: List[np.random.SeedSequence],
-    initial_state: Optional[np.ndarray],
-) -> Dict[str, int]:
-    """Per-shot walker consuming the same substreams as the batched path.
-
-    Kept as the reference implementation and the fallback for duck-typed
-    noise models (queried per shot).  It runs the *batched* kernels at
-    batch width 1 and shares the Kraus decision function, so its counts
-    are bit-identical to :func:`run_batched` for a fixed seed.
-    """
-    from collections import Counter
-
-    counts: Counter = Counter()
-    for child in children:
-        rng = substream_generator(child)
-        counts[_loop_shot(circuit, noise_model, rng, initial_state)] += 1
-    return dict(counts)
-
-
-def _loop_shot(circuit, noise_model, rng, initial_state) -> str:
-    state = _kernels.batched_state_tensor(1, circuit.num_qubits, initial_state)
-    clbits = [0] * circuit.num_clbits
-    for inst in circuit.data:
-        if inst.name == "barrier":
-            continue
-        if inst.condition is not None:
-            clbit, value = inst.condition
-            if clbits[clbit] != value:
-                continue
-        if inst.name == "measure":
-            state = _loop_measure(state, inst, clbits, noise_model, rng)
-        elif inst.name == "reset":
-            state = _loop_reset(state, inst, rng)
-        else:
-            op = inst.operation
-            if not isinstance(op, Gate):
-                raise SimulationError(f"cannot apply non-gate {op.name!r}")
-            state = _kernels.batched_apply_matrix(state, op.matrix, inst.qubits)
-            if noise_model is not None:
-                for kraus, targets in noise_model.channels_for(inst):
-                    state = _loop_sample_kraus(
-                        state, tuple(kraus), tuple(targets), rng.random()
-                    )
-    return "".join(str(b) for b in clbits)
-
-
-def _loop_sample_kraus(state, operators, targets, uniform):
-    """Early-exiting scalar twin of :func:`_sample_kraus_rows`.
-
-    Applies operators only until the sampled branch is found (usually the
-    first, high-weight one), instead of materialising all ``m`` branches
-    per shot.  Decision-equivalent to :func:`_kernels.kraus_select`
-    bit-for-bit: the cumulative partial sums are the same float64
-    sequence, the first branch whose cumulative weight exceeds the draw
-    wins, and the round-off / zero-weight fallback (which does need every
-    weight) picks the last branch with support.
-    """
-    cumulative = 0.0
-    branches = []
-    weights = []
-    for k_op in operators:
-        branch = _kernels.batched_apply_matrix(state, k_op, targets)
-        weight = float(_kernels.batched_norm_sq(branch)[0])
-        branches.append(branch)
-        weights.append(weight)
-        cumulative += weight
-        if uniform < cumulative:
-            if weight > _kernels.KRAUS_EPS:
-                return branch / np.sqrt(weight)
-            break  # selected a zero-weight branch: take the fallback
-    for k_op in operators[len(branches):]:
-        branch = _kernels.batched_apply_matrix(state, k_op, targets)
-        branches.append(branch)
-        weights.append(float(_kernels.batched_norm_sq(branch)[0]))
-    for branch, weight in zip(reversed(branches), reversed(weights)):
-        if weight > _kernels.KRAUS_EPS:
-            return branch / np.sqrt(weight)
-    raise SimulationError("Kraus sampling found no branch with support")
-
-
-def _loop_measure(state, inst, clbits, noise_model, rng):
-    qubit, clbit = inst.qubits[0], inst.clbits[0]
-    p_one = _kernels.batched_probability_of_one(state, qubit)[0]
-    outcome = 1 if rng.random() < p_one else 0
-    state, _ = _kernels.batched_collapse(state, qubit, np.array([outcome], dtype=np.uint8))
-    recorded = outcome
-    if noise_model is not None:
-        confusion = noise_model.readout_confusion(qubit)
-        if confusion is not None:
-            flip_prob = confusion[1 - outcome][outcome]
-            if rng.random() < flip_prob:
-                recorded = 1 - outcome
-    clbits[clbit] = recorded
-    return state
-
-
-def _loop_reset(state, inst, rng):
-    qubit = inst.qubits[0]
-    p_one = _kernels.batched_probability_of_one(state, qubit)[0]
-    outcome = 1 if rng.random() < p_one else 0
-    state, _ = _kernels.batched_collapse(state, qubit, np.array([outcome], dtype=np.uint8))
-    if outcome == 1:
-        state = _kernels.batched_apply_matrix(state, x_matrix(), [qubit])
-    return state
-
-
-# ----------------------------------------------------------------------
 # Engine entry point
 # ----------------------------------------------------------------------
 
@@ -515,29 +344,22 @@ def sample_shots(
     shots: int,
     seed: Optional[int],
     initial_state: Optional[np.ndarray],
-    method: str = "auto",
     max_batch: int = DEFAULT_MAX_BATCH,
-) -> Tuple[Dict[str, int], str]:
-    """Sample ``shots`` trajectories; returns ``(counts, resolved method)``.
+) -> Dict[str, int]:
+    """Sample ``shots`` trajectories of ``circuit`` and return their counts.
 
-    The one entry point both sampling engines call: resolves ``method``,
-    spawns the per-trajectory substreams, and dispatches to the batched or
-    loop walker — whose counts agree bit-for-bit wherever both apply.
+    The one entry point both sampling engines call.  The noise model is
+    compiled once per run (:func:`repro.simulators._program.build_program`),
+    so any model, duck-typed or not, is asked for each gate's channels
+    once.
     """
-    resolved = resolve_method(method, noise_model)
     max_batch = validate_max_batch(max_batch)
-    if resolved == "batched":
-        steps = _program.build_program(circuit, noise_model)
-        counts = run_batched(
-            steps,
-            circuit.num_qubits,
-            circuit.num_clbits,
-            np.random.SeedSequence(seed),
-            shots,
-            initial_state,
-            max_batch,
-        )
-    else:
-        children = spawn_substreams(seed, shots)
-        counts = run_loop(circuit, noise_model, children, initial_state)
-    return counts, resolved
+    return run_batched(
+        _program.build_program(circuit, noise_model),
+        circuit.num_qubits,
+        circuit.num_clbits,
+        np.random.SeedSequence(seed),
+        shots,
+        initial_state,
+        max_batch,
+    )

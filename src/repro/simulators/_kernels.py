@@ -99,7 +99,7 @@ def basis_label(index: int, num_qubits: int) -> str:
 # floats a column sees are identical whether it runs in a batch of 1, 7
 # or 4096, and whichever other columns sit beside it.  That invariance is
 # what lets the batched walker evolve one column per history class and
-# still match the per-shot loop bit-for-bit (see
+# still match a per-shot walk bit-for-bit (see
 # :mod:`repro.simulators._batched`).
 #
 # Plans are cached so no call re-derives structure: the basis-slice index
@@ -354,9 +354,9 @@ def kraus_select(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     ``weights`` is ``(m, B)`` (branch-major), ``uniforms`` is ``(B,)``.
     Trajectory ``b`` selects the first branch ``j`` whose cumulative
     weight exceeds ``uniforms[b]``; float round-off (or a selected branch
-    without support) falls back to the last branch with support.  The
-    looped and batched engines share this exact decision function, so a
-    trajectory's branch choice depends only on its own weights and draw.
+    without support) falls back to the last branch with support.  A
+    trajectory's branch choice therefore depends only on its own weights
+    and draw, whatever the batch holds beside it.
     """
     m = weights.shape[0]
     cumulative = np.cumsum(weights, axis=0)

@@ -17,7 +17,8 @@ whole tile of shots in one pass of ``uint64`` array arithmetic:
 * **Doubles** are ``(x >> 11) * 2**-53``, as ``Generator.random`` makes them.
 
 ``tests/simulators/test_philox.py`` checks the result against NumPy's own
-per-child generators, which the ``method="loop"`` walker still uses.
+per-child generators, which the test suite's per-shot reference walker
+uses.
 """
 
 from __future__ import annotations

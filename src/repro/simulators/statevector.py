@@ -13,9 +13,8 @@ For circuits with many measurements the branch count can grow as ``2^m``; the
 engine falls back to per-shot Monte-Carlo simulation above ``max_branches``
 branches.  The fallback runs through the shared batch-axis machinery
 (:mod:`repro.simulators._batched`): all shots of a ``max_batch`` tile evolve
-together (``method="batched"``), with a per-shot ``method="loop"`` walker
-retained — both consume identical per-trajectory Philox substreams, so their
-counts agree bit-for-bit for a fixed seed at every tiling.
+together, each drawing its own per-trajectory Philox substream, so the
+counts are bit-identical for a fixed seed at every tiling.
 """
 
 from __future__ import annotations
@@ -120,14 +119,10 @@ class StatevectorSimulator:
     max_branches:
         Branch-enumeration cap; circuits whose measurement tree exceeds this
         fall back to per-shot sampling.
-    method / max_batch:
-        How the per-shot fallback executes (see
-        :mod:`repro.simulators._batched`): ``"batched"`` (the ``"auto"``
-        default resolves to it) evolves whole shot tiles along a NumPy
-        batch axis, ``"loop"`` re-walks the circuit per shot.  Both draw
-        per-trajectory Philox substreams keyed by ``(seed, shot index)``,
-        so fallback counts are bit-identical across methods and
-        ``max_batch`` tilings for a fixed seed.
+    max_batch:
+        Shot-tiling bound of the per-shot fallback (see
+        :mod:`repro.simulators._batched`); fallback counts are
+        bit-identical across tilings for a fixed seed.
     """
 
     name = "statevector"
@@ -135,14 +130,11 @@ class StatevectorSimulator:
     def __init__(
         self,
         max_branches: int = 4096,
-        method: str = "auto",
         max_batch: int = _batched.DEFAULT_MAX_BATCH,
     ) -> None:
         if max_branches < 1:
             raise SimulationError("max_branches must be positive")
         self.max_branches = max_branches
-        _batched.resolve_method(method, None)  # validate the name eagerly
-        self.method = method
         self.max_batch = _batched.validate_max_batch(max_batch)
 
     # ------------------------------------------------------------------
@@ -182,14 +174,8 @@ class StatevectorSimulator:
                 probabilities=probabilities or None,
                 metadata={"engine": self.name, "method": "branch", "seed": seed},
             )
-        counts_dict, resolved = _batched.sample_shots(
-            circuit,
-            None,
-            shots,
-            seed,
-            initial_state,
-            method=self.method,
-            max_batch=self.max_batch,
+        counts_dict = _batched.sample_shots(
+            circuit, None, shots, seed, initial_state, max_batch=self.max_batch
         )
         return Result(
             counts=Counts(counts_dict),
@@ -197,7 +183,6 @@ class StatevectorSimulator:
             metadata={
                 "engine": self.name,
                 "method": "per-shot",
-                "per_shot_method": resolved,
                 "max_batch": self.max_batch,
                 "seed": seed,
             },

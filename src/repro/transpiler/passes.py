@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.devices.device import DeviceModel
@@ -42,18 +42,17 @@ class TranspilerPass:
 
 
 class PassManager:
-    """Runs a sequence of passes, recording per-pass statistics.
+    """Runs a sequence of passes, recording which ran.
 
     Attributes
     ----------
     history:
-        After :meth:`run`, a list of ``(pass name, ops-after, depth-after)``
-        triples — handy for the transpiler benchmarks.
+        After :meth:`run`, the names of the passes applied, in order.
     """
 
     def __init__(self, passes: Sequence[TranspilerPass]) -> None:
         self.passes: List[TranspilerPass] = list(passes)
-        self.history: List[Tuple[str, int, int]] = []
+        self.history: List[str] = []
 
     def run(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """Apply all passes in order."""
@@ -61,7 +60,7 @@ class PassManager:
         current = circuit
         for pass_ in self.passes:
             current = pass_.run(current)
-            self.history.append((pass_.name, current.size(), current.depth()))
+            self.history.append(pass_.name)
         return current
 
     def __repr__(self) -> str:

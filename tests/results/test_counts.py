@@ -121,6 +121,13 @@ class TestDistances:
         assert a.total_variation_distance(b) == pytest.approx(1.0)
         assert a.hellinger_distance(b) == pytest.approx(1.0)
 
+    def test_disjoint_distance_never_exceeds_one(self):
+        """These probabilities round to a sum of 1.0000000000000002."""
+        a = Counts({"11": 11, "01": 100, "10": 1})
+        b = Counts({"00": 1})
+        assert a.total_variation_distance(b) == 1.0
+        assert b.total_variation_distance(a) == 1.0
+
     def test_tvd_half(self):
         a = Counts({"0": 10})
         b = Counts({"0": 5, "1": 5})

@@ -27,13 +27,12 @@ from repro.runtime import (
 )
 from repro.runtime.cache import transpile_key
 from repro.runtime.pool import EXECUTOR_ENV_VAR
-from repro.runtime.profile import CostModel, prepare_profile_key
+from repro.runtime.profile import CostModel
 from repro.runtime.scheduler import (
     MIN_CHUNK_SHOTS,
     OVERSUBSCRIBE,
     SCHEDULE_ENV_VAR,
-    executor_kind_for,
-    is_per_shot_backend,
+    TARGET_CHUNK_SECONDS,
     plan_chunk_shots,
 )
 
@@ -50,47 +49,39 @@ def measured_ghz(n):
     return circuit
 
 
-def looped_trajectory():
-    """A per-shot engine that still steps shot by shot in Python."""
-    return get_backend("trajectory:ibmqx4", method="loop")
-
-
 # ----------------------------------------------------------------------
 # Backend classification and executor defaults
 # ----------------------------------------------------------------------
 
 
 class TestBackendClassification:
-    def test_per_shot_engines(self):
-        assert is_per_shot_backend(get_backend("stabilizer"))
-        assert is_per_shot_backend(get_backend("trajectory:ibmqx4"))
+    """Only engines without an exact distribution pay per shot."""
 
-    def test_exact_engines(self):
-        assert not is_per_shot_backend(get_backend("statevector"))
-        assert not is_per_shot_backend(get_backend("density_matrix"))
-        assert not is_per_shot_backend(get_backend("noisy:ibmqx4"))
+    @pytest.mark.parametrize("spec", ["stabilizer", "trajectory:ibmqx4"])
+    def test_sampling_engines_chunk(self, spec):
+        assert plan_chunk_shots(
+            get_backend(spec), measured_bell(), 1000, width=4,
+            cost_model=CostModel(),
+        ) == 250
 
-    def test_executor_kind_mapping(self):
-        assert executor_kind_for(looped_trajectory()) == "process"
-        assert executor_kind_for(get_backend("statevector")) == "thread"
-
-    def test_batch_axis_stabilizer_routes_to_threads(self):
-        assert is_per_shot_backend(get_backend("stabilizer"))
-        assert executor_kind_for(get_backend("stabilizer")) == "thread"
+    @pytest.mark.parametrize("spec", ["statevector", "density_matrix", "noisy:ibmqx4"])
+    def test_exact_engines_never_chunk(self, spec):
+        assert plan_chunk_shots(
+            get_backend(spec), measured_bell(), 100000, width=8,
+            cost_model=CostModel(),
+        ) is None
 
 
 class TestExecutorDefaults:
-    """Adaptive scheduling routes each job to its backend's natural pool."""
+    """Every in-repo engine runs on threads unless told otherwise."""
 
-    def test_per_shot_defaults_to_process(self, monkeypatch):
+    @pytest.mark.parametrize("spec", [
+        "statevector", "density_matrix", "stabilizer", "noisy:ibmqx4",
+        "trajectory:ibmqx4",
+    ])
+    def test_every_engine_defaults_to_thread(self, monkeypatch, spec):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        job = execute(measured_bell(), looped_trajectory(), shots=8, seed=1,
-                      schedule="adaptive")
-        assert job.plan["executor"] == "process"
-
-    def test_numpy_engine_defaults_to_thread(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        job = execute(measured_bell(), "statevector", shots=8, seed=1,
+        job = execute(measured_bell(), spec, shots=8, seed=1,
                       schedule="adaptive")
         assert job.plan["executor"] == "thread"
 
@@ -112,15 +103,14 @@ class TestExecutorDefaults:
                       schedule="fixed")
         assert job.plan["executor"] == "thread"
 
-    def test_mixed_batch_routes_per_job(self, monkeypatch):
+    def test_mixed_batch_shares_one_pool(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         jobs = execute(
             [measured_bell(), measured_bell()],
-            [looped_trajectory(), get_backend("statevector")],
+            [get_backend("trajectory:ibmqx4"), get_backend("statevector")],
             shots=8, seed=1, schedule="adaptive",
         )
-        assert jobs[0].plan["executor"] == "process"
-        assert jobs[1].plan["executor"] == "thread"
+        assert [job.plan["executor"] for job in jobs] == ["thread", "thread"]
 
     def test_schedule_env_default(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
@@ -174,13 +164,14 @@ class TestPlanChunkShots:
         assert chunk == 250  # one chunk per worker
 
     def test_warm_model_targets_chunk_seconds(self):
-        backend = looped_trajectory()
+        backend = get_backend("trajectory:ibmqx4")
         model = CostModel()
-        model.observe_run(profile_key(backend, measured_bell()), 1000, 1.0)
+        model.observe_run(profile_key(backend, measured_bell()), 1000, 16.0)
         chunk = plan_chunk_shots(backend, measured_bell(), 1000, width=4,
                                  cost_model=model)
-        # 1 s of work cut into 0.2 s targets -> 5 chunks of 200.
-        assert chunk == 200
+        # 16 s of work cut into 1.6 s targets -> 10 chunks of 100.
+        assert TARGET_CHUNK_SECONDS == 1.6
+        assert chunk == 100
 
     def test_cheap_jobs_stay_whole(self):
         backend = get_backend("stabilizer")
@@ -375,54 +366,49 @@ class TestParentSidePrepare:
 
 
 # ----------------------------------------------------------------------
-# Batch-axis engine awareness and prepare-first dispatch
+# Cost keys and prepare-first dispatch
 # ----------------------------------------------------------------------
 
 
-class TestVectorizedBackendAwareness:
-    """The runtime's view of the batched trajectory engine (PR 5)."""
+class TestOneCostKey:
+    """One execution mode per engine, so one cost key per (engine, qubits)."""
 
-    def test_batched_trajectory_routes_to_threads(self):
-        batched = get_backend("trajectory:ibmqx4")
-        looped = get_backend("trajectory:ibmqx4", method="loop")
-        # Still per-shot (no exact distribution) ...
-        assert is_per_shot_backend(batched)
-        assert is_per_shot_backend(looped)
-        # ... but the batch-axis kernels release the GIL, so threads win.
-        assert executor_kind_for(batched) == "thread"
-        assert executor_kind_for(looped) == "process"
-
-    def test_cost_model_keys_methods_apart(self):
+    def test_trajectory_key_is_the_backend_name(self):
         circuit = measured_bell()
-        batched_key = profile_key(get_backend("trajectory:ibmqx4"), circuit)
-        looped_key = profile_key(
-            get_backend("trajectory:ibmqx4", method="loop"), circuit
-        )
-        assert batched_key == ("trajectory(ibmqx4)+batched", 2)
-        assert looped_key == ("trajectory(ibmqx4)+loop", 2)
-
-    def test_prepare_key_shared_across_methods(self):
-        """Transpile cost is method-independent: one per_prepare EWMA."""
-        circuit = measured_bell()
-        batched = get_backend("trajectory:ibmqx4")
-        looped = get_backend("trajectory:ibmqx4", method="loop")
-        assert (
-            prepare_profile_key(batched, circuit)
-            == prepare_profile_key(looped, circuit)
-            == ("trajectory(ibmqx4)", 2)
+        assert profile_key(get_backend("trajectory:ibmqx4"), circuit) == (
+            "trajectory(ibmqx4)", 2
         )
 
-    def test_vectorized_chunks_are_fatter(self):
+    def test_run_and_prepare_share_the_key(self):
+        """A job's probe carries one key; run and prepare costs land on it."""
+        backend = get_backend("trajectory:ibmqx4")
         circuit = measured_bell()
-        batched = get_backend("trajectory:ibmqx4")
-        looped = get_backend("trajectory:ibmqx4", method="loop")
+        key = profile_key(backend, circuit)
+        job = execute(circuit, backend, shots=32, seed=3, executor="serial")
+        job.result()
+        model, probe_key = job._cost_probe
+        assert model is DEFAULT_COST_MODEL
+        assert probe_key == key
+        entry = DEFAULT_COST_MODEL.profile(key)
+        assert entry["shot_samples"] >= 1
+
+    def test_every_sampling_engine_has_one_chunk_target(self):
+        """A user engine is planned like the in-repo batch-axis engines."""
+
+        class UserEngine(Backend):
+            name = "user-engine"
+
+        circuit = measured_bell()
         model = CostModel()
-        model.observe_run(profile_key(batched, circuit), 1000, 1.0)
-        model.observe_run(profile_key(looped, circuit), 1000, 1.0)
-        fat = plan_chunk_shots(batched, circuit, 20000, width=4, cost_model=model)
-        thin = plan_chunk_shots(looped, circuit, 20000, width=4, cost_model=model)
-        assert thin is not None and fat is not None
-        assert fat > thin  # same measured cost, fewer/fatter batched chunks
+        backends = [get_backend("trajectory:ibmqx4"), get_backend("stabilizer"),
+                    UserEngine()]
+        for backend in backends:
+            model.observe_run(profile_key(backend, circuit), 1000, 1.0)
+        plans = {
+            plan_chunk_shots(backend, circuit, 20000, width=4, cost_model=model)
+            for backend in backends
+        }
+        assert len(plans) == 1 and None not in plans
 
 
 class TranspilingRecordingBackend(Backend):
@@ -940,7 +926,7 @@ class TestWidthPlanner:
 
     def test_width_scales_with_estimated_cost(self):
         from repro.runtime import plan_width
-        from repro.runtime.scheduler import TARGET_CHUNK_SECONDS
+        from repro.runtime.scheduler import WORKER_SECONDS
 
         backend = get_backend("statevector")
         circuit = measured_bell()
@@ -950,7 +936,7 @@ class TestWidthPlanner:
         model.observe_run(key, shots=100, elapsed=0.1)
         width = plan_width(backend, [circuit], 1024, max_width=64,
                            cost_model=model)
-        expected = math.ceil(1024 * 0.001 / TARGET_CHUNK_SECONDS)
+        expected = math.ceil(1024 * 0.001 / WORKER_SECONDS)
         assert width == expected
         # Tiny batches take one worker; huge ones clamp to the cap.
         assert plan_width(backend, [circuit], 16, max_width=64,

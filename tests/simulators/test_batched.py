@@ -1,16 +1,16 @@
 """Batched-shot simulation: the batched/looped determinism contract.
 
-The sampling engines' ``method="batched"`` path advances all shots of a
-``max_batch`` tile together, one state per distinct stochastic history;
-``method="loop"`` re-walks the circuit per shot.  Both consume identical
-per-trajectory Philox substreams keyed by ``(seed, trajectory index)``, so
-counts must be **bit-identical** across methods and across every
+The sampling engines advance all shots of a ``max_batch`` tile together,
+one state per distinct stochastic history; the per-shot reference walker
+in ``loop_reference.py`` re-walks the circuit per shot.  Both consume
+identical per-trajectory Philox substreams keyed by ``(seed, trajectory
+index)``, so counts must be **bit-identical** to the reference at every
 ``max_batch`` tiling for a fixed seed — that invariance is what lets the
-runtime treat the knobs as pure throughput.  These tests pin the contract
+runtime treat the tiling as pure throughput.  These tests pin the contract
 (hypothesis properties across noisy backends, noise strengths and
 tilings), golden counts that engine rewrites must keep, the convergence of
 the batched path against the density-matrix engine's exact distribution,
-and the loop fallback for duck-typed noise models.
+and duck-typed noise models compiled once per run.
 """
 
 import numpy as np
@@ -28,11 +28,17 @@ from repro.noise.channels import amplitude_damping, depolarizing
 from repro.noise.model import NoiseModel
 from repro.noise.readout import ReadoutError
 from repro.noise.trajectories import TrajectorySimulator
-from repro.runtime import get_backend
+from repro.runtime import execute, get_backend
 from repro.simulators import _batched
 from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.simulators.statevector import StatevectorSimulator
 
+from loop_reference import (
+    device_loop_counts,
+    loop_counts,
+    spawn_substreams,
+    substream_generator,
+)
 from noisy_circuits import DuckTypedNoise, noisy_model, paper_assertion
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
@@ -64,59 +70,49 @@ def instrumented_bell():
 class TestBatchedEqualsLooped:
     """The acceptance-criterion property: bit-identical at every tiling."""
 
-    @given(seed=SEEDS, shots=st.integers(min_value=1, max_value=96))
+    @given(seed=SEEDS, shots=st.integers(min_value=1, max_value=64))
     @settings(max_examples=15, deadline=None)
     def test_trajectory_noisy(self, seed, shots):
         circuit = stochastic_circuit()
         model = noisy_model()
-        loop = TrajectorySimulator(model, method="loop").run(
-            circuit, shots=shots, seed=seed
-        )
-        assert loop.metadata["method"] == "loop"
+        loop = loop_counts(circuit, model, shots, seed)
         for max_batch in (1, 7, shots):
-            batched = TrajectorySimulator(
-                model, method="batched", max_batch=max_batch
-            ).run(circuit, shots=shots, seed=seed)
-            assert batched.metadata["method"] == "batched"
-            assert dict(batched.counts) == dict(loop.counts), max_batch
+            batched = TrajectorySimulator(model, max_batch=max_batch).run(
+                circuit, shots=shots, seed=seed
+            )
+            assert dict(batched.counts) == loop, max_batch
 
-    @given(seed=SEEDS, shots=st.integers(min_value=1, max_value=96))
+    @given(seed=SEEDS, shots=st.integers(min_value=1, max_value=64))
     @settings(max_examples=10, deadline=None)
     def test_trajectory_ideal(self, seed, shots):
         circuit = stochastic_circuit()
-        loop = TrajectorySimulator(method="loop").run(
-            circuit, shots=shots, seed=seed
-        )
+        loop = loop_counts(circuit, None, shots, seed)
         for max_batch in (1, 7, shots):
-            batched = TrajectorySimulator(method="batched", max_batch=max_batch).run(
+            batched = TrajectorySimulator(max_batch=max_batch).run(
                 circuit, shots=shots, seed=seed
             )
-            assert dict(batched.counts) == dict(loop.counts), max_batch
+            assert dict(batched.counts) == loop, max_batch
 
-    @given(seed=SEEDS, shots=st.integers(min_value=1, max_value=96))
+    @given(seed=SEEDS, shots=st.integers(min_value=1, max_value=64))
     @settings(max_examples=10, deadline=None)
     def test_statevector_fallback(self, seed, shots):
         circuit = stochastic_circuit()
-        loop = StatevectorSimulator(max_branches=1, method="loop").run(
-            circuit, shots=shots, seed=seed
-        )
-        assert loop.metadata["method"] == "per-shot"
-        assert loop.metadata["per_shot_method"] == "loop"
+        loop = loop_counts(circuit, None, shots, seed)
         for max_batch in (1, 7, shots):
-            batched = StatevectorSimulator(
-                max_branches=1, method="batched", max_batch=max_batch
-            ).run(circuit, shots=shots, seed=seed)
-            assert batched.metadata["per_shot_method"] == "batched"
-            assert dict(batched.counts) == dict(loop.counts), max_batch
+            batched = StatevectorSimulator(max_branches=1, max_batch=max_batch).run(
+                circuit, shots=shots, seed=seed
+            )
+            assert batched.metadata["method"] == "per-shot"
+            assert dict(batched.counts) == loop, max_batch
 
     @pytest.mark.parametrize("kind, noise_scale, shots, examples", [
-        ("bell", 0.25, 64, 8),
-        *[(kind, scale, 256, 2)
+        ("bell", 0.25, 32, 8),
+        *[(kind, scale, 64, 2)
           for kind in ("classical", "entanglement", "superposition")
           for scale in (1, 30)],
     ])
-    def test_device_backend_methods_agree(self, kind, noise_scale, shots, examples):
-        """The provider-level knob: trajectory device backends too.
+    def test_device_backend_matches_loop(self, kind, noise_scale, shots, examples):
+        """Trajectory device backends too, at every tiling.
 
         At ``noise_scale=30`` nearly every trajectory is its own history
         class, so the batched walker's class splitting is exercised at
@@ -129,30 +125,41 @@ class TestBatchedEqualsLooped:
         @settings(max_examples=examples, deadline=None)
         def check(seed):
             reference = None
-            for max_batch, method in ((None, "loop"), (1, "batched"),
-                                      (7, "batched"), (shots, "auto")):
+            for max_batch in (1, 7, shots):
                 backend = TrajectoryDeviceBackend(
-                    device, noise_scale=noise_scale, method=method,
-                    max_batch=max_batch or shots,
+                    device, noise_scale=noise_scale, max_batch=max_batch
                 )
-                counts = dict(backend.run(circuit, shots=shots, seed=seed).counts)
                 if reference is None:
-                    reference = counts
-                assert counts == reference, (method, max_batch)
+                    reference = device_loop_counts(backend, circuit, shots, seed)
+                counts = dict(backend.run(circuit, shots=shots, seed=seed).counts)
+                assert counts == reference, max_batch
 
         check()
+
+    def test_execute_matches_loop(self):
+        """Through ``execute()`` on the default executor, pickled across a
+        process pool when ``$REPRO_EXECUTOR=process``."""
+        circuit, shots, seed = paper_assertion("entanglement"), 32, 2020
+        device = ibmqx4()
+        reference = None
+        for max_batch in (1, 7, shots):
+            backend = TrajectoryDeviceBackend(device, noise_scale=30, max_batch=max_batch)
+            if reference is None:
+                reference = device_loop_counts(backend, circuit, shots, seed)
+            job = execute(circuit, backend, shots=shots, seed=seed, dedupe=False)
+            assert dict(job.counts()) == reference, max_batch
 
     def test_tiling_never_changes_counts_at_scale(self):
         """One non-hypothesis anchor at realistic shot counts."""
         circuit = stochastic_circuit()
         model = noisy_model()
-        reference = TrajectorySimulator(model, method="batched", max_batch=4096).run(
+        reference = TrajectorySimulator(model, max_batch=4096).run(
             circuit, shots=1000, seed=2020
         )
         for max_batch in (13, 250, 999):
-            tiled = TrajectorySimulator(
-                model, method="batched", max_batch=max_batch
-            ).run(circuit, shots=1000, seed=2020)
+            tiled = TrajectorySimulator(model, max_batch=max_batch).run(
+                circuit, shots=1000, seed=2020
+            )
             assert dict(tiled.counts) == dict(reference.counts)
 
 
@@ -195,10 +202,8 @@ class TestClassWalkerSwitchPoints:
 
     def test_batched_equals_loop(self, monkeypatch):
         seed = 2020
-        circuit, model, shots = split_then_noisy_circuit(), strong_model(), 1024
-        loop = TrajectorySimulator(model, method="loop").run(
-            circuit, shots=shots, seed=seed
-        )
+        circuit, model, shots = split_then_noisy_circuit(), strong_model(), 128
+        loop = loop_counts(circuit, model, shots, seed)
         compact = _batched._compact
         take = _batched._Draws.take
         seen = {"compacted": 0, "per_row": 0}
@@ -217,10 +222,10 @@ class TestClassWalkerSwitchPoints:
         monkeypatch.setattr(_batched._Draws, "take", counting_take)
         for max_batch in (1, 7, shots):
             seen.update(compacted=0, per_row=0)
-            batched = TrajectorySimulator(
-                model, method="batched", max_batch=max_batch
-            ).run(circuit, shots=shots, seed=seed)
-            assert dict(batched.counts) == dict(loop.counts), max_batch
+            batched = TrajectorySimulator(model, max_batch=max_batch).run(
+                circuit, shots=shots, seed=seed
+            )
+            assert dict(batched.counts) == loop, max_batch
             assert seen["compacted"] > 0, max_batch
             # A one-row tile never splits its rows on a condition.
             assert (seen["per_row"] > 0) == (max_batch > 1), max_batch
@@ -314,7 +319,7 @@ class TestGoldenCounts:
 
     @pytest.mark.parametrize("seed", sorted(GOLDEN_STOCHASTIC_COUNTS))
     def test_stochastic_circuit_under_noisy_model(self, seed):
-        result = TrajectorySimulator(noisy_model(), method="batched").run(
+        result = TrajectorySimulator(noisy_model()).run(
             stochastic_circuit(), shots=1024, seed=seed
         )
         assert list(result.counts.items()) == GOLDEN_STOCHASTIC_COUNTS[seed]
@@ -327,9 +332,7 @@ class TestBatchedConvergence:
         model = noisy_model()
         exact = DensityMatrixSimulator(noise_model=model).run(circuit, shots=1)
         shots = 8000
-        sampled = TrajectorySimulator(model, method="batched").run(
-            circuit, shots=shots, seed=7
-        )
+        sampled = TrajectorySimulator(model).run(circuit, shots=shots, seed=7)
         assert sampled.counts.shots == shots
         for key, probability in exact.probabilities.items():
             assert abs(sampled.counts.get(key, 0) / shots - probability) < 0.04
@@ -338,62 +341,77 @@ class TestBatchedConvergence:
         circuit = library.ghz_state(3)
         circuit.measure_all()
         exact = StatevectorSimulator().exact_probabilities(circuit)
-        sampled = TrajectorySimulator(method="batched").run(
-            circuit, shots=6000, seed=3
-        )
+        sampled = TrajectorySimulator().run(circuit, shots=6000, seed=3)
         for key, probability in exact.items():
             assert abs(sampled.counts.get(key, 0) / 6000 - probability) < 0.04
 
 
-class TestLoopFallback:
-    def test_duck_typed_noise_takes_loop_path(self):
-        result = TrajectorySimulator(DuckTypedNoise()).run(
-            stochastic_circuit(), shots=16, seed=1
+class TestDuckTypedNoise:
+    """A model that is not a ``NoiseModel`` is compiled once per run too."""
+
+    def test_one_query_per_gate_per_run(self):
+        duck = DuckTypedNoise()
+        simulator = TrajectorySimulator(duck)
+        circuit = stochastic_circuit()
+        gates = sum(
+            inst.name not in ("measure", "reset", "barrier") for inst in circuit.data
         )
-        assert result.metadata["method"] == "loop"
+        simulator.run(circuit, shots=64, seed=1)
+        assert duck.queries == gates
+        simulator.run(circuit, shots=64, seed=2)
+        assert duck.queries == 2 * gates
 
-    def test_duck_typed_noise_rejects_batched(self):
-        simulator = TrajectorySimulator(DuckTypedNoise(), method="batched")
-        with pytest.raises(SimulationError, match="method='loop'"):
-            simulator.run(stochastic_circuit(), shots=4, seed=1)
+    @pytest.mark.parametrize("max_batch", [1, 7, 1024])
+    def test_counts_equal_the_wrapped_model(self, max_batch):
+        circuit = stochastic_circuit()
+        expected = TrajectorySimulator(noisy_model(), max_batch=max_batch).run(
+            circuit, shots=128, seed=2020
+        )
+        got = TrajectorySimulator(DuckTypedNoise(), max_batch=max_batch).run(
+            circuit, shots=128, seed=2020
+        )
+        assert got.metadata["noise"] == "duck"
+        assert list(got.counts.items()) == list(expected.counts.items())
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(SimulationError, match="unknown method"):
-            TrajectorySimulator(method="turbo")
-        with pytest.raises(SimulationError, match="unknown method"):
-            StatevectorSimulator(method="turbo")
+
+class TestEngineOptions:
+    def test_method_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            TrajectorySimulator(method="loop")
+        with pytest.raises(TypeError):
+            StatevectorSimulator(method="loop")
 
     def test_invalid_max_batch_rejected(self):
         with pytest.raises(SimulationError, match="max_batch"):
             TrajectorySimulator(max_batch=0)
 
-    def test_device_backend_reports_vectorized(self):
-        device = ibmqx4()
-        assert TrajectoryDeviceBackend(device).vectorized_shots
-        assert TrajectoryDeviceBackend(device).cost_tag == "batched"
-        looped = TrajectoryDeviceBackend(device, method="loop")
-        assert not looped.vectorized_shots
-        assert looped.cost_tag == "loop"
+    def test_metadata_names_no_execution_method(self):
+        circuit = stochastic_circuit()
+        trajectory = TrajectorySimulator(noisy_model()).run(circuit, shots=8, seed=1)
+        assert "method" not in trajectory.metadata
+        fallback = StatevectorSimulator(max_branches=1).run(circuit, shots=8, seed=1)
+        assert fallback.metadata["method"] == "per-shot"
+        assert "per_shot_method" not in fallback.metadata
 
 
 class TestSubstreamContract:
     def test_substreams_depend_only_on_seed_and_index(self):
-        first = _batched.spawn_substreams(11, 8)
-        second = _batched.spawn_substreams(11, 8)
+        first = spawn_substreams(11, 8)
+        second = spawn_substreams(11, 8)
         for a, b in zip(first, second):
             assert (
-                _batched.substream_generator(a).random(4).tolist()
-                == _batched.substream_generator(b).random(4).tolist()
+                substream_generator(a).random(4).tolist()
+                == substream_generator(b).random(4).tolist()
             )
 
     def test_prefix_stability_across_shot_counts(self):
         """Trajectory t's substream is the same whether 8 or 64 shots run."""
-        short = _batched.spawn_substreams(5, 8)
-        long = _batched.spawn_substreams(5, 64)
+        short = spawn_substreams(5, 8)
+        long = spawn_substreams(5, 64)
         for a, b in zip(short, long):
             assert (
-                _batched.substream_generator(a).random(2).tolist()
-                == _batched.substream_generator(b).random(2).tolist()
+                substream_generator(a).random(2).tolist()
+                == substream_generator(b).random(2).tolist()
             )
 
     def test_zero_shots(self):

@@ -38,7 +38,7 @@ class TestPassManager:
             ]
         )
         manager.run(qc)
-        assert [name for name, _, _ in manager.history] == ["a", "b"]
+        assert manager.history == ["a", "b"]
 
     def test_repr(self):
         manager = PassManager([TranspilerPass("x", lambda c: c)])
@@ -125,6 +125,6 @@ class TestFullPipeline:
     def test_device_pass_manager_history(self, ibmqx4_device):
         manager = device_pass_manager(ibmqx4_device)
         manager.run(library.bell_pair())
-        names = [name for name, _, _ in manager.history]
+        names = manager.history
         assert names[0] == "decompose"
         assert "direction" in names
