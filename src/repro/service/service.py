@@ -535,7 +535,7 @@ class RuntimeService:
 
     One service binds to one event loop (the loop of its first async
     call); the scheduler and executor machinery below it remain plain
-    threads and processes.
+    threads.
     """
 
     def __init__(
@@ -1570,10 +1570,7 @@ class RuntimeService:
             "max_queue_depth": self.max_queue_depth,
             "open_breakers": open_breakers,
             "breakers": breakers,
-            "pools": {
-                "active": pools["active"],
-                "rebuilds": pools["rebuilds"],
-            },
+            "pools": {"active": pools["active"]},
             "journal": self._journal_view(),
         }
         if not ready:

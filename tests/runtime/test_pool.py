@@ -74,7 +74,7 @@ class TestExecutorRegistry:
     def test_stats_shape(self):
         get_executor("serial")
         stats = pool_stats()
-        assert set(stats) == {"active", "created", "reused", "rebuilds", "pools"}
+        assert set(stats) == {"active", "created", "reused", "pools"}
         assert ("serial", None) in stats["pools"]
 
 
@@ -89,13 +89,35 @@ class TestDefaultKind:
         assert default_executor_kind() == kind
 
     def test_env_var_is_normalised(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "  Process ")
-        assert default_executor_kind() == "process"
+        monkeypatch.setenv("REPRO_EXECUTOR", "  Serial ")
+        assert default_executor_kind() == "serial"
 
     def test_invalid_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "quantum")
-        with pytest.raises(JobError, match="REPRO_EXECUTOR"):
-            default_executor_kind()
+        for kind in ("quantum", "process"):
+            monkeypatch.setenv("REPRO_EXECUTOR", kind)
+            with pytest.raises(
+                JobError, match=r"REPRO_EXECUTOR.*\['serial', 'thread'\]"
+            ):
+                default_executor_kind()
+
+    @pytest.mark.parametrize("entry", ["execute", "service"])
+    def test_retired_process_kind_rejected(self, entry):
+        """``"process"`` is not an executor kind: every entry point that
+        takes one rejects it with the valid choices."""
+        from repro.circuits import library
+        from repro.runtime import execute
+        from repro.service import RuntimeService
+
+        circuit = library.bell_pair()
+        circuit.measure_all()
+        with pytest.raises(
+            JobError, match=r"unknown executor kind 'process'.*\['serial', 'thread'\]"
+        ):
+            if entry == "execute":
+                execute(circuit, "statevector", shots=8, executor="process")
+            else:
+                RuntimeService(executor="process", journal=False,
+                               accounting=False)
 
     def test_default_width_positive(self):
         assert default_max_workers() >= 1

@@ -36,7 +36,7 @@ def instrumented_circuit():
 @pytest.mark.parametrize("spec, options", BACKEND_SPECS)
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 class TestAdaptiveEqualsFixedMatrix:
-    """The acceptance matrix: 4 backend families x 3 executors."""
+    """The acceptance matrix: 4 backend families x 2 executors."""
 
     def test_unchunked_seeded(self, spec, options, kind):
         adaptive = execute(

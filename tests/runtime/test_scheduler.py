@@ -1,10 +1,9 @@
 """Tests for :mod:`repro.runtime.scheduler` and its execute() integration:
-adaptive chunk planning, backend-aware executor defaults, the parent-side
-process-fan-out prepare, and the fair-share multi-client queue.
+adaptive chunk planning, backend-aware executor defaults, the one-time
+prepare before chunk fan-out, and the fair-share multi-client queue.
 """
 
 import math
-import multiprocessing
 import threading
 import time
 
@@ -276,28 +275,32 @@ class TestAdaptiveChunkingInExecute:
 
 
 # ----------------------------------------------------------------------
-# Parent-side prepare before process fan-out
+# One prepare before chunk fan-out
 # ----------------------------------------------------------------------
 
 
 class CountingTranspileCache(TranspileCache):
-    """A TranspileCache that appends one byte to a file per actual lowering.
+    """A TranspileCache that counts actual lowerings.
 
-    The file is shared across processes, so worker-side transpiles are
-    counted too — which is the whole point of the regression test below.
+    ``delay`` holds every lowering open for a while, so concurrent chunks
+    that each went through the cache would all miss before the first one
+    stores — the race the one-time prepare before fan-out exists to avoid.
     """
 
-    def __init__(self, count_file, maxsize: int = 1024) -> None:
+    def __init__(self, delay: float = 0.0, maxsize: int = 1024) -> None:
         super().__init__(maxsize=maxsize)
-        self.count_file = str(count_file)
+        self.delay = delay
+        self.lowerings = 0
+        self._count_lock = threading.Lock()
 
     def transpile(self, circuit, device, layout=None, optimize=True):
         key = transpile_key(circuit, device, layout, optimize)
         cached = self.lookup(key)
         if cached is not None:
             return cached
-        with open(self.count_file, "ab") as handle:
-            handle.write(b"x")
+        with self._count_lock:
+            self.lowerings += 1
+        time.sleep(self.delay)
         from repro.transpiler.passes import transpile_for_device
 
         lowered = transpile_for_device(
@@ -307,49 +310,39 @@ class CountingTranspileCache(TranspileCache):
         return lowered
 
 
-needs_fork = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="counting cache crosses the process boundary by reference",
-)
-
-
 class TestParentSidePrepare:
-    @needs_fork
-    def test_process_fanout_transpiles_exactly_once(self, tmp_path):
-        """ROADMAP satellite: explicit-cache backends must not re-transpile
-        per chunk task under executor="process" — the parent lowers once
-        and ships the prepared circuit."""
-        counter = tmp_path / "transpiles"
-        counter.touch()
-        cache = CountingTranspileCache(counter)
+    def test_chunked_fanout_transpiles_exactly_once(self):
+        """Four chunks on a 4-wide thread pool would each miss a slow,
+        cold cache; the job lowers once before fan-out and ships the
+        prepared circuit, with counts unchanged."""
+        cache = CountingTranspileCache(delay=0.05)
         backend = NoisyDeviceBackend(ibmqx4(), cache=cache)
         circuit = measured_bell()
         job = execute(circuit, backend, shots=256, seed=3, chunk_shots=64,
-                      executor="process")
+                      executor="thread", max_workers=4)
         pooled = dict(job.counts())
-        assert counter.read_bytes() == b"x"  # one lowering, parent-side
+        assert len(job._futures) == 4
+        assert cache.lowerings == 1
         reference = execute(
             circuit, NoisyDeviceBackend(ibmqx4(), cache=False), shots=256,
             seed=3, chunk_shots=64, executor="serial",
         )
         assert pooled == dict(reference.counts())
 
-    @needs_fork
-    def test_thread_fanout_still_counts_one(self, tmp_path):
+    def test_thread_fanout_still_counts_one(self):
         """Thread pools share the cache, so one lowering there too."""
-        counter = tmp_path / "transpiles"
-        counter.touch()
-        backend = NoisyDeviceBackend(ibmqx4(), cache=CountingTranspileCache(counter))
+        cache = CountingTranspileCache()
+        backend = NoisyDeviceBackend(ibmqx4(), cache=cache)
         execute(measured_bell(), backend, shots=256, seed=3, chunk_shots=64,
                 executor="thread").result()
-        assert counter.read_bytes() == b"x"
+        assert cache.lowerings == 1
 
     def test_prepare_failure_surfaces_at_collection(self):
         """A circuit too big for the device keeps failing through the job
         future (collection-time JobError), not at submit time."""
         backend = NoisyDeviceBackend(ibmqx4())  # 5-qubit device
         job = execute(measured_ghz(6), backend, shots=32, seed=1,
-                      executor="process")
+                      executor="thread")
         with pytest.raises(JobError, match="failed"):
             job.result()
 
@@ -360,7 +353,7 @@ class TestParentSidePrepare:
         circuit.h(0)
         circuit.cx(0, 1)
         circuit.measure_all()
-        job = execute(circuit, backend, shots=64, seed=5, executor="process")
+        job = execute(circuit, backend, shots=64, seed=5, executor="thread")
         serial = execute(circuit, backend, shots=64, seed=5, executor="serial")
         assert dict(job.counts()) == dict(serial.counts())
 

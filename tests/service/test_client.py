@@ -27,7 +27,7 @@ from repro.service import (
     ServiceClient,
 )
 
-EXECUTORS = ("thread", "process")
+EXECUTORS = ("thread",)
 
 
 def measured(circuit):

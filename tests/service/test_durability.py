@@ -29,9 +29,9 @@ from repro.runtime.harness import run_driver_process
 from repro.service import JobJournal
 from repro.service.recordlog import HEADER, RecordLog
 
-#: Both executors the scheduler can fan out over; the service must be
-#: restart-durable regardless of which ran the pre-crash jobs.
-EXECUTORS = ("thread", "process")
+#: The pooled executor the scheduler fans out over; the service must be
+#: restart-durable with pre-crash jobs in flight on it.
+EXECUTORS = ("thread",)
 
 #: Life 1: serve two seeded jobs to completion, journal a third, then die
 #: without yielding to the event loop — deterministically unsettled.
@@ -90,8 +90,8 @@ async def main():
     # Die without ever yielding to the loop again: the settle machinery
     # (loop callbacks -> journal settlement) can never run, so the third
     # job stays journaled-but-unsettled no matter what the executor did
-    # with it.  Worker processes are reaped first purely so they do not
-    # inherit our stdout pipe and wedge the harness waiting on EOF.
+    # with it.  The pool is drained first so the exit never lands
+    # mid-chunk.
     from repro.runtime.pool import shutdown_executors
     shutdown_executors(wait=True)
     os._exit(0)
