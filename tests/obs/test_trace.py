@@ -5,6 +5,7 @@ import pytest
 from repro.circuits import library
 from repro.obs.trace import Span, set_tracing_enabled, tracing_enabled
 from repro.runtime import execute
+from repro.runtime.pool import EXECUTOR_KINDS
 
 
 def traced_batch(n=3):
@@ -72,15 +73,17 @@ class TestSpanBasics:
         assert len(ids) == 100
 
 
+@pytest.mark.parametrize("executor", EXECUTOR_KINDS)
 class TestChunkSpanAttributes:
-    def test_chunk_task_stamps_its_span(self):
+    def test_chunk_task_stamps_its_span(self, executor):
         """A traced chunk carries exactly the submit-time attributes plus
         the ones the chunk task measured: engine, shots, wall-clock and,
-        for a batched engine, the batch width."""
+        for a batched engine, the batch width — whether the chunk ran
+        inline or on a pool thread."""
         parent = Span("test")
         job = execute(
             traced_batch(1)[0], "statevector", shots=64, seed=3, chunk_shots=32,
-            executor="thread", trace_parent=parent,
+            executor=executor, trace_parent=parent,
         )
         job.result(timeout=120)
         chunks = [c for c in _walk(job.trace()) if c["name"] == "chunk"]
@@ -91,20 +94,20 @@ class TestChunkSpanAttributes:
                 "chunk", "shots", "executor", "engine", "worker_shots",
                 "worker_wall_s", "batch_width",
             }
-            assert attrs["executor"] == "thread"
+            assert attrs["executor"] == executor
             assert attrs["engine"] == "StatevectorBackend"
             assert attrs["worker_shots"] == attrs["shots"] == 32
             assert attrs["batch_width"] == 1024
             assert 0.0 <= attrs["worker_wall_s"] <= chunk["duration_s"]
 
-    def test_failed_chunk_carries_no_worker_attributes(self):
+    def test_failed_chunk_carries_no_worker_attributes(self, executor):
         from repro.exceptions import JobError
         from repro.faults import FaultPlan
 
         parent = Span("test")
         job = execute(
             traced_batch(1)[0], "statevector", shots=32, seed=1,
-            executor="thread", trace_parent=parent, retry=False,
+            executor=executor, trace_parent=parent, retry=False,
             fault_plan=FaultPlan(seed=0, sites={"chunk.simulate": 1.0}),
         )
         with pytest.raises(JobError):
@@ -166,7 +169,7 @@ class TestTracedExecution:
                 total += attrs["worker_wall_s"]
         assert total == pytest.approx(jobs.time_taken, rel=0, abs=0)
 
-    @pytest.mark.parametrize("executor", ["thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_chunk_spans_nest_inside_job_window(self, executor):
         parent = Span("test")
         jobs = execute(

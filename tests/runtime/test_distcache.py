@@ -322,7 +322,7 @@ class TestCompletionTimePopulation:
             assert time.monotonic() < deadline, "entry never published"
             time.sleep(0.005)
 
-    @pytest.mark.parametrize("executor", ["thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_overlapping_calls_share_one_simulation(self, executor):
         cache = DistributionCache()
         backend = SlowTalliedBackend(delay=0.05)
@@ -353,7 +353,7 @@ class TestCompletionTimePopulation:
             dedicated.run(circuit, shots=512, seed=2).counts
         )
 
-    @pytest.mark.parametrize("executor", ["thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_chunked_job_publishes_full_distribution_at_completion(
         self, executor
     ):

@@ -100,21 +100,32 @@ class TestDefaultKind:
             ):
                 default_executor_kind()
 
-    @pytest.mark.parametrize("entry", ["execute", "service"])
-    def test_retired_process_kind_rejected(self, entry):
+    @pytest.mark.parametrize(
+        "entry", ["execute", "env", "get_executor", "scheduler", "service"]
+    )
+    def test_retired_process_kind_rejected(self, entry, monkeypatch):
         """``"process"`` is not an executor kind: every entry point that
         takes one rejects it with the valid choices."""
         from repro.circuits import library
-        from repro.runtime import execute
+        from repro.runtime import Scheduler, execute
         from repro.service import RuntimeService
 
         circuit = library.bell_pair()
         circuit.measure_all()
-        with pytest.raises(
-            JobError, match=r"unknown executor kind 'process'.*\['serial', 'thread'\]"
-        ):
+        if entry == "env":
+            monkeypatch.setenv("REPRO_EXECUTOR", "process")
+            match = r"REPRO_EXECUTOR.*'process'.*\['serial', 'thread'\]"
+        else:
+            match = r"unknown executor kind 'process'.*\['serial', 'thread'\]"
+        with pytest.raises(JobError, match=match):
             if entry == "execute":
                 execute(circuit, "statevector", shots=8, executor="process")
+            elif entry == "env":
+                execute(circuit, "statevector", shots=8)
+            elif entry == "get_executor":
+                get_executor("process")
+            elif entry == "scheduler":
+                Scheduler(executor="process")
             else:
                 RuntimeService(executor="process", journal=False,
                                accounting=False)

@@ -160,6 +160,23 @@ class TestChunkRetryIntegration:
             job.result()
         assert job.retries == 2  # both allowed retries were spent
 
+    def test_shared_pool_serves_next_job_after_a_failed_one(self):
+        """A chunk failure that ends its job leaves the shared thread pool
+        serving the next job with counts bit-identical to a clean run."""
+        clean = execute(measured_bell(), "statevector", shots=256, seed=7,
+                        chunk_shots=64, executor="serial").result()
+        plan = FaultPlan(seed=1, sites={"chunk.simulate": 1.0})
+        failed = execute(measured_bell(), "statevector", shots=256, seed=7,
+                         chunk_shots=64, executor="thread", max_workers=2,
+                         retry=False, fault_plan=plan)
+        with pytest.raises(JobError, match="injected fault"):
+            failed.result()
+        job = execute(measured_bell(), "statevector", shots=256, seed=7,
+                      chunk_shots=64, executor="thread", max_workers=2,
+                      retry=False)
+        assert job.result().counts == clean.counts
+        assert job.status() is JobStatus.DONE
+
     def test_ambient_plan_reaches_chunks(self):
         with faults.injected({"seed": 4, "sites": {
             "chunk.simulate": {"rate": 1.0, "times": 1},

@@ -27,7 +27,7 @@ from repro.service import (
     ServiceClient,
 )
 
-EXECUTORS = ("thread",)
+EXECUTORS = ("serial", "thread")
 
 
 def measured(circuit):

@@ -29,9 +29,9 @@ from repro.runtime.harness import run_driver_process
 from repro.service import JobJournal
 from repro.service.recordlog import HEADER, RecordLog
 
-#: The pooled executor the scheduler fans out over; the service must be
-#: restart-durable with pre-crash jobs in flight on it.
-EXECUTORS = ("thread",)
+#: Both executors the scheduler can fan out over; the service must be
+#: restart-durable regardless of which ran the pre-crash jobs.
+EXECUTORS = ("serial", "thread")
 
 #: Life 1: serve two seeded jobs to completion, journal a third, then die
 #: without yielding to the event loop — deterministically unsettled.
