@@ -22,7 +22,7 @@ counts.
 
 The v4 bench covers the scheduler: a long unseeded trajectory job under
 ``schedule="fixed"`` runs as one pool task, while ``schedule="adaptive"``
-shards it into cost-model-sized chunks that saturate the thread pool.
+shards it into cost-model-sized chunks that saturate the process pool.
 
 The v6/v7 benches storm the multi-tenant service layer (concurrent
 tenants vs back-to-back submissions, plus the write-ahead-journal tax);
@@ -31,8 +31,9 @@ on every hop through ``repro.service.http`` — recording wire jobs/sec;
 the v9 bench measures the always-on tracing tax (traced vs untraced
 storm jobs/sec, asserted <=5%); the v10 bench runs the storm under the
 fault-injection harness — an armed-but-silent plan must cost <=15% over a
-clean storm, and an actively-faulting plan must still terminate every job
-with surviving counts bit-identical.
+clean storm, an actively-faulting plan must still terminate every job
+with surviving counts bit-identical, and a killed process-pool worker
+must heal via pool rebuild with zero failed jobs.
 
 Counts are asserted bit-identical between every pair of paths (the
 runtime's determinism contract) and each optimized wall-clock must beat
@@ -227,7 +228,8 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     """v4: cost-driven chunk sizing vs the fixed single-task plan.
 
     The trajectory engine pays per shot, so a long unseeded job under the
-    fixed schedule occupies exactly one pool worker while the rest idle.  The adaptive schedule reads the cost model's measured per-shot
+    fixed schedule occupies exactly one process-pool worker while the rest
+    idle.  The adaptive schedule reads the cost model's measured per-shot
     cost (learned here from a short probe run — in production, from any
     earlier call or a persisted profile) and shards the job to saturate
     the pool.  The job is unseeded because that is where adaptive chunking
@@ -256,7 +258,7 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
 
     start = time.perf_counter()
     fixed = execute(
-        circuit, backend, shots=shots, executor="thread",
+        circuit, backend, shots=shots, executor="process",
         max_workers=workers, schedule="fixed",
     )
     fixed.result()
@@ -264,7 +266,7 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
 
     start = time.perf_counter()
     adaptive = execute(
-        circuit, backend, shots=shots, executor="thread",
+        circuit, backend, shots=shots, executor="process",
         max_workers=workers, schedule="adaptive",
     )
     adaptive.result()
@@ -277,7 +279,7 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     assert adaptive.result().counts.shots == shots
     if (os.cpu_count() or 1) >= 4:
         # With >=4 cores the fixed plan leaves 3 of them idle, so the
-        # sharded plan has ~3x headroom against pool overhead.
+        # sharded plan has ~3x headroom against pool/pickle overhead.
         assert adaptive_s < fixed_s, (
             f"adaptive chunking ({adaptive_s:.3f}s) should beat the "
             f"single-task fixed plan ({fixed_s:.3f}s) on {os.cpu_count()} cores"
@@ -288,7 +290,7 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     )
     emit(
         "runtime bench — trajectory engine, fixed vs adaptive chunking\n"
-        f"job             : {shots} unseeded shots, {workers} thread workers\n"
+        f"job             : {shots} unseeded shots, {workers} process workers\n"
         f"fixed schedule  : {fixed_s:8.3f} s (1 task)\n"
         f"adaptive        : {adaptive_s:8.3f} s ({len(adaptive._futures)} tasks "
         f"of <= {chunk} shots, speedup {fixed_s / adaptive_s:.1f}x)"
@@ -802,7 +804,9 @@ def test_chaos_storm_resilience():
     chaos: with ~20% of chunk attempts faulting, retries must terminate
     every job, almost all must survive, and every survivor's counts must
     stay bit-identical to the clean reference (retries resubmit with the
-    chunk's original seed).
+    chunk's original seed).  Third, the acceptance scenario: a
+    process-pool worker hard-killed mid-storm heals through pool rebuild
+    + resubmission with *zero* failed jobs.
 
     ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs, which
     record nothing.
@@ -810,6 +814,7 @@ def test_chaos_storm_resilience():
     import asyncio
 
     from repro.faults import FaultPlan
+    from repro.runtime import pool_stats
     from repro.service import ClientQuota, RuntimeService
 
     clients = 3 if SMOKE else 6
@@ -827,8 +832,9 @@ def test_chaos_storm_resilience():
         for seed in range(jobs)
     }
 
-    async def storm(fault_plan=None):
-        service = RuntimeService(executor="thread", journal=False,
+    async def storm(fault_plan=None, executor="thread", chunk_shots=None,
+                    reference=reference):
+        service = RuntimeService(executor=executor, journal=False,
                                  accounting=False)
         try:
             tokens = [
@@ -840,6 +846,8 @@ def test_chaos_storm_resilience():
                 options = dict(retry=dict(retry))
                 if fault_plan is not None:
                     options["fault_plan"] = fault_plan
+                if chunk_shots is not None:
+                    options["chunk_shots"] = chunk_shots
                 handles = [
                     (c * per_client + i, await service.submit(
                         circuit, backend, shots=shots,
@@ -877,7 +885,8 @@ def test_chaos_storm_resilience():
     def run_storm(**kwargs):
         return asyncio.run(storm(**kwargs))
 
-    silent_sites = {"chunk.simulate": 0.0}
+    silent_sites = {site: 0.0 for site in
+                    ("chunk.simulate", "pool.worker_crash")}
 
     # -- capability tax: armed-but-silent plan vs clean, best-of runs ----
     run_storm()  # warm-up: pools, transpiles, distribution machinery
@@ -908,6 +917,27 @@ def test_chaos_storm_resilience():
     assert survived + failed == jobs  # every job terminated
     assert survived >= jobs * 0.8
 
+    # -- acceptance: a worker hard-killed mid-storm, zero failed jobs ----
+    # Chunked jobs re-seed per (seed, chunk index), so the crash storm's
+    # survivors are held against a reference computed the same way.
+    chunked_reference = {
+        seed: dict(execute(circuit, backend, shots=shots, seed=seed,
+                           chunk_shots=shots // 4, executor="process",
+                           retry=False).result().counts)
+        for seed in range(jobs)
+    }
+    rebuilds_before = pool_stats()["rebuilds"]
+    crash_plan = FaultPlan(seed=2, sites={
+        "pool.worker_crash": {"rate": 1.0, "times": 1},
+    })
+    crash_s, crash_survived, crash_failed = run_storm(
+        fault_plan=crash_plan, executor="process", chunk_shots=shots // 4,
+        reference=chunked_reference,
+    )
+    assert crash_plan.stats()["pool.worker_crash"]["fired"] == 1
+    assert (crash_survived, crash_failed) == (jobs, 0)
+    assert pool_stats()["rebuilds"] > rebuilds_before
+
     record(
         "chaos_storm_resilience",
         clean_s,
@@ -923,6 +953,8 @@ def test_chaos_storm_resilience():
         faults_fired=fired,
         faulted_survived=survived,
         faulted_failed=failed,
+        crash_storm_s=round(crash_s, 6),
+        crash_jobs_per_second=round(jobs / crash_s, 2),
     )
     emit(
         "runtime bench — storm resilience under fault injection\n"
@@ -933,5 +965,7 @@ def test_chaos_storm_resilience():
         f"overhead {injection_overhead:+.1%})\n"
         f"faulted (20%)   : {faulted_s:8.3f} s ({jobs / faulted_s:.1f} "
         f"jobs/s, {fired} faults fired, {survived}/{jobs} survived, "
-        f"{failed} failed)"
+        f"{failed} failed)\n"
+        f"worker crash    : {crash_s:8.3f} s (process pool killed once, "
+        f"rebuilt, {crash_survived}/{jobs} jobs done, 0 failed)"
     )

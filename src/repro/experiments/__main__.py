@@ -383,11 +383,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=["serial", "thread"],
+        choices=["serial", "thread", "process"],
         default=None,
         help="runtime executor kind for batch-shaped experiments "
         "(default: $REPRO_EXECUTOR or thread; counts are identical under "
-        "both kinds)",
+        "every kind)",
     )
     parser.add_argument(
         "--schedule",

@@ -6,8 +6,10 @@ and one metrics registry:
 
 * :mod:`repro.obs.trace` — per-job span trees (submit -> admission ->
   queue wait -> dispatch -> prepare -> per-chunk simulate -> collect ->
-  settle) with monotonic timestamps.  Each chunk task stamps its
-  worker-measured wall-clock straight onto its own span.  Tracing is always on and cheap (a few
+  settle) with monotonic timestamps.  Span contexts are plain picklable
+  dicts shipped inside chunk tasks, so worker-measured wall-clocks
+  survive thread *and* process executor boundaries and merge back into
+  the parent tree on completion.  Tracing is always on and cheap (a few
   dict/list appends per chunk); :func:`set_tracing_enabled` exists so
   benchmarks can measure the overhead, not so production can avoid it.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters,
@@ -36,6 +38,7 @@ from repro.obs.trace import (
     Span,
     set_tracing_enabled,
     tracing_enabled,
+    worker_chunk_record,
 )
 
 __all__ = [
@@ -47,4 +50,5 @@ __all__ = [
     "Span",
     "set_tracing_enabled",
     "tracing_enabled",
+    "worker_chunk_record",
 ]

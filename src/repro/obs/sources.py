@@ -48,6 +48,7 @@ def _collect_pools() -> Iterable[Sample]:
     yield ("repro_executor_pools_active", None, stats.get("active", 0))
     yield ("repro_executor_pools_created_total", None, stats.get("created", 0), "counter")
     yield ("repro_executor_pools_reused_total", None, stats.get("reused", 0), "counter")
+    yield ("repro_executor_pool_rebuilds_total", None, stats.get("rebuilds", 0), "counter")
     # ``pools`` is a list of (kind, width) pairs — one live pool per kind.
     for label, width in stats.get("pools") or ():
         yield ("repro_executor_pool_width", {"pool": str(label)}, width)

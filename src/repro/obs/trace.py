@@ -1,12 +1,20 @@
-"""Per-job trace span trees.
+"""Per-job trace span trees with cross-executor propagation.
 
 A :class:`Span` is one timed stage of a job's life (``queue``,
 ``prepare``, ``chunk``, ...).  Spans form a tree rooted at the job; every
 timestamp is :func:`time.monotonic` so durations are immune to wall-clock
-steps.  The submitter creates each chunk span before fan-out and hands it
-to the chunk task, which runs on a pool thread of the same interpreter
-and stamps its measured wall-clock (``worker_wall_s``) straight onto the
-span; the span's own duration is the submit-to-completion window.
+steps.  The tree is built in the submitting process; the only stage that
+runs somewhere else is the chunk simulation, which may execute in a
+worker *process* whose monotonic clock is unrelated to ours.  The
+contract for crossing that boundary:
+
+* the parent creates the chunk span and ships only a small picklable
+  *context* dict (:meth:`Span.context`) into the chunk task;
+* the worker measures its own wall-clock and returns a plain dict built
+  by :func:`worker_chunk_record` alongside the chunk result;
+* the parent merges that record into the pre-created span
+  (:meth:`Span.merge_worker`) when the future completes — worker
+  *durations* are trusted, worker *timestamps* are not.
 
 Mutation is append-only on lists and item-assignment on dicts, both
 atomic under the GIL, so recording never takes a lock: tracing stays
@@ -19,6 +27,7 @@ torn record.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from typing import Any, Dict, List, Optional
 
@@ -26,6 +35,7 @@ __all__ = [
     "Span",
     "set_tracing_enabled",
     "tracing_enabled",
+    "worker_chunk_record",
 ]
 
 _SPAN_IDS = itertools.count(1)
@@ -102,6 +112,27 @@ class Span:
         return record
 
     # ------------------------------------------------------------------
+    # Crossing executor boundaries
+    # ------------------------------------------------------------------
+
+    def context(self) -> Dict[str, Any]:
+        """Return the picklable context shipped inside a chunk task."""
+        return {"span_id": self.span_id, "name": self.name}
+
+    def merge_worker(self, record: Optional[Dict[str, Any]]) -> "Span":
+        """Fold a worker-side :func:`worker_chunk_record` into this span.
+
+        Worker durations are copied verbatim (``worker_wall_s`` is the
+        acceptance-checked number); worker timestamps are ignored because
+        another process's monotonic clock shares no epoch with ours.
+        """
+        if record:
+            for key, value in record.items():
+                if key != "span_id":
+                    self.attrs[key] = value
+        return self
+
+    # ------------------------------------------------------------------
     # Reading the tree
     # ------------------------------------------------------------------
 
@@ -143,3 +174,29 @@ class Span:
         node["children"] = [span.to_dict(base) for span in list(self.children)]
         return node
 
+
+def worker_chunk_record(
+    context: Optional[Dict[str, Any]],
+    *,
+    engine: str,
+    shots: int,
+    duration_s: float,
+    batch_width: Optional[int] = None,
+) -> Optional[Dict[str, Any]]:
+    """Build the plain dict a chunk worker returns next to its result.
+
+    ``None`` context (tracing off at submit time) yields ``None`` so the
+    untraced path ships nothing extra across the pickle boundary.
+    """
+    if context is None:
+        return None
+    record = {
+        "span_id": context.get("span_id"),
+        "engine": engine,
+        "worker_shots": int(shots),
+        "worker_wall_s": float(duration_s),
+        "worker_pid": os.getpid(),
+    }
+    if batch_width is not None:
+        record["batch_width"] = int(batch_width)
+    return record

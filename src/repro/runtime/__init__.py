@@ -9,8 +9,8 @@ interchangeable backends.  This package is the layer between the engines
 * :func:`~repro.runtime.execute.execute` — one entry point for a circuit
   or a batch, fanning out across circuits and shot chunks on a shared
   executor.
-* :mod:`~repro.runtime.pool` — process-wide ``serial``/``thread``
-  executors, lazily created and reused across calls.
+* :mod:`~repro.runtime.pool` — process-wide ``serial``/``thread``/
+  ``process`` executors, lazily created and reused across calls.
 * :class:`~repro.runtime.job.Job` / :class:`~repro.runtime.job.JobSet` —
   submit/status/result/cancel futures with priorities and streaming
   collection (:meth:`~repro.runtime.job.JobSet.as_completed`).
@@ -36,7 +36,7 @@ interchangeable backends.  This package is the layer between the engines
   fair-share multi-client submission queue with weighted round-robin
   dispatch and bounded in-flight admission control.
 
-Everything is deterministic under a caller seed: serial, thread,
+Everything is deterministic under a caller seed: serial, thread, process,
 chunked, deduplicated, cached (memory- or disk-tier) and adaptively
 scheduled execution all produce the same counts for the same seed.
 """

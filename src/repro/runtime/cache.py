@@ -112,9 +112,10 @@ class TranspileCache(StoreBackedCache):
         hit counts as a hit — per-tier detail lives in :meth:`stats`.
 
     Pickling ships configuration (bounds, disk directory), never contents:
-    a backend journaled with an explicit cache is recovered with an empty
-    memory tier over the same disk tier, so it still reuses the persisted
-    transpiles (see :meth:`CacheStore.__getstate__`).
+    a process-pool worker unpickles an empty memory tier but shares the
+    disk tier, so explicit-cache backends in spawn-started workers still
+    reuse the parent's persisted transpiles (see
+    :meth:`CacheStore.__getstate__`).
     """
 
     _namespace = "transpile"

@@ -17,7 +17,8 @@ Semantics:
 * **Batching** — a list of circuits becomes a :class:`~repro.runtime.job.JobSet`
   whose jobs fan out over a shared executor (see :mod:`repro.runtime.pool`):
   ``executor="thread"`` (the default; every engine's NumPy kernels
-  release the GIL) or ``"serial"`` for inline execution.  Executors are process-wide and reused across calls —
+  release the GIL), ``"process"`` for worker processes, ``"serial"`` for
+  inline execution.  Executors are process-wide and reused across calls —
   no per-call pool churn.
 * **Deduplication** — with ``dedupe=True`` (default), jobs with the same
   ``(circuit.fingerprint(), backend)`` simulate the distribution once and
@@ -131,7 +132,7 @@ def execute(
         length.  A scalar seed replicates the sequential-loop convention of
         running every circuit with the *same* seed.
     max_workers:
-        Pool width for the thread executor (default: CPU count,
+        Pool width for the thread/process executors (default: CPU count,
         capped at 32).  Pools are shared process-wide per ``(kind, width)``
         and reused across calls.  Width never changes the merged counts.
     chunk_shots:
@@ -145,10 +146,11 @@ def execute(
         Group identical ``(circuit, backend)`` jobs so the distribution is
         simulated once and re-sampled per job.
     executor:
-        ``"serial"`` or ``"thread"``; ``None`` reads ``$REPRO_EXECUTOR``,
-        and with neither set the call runs on threads.  Device circuits
-        are transpiled once before fan-out, so concurrent chunks never
-        each miss the transpile cache.
+        ``"serial"``, ``"thread"`` or ``"process"``; ``None`` reads
+        ``$REPRO_EXECUTOR``, and with neither set the call runs on
+        threads.  Under ``"process"`` work crosses the boundary by pickle,
+        and device circuits are transpiled once in the parent before
+        fan-out.
     priority:
         Scalar or per-circuit submission priority (default 0).  Higher
         priorities reach the executor queue first; job order in the

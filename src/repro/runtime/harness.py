@@ -110,12 +110,12 @@ def run_driver_process(
     must print a single JSON object on stdout.
 
     The child's stdout/stderr are captured through temporary *files*, not
-    pipes, so the parent only ever waits on process exit.  With pipes,
-    ``communicate()`` waits for EOF, which any descendant that inherited
-    the write end holds back long after the child itself exited — and
-    crash-style drivers (``os._exit`` mid-flight, exactly what the
-    restart-recovery suite does) skip every cleanup that would have
-    closed it.  A file is simply read back once the child is gone.
+    pipes, so the parent only ever waits on process exit.  With pipes, any
+    other process that inherited the write end — say a fork-mode pool
+    worker forked while the pipe existed — keeps ``communicate()`` blocked
+    on EOF long after the child exited; crash-style drivers (``os._exit``
+    mid-flight, exactly what the restart-recovery suite does) make that a
+    deadlock, while a file is simply read back once the child is gone.
 
     Returns ``(report, elapsed_seconds)``; raises ``RuntimeError`` with
     the child's stderr on a non-zero exit.

@@ -8,10 +8,9 @@ submit-then-collect discipline of mainstream SDK ``Job`` objects).  A
 :func:`repro.runtime.execute.execute`, with bulk and streaming
 (:meth:`JobSet.as_completed`) collection.
 
-Chunk tasks are submitted as the module-level :func:`_execute_chunk`, which
-serial and thread executors call with shared objects: a chunk reads the
-job's backend and circuit in place and writes its timing straight onto its
-trace span.
+Chunk tasks are submitted as the module-level :func:`_execute_chunk` so the
+same code path serves thread pools (shared objects) and process pools
+(pickled ``(backend, circuit)`` arguments, pickled results back).
 
 Determinism contract
 --------------------
@@ -36,15 +35,21 @@ import copy
 import enum
 import functools
 import itertools
+import os
 import threading
 import time
-from concurrent.futures import CancelledError, Future, InvalidStateError
+from concurrent.futures import (
+    BrokenExecutor,
+    CancelledError,
+    Future,
+    InvalidStateError,
+)
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import FaultInjected, JobError
 from repro.obs.metrics import DEFAULT_REGISTRY
-from repro.obs.trace import Span
+from repro.obs.trace import Span, worker_chunk_record
 from repro.results.counts import Counts
 from repro.results.result import Result
 from repro.runtime.batching import (
@@ -79,6 +84,15 @@ _M_CHUNK_RETRIES = DEFAULT_REGISTRY.counter(
     "repro_chunk_retries_total",
     help="Chunk attempts retried after an execution failure.",
 )
+_M_POOL_RESUBMITS = DEFAULT_REGISTRY.counter(
+    "repro_chunk_pool_resubmits_total",
+    help="Chunk attempts resubmitted after an executor pool loss.",
+)
+
+#: Cap on per-chunk resubmissions after pool losses.  Pool losses do not
+#: consume the chunk's retry policy (the chunk did nothing wrong), but an
+#: environment that keeps killing workers must still converge to an error.
+_MAX_POOL_RESUBMITS = 3
 
 
 def _execute_chunk(
@@ -86,21 +100,28 @@ def _execute_chunk(
     circuit: "QuantumCircuit",
     shots: int,
     seed: Optional[int],
-    span: Optional[Span] = None,
-    fail: bool = False,
-) -> Tuple[Result, float]:
-    """Run one shot chunk; return ``(result, elapsed_seconds)``.
+    trace_ctx: Optional[dict] = None,
+    fault: Optional[str] = None,
+) -> Tuple[Result, float, Optional[dict]]:
+    """Run one shot chunk; return ``(result, elapsed_seconds, trace_record)``.
 
-    ``span`` is the chunk's trace span (``None`` when the job is untraced).
-    A successful run stamps it with the engine, its shots, its measured
-    wall-clock (``worker_wall_s``) and, for batched engines, the batch
-    width; the span's own duration is the submit-to-completion window.
+    Module-level so process-pool executors can pickle the task; thread and
+    serial executors call it with shared objects and pay nothing extra.
+    ``trace_ctx`` is the picklable span context of the chunk's parent-side
+    trace span (or ``None`` when the job is untraced); the returned trace
+    record carries the worker-measured wall-clock back across the executor
+    boundary for :meth:`repro.obs.trace.Span.merge_worker`.
 
-    ``fail`` is the pre-computed fault-injection verdict for this attempt
-    (see :mod:`repro.faults`): it raises
-    :class:`~repro.exceptions.FaultInjected` in place of the simulation.
+    ``fault`` is a pre-computed fault-injection verdict (see
+    :mod:`repro.faults`) shipped in from the parent — the plan itself
+    never crosses the executor boundary.  ``"fail"`` raises
+    :class:`~repro.exceptions.FaultInjected`; ``"crash"`` hard-exits the
+    worker process (only ever sent to process-pool workers), which is how
+    chaos tests break a real shared pool.
     """
-    if fail:
+    if fault == "crash":
+        os._exit(17)
+    if fault == "fail":
         raise FaultInjected(
             f"injected fault at chunk.simulate (shots={shots}, seed={seed})",
             site="chunk.simulate",
@@ -108,26 +129,24 @@ def _execute_chunk(
     start = time.perf_counter()
     result = backend.run(circuit, shots=shots, seed=seed)
     elapsed = time.perf_counter() - start
-    if span is not None:
-        span.set(
-            engine=type(backend).__name__,
-            worker_shots=int(shots),
-            worker_wall_s=float(elapsed),
-        )
-        batch_width = getattr(backend, "max_batch", None)
-        if batch_width is not None:
-            span.set(batch_width=int(batch_width))
-    return result, elapsed
+    record = worker_chunk_record(
+        trace_ctx,
+        engine=type(backend).__name__,
+        shots=shots,
+        duration_s=elapsed,
+        batch_width=getattr(backend, "max_batch", None),
+    )
+    return result, elapsed, record
 
 
 class _ChunkFuture(Future):
-    """A stable per-chunk future that survives retries.
+    """A stable per-chunk future that survives retries and pool rebuilds.
 
     The job's collection machinery (``result()``, ``status()``, the done
     barrier, trace/cost callbacks) holds *these*, while the underlying
     executor futures come and go as :class:`_ChunkRun` retries attempts.
-    The proxy settles exactly once, with the same ``(result, elapsed)``
-    pair a direct executor future would carry.
+    The proxy settles exactly once, with the same ``(result, elapsed,
+    record)`` tuple a direct executor future would carry.
     """
 
     def __init__(self, run: "_ChunkRun") -> None:
@@ -159,35 +178,47 @@ class _ChunkFuture(Future):
 
 
 class _ChunkRun:
-    """One chunk's execution manager: attempts and retries.
+    """One chunk's execution manager: attempts, retries, pool recovery.
 
     Owns the chunk's stable :class:`_ChunkFuture` proxy and drives real
-    executor submissions behind it.  A failed attempt is retried per the
-    job's :class:`~repro.runtime.retry.RetryPolicy` after a
-    decorrelated-jitter backoff, resubmitting with the chunk's original
-    ``(shots, seed)`` so a retried chunk's counts are bit-identical to a
-    fault-free run; out of retries/budget, the proxy settles with the
-    exception.
+    executor submissions behind it.  Failure handling, in order:
 
-    Fault-injection verdicts are computed at submit time, keyed by
-    ``(job seed, chunk index, attempt)``, so they are bit-reproducible
-    whichever worker runs the attempt.
+    * :class:`~concurrent.futures.BrokenExecutor` — the pool died under
+      the chunk (e.g. an injected ``pool.worker_crash``).  Quarantine and
+      rebuild the shared pool via
+      :func:`repro.runtime.pool.rebuild_executor` and resubmit on the
+      replacement.  Pool losses do not consume the retry policy (the
+      chunk did nothing wrong) but are capped at
+      :data:`_MAX_POOL_RESUBMITS`.
+    * Any other exception — retry per the job's
+      :class:`~repro.runtime.retry.RetryPolicy` after a
+      decorrelated-jitter backoff, resubmitting with the chunk's original
+      ``(shots, seed)`` so a retried chunk's counts are bit-identical to
+      a fault-free run.
+    * Out of retries/budget — settle the proxy with the exception.
+
+    Fault-injection verdicts are computed here, in the parent, keyed by
+    ``(job seed, chunk index, attempt)`` — bit-reproducible, and the
+    plan object itself never has to cross a pickle boundary.
     """
 
     def __init__(self, job: "Job", index: int, shots: int,
-                 seed: Optional[int], backend, circuit, span,
-                 executor) -> None:
+                 seed: Optional[int], backend, circuit, ctx, span,
+                 executor, kind: Optional[str]) -> None:
         self.job = job
         self.index = index
         self.shots = shots
         self.seed = seed
         self.backend = backend
         self.circuit = circuit
+        self.ctx = ctx
         self.span = span
         self.executor = executor
+        self.kind = kind
         self.proxy = _ChunkFuture(self)
         self.attempt = 0  # total executions started (feeds fault keys)
         self.retries = 0  # policy-consuming retries
+        self.pool_resubmits = 0
         self.prev_backoff = 0.0
         self._lock = threading.Lock()
         self._attempt_future: Optional[Future] = None
@@ -201,12 +232,20 @@ class _ChunkRun:
         is armed, so every settle path is observed)."""
         self._start_attempt()
 
-    def _fault_for_attempt(self) -> bool:
+    def _fault_for_attempt(self) -> Optional[str]:
         plan = self.job._fault_plan
         if plan is None:
-            return False
+            return None
         key = (self.job.seed, self.index, self.attempt)
-        return plan.should_fire("chunk.simulate", key=key)
+        # Worker crashes only make sense where the worker is a separate
+        # process; under thread/serial executors the "worker" is us.
+        if self.kind == "process" and plan.should_fire(
+            "pool.worker_crash", key=key
+        ):
+            return "crash"
+        if plan.should_fire("chunk.simulate", key=key):
+            return "fail"
+        return None
 
     def _start_attempt(self) -> None:
         with self._lock:
@@ -214,14 +253,14 @@ class _ChunkRun:
             if self.proxy.done():
                 return
             self._started = True
-        fail = self._fault_for_attempt()
+        fault = self._fault_for_attempt()
         try:
             future = self.executor.submit(
                 _execute_chunk, self.backend, self.circuit, self.shots,
-                self.seed, self.span, fail,
+                self.seed, self.ctx, fault,
             )
         except BaseException as exc:
-            # Submit-time failures (shut-down pool) flow through
+            # Submit-time failures (broken/shut-down pool) flow through
             # the same failure path as run-time ones, so the proxy always
             # settles and the job's done barrier always fires.
             self._handle_failure(exc)
@@ -248,8 +287,36 @@ class _ChunkRun:
     def _handle_failure(self, exc: BaseException) -> None:
         if self.proxy.done():
             return
-        if not self._retry_after_failure(exc):
-            self._terminal_failure(exc)
+        if isinstance(exc, BrokenExecutor):
+            if self._resubmit_after_pool_loss(exc):
+                return
+        elif self._retry_after_failure(exc):
+            return
+        self._terminal_failure(exc)
+
+    def _resubmit_after_pool_loss(self, exc: BaseException) -> bool:
+        from repro.runtime.pool import rebuild_executor
+
+        if self.pool_resubmits >= _MAX_POOL_RESUBMITS:
+            return False
+        replacement = rebuild_executor(self.executor)
+        if replacement is None:
+            # A foreign executor we cannot rebuild: not recoverable here.
+            return False
+        self.pool_resubmits += 1
+        self.attempt += 1
+        self.executor = replacement
+        self.job._note_pool_rebuild()
+        _M_POOL_RESUBMITS.inc()
+        if self.span is not None:
+            self.span.event(
+                "pool_rebuild",
+                error=type(exc).__name__,
+                resubmit=self.pool_resubmits,
+            )
+        # No backoff: the replacement pool is healthy by construction.
+        self._start_attempt()
+        return True
 
     def _retry_after_failure(self, exc: BaseException) -> bool:
         policy = self.job._retry_policy
@@ -362,8 +429,8 @@ class Job:
         #: {"schedule", "chunk_shots", "executor"} — for introspection.
         self.plan: Optional[dict] = None
         #: Set by execute() when tracing is on: this job's trace span.
-        #: Chunk submissions hang child spans off it and hand each chunk
-        #: task its own span to stamp (see repro.obs.trace).
+        #: Chunk submissions hang child spans off it and ship its context
+        #: into the chunk task (see repro.obs.trace).
         self._span: Optional[Span] = None
         #: Set by execute(): the chunk retry policy (None = fail fast).
         self._retry_policy: Optional[RetryPolicy] = None
@@ -372,6 +439,10 @@ class Job:
         self._retry_budget_used = 0
         #: Telemetry: policy-consuming chunk retries this job performed.
         self.retries = 0
+        #: Telemetry: chunk resubmissions after executor pool losses (the
+        #: registry-level rebuild count lives in ``pool_stats()``; many
+        #: chunks of one job can resubmit onto a single rebuilt pool).
+        self.pool_rebuilds = 0
         self._chunk_runs: List[_ChunkRun] = []
         self._futures: List[Future] = []
         self._chunk_elapsed: List[float] = []
@@ -407,21 +478,27 @@ class Job:
             if self._span is not None
             else None
         )
-        result, elapsed = _execute_chunk(
-            self.backend, self.circuit, shots, seed, span
+        result, elapsed, record = _execute_chunk(
+            self.backend,
+            self.circuit,
+            shots,
+            seed,
+            None if span is None else span.context(),
         )
         if span is not None:
-            span.finish()
+            span.finish().merge_worker(record)
         with self._lock:
             self._chunk_elapsed.append(elapsed)
         return result
 
     def _prepare_for_fanout(self) -> Tuple["Backend", "QuantumCircuit"]:
-        """Transpile once on the submitting thread before fan-out.
+        """Transpile once in the parent before fan-out.
 
-        Concurrent thread chunks can all miss a shared transpile cache
-        before the first one stores — so without this step chunk tasks
-        re-lower the circuit.  Instead the submitter runs ``prepare()``
+        A process-pool worker unpickles a backend whose explicit
+        :class:`~repro.runtime.cache.TranspileCache` ships configuration,
+        not contents, and concurrent thread chunks can all miss a shared
+        cache before the first one stores — so without this step chunk
+        tasks re-lower the circuit.  Instead the parent runs ``prepare()``
         once (through the cache) and ships the *prepared* circuit with a
         transpile-disabled copy of the backend: the chunks execute exactly
         the circuit a direct ``run()`` would have, so counts are untouched,
@@ -472,10 +549,12 @@ class Job:
         """Schedule this job's chunk tasks on ``executor``.
 
         Each chunk is driven by a :class:`_ChunkRun` behind a stable
-        :class:`_ChunkFuture` proxy, so retries are invisible to
-        collection: ``self._futures`` never changes after submit.  Every
-        executor kind runs the chunks on a circuit prepared once before
-        fan-out (see :meth:`_prepare_for_fanout`).
+        :class:`_ChunkFuture` proxy, so retries and pool rebuilds are
+        invisible to collection: ``self._futures`` never changes after
+        submit.  Tasks are the picklable module-level
+        :func:`_execute_chunk`, so any executor kind — serial, thread or
+        process — can run them.  Every kind ships a parent-side-prepared
+        circuit (see :meth:`_prepare_for_fanout`).
         On a distribution-cache miss, a done-callback on the first chunk
         publishes the distribution at *completion* time — a chunked job's
         merged distribution is exactly its first chunk's — so overlapping
@@ -490,13 +569,15 @@ class Job:
         backend, circuit = self._prepare_for_fanout()
         runs: List[_ChunkRun] = []
         for index, (shots, seed) in enumerate(self.chunk_plan()):
-            span = None
+            span = ctx = None
             if self._span is not None:
                 span = self._span.child(
                     "chunk", chunk=index, shots=shots, executor=kind
                 )
+                ctx = span.context()
             run = _ChunkRun(
-                self, index, shots, seed, backend, circuit, span, executor
+                self, index, shots, seed, backend, circuit, ctx, span,
+                executor, kind,
             )
             runs.append(run)
             self._futures.append(run.proxy)
@@ -521,11 +602,12 @@ class Job:
             run.launch()
 
     def _trace_chunk(self, span: Span, future: Future) -> None:
-        """Done-callback: close the chunk span (submit -> completion).
+        """Done-callback: close the chunk span and fold in the worker view.
 
-        The chunk task itself stamped the worker-measured wall-clock
-        (``worker_wall_s``) onto the span; a failed or cancelled chunk is
-        marked here instead.
+        The parent-side window (submit -> completion) is the span's own
+        duration; the worker-measured wall-clock arrives in the returned
+        trace record (``worker_wall_s``), the only chunk timing trusted
+        across a process boundary.
         """
         span.finish()
         if future.cancelled():
@@ -534,12 +616,15 @@ class Job:
         exc = future.exception()
         if exc is not None:
             span.set(error=type(exc).__name__)
+            return
+        _result, _elapsed, record = future.result()
+        span.merge_worker(record)
 
     def _observe_chunk(self, shots: int, future: Future) -> None:
         """Done-callback: feed one chunk's measured cost to the cost model."""
         if future.cancelled() or future.exception() is not None:
             return
-        _result, elapsed = future.result()
+        _result, elapsed, _trace = future.result()
         model, key = self._cost_probe
         model.observe_run(key, shots, elapsed)
 
@@ -547,7 +632,7 @@ class Job:
         """Done-callback: store the finished chunk's distribution."""
         if future.cancelled() or future.exception() is not None:
             return
-        result, _elapsed = future.result()
+        result, _elapsed, _trace = future.result()
         self._publish_distribution(result)
 
     def _publish_distribution(self, result: Result) -> None:
@@ -642,6 +727,10 @@ class Job:
             self._retry_budget_used += 1
             self.retries += 1
             return True
+
+    def _note_pool_rebuild(self) -> None:
+        with self._lock:
+            self.pool_rebuilds += 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -834,7 +923,7 @@ class Job:
                 remaining = (
                     None if deadline is None else max(0.0, deadline - time.monotonic())
                 )
-                result, elapsed = future.result(timeout=remaining)
+                result, elapsed, _trace = future.result(timeout=remaining)
                 chunk_results.append(result)
                 chunk_elapsed.append(elapsed)
         except CancelledError:
@@ -849,8 +938,9 @@ class Job:
             self._error = exc
             self._finish_span(status="error", error=type(exc).__name__)
             raise JobError(f"{self.job_id} failed: {exc}") from exc
-        # Worker wall-clock is recorded at collection time; guard against
-        # a concurrent first result() call double-counting it.
+        # Worker wall-clock is recorded at collection time (the workers may
+        # live in another process); guard against a concurrent first
+        # result() call double-counting it.
         with self._lock:
             if not self._pool_elapsed_recorded:
                 self._chunk_elapsed.extend(chunk_elapsed)

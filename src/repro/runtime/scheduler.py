@@ -52,7 +52,7 @@ from repro.obs.metrics import DEFAULT_REGISTRY, Counter, MetricsRegistry
 from repro.obs.trace import Span, tracing_enabled
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.profile import DEFAULT_COST_MODEL, CostModel, profile_key
-from repro.runtime.pool import check_executor_kind, default_max_workers
+from repro.runtime.pool import default_max_workers
 
 #: The selectable scheduling modes.
 SCHEDULE_MODES = ("adaptive", "fixed")
@@ -621,7 +621,7 @@ class Scheduler:
                 f"preempt_after must be positive seconds, got {preempt_after}"
             )
         self.max_in_flight = int(max_in_flight)
-        self.executor = executor if executor is None else check_executor_kind(executor)
+        self.executor = executor
         self.max_workers = max_workers
         self.schedule = schedule
         self.require_registration = bool(require_registration)

@@ -4,7 +4,7 @@ Before this module existed, :class:`~repro.runtime.cache.TranspileCache`
 and :class:`~repro.runtime.distcache.DistributionCache` each carried their
 own copy of the same ``OrderedDict``-plus-lock bounded-LRU machinery, and
 both died with the interpreter — every new process (CLI invocation, CI
-shard, restarted service) re-paid transpilation and exact-distribution
+shard, process-pool worker) re-paid transpilation and exact-distribution
 simulation from scratch.  :class:`CacheStore` folds that duplication into
 one implementation and adds an optional persistent tier:
 
@@ -678,20 +678,19 @@ class CacheStore:
         )
 
     # ------------------------------------------------------------------
-    # Pickling (journaled backends)
+    # Pickling (process-pool workers)
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
         """Ship configuration, not contents.
 
-        The service journal pickles every submitted backend instance, and
-        a backend may carry an explicit cache.  A lock does not pickle, and
-        journaling every memory entry with every submission would dwarf the
-        record, so the journal keeps a store's bounds and — crucially — its
-        disk-tier directory: the recovered store reads the persisted
-        entries instead of recomputing.  Statistics restart at zero on
-        recovery.  A custom ``serializer`` is not kept; the recovered store
-        falls back to pickle.
+        The lock cannot cross a process boundary and shipping every memory
+        entry with every task would dwarf the task itself, so a worker
+        unpickles a fresh store with the same bounds and — crucially — the
+        same disk-tier directory: fork- *and* spawn-started workers read
+        the parent's persisted entries instead of recomputing.  Statistics
+        restart at zero on the worker side.  A custom ``serializer`` is not
+        shipped; workers fall back to pickle.
         """
         return {
             "namespace": self.namespace,

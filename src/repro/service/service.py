@@ -535,7 +535,7 @@ class RuntimeService:
 
     One service binds to one event loop (the loop of its first async
     call); the scheduler and executor machinery below it remain plain
-    threads.
+    threads and processes.
     """
 
     def __init__(
@@ -1570,7 +1570,10 @@ class RuntimeService:
             "max_queue_depth": self.max_queue_depth,
             "open_breakers": open_breakers,
             "breakers": breakers,
-            "pools": {"active": pools["active"]},
+            "pools": {
+                "active": pools["active"],
+                "rebuilds": pools["rebuilds"],
+            },
             "journal": self._journal_view(),
         }
         if not ready:

@@ -48,9 +48,11 @@ FAMILIES = [
     "repro_cache_misses_total",
     "repro_cache_stores_total",
     "repro_cache_tier_entries",
+    "repro_chunk_pool_resubmits_total",
     "repro_chunk_retries_total",
     "repro_cost_model_per_shot_seconds",
     "repro_cost_model_shot_samples_total",
+    "repro_executor_pool_rebuilds_total",
     "repro_executor_pool_width",
     "repro_executor_pools_active",
     "repro_executor_pools_created_total",
@@ -87,4 +89,4 @@ def test_service_exposes_exactly_the_golden_families():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == FAMILIES
-    assert len(FAMILIES) == 37
+    assert len(FAMILIES) == 39

@@ -293,8 +293,8 @@ class TestDefaultRegistryWiring:
 
 class TestConcurrentSnapshots:
     """No torn snapshots, monotone counters, exact final totals —
-    exercised under both a thread storm and an executor storm (serial
-    and thread) driving real jobs."""
+    exercised under both a thread storm and a thread+process executor
+    storm driving real jobs."""
 
     def test_thread_storm_counters_monotone_and_exact(self):
         registry = MetricsRegistry()
@@ -339,7 +339,7 @@ class TestConcurrentSnapshots:
         assert hist.snapshot()["count"] == 8000
         assert seen, "readers never snapshotted"
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_snapshots_stable_under_executor_storm(self, executor):
         """Concurrent DEFAULT_REGISTRY snapshots while real jobs run."""
         from repro.circuits import library

@@ -1,11 +1,17 @@
-"""Span trees: building, wire form, and chunk-span attributes."""
+"""Span trees: building, wire form, and cross-executor propagation."""
+
+import pickle
 
 import pytest
 
 from repro.circuits import library
-from repro.obs.trace import Span, set_tracing_enabled, tracing_enabled
+from repro.obs.trace import (
+    Span,
+    set_tracing_enabled,
+    tracing_enabled,
+    worker_chunk_record,
+)
 from repro.runtime import execute
-from repro.runtime.pool import EXECUTOR_KINDS
 
 
 def traced_batch(n=3):
@@ -73,48 +79,36 @@ class TestSpanBasics:
         assert len(ids) == 100
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_KINDS)
-class TestChunkSpanAttributes:
-    def test_chunk_task_stamps_its_span(self, executor):
-        """A traced chunk carries exactly the submit-time attributes plus
-        the ones the chunk task measured: engine, shots, wall-clock and,
-        for a batched engine, the batch width — whether the chunk ran
-        inline or on a pool thread."""
-        parent = Span("test")
-        job = execute(
-            traced_batch(1)[0], "statevector", shots=64, seed=3, chunk_shots=32,
-            executor=executor, trace_parent=parent,
-        )
-        job.result(timeout=120)
-        chunks = [c for c in _walk(job.trace()) if c["name"] == "chunk"]
-        assert len(chunks) == 2
-        for chunk in chunks:
-            attrs = chunk["attrs"]
-            assert set(attrs) == {
-                "chunk", "shots", "executor", "engine", "worker_shots",
-                "worker_wall_s", "batch_width",
-            }
-            assert attrs["executor"] == executor
-            assert attrs["engine"] == "StatevectorBackend"
-            assert attrs["worker_shots"] == attrs["shots"] == 32
-            assert attrs["batch_width"] == 1024
-            assert 0.0 <= attrs["worker_wall_s"] <= chunk["duration_s"]
+class TestWorkerBoundary:
+    def test_context_is_picklable_and_small(self):
+        span = Span("chunk")
+        ctx = span.context()
+        assert pickle.loads(pickle.dumps(ctx)) == ctx
+        assert set(ctx) == {"span_id", "name"}
 
-    def test_failed_chunk_carries_no_worker_attributes(self, executor):
-        from repro.exceptions import JobError
-        from repro.faults import FaultPlan
-
-        parent = Span("test")
-        job = execute(
-            traced_batch(1)[0], "statevector", shots=32, seed=1,
-            executor=executor, trace_parent=parent, retry=False,
-            fault_plan=FaultPlan(seed=0, sites={"chunk.simulate": 1.0}),
+    def test_worker_record_round_trip(self):
+        span = Span("chunk")
+        record = worker_chunk_record(
+            span.context(), engine="StatevectorBackend", shots=64,
+            duration_s=0.25, batch_width=1024,
         )
-        with pytest.raises(JobError):
-            job.result(timeout=60)
-        (chunk,) = [c for c in _walk(job.trace()) if c["name"] == "chunk"]
-        assert chunk["attrs"]["error"] == "FaultInjected"
-        assert "worker_wall_s" not in chunk["attrs"]
+        record = pickle.loads(pickle.dumps(record))
+        span.merge_worker(record)
+        assert span.attrs["engine"] == "StatevectorBackend"
+        assert span.attrs["worker_shots"] == 64
+        assert span.attrs["worker_wall_s"] == 0.25
+        assert span.attrs["batch_width"] == 1024
+        assert "span_id" not in span.attrs  # identity stays out of attrs
+
+    def test_none_context_ships_nothing(self):
+        assert worker_chunk_record(
+            None, engine="X", shots=1, duration_s=0.0
+        ) is None
+
+    def test_merge_worker_tolerates_none(self):
+        span = Span("chunk")
+        span.merge_worker(None)
+        assert span.attrs == {}
 
 
 class TestTracingSwitch:
@@ -141,11 +135,12 @@ class TestTracingSwitch:
 
 
 class TestTracedExecution:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_chunk_worker_wall_clocks_sum_to_time_taken(self, executor):
         """The acceptance check: per-chunk worker wall-clocks in the
-        trace sum to the jobset's end-to-end chunk time, under serial
-        and thread executors."""
+        trace sum to the jobset's end-to-end chunk time, under thread
+        AND process executors (durations survive the pickle boundary
+        bit-identically)."""
         parent = Span("test")
         jobs = execute(
             traced_batch(3), "statevector", shots=256, seed=7,
@@ -169,7 +164,7 @@ class TestTracedExecution:
                 total += attrs["worker_wall_s"]
         assert total == pytest.approx(jobs.time_taken, rel=0, abs=0)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_chunk_spans_nest_inside_job_window(self, executor):
         parent = Span("test")
         jobs = execute(
@@ -190,6 +185,22 @@ class TestTracedExecution:
                     <= tree["start_s"] + tree["duration_s"] + 1e-6
                 ), f"{node['name']} escapes the job window"
 
+    def test_worker_pid_differs_under_process_executor(self):
+        import os
+
+        parent = Span("test")
+        jobs = execute(
+            traced_batch(1), "statevector", shots=128, seed=5,
+            executor="process", trace_parent=parent,
+        )
+        jobs.result(timeout=120)
+        pids = {
+            c["attrs"]["worker_pid"]
+            for c in _walk(jobs[0].trace())
+            if c["name"] == "chunk"
+        }
+        assert pids and os.getpid() not in pids
+
     def test_trace_parent_adopts_circuit_spans(self):
         parent = Span("mine")
         jobs = execute(
@@ -202,15 +213,15 @@ class TestTracedExecution:
         assert jobs.trace() == [span.to_dict() for span in circuits]
 
     def test_cache_hit_marked_in_prepare_span(self):
-        # the submitter transpiles once (the prepare span) before fanning
+        # the parent transpiles once (the prepare span) before fanning
         # chunks out to workers
         qc = traced_batch(1)[0]
         execute(
-            qc, "noisy:ibmqx4", shots=16, seed=1, executor="thread"
+            qc, "noisy:ibmqx4", shots=16, seed=1, executor="process"
         ).result(timeout=120)
         parent = Span("again")
         job = execute(
-            qc, "noisy:ibmqx4", shots=16, seed=2, executor="thread",
+            qc, "noisy:ibmqx4", shots=16, seed=2, executor="process",
             trace_parent=parent,
         )
         job.result(timeout=120)

@@ -1,7 +1,7 @@
 """Satellite: seed determinism across executors, chunking and caches.
 
 The runtime's contract is that a caller seed pins the counts regardless of
-how the work is scheduled: serial or thread executor, one worker
+how the work is scheduled: serial, thread or process executor, one worker
 or many, whole jobs or shot chunks, cold or warm transpile cache, fresh
 simulation or distribution-cache re-sampling.  These tests pin that
 contract on all four backend families (statevector, density-matrix,
@@ -80,8 +80,9 @@ class TestExecutorDeterminism:
     """v2 contract: every executor kind draws bit-identical counts.
 
     The serial executor is the reference (it is the sequential loop); the
-    thread pool must reproduce it exactly, unchunked and chunked, on all
-    four backend families.
+    thread and process pools must reproduce it exactly, unchunked and
+    chunked, on all four backend families.  The process comparison also
+    exercises the pickling path for circuits, backends and results.
     """
 
     def test_all_executors_agree_unchunked(self, spec, options):
@@ -90,7 +91,7 @@ class TestExecutorDeterminism:
             circuits, get_backend(spec, **options), shots=128, seed=17,
             executor="serial", dedupe=False,
         ).counts()
-        for kind in ("thread",):
+        for kind in ("thread", "process"):
             counts = execute(
                 circuits, get_backend(spec, **options), shots=128, seed=17,
                 executor=kind, dedupe=False,
@@ -102,7 +103,7 @@ class TestExecutorDeterminism:
             instrumented_circuit(), get_backend(spec, **options), shots=200,
             seed=23, chunk_shots=64, executor="serial",
         ).counts()
-        for kind in ("thread",):
+        for kind in ("thread", "process"):
             counts = execute(
                 instrumented_circuit(), get_backend(spec, **options), shots=200,
                 seed=23, chunk_shots=64, executor=kind, max_workers=3,
@@ -124,16 +125,16 @@ class TestExecutorDeterminism:
                 )
                 for kind in EXECUTOR_KINDS
             }
-            assert per_kind["serial"] == per_kind["thread"]
+            assert per_kind["serial"] == per_kind["thread"] == per_kind["process"]
 
     def test_executor_kind_stable_across_calls(self, spec, options):
         first = execute(
             instrumented_circuit(), get_backend(spec, **options), shots=96,
-            seed=13, executor="thread",
+            seed=13, executor="process",
         ).counts()
         second = execute(
             instrumented_circuit(), get_backend(spec, **options), shots=96,
-            seed=13, executor="thread",
+            seed=13, executor="process",
         ).counts()
         assert dict(first) == dict(second)
 

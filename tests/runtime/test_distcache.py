@@ -1,6 +1,5 @@
 """Tests for the cross-call distribution cache and backend content hashes."""
 
-import threading
 import time
 
 import pytest
@@ -27,25 +26,33 @@ def measured_ghz(n=3):
 
 
 class SlowTalliedBackend(Backend):
-    """An exact backend that sleeps and tallies its ``run()`` calls."""
+    """An exact backend that sleeps and tallies ``run()`` calls in a file.
+
+    Module-level (picklable) so it can cross a process-pool boundary; the
+    file-based tally counts simulations wherever they happen — the worker
+    process or this one.
+    """
 
     name = "slow-tallied"
     returns_probabilities = True
 
-    def __init__(self, delay=0.05):
+    def __init__(self, tally_path, delay=0.05):
+        self.tally_path = str(tally_path)
         self.delay = delay
         self._inner = DensityMatrixBackend()
-        self._runs = 0
-        self._lock = threading.Lock()
 
     def run(self, circuit, shots=1024, seed=None):
         time.sleep(self.delay)
-        with self._lock:
-            self._runs += 1
+        with open(self.tally_path, "a") as handle:
+            handle.write("run\n")
         return self._inner.run(circuit, shots=shots, seed=seed)
 
     def runs(self) -> int:
-        return self._runs
+        try:
+            with open(self.tally_path) as handle:
+                return sum(1 for _ in handle)
+        except OSError:
+            return 0
 
     def content_fingerprint(self):
         return f"slow-tallied|{self._inner.content_fingerprint()}"
@@ -322,10 +329,10 @@ class TestCompletionTimePopulation:
             assert time.monotonic() < deadline, "entry never published"
             time.sleep(0.005)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_overlapping_calls_share_one_simulation(self, executor):
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_overlapping_calls_share_one_simulation(self, executor, tmp_path):
         cache = DistributionCache()
-        backend = SlowTalliedBackend(delay=0.05)
+        backend = SlowTalliedBackend(tmp_path / "tally", delay=0.05)
         circuit = measured_bell()
 
         first = execute(
@@ -341,7 +348,8 @@ class TestCompletionTimePopulation:
         assert second.cached  # observed the hit the moment the job finished
         second_counts = second.counts()
         first_counts = first.counts()
-        # Exactly one simulation happened across both calls.
+        # Exactly one simulation happened across both calls, wherever the
+        # executor ran it.
         assert backend.runs() == 1
         assert cache.stats()["hits"] == 1
 
@@ -353,14 +361,14 @@ class TestCompletionTimePopulation:
             dedicated.run(circuit, shots=512, seed=2).counts
         )
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_chunked_job_publishes_full_distribution_at_completion(
-        self, executor
+        self, executor, tmp_path
     ):
         """A chunked primary's entry (published from its first chunk) serves
         later calls with the complete distribution."""
         cache = DistributionCache()
-        backend = SlowTalliedBackend(delay=0.01)
+        backend = SlowTalliedBackend(tmp_path / "tally", delay=0.01)
         circuit = measured_bell()
 
         first = execute(
@@ -379,11 +387,11 @@ class TestCompletionTimePopulation:
         )
         first.result()
 
-    def test_serial_executor_publishes_during_execute(self):
+    def test_serial_executor_publishes_during_execute(self, tmp_path):
         """The serial executor runs inline: the entry is visible as soon as
         execute() returns, before any collection."""
         cache = DistributionCache()
-        backend = SlowTalliedBackend(delay=0.0)
+        backend = SlowTalliedBackend(tmp_path / "tally", delay=0.0)
         job = execute(
             measured_bell(), backend, shots=128, seed=1, executor="serial",
             distribution_cache=cache,
@@ -392,12 +400,12 @@ class TestCompletionTimePopulation:
         job.result()
         assert backend.runs() == 1
 
-    def test_entry_visible_once_result_returns(self):
+    def test_entry_visible_once_result_returns(self, tmp_path):
         """Whatever the callback timing, result() returning guarantees the
         entry is published (callers compare stats right after collecting)."""
         for _ in range(20):
             cache = DistributionCache()
-            backend = SlowTalliedBackend(delay=0.0)
+            backend = SlowTalliedBackend(tmp_path / "tally", delay=0.0)
             execute(
                 measured_bell(), backend, shots=64, seed=1, executor="thread",
                 distribution_cache=cache,

@@ -222,7 +222,8 @@ class TestDeduplication:
         fast = get_backend("density_matrix")
         # One worker: the gate job occupies it so the dedup group's primary
         # (job 2) stays queued and cancellable.  Pinned to the thread
-        # executor: inline execution has no queue to cancel from.
+        # executor: the gate's event cannot cross a process boundary and
+        # inline execution has no queue to cancel from.
         jobs = execute(
             [measured_bell()] * 3,
             [blocker, fast, fast],

@@ -23,9 +23,10 @@ def measured_bell():
 class BlockingBackend(Backend):
     """Backend that blocks until released (for status/cancel tests).
 
-    Tests using it pin ``executor="thread"``: inline (serial) execution
-    would block the test thread itself — so these tests stay meaningful
-    under the CI executor matrix (``REPRO_EXECUTOR``).
+    Tests using it pin ``executor="thread"``: the in-memory events cannot
+    cross a process boundary, and inline (serial) execution would block the
+    test thread itself — so these tests stay meaningful under the CI
+    executor matrix (``REPRO_EXECUTOR``).
     """
 
     name = "blocking"

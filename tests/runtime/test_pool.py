@@ -74,7 +74,7 @@ class TestExecutorRegistry:
     def test_stats_shape(self):
         get_executor("serial")
         stats = pool_stats()
-        assert set(stats) == {"active", "created", "reused", "pools"}
+        assert set(stats) == {"active", "created", "reused", "rebuilds", "pools"}
         assert ("serial", None) in stats["pools"]
 
 
@@ -89,46 +89,13 @@ class TestDefaultKind:
         assert default_executor_kind() == kind
 
     def test_env_var_is_normalised(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "  Serial ")
-        assert default_executor_kind() == "serial"
+        monkeypatch.setenv("REPRO_EXECUTOR", "  Process ")
+        assert default_executor_kind() == "process"
 
     def test_invalid_env_var_rejected(self, monkeypatch):
-        for kind in ("quantum", "process"):
-            monkeypatch.setenv("REPRO_EXECUTOR", kind)
-            with pytest.raises(
-                JobError, match=r"REPRO_EXECUTOR.*\['serial', 'thread'\]"
-            ):
-                default_executor_kind()
-
-    @pytest.mark.parametrize(
-        "entry", ["execute", "env", "get_executor", "scheduler", "service"]
-    )
-    def test_retired_process_kind_rejected(self, entry, monkeypatch):
-        """``"process"`` is not an executor kind: every entry point that
-        takes one rejects it with the valid choices."""
-        from repro.circuits import library
-        from repro.runtime import Scheduler, execute
-        from repro.service import RuntimeService
-
-        circuit = library.bell_pair()
-        circuit.measure_all()
-        if entry == "env":
-            monkeypatch.setenv("REPRO_EXECUTOR", "process")
-            match = r"REPRO_EXECUTOR.*'process'.*\['serial', 'thread'\]"
-        else:
-            match = r"unknown executor kind 'process'.*\['serial', 'thread'\]"
-        with pytest.raises(JobError, match=match):
-            if entry == "execute":
-                execute(circuit, "statevector", shots=8, executor="process")
-            elif entry == "env":
-                execute(circuit, "statevector", shots=8)
-            elif entry == "get_executor":
-                get_executor("process")
-            elif entry == "scheduler":
-                Scheduler(executor="process")
-            else:
-                RuntimeService(executor="process", journal=False,
-                               accounting=False)
+        monkeypatch.setenv("REPRO_EXECUTOR", "quantum")
+        with pytest.raises(JobError, match="REPRO_EXECUTOR"):
+            default_executor_kind()
 
     def test_default_width_positive(self):
         assert default_max_workers() >= 1

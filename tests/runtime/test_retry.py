@@ -1,8 +1,10 @@
-"""Tests for chunk retries.
+"""Tests for chunk retries and self-healing pools (PR 10's runtime half).
 
 Covers the :mod:`repro.runtime.retry` policy layer, fault-injected chunk
 retries (counts must stay bit-identical to a clean run), the job-wide
-retry budget, and the as_completed barrier under submit-time failures.
+retry budget, the as_completed barrier under submit-time failures, and
+the acceptance scenario: a process-pool worker hard-crash mid-job heals
+via pool rebuild + resubmission with zero failed jobs.
 """
 
 import random
@@ -15,7 +17,7 @@ from repro.exceptions import JobError
 from repro.faults import FaultPlan
 from repro.results.counts import Counts
 from repro.results.result import Result
-from repro.runtime import RetryPolicy, execute
+from repro.runtime import RetryPolicy, execute, pool_stats
 from repro.runtime.job import JobStatus
 from repro.runtime.retry import (
     DEFAULT_MAX_RETRIES,
@@ -160,23 +162,6 @@ class TestChunkRetryIntegration:
             job.result()
         assert job.retries == 2  # both allowed retries were spent
 
-    def test_shared_pool_serves_next_job_after_a_failed_one(self):
-        """A chunk failure that ends its job leaves the shared thread pool
-        serving the next job with counts bit-identical to a clean run."""
-        clean = execute(measured_bell(), "statevector", shots=256, seed=7,
-                        chunk_shots=64, executor="serial").result()
-        plan = FaultPlan(seed=1, sites={"chunk.simulate": 1.0})
-        failed = execute(measured_bell(), "statevector", shots=256, seed=7,
-                         chunk_shots=64, executor="thread", max_workers=2,
-                         retry=False, fault_plan=plan)
-        with pytest.raises(JobError, match="injected fault"):
-            failed.result()
-        job = execute(measured_bell(), "statevector", shots=256, seed=7,
-                      chunk_shots=64, executor="thread", max_workers=2,
-                      retry=False)
-        assert job.result().counts == clean.counts
-        assert job.status() is JobStatus.DONE
-
     def test_ambient_plan_reaches_chunks(self):
         with faults.injected({"seed": 4, "sites": {
             "chunk.simulate": {"rate": 1.0, "times": 1},
@@ -229,3 +214,34 @@ class TestAsCompletedUnderFailure:
         statuses = jobs.statuses()
         assert statuses.count(JobStatus.ERROR) == 1
         assert statuses.count(JobStatus.DONE) == 2
+
+
+class TestPoolSelfHealing:
+    def test_worker_crash_heals_and_counts_stay_bit_identical(self):
+        """Acceptance: kill a process-pool worker mid-job; the job must
+        still succeed with bit-identical counts via pool rebuild +
+        resubmission, without consuming the retry policy."""
+        clean = execute(measured_bell(), "statevector", shots=400, seed=5,
+                        chunk_shots=100, executor="process",
+                        retry=False).result()
+        rebuilds_before = pool_stats()["rebuilds"]
+        plan = FaultPlan(seed=2, sites={
+            "pool.worker_crash": {"rate": 1.0, "times": 1},
+        })
+        job = execute(measured_bell(), "statevector", shots=400, seed=5,
+                      chunk_shots=100, executor="process",
+                      retry=dict(max_retries=2, **FAST), fault_plan=plan)
+        result = job.result()
+        assert result.counts == clean.counts
+        assert job.status() is JobStatus.DONE
+        assert plan.stats()["pool.worker_crash"]["fired"] == 1
+        assert job.pool_rebuilds > 0
+        assert pool_stats()["rebuilds"] > rebuilds_before
+        # Pool healing is not a retry: the policy budget is untouched.
+        assert job.retries == 0
+
+    def test_crash_site_ignored_off_process_executors(self):
+        plan = FaultPlan(seed=2, sites={"pool.worker_crash": 1.0})
+        job = execute(measured_bell(), "statevector", shots=64, seed=5,
+                      executor="thread", retry=False, fault_plan=plan)
+        assert job.result().counts  # the thread "worker" is us: no crash

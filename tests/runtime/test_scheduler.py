@@ -1,9 +1,10 @@
 """Tests for :mod:`repro.runtime.scheduler` and its execute() integration:
-adaptive chunk planning, backend-aware executor defaults, the one-time
-prepare before chunk fan-out, and the fair-share multi-client queue.
+adaptive chunk planning, backend-aware executor defaults, the parent-side
+process-fan-out prepare, and the fair-share multi-client queue.
 """
 
 import math
+import multiprocessing
 import threading
 import time
 
@@ -275,32 +276,28 @@ class TestAdaptiveChunkingInExecute:
 
 
 # ----------------------------------------------------------------------
-# One prepare before chunk fan-out
+# Parent-side prepare before process fan-out
 # ----------------------------------------------------------------------
 
 
 class CountingTranspileCache(TranspileCache):
-    """A TranspileCache that counts actual lowerings.
+    """A TranspileCache that appends one byte to a file per actual lowering.
 
-    ``delay`` holds every lowering open for a while, so concurrent chunks
-    that each went through the cache would all miss before the first one
-    stores — the race the one-time prepare before fan-out exists to avoid.
+    The file is shared across processes, so worker-side transpiles are
+    counted too — which is the whole point of the regression test below.
     """
 
-    def __init__(self, delay: float = 0.0, maxsize: int = 1024) -> None:
+    def __init__(self, count_file, maxsize: int = 1024) -> None:
         super().__init__(maxsize=maxsize)
-        self.delay = delay
-        self.lowerings = 0
-        self._count_lock = threading.Lock()
+        self.count_file = str(count_file)
 
     def transpile(self, circuit, device, layout=None, optimize=True):
         key = transpile_key(circuit, device, layout, optimize)
         cached = self.lookup(key)
         if cached is not None:
             return cached
-        with self._count_lock:
-            self.lowerings += 1
-        time.sleep(self.delay)
+        with open(self.count_file, "ab") as handle:
+            handle.write(b"x")
         from repro.transpiler.passes import transpile_for_device
 
         lowered = transpile_for_device(
@@ -310,39 +307,49 @@ class CountingTranspileCache(TranspileCache):
         return lowered
 
 
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="counting cache crosses the process boundary by reference",
+)
+
+
 class TestParentSidePrepare:
-    def test_chunked_fanout_transpiles_exactly_once(self):
-        """Four chunks on a 4-wide thread pool would each miss a slow,
-        cold cache; the job lowers once before fan-out and ships the
-        prepared circuit, with counts unchanged."""
-        cache = CountingTranspileCache(delay=0.05)
+    @needs_fork
+    def test_process_fanout_transpiles_exactly_once(self, tmp_path):
+        """ROADMAP satellite: explicit-cache backends must not re-transpile
+        per chunk task under executor="process" — the parent lowers once
+        and ships the prepared circuit."""
+        counter = tmp_path / "transpiles"
+        counter.touch()
+        cache = CountingTranspileCache(counter)
         backend = NoisyDeviceBackend(ibmqx4(), cache=cache)
         circuit = measured_bell()
         job = execute(circuit, backend, shots=256, seed=3, chunk_shots=64,
-                      executor="thread", max_workers=4)
+                      executor="process")
         pooled = dict(job.counts())
-        assert len(job._futures) == 4
-        assert cache.lowerings == 1
+        assert counter.read_bytes() == b"x"  # one lowering, parent-side
         reference = execute(
             circuit, NoisyDeviceBackend(ibmqx4(), cache=False), shots=256,
             seed=3, chunk_shots=64, executor="serial",
         )
         assert pooled == dict(reference.counts())
 
-    def test_thread_fanout_still_counts_one(self):
+    @needs_fork
+    def test_thread_fanout_still_counts_one(self, tmp_path):
         """Thread pools share the cache, so one lowering there too."""
-        cache = CountingTranspileCache()
-        backend = NoisyDeviceBackend(ibmqx4(), cache=cache)
+        counter = tmp_path / "transpiles"
+        counter.touch()
+        backend = NoisyDeviceBackend(ibmqx4(), cache=CountingTranspileCache(counter))
         execute(measured_bell(), backend, shots=256, seed=3, chunk_shots=64,
                 executor="thread").result()
-        assert cache.lowerings == 1
+        assert counter.read_bytes() == b"x"
 
     def test_prepare_failure_surfaces_at_collection(self):
         """A circuit too big for the device keeps failing through the job
         future (collection-time JobError), not at submit time."""
         backend = NoisyDeviceBackend(ibmqx4())  # 5-qubit device
         job = execute(measured_ghz(6), backend, shots=32, seed=1,
-                      executor="thread")
+                      executor="process")
         with pytest.raises(JobError, match="failed"):
             job.result()
 
@@ -353,7 +360,7 @@ class TestParentSidePrepare:
         circuit.h(0)
         circuit.cx(0, 1)
         circuit.measure_all()
-        job = execute(circuit, backend, shots=64, seed=5, executor="thread")
+        job = execute(circuit, backend, shots=64, seed=5, executor="process")
         serial = execute(circuit, backend, shots=64, seed=5, executor="serial")
         assert dict(job.counts()) == dict(serial.counts())
 

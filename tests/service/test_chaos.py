@@ -13,7 +13,7 @@ from repro.devices.backend import Backend
 from repro.faults import FaultPlan
 from repro.results.counts import Counts
 from repro.results.result import Result
-from repro.runtime import execute
+from repro.runtime import execute, pool_stats
 from repro.service import ClientQuota, RuntimeService
 
 #: Fast backoffs: chaos tests sleep through plenty of retries.
@@ -117,3 +117,50 @@ class TestChaosStorm:
                 await service.close()
 
         asyncio.run(main())
+
+    def test_storm_survives_worker_crash_with_zero_failed_jobs(self):
+        """Acceptance: a process-pool worker killed mid-storm is healed by
+        the pool rebuild — zero failed jobs, counts bit-identical."""
+        tenants, per_tenant, shots = 3, 4, 120
+        circuit = named_circuit("crash-storm")
+        reference = {
+            seed: dict(execute(circuit, "statevector", shots=shots,
+                               seed=seed, chunk_shots=40,
+                               executor="process").result().counts)
+            for seed in range(per_tenant)
+        }
+        rebuilds_before = pool_stats()["rebuilds"]
+        plan = FaultPlan(seed=2, sites={
+            "pool.worker_crash": {"rate": 1.0, "times": 1},
+        })
+
+        async def main():
+            service = RuntimeService(executor="process")
+            try:
+                tokens = [service.register_client(f"t{i}")
+                          for i in range(tenants)]
+                handles = []
+                for token in tokens:
+                    for seed in range(per_tenant):
+                        handles.append((seed, await service.submit(
+                            circuit, "statevector", shots=shots, seed=seed,
+                            token=token, chunk_shots=40,
+                            retry=dict(RETRY), fault_plan=plan,
+                        )))
+                async for _h in service.as_completed(
+                    [h for _s, h in handles], timeout=180
+                ):
+                    pass
+                for seed, handle in handles:
+                    assert handle.status() == "done"
+                    assert await handle.counts() == [reference[seed]]
+                stats = service.stats()
+                for i in range(tenants):
+                    assert stats["clients"][f"t{i}"]["failed_batches"] == 0
+                assert stats["completed_jobs"] == tenants * per_tenant
+            finally:
+                await service.close()
+
+        asyncio.run(main())
+        assert plan.stats()["pool.worker_crash"]["fired"] == 1
+        assert pool_stats()["rebuilds"] > rebuilds_before

@@ -27,7 +27,7 @@ from repro.service import (
     ServiceClient,
 )
 
-EXECUTORS = ("serial", "thread")
+EXECUTORS = ("thread", "process")
 
 
 def measured(circuit):

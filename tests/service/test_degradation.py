@@ -85,7 +85,7 @@ class TestHealth:
                 assert report["max_queue_depth"] is None
                 assert report["open_breakers"] == []
                 assert "retry_after" not in report
-                assert report["pools"].keys() == {"active"}
+                assert report["pools"].keys() == {"active", "rebuilds"}
             finally:
                 await service.close()
 

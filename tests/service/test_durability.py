@@ -31,7 +31,7 @@ from repro.service.recordlog import HEADER, RecordLog
 
 #: Both executors the scheduler can fan out over; the service must be
 #: restart-durable regardless of which ran the pre-crash jobs.
-EXECUTORS = ("serial", "thread")
+EXECUTORS = ("thread", "process")
 
 #: Life 1: serve two seeded jobs to completion, journal a third, then die
 #: without yielding to the event loop — deterministically unsettled.
@@ -90,8 +90,8 @@ async def main():
     # Die without ever yielding to the loop again: the settle machinery
     # (loop callbacks -> journal settlement) can never run, so the third
     # job stays journaled-but-unsettled no matter what the executor did
-    # with it.  The pool is drained first so the exit never lands
-    # mid-chunk.
+    # with it.  Worker processes are reaped first purely so they do not
+    # inherit our stdout pipe and wedge the harness waiting on EOF.
     from repro.runtime.pool import shutdown_executors
     shutdown_executors(wait=True)
     os._exit(0)

@@ -58,7 +58,7 @@ async def settled_trace(service, token, executor_hint=None, **submit_kw):
 
 
 class TestServiceTrace:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_span_tree_covers_every_stage(self, executor):
         async def main():
             service = RuntimeService(executor=executor, journal=False,
@@ -86,7 +86,7 @@ class TestServiceTrace:
 
         run(main())
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_worker_wall_clocks_consistent_with_job_latency(self, executor):
         """Acceptance: every chunk's worker wall-clock is positive,
         bounded by the submission's end-to-end duration (width 1 pool

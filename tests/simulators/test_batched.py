@@ -137,8 +137,8 @@ class TestBatchedEqualsLooped:
         check()
 
     def test_execute_matches_loop(self):
-        """Through ``execute()`` on the default executor
-        (``$REPRO_EXECUTOR``)."""
+        """Through ``execute()`` on the default executor, pickled across a
+        process pool when ``$REPRO_EXECUTOR=process``."""
         circuit, shots, seed = paper_assertion("entanglement"), 32, 2020
         device = ibmqx4()
         reference = None

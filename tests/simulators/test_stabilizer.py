@@ -266,7 +266,8 @@ class TestAffineSamplingEquivalence:
                 assert list(run.items()) == list(replay.items()), (seed, shots)
 
     def test_execute_matches_direct_run(self):
-        # execute() picks its executor from $REPRO_EXECUTOR.
+        # execute() picks its executor from $REPRO_EXECUTOR, so under
+        # REPRO_EXECUTOR=process the counts also cross the pickle boundary.
         from repro.runtime import execute
 
         names = ("ghz8-pairwise", "teleportation", "random7", "random8")
