@@ -99,6 +99,17 @@ class QueueTimeout(JobError):
         self.queued_batches = queued_batches
 
 
+class JobAbandoned(JobError):
+    """Raised for work a stop left unfinished at its deadline.
+
+    :meth:`~repro.runtime.scheduler.Scheduler.shutdown` fails batches
+    still queued and abandons jobs still running when its deadline
+    passes; their handles resolve with this error.  The work did not
+    fail: a journaled service leaves it unsettled, so ``recover()``
+    re-runs it after a restart.
+    """
+
+
 class FaultInjected(ReproError):
     """Raised by a :class:`repro.faults.FaultPlan` site firing.
 

@@ -16,9 +16,10 @@ Semantics:
 
 * **Batching** — a list of circuits becomes a :class:`~repro.runtime.job.JobSet`
   whose jobs fan out over a shared executor (see :mod:`repro.runtime.pool`):
-  ``executor="thread"`` (the default; every engine's NumPy kernels
-  release the GIL), ``"process"`` for worker processes, ``"serial"`` for
-  inline execution.  Executors are process-wide and reused across calls —
+  ``executor="thread"`` (the default; chunks overlap where NumPy kernels
+  release the GIL, which the trajectory walker mostly does not — see
+  :mod:`repro.runtime.pool`), ``"process"`` for worker processes,
+  ``"serial"`` for inline execution.  Executors are process-wide and reused across calls —
   no per-call pool churn.
 * **Deduplication** — with ``dedupe=True`` (default), jobs with the same
   ``(circuit.fingerprint(), backend)`` simulate the distribution once and

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -109,13 +110,13 @@ def run_driver_process(
     ``cache_dir`` (or removed when ``None``), ``spec`` as a JSON argv, and
     must print a single JSON object on stdout.
 
-    The child's stdout/stderr are captured through temporary *files*, not
-    pipes, so the parent only ever waits on process exit.  With pipes, any
-    other process that inherited the write end — say a fork-mode pool
-    worker forked while the pipe existed — keeps ``communicate()`` blocked
-    on EOF long after the child exited; crash-style drivers (``os._exit``
-    mid-flight, exactly what the restart-recovery suite does) make that a
-    deadlock, while a file is simply read back once the child is gone.
+    The child runs in a session of its own, and once it exits (or times
+    out) its whole process group is killed: a fork-mode pool worker the
+    driver left behind — crash-style drivers ``os._exit`` mid-flight,
+    exactly what the restart-recovery suite does — dies with it instead
+    of living on as an orphan.  Its stdout/stderr go to temporary
+    *files*, not pipes, so the parent waits on the child's exit alone,
+    never on EOF from a descendant that inherited a pipe's write end.
 
     Returns ``(report, elapsed_seconds)``; raises ``RuntimeError`` with
     the child's stderr on a non-zero exit.
@@ -132,13 +133,16 @@ def run_driver_process(
         proc = subprocess.Popen(
             [sys.executable, "-c", source, json.dumps(spec or {})],
             env=env, stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr,
+            start_new_session=True,
         )
         try:
             returncode = proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the group is already empty
             proc.wait()
-            raise
         elapsed = time.perf_counter() - start
         stdout.seek(0)
         out = stdout.read().decode()

@@ -47,7 +47,7 @@ from concurrent.futures import (
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
-from repro.exceptions import FaultInjected, JobError
+from repro.exceptions import FaultInjected, JobAbandoned, JobError
 from repro.obs.metrics import DEFAULT_REGISTRY
 from repro.obs.trace import Span, worker_chunk_record
 from repro.results.counts import Counts
@@ -350,7 +350,7 @@ class _ChunkRun:
         self.proxy._terminal = True
         try:
             self.proxy.set_exception(exc)
-        except InvalidStateError:  # pragma: no cover - settle race
+        except InvalidStateError:  # already settled (or abandoned)
             pass
 
     # -- cancellation ----------------------------------------------------
@@ -732,6 +732,15 @@ class Job:
         with self._lock:
             self.pool_rebuilds += 1
 
+    def _abandon(self, error: BaseException) -> None:
+        """Settle every unfinished chunk with ``error`` (a scheduler stop
+        past its deadline).  An attempt not yet started never runs; one
+        already running finishes on its worker, its result discarded."""
+        for run in self._chunk_runs:
+            run._terminal_failure(error)  # no-op on a settled chunk
+            if run._attempt_future is not None:
+                run._attempt_future.cancel()
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -937,6 +946,8 @@ class Job:
         except Exception as exc:
             self._error = exc
             self._finish_span(status="error", error=type(exc).__name__)
+            if isinstance(exc, JobAbandoned):
+                raise
             raise JobError(f"{self.job_id} failed: {exc}") from exc
         # Worker wall-clock is recorded at collection time (the workers may
         # live in another process); guard against a concurrent first

@@ -10,9 +10,11 @@ registry:
     Zero scheduling overhead and strictly deterministic execution *order*,
     which makes job priorities directly observable.
 ``thread``
-    A shared :class:`~concurrent.futures.ThreadPoolExecutor`.  Right for
-    every in-repo engine: all of them sample along NumPy axes whose
-    kernels release the GIL.
+    A shared :class:`~concurrent.futures.ThreadPoolExecutor`, the default
+    for every in-repo engine.  Chunks overlap only where NumPy kernels
+    release the GIL: the trajectory walker is mostly Python-level steps,
+    and on a 2-core host 4 thread chunks of a 16384-shot job took
+    0.37-0.41 s against 0.17-0.18 s for the job unsplit.
 ``process``
     A shared :class:`~concurrent.futures.ProcessPoolExecutor`, for
     engines that hold the GIL; circuits, backends and results cross the

@@ -47,7 +47,7 @@ import time
 import weakref
 from typing import Callable, Dict, List, Optional
 
-from repro.exceptions import CircuitOpen, JobError, QueueTimeout
+from repro.exceptions import CircuitOpen, JobAbandoned, JobError, QueueTimeout
 from repro.obs.metrics import DEFAULT_REGISTRY, Counter, MetricsRegistry
 from repro.obs.trace import Span, tracing_enabled
 from repro.runtime.breaker import CircuitBreaker
@@ -79,6 +79,16 @@ MIN_CHUNK_SHOTS = 16
 #: At most this many chunks per pool worker (bounded oversubscription
 #: keeps the tail short without flooding the queue).
 OVERSUBSCRIBE = 4
+
+#: The one stop deadline.  A clean stop (:meth:`Scheduler.shutdown`,
+#: ``RuntimeService.close``, ``BackgroundServer.stop``) lets queued and
+#: in-flight work settle for this many seconds, then fails what is still
+#: queued and abandons what is still running.
+CLOSE_GRACE_S = 10.0
+
+#: Seconds a stop waits, past its deadline, for a thread with nothing
+#: left to do to exit.
+EXIT_GRACE_S = 1.0
 
 
 def default_schedule_mode() -> str:
@@ -369,6 +379,9 @@ class ScheduledBatch:
             When ``timeout`` expires with the batch still *queued* (never
             dispatched).  The exception carries the batch's queue position
             and wait time so callers can retry or abandon with context.
+        JobAbandoned
+            When :meth:`Scheduler.shutdown` failed the batch in the queue
+            or abandoned it in flight.
         JobError
             When the batch was cancelled or failed to dispatch.
         """
@@ -393,8 +406,8 @@ class ScheduledBatch:
         if self._cancelled:
             raise JobError(f"batch for client {self.client!r} was cancelled")
         if self._error is not None:
-            if isinstance(self._error, QueueTimeout):
-                raise self._error  # deadline drop: surface the typed error
+            if isinstance(self._error, (QueueTimeout, JobAbandoned)):
+                raise self._error  # deadline drop or stop: the typed error
             raise JobError(
                 f"batch for client {self.client!r} failed to dispatch: {self._error}"
             ) from self._error
@@ -406,8 +419,6 @@ class ScheduledBatch:
         ``timeout`` is one deadline covering both waits — time spent in
         the queue is not granted again to collection.
         """
-        import time
-
         deadline = None if timeout is None else time.monotonic() + timeout
         jobset = self.jobs(timeout)
         remaining = (
@@ -648,6 +659,7 @@ class Scheduler:
         self._in_flight_jobs = 0
         self._sequence = 0
         self._closed = False
+        self._abandoning = False  # shutdown's deadline passed
         self._thread: Optional[threading.Thread] = None
         # Every scheduler count lives in an instrument of this registry,
         # which stats() reads and DEFAULT_REGISTRY mounts (weakly; the
@@ -973,6 +985,20 @@ class Scheduler:
             )
         self._lock.acquire()
         batch._mark_dispatched(jobset)
+        if self._abandoning:
+            self._abandon(batch)
+
+    def _abandon(self, batch: ScheduledBatch) -> None:
+        """Resolve an unfinished dispatched batch with
+        :class:`~repro.exceptions.JobAbandoned` (caller holds the lock)."""
+        if batch._jobset is None or batch._jobset.done():
+            return
+        # Set before the jobs settle: their callbacks read the outcome.
+        batch._error = JobAbandoned(
+            f"batch for client {batch.client!r} was abandoned at shutdown"
+        )
+        for job in batch._jobset:
+            job._abandon(batch._error)
 
     def _reap_completed(self) -> bool:
         """Retire finished in-flight batches (caller holds the lock)."""
@@ -1167,8 +1193,6 @@ class Scheduler:
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until nothing is queued or in flight; ``False`` on timeout."""
-        import time
-
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while self._has_pending() or self._in_flight:
@@ -1184,31 +1208,54 @@ class Scheduler:
                 )
             return True
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work; drain (``wait=True``) or cancel the queue.
+    def shutdown(self, timeout: float = CLOSE_GRACE_S) -> dict:
+        """Stop accepting work, drain until ``timeout``, then settle the rest.
 
-        With ``wait=False`` every still-queued batch is failed so no
-        caller blocks forever on a handle that will never dispatch.
+        Past the deadline, batches still queued are failed and dispatched
+        batches with unfinished jobs are abandoned; both resolve with
+        :class:`~repro.exceptions.JobAbandoned`.  An abandoned chunk
+        already on a pool worker finishes there, its result discarded.
+
+        Returns ``{"settled", "failed", "abandoned", "threads"}``:
+        whether all work finished in time, the failed and abandoned batch
+        handles, and the dispatcher's name if it is still alive
+        :data:`EXIT_GRACE_S` later (a ``"serial"`` dispatch simulating
+        inline; its batch is abandoned once it has jobs).
         """
         with self._lock:
             self._closed = True
-            if not wait:
-                for state in self._clients.values():
-                    for _entry, batch in state.pending:
-                        state.record_failure(
-                            batch, JobError("scheduler was shut down")
-                        )
-                    state.pending.clear()
+        settled = self.wait_idle(timeout)
+        failed: List[ScheduledBatch] = []
+        with self._lock:
+            self._abandoning = True
+            for state in self._clients.values():
+                for _entry, batch in state.pending:
+                    state.record_failure(
+                        batch, JobAbandoned("scheduler was shut down")
+                    )
+                    failed.append(batch)
+                state.pending.clear()
+            in_flight = list(self._in_flight)
+            for batch in in_flight:
+                self._abandon(batch)
             thread = self._thread
             self._lock.notify_all()
-        if thread is not None and thread.is_alive():
-            thread.join()
+        if thread is not None:
+            thread.join(EXIT_GRACE_S)
+        return {
+            "settled": settled,
+            "failed": failed,
+            "abandoned": [
+                b for b in in_flight if isinstance(b._error, JobAbandoned)
+            ],
+            "threads": [thread.name] if thread and thread.is_alive() else [],
+        }
 
     def __enter__(self) -> "Scheduler":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.shutdown(wait=exc_info[0] is None)
+        self.shutdown(CLOSE_GRACE_S if exc_info[0] is None else 0)
 
     def __repr__(self) -> str:
         stats = self.stats()

@@ -67,6 +67,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro import faults
 from repro.circuits.qasm import circuit_from_qasm
 from repro.runtime import get_backend
+from repro.runtime.scheduler import CLOSE_GRACE_S, EXIT_GRACE_S
 from repro.exceptions import (
     CircuitError,
     CircuitOpen,
@@ -132,10 +133,6 @@ _REASONS = {
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _MAX_HEADERS = 100
-
-#: How long :meth:`ServiceServer.close` lets in-flight requests finish
-#: before it cancels them.
-CLOSE_GRACE_S = 10.0
 
 _JOB_PATH = re.compile(r"/v1/jobs/([^/]+)(?:/(result|counts|events|trace))?")
 
@@ -272,7 +269,7 @@ class ServiceServer:
     async def close(self) -> None:
         """Stop accepting, hang up idle keep-alive connections, and wait
         for the handlers; requests still running after
-        :data:`CLOSE_GRACE_S` are cancelled."""
+        :data:`~repro.runtime.scheduler.CLOSE_GRACE_S` are cancelled."""
         if self._server is None:
             return
         self._closing = True
@@ -710,8 +707,9 @@ class BackgroundServer:
     For synchronous embeddings — benchmarks, tests, driving a service
     from a plain script: the server (and therefore the service) gets its
     own loop on a daemon thread; :meth:`start` blocks until the port is
-    bound, :meth:`stop` shuts the server down and (by default) closes the
-    service with it.  Usable as a context manager.
+    bound, :meth:`stop` closes the server and then the service under one
+    :data:`~repro.runtime.scheduler.CLOSE_GRACE_S` deadline.  Usable as
+    a context manager.
     """
 
     def __init__(self, service: RuntimeService, host: str = "127.0.0.1",
@@ -726,7 +724,7 @@ class BackgroundServer:
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._error: Optional[BaseException] = None
-        self._close_service = True
+        self._summary: Optional[dict] = None
 
     def start(self) -> "BackgroundServer":
         self._thread = threading.Thread(
@@ -754,9 +752,11 @@ class BackgroundServer:
         )
         self._ready.set()
         await self._stop.wait()
+        deadline = self._loop.time() + CLOSE_GRACE_S
         await self._server.close()
-        if self._close_service:
-            await self.service.close()
+        self._summary = await self.service.close(
+            max(0.0, deadline - self._loop.time())
+        )
 
     @property
     def url(self) -> str:
@@ -766,18 +766,32 @@ class BackgroundServer:
     def port(self) -> int:
         return self._server.port
 
-    def stop(self, close_service: bool = True) -> None:
-        """Stop the server thread; ``close_service=False`` leaves the
-        service's scheduler running for the caller to reuse."""
-        if self._thread is None or self._loop is None:
+    def stop(self) -> None:
+        """Close the server, then the service, under one deadline.
+
+        Requests and jobs get :data:`~repro.runtime.scheduler.CLOSE_GRACE_S`
+        seconds in all; past it requests are cancelled and jobs are
+        failed or abandoned (see :meth:`RuntimeService.close
+        <repro.service.service.RuntimeService.close>`).  Raises
+        :class:`ServiceError` naming any thread — this server's loop
+        thread or the scheduler's dispatcher — still alive after it.
+        """
+        thread, self._thread = self._thread, None
+        if thread is None or self._loop is None:
             return
-        self._close_service = close_service
         try:
             self._loop.call_soon_threadsafe(self._stop.set)
         except RuntimeError:
             pass  # loop already gone (startup failure path)
-        self._thread.join(timeout=60)
-        self._thread = None
+        # Past the deadline: the dispatcher's exit, then the loop's.
+        thread.join(CLOSE_GRACE_S + 2 * EXIT_GRACE_S)
+        alive = [thread.name] if thread.is_alive() else []
+        alive += (self._summary or {}).get("threads", [])
+        if alive:
+            raise ServiceError(
+                f"server stop left threads running past its "
+                f"{CLOSE_GRACE_S}s deadline: {', '.join(alive)}"
+            )
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()

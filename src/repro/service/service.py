@@ -58,6 +58,7 @@ import time
 from typing import AsyncIterator, Dict, List, Optional
 
 from repro.exceptions import (
+    JobAbandoned,
     JobError,
     JobExpired,
     QueueTimeout,
@@ -68,7 +69,7 @@ from repro.exceptions import (
 )
 from repro.obs.metrics import DEFAULT_REGISTRY, Counter, MetricsRegistry
 from repro.obs.trace import Span, tracing_enabled
-from repro.runtime.scheduler import ScheduledBatch, Scheduler
+from repro.runtime.scheduler import CLOSE_GRACE_S, ScheduledBatch, Scheduler
 from repro.runtime.store import CacheStore, default_cache_dir
 from repro.service.accounting import CostLedger
 from repro.service.auth import AuthenticationError, ClientIdentity, TokenAuthenticator
@@ -1149,7 +1150,9 @@ class RuntimeService:
                 shots_out = [r.shots for r in results]
                 metadata = [r.metadata for r in results]
             trace = self._finalize_trace(handle, terminal)
-            if self.journal is not None:
+            # Work a stop abandoned did not fail: leaving its record
+            # unsettled lets recover() re-run it.
+            if self.journal is not None and not isinstance(error, JobAbandoned):
                 try:
                     self.journal.record_settlement(
                         handle.journal_id, terminal,
@@ -1624,23 +1627,34 @@ class RuntimeService:
         with self._lock:
             self._draining = False
 
-    async def close(self, wait: bool = True) -> None:
-        """Shut the scheduler down (drain with ``wait=True``) off-loop."""
-        loop = self._bind_loop()
-        await loop.run_in_executor(
-            None, lambda: self.scheduler.shutdown(wait)
-        )
+    async def close(self, timeout: float = CLOSE_GRACE_S) -> dict:
+        """Shut down: :meth:`drain` until ``timeout``, then settle the rest.
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Synchronous shutdown for non-async owners (atexit, tests)."""
-        self.scheduler.shutdown(wait)
+        What is still queued at the deadline is failed and what is still
+        running is abandoned (:meth:`Scheduler.shutdown
+        <repro.runtime.scheduler.Scheduler.shutdown>` with no further
+        wait); those handles resolve with
+        :class:`~repro.exceptions.JobAbandoned`.  A journaled service
+        leaves their records unsettled, so :meth:`recover` re-runs them
+        after a restart.  Returns the scheduler's summary with the
+        handles named by their ``svc-N`` ids.
+        """
+        await self.drain(timeout)
+        with self._lock:
+            ids = {handle.batch: handle.job_id for handle in self._jobs.values()}
+        summary = await self._bind_loop().run_in_executor(
+            None, self.scheduler.shutdown, 0
+        )
+        for key in ("failed", "abandoned"):
+            summary[key] = [ids.get(batch, repr(batch)) for batch in summary[key]]
+        return summary
 
     async def __aenter__(self) -> "RuntimeService":
         self._bind_loop()
         return self
 
     async def __aexit__(self, *exc_info) -> None:
-        await self.close(wait=exc_info[0] is None)
+        await self.close(CLOSE_GRACE_S if exc_info[0] is None else 0)
 
     def __repr__(self) -> str:
         scheduler = self.scheduler.stats()

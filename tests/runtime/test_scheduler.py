@@ -14,7 +14,7 @@ from repro.circuits import library
 from repro.circuits.circuit import QuantumCircuit
 from repro.devices.backend import Backend, NoisyDeviceBackend
 from repro.devices.ibmqx4 import ibmqx4
-from repro.exceptions import JobError, QueueTimeout
+from repro.exceptions import JobAbandoned, JobError, QueueTimeout
 from repro.results.counts import Counts
 from repro.results.result import Result
 from repro.runtime import (
@@ -640,7 +640,7 @@ class TestSchedulerFairShare:
         with pytest.raises(JobError, match="shut down"):
             scheduler.submit(named_circuit("late"), "statevector", shots=4)
 
-    def test_shutdown_without_wait_fails_queued_batches(self):
+    def test_shutdown_with_zero_timeout_fails_queued_batches(self):
         gate = threading.Event()
         log = []
         scheduler = Scheduler(max_in_flight=1, executor="serial")
@@ -649,10 +649,10 @@ class TestSchedulerFairShare:
         wait_for_dispatches(scheduler, 1)  # the blocker owns the dispatcher
         queued = scheduler.submit(named_circuit("never"),
                                   RecordingBackend(log), shots=1, client="a")
-        # shutdown() fails the queued batch immediately, then joins the
-        # dispatcher — which needs the gate released to finish the blocker.
+        # shutdown(0) fails the queued batch immediately; the dispatcher
+        # needs the gate released to finish the blocker.
         stopper = threading.Thread(
-            target=scheduler.shutdown, kwargs={"wait": False}
+            target=scheduler.shutdown, kwargs={"timeout": 0}
         )
         stopper.start()
         with pytest.raises(JobError):
@@ -662,6 +662,26 @@ class TestSchedulerFairShare:
         stopper.join(timeout=30)
         assert not stopper.is_alive()
         assert log == ["blocker"]
+
+    def test_shutdown_abandons_running_jobs_at_the_deadline(self):
+        gate = threading.Event()
+        scheduler = Scheduler(executor="thread", max_workers=1)
+        try:
+            batch = scheduler.submit(named_circuit("stuck"),
+                                     RecordingBackend([], gate=gate), shots=1)
+            batch.jobs(timeout=10)
+            start = time.monotonic()
+            summary = scheduler.shutdown(timeout=0.2)
+            assert time.monotonic() - start < 5.0
+            assert summary == {"settled": False, "failed": [],
+                               "abandoned": [batch], "threads": []}
+            assert batch.status() == "failed"
+            with pytest.raises(JobAbandoned):
+                batch.result(timeout=0)
+            with pytest.raises(JobAbandoned):
+                batch._jobset[0].result(timeout=0)
+        finally:
+            gate.set()
 
     def test_stats_shape(self):
         with Scheduler(executor="serial") as scheduler:

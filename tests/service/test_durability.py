@@ -19,7 +19,9 @@ The drivers run through :func:`repro.runtime.harness.run_driver_process`
 — the same subprocess contract the persistence sweeps use.
 """
 
+import os
 import pickle
+import time
 
 import pytest
 
@@ -260,3 +262,30 @@ def test_single_torn_record_spares_the_rest(tmp_path):
         job = jobs[first_life[key]["id"]]
         assert job["type"] == kind
         assert job["counts"] == first_life[key]["counts"]
+
+
+#: A driver that forks a long-sleeping grandchild and exits at once, the
+#: shape of a pool worker that outlives its driver.
+_ORPHANING_DRIVER = """
+import json, subprocess, sys
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(600)"])
+print(json.dumps({"pid": child.pid}))
+"""
+
+
+def _running(pid):
+    """``True`` while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_driver_descendants_die_with_the_driver():
+    report, _ = run_driver_process(_ORPHANING_DRIVER)
+    deadline = time.monotonic() + 10
+    while _running(report["pid"]) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(report["pid"])

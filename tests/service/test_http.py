@@ -546,3 +546,38 @@ class TestShutdown:
             finally:
                 client.close()
         assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    def test_stop_abandons_in_flight_job_within_the_deadline(self):
+        """stop() is bounded by one deadline: a job still running when it
+        passes is abandoned, and no server or dispatcher thread survives."""
+        import asyncio
+        import time
+
+        from repro.exceptions import JobAbandoned
+        from repro.runtime.scheduler import CLOSE_GRACE_S
+
+        gate = threading.Event()
+        service = RuntimeService(executor="thread", journal=False,
+                                 accounting=False)
+        try:
+            background = BackgroundServer(service).start()
+            http_thread = background._thread
+
+            async def fill():
+                job = await service.submit(measured_bell(),
+                                           GatedBackend(gate), shots=16)
+                await job.jobs(timeout=30)
+                return job
+
+            handle = asyncio.run_coroutine_threadsafe(
+                fill(), background._loop).result(timeout=30)
+            start = time.monotonic()
+            background.stop()
+            assert time.monotonic() - start <= CLOSE_GRACE_S + 2
+            assert handle.done() and handle.status() == "failed"
+            with pytest.raises(JobAbandoned):
+                handle.batch.result(timeout=0)
+            assert not http_thread.is_alive()
+            assert not service.scheduler._thread.is_alive()
+        finally:
+            gate.set()

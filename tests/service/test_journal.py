@@ -14,13 +14,28 @@ import threading
 import pytest
 
 from repro.circuits import library
-from repro.exceptions import JobError, ServiceError
+from repro.devices.backend import StatevectorBackend
+from repro.exceptions import JobAbandoned, JobError, ServiceError
 from repro.runtime import execute
 from repro.service import JobJournal, RecoveredJob, RuntimeService
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+_GATE = threading.Event()
+
+
+class GatedStatevector(StatevectorBackend):
+    """The statevector engine, holding every run until ``_GATE`` opens.
+
+    Module-level and stateless, so it pickles and its jobs journal as
+    recoverable."""
+
+    def run(self, circuit, shots=1024, seed=None):
+        assert _GATE.wait(30), "gate never released"
+        return super().run(circuit, shots=shots, seed=seed)
 
 
 def measured_bell():
@@ -178,6 +193,54 @@ class TestServiceRecovery:
         # The re-run settled under its original id.
         record = JobJournal(cache_dir=str(tmp_path)).record(job_id)
         assert record["settled"] and record["status"] == "done"
+
+    def test_work_left_at_close_stays_unsettled_and_reruns(self, tmp_path):
+        """close(0) abandons the running job and fails the queued one;
+        neither is settled in the journal, so a restart re-runs both."""
+        circuit = measured_bell()
+        reference = [
+            dict(r.counts)
+            for r in execute([circuit], "statevector", shots=256, seed=5).result()
+        ]
+
+        async def first_life():
+            service = RuntimeService(cache_dir=str(tmp_path),
+                                     executor="thread", max_in_flight=1)
+            running = await service.submit(circuit, GatedStatevector(),
+                                           shots=256, seed=5)
+            await running.jobs(timeout=30)
+            queued = await service.submit(circuit, GatedStatevector(),
+                                          shots=256, seed=5)
+            summary = await service.close(0)
+            for handle in (running, queued):
+                with pytest.raises(JobAbandoned):
+                    await handle.result()
+            return [running.job_id, queued.job_id], summary
+
+        _GATE.clear()
+        try:
+            ids, summary = run(first_life())
+        finally:
+            _GATE.set()
+        assert summary["settled"] is False
+        assert summary["abandoned"] == ids[:1]
+        assert summary["failed"] == ids[1:]
+        unsettled = JobJournal(cache_dir=str(tmp_path)).unsettled()
+        assert [record["job_id"] for record in unsettled] == ids
+
+        async def second_life():
+            # Threads in both lives: the gate is memory this process shares.
+            service = RuntimeService(cache_dir=str(tmp_path),
+                                     executor="thread")
+            recovered = await service.recover()
+            counts = [[dict(c) for c in await service.job(job_id).counts()]
+                      for job_id in ids]
+            await service.close()
+            return recovered, counts
+
+        recovered, counts = run(second_life())
+        assert recovered["resubmitted"] == 2
+        assert counts == [reference, reference]  # bit-identical re-runs
 
     def test_recover_settles_unrecoverable_records_as_failed(self, tmp_path):
         journal = JobJournal(cache_dir=str(tmp_path))

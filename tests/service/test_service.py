@@ -175,7 +175,7 @@ class TestSubmitAndCollect:
         run(submit_once())
         with pytest.raises(ServiceError, match="another event loop"):
             run(submit_once())
-        service.shutdown()
+        service.scheduler.shutdown()
 
 
 # ----------------------------------------------------------------------
