@@ -239,6 +239,18 @@ def is_unitary_matrix(matrix: np.ndarray, atol: float = MATRIX_ATOL) -> bool:
     dim = matrix.shape[0]
     if dim == 0 or dim & (dim - 1):
         return False
+    if dim == 2:
+        # ``np.allclose``'s test, |x - y| <= atol + 1e-5 |y|, on the entries
+        # of M M^dagger against I, in Python scalars: the transpiler checks
+        # every merged 1-qubit run, and NumPy's call overhead dominates there.
+        (a, b), (c, d) = matrix.tolist()
+        diagonal_atol = atol + 1e-5
+        return (
+            abs(a * a.conjugate() + b * b.conjugate() - 1) <= diagonal_atol
+            and abs(c * c.conjugate() + d * d.conjugate() - 1) <= diagonal_atol
+            and abs(a * c.conjugate() + b * d.conjugate()) <= atol
+            and abs(c * a.conjugate() + d * b.conjugate()) <= atol
+        )
     return np.allclose(matrix @ matrix.conj().T, np.eye(dim), atol=atol)
 
 

@@ -11,10 +11,11 @@ it converges to the density-matrix engine's exact distribution.
 Shots execute through :mod:`repro.simulators._batched`: all trajectories
 of a ``max_batch`` tile advance together, with one state per distinct
 stochastic history rather than per shot, so weak device noise costs far
-less than one statevector walk per shot.  Each trajectory draws from its
-own counter-based Philox substream keyed by ``(seed, trajectory index)``,
-so counts are bit-identical for a fixed seed at every ``max_batch``
-tiling.  The noise model is compiled once per run: any model with
+less than one statevector walk per shot.  A run has one Philox key
+derived from its seed, and trajectory ``t`` draws from its own run of
+Philox counters (the blocks after ``t * ceil(D / 4)``, ``D`` the most
+uniforms one trajectory can take), so counts are bit-identical for a
+fixed seed at every ``max_batch`` tiling.  The noise model is compiled once per run: any model with
 ``channels_for`` / ``readout_confusion``, duck-typed or a
 :class:`repro.noise.model.NoiseModel`, is asked for each gate's channels
 once per run.

@@ -62,9 +62,9 @@ SCHEDULE_ENV_VAR = "REPRO_SCHEDULE"
 
 #: Adaptive chunks aim for roughly this much work per pool task.  The
 #: sampling engines draw their shots along a batch axis, so their
-#: per-shot cost falls with chunk size (kernel dispatch and substream
-#: setup amortise over the tile): chunks are fat, and fine slicing would
-#: be pure overhead.  A long job still streams progress through the pool.
+#: per-shot cost falls with chunk size (kernel dispatch and the tile's
+#: one Philox draw amortise over the tile): chunks are fat, and fine
+#: slicing would be pure overhead.  A long job still streams progress through the pool.
 TARGET_CHUNK_SECONDS = 1.6
 
 #: :func:`plan_width` grants one worker per this much estimated work.

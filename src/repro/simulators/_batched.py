@@ -38,20 +38,25 @@ would have had alone, and the per-row decisions compare the same floats.
 
 Determinism contract (batch-width invariant by construction)
 ------------------------------------------------------------
-Every trajectory draws from its **own counter-based substream**: shot ``t``
-of a run seeded ``s`` uses ``Philox(SeedSequence(s).spawn(shots)[t])``, and
-consumes one uniform per stochastic decision it actually executes (Kraus
-branch choice, measurement outcome, readout flip, reset), in program order.
-A tile's uniforms are built in one vectorised pass
-(:mod:`repro.simulators._philox`, exact against NumPy's generator), and the
-walker advances one cursor shared by all rows until a conditioned step
-splits them, then one per row.  Counts are therefore bit-identical for a
-fixed seed at **every** ``max_batch`` tiling — which is what lets the
-runtime's chunk-seed plan, dedup and cost model treat ``max_batch`` as a
-pure throughput knob.  The test suite keeps a per-shot walker that draws
-the same uniforms from NumPy's own per-shot ``Generator`` and runs the
-same kernels at batch width 1 (``tests/simulators/loop_reference.py``);
-batched counts must equal its counts.
+Every trajectory draws from its **own counter-addressed Philox stream**.
+A run seeded ``s`` has one Philox4x64-10 key,
+``SeedSequence(s).generate_state(2, np.uint64)``.  With ``D`` the
+program's bound on the uniforms one shot consumes (:func:`_max_draws`) and
+``S = ceil(D / 4)``, shot ``t`` owns the Philox blocks after counter
+``t * S`` (NumPy increments the counter before each block), one uniform
+per 64-bit output.  It consumes one uniform per stochastic decision it
+actually executes (Kraus branch choice, measurement outcome, readout
+flip, reset), in program order.  A tile starting at shot ``start`` takes
+its uniforms from one call of NumPy's own generator started at counter
+``start * S`` (:func:`tile_uniforms`), and the walker advances one cursor
+shared by all rows until a conditioned step splits them, then one per
+row.  Counts are therefore bit-identical for a fixed seed at **every**
+``max_batch`` tiling — which is what lets the runtime's chunk-seed plan,
+dedup and cost model treat ``max_batch`` as a pure throughput knob.  The
+test suite keeps a per-shot walker that builds each shot's generator at
+its own counter and runs the same kernels at batch width 1
+(``tests/simulators/loop_reference.py``); batched counts must equal its
+counts.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import numpy as np
 
 from repro.circuits.gates import x_matrix
 from repro.exceptions import SimulationError
-from repro.simulators import _kernels, _philox, _program
+from repro.simulators import _kernels, _program
 
 #: Default shot-tiling bound: big enough to amortise kernel dispatch,
 #: small enough that ``B * 2^n`` (plus one Kraus branch copy per operator)
@@ -251,7 +256,7 @@ def _sample_outcomes(states, klass, rows, qubit, uniforms, reset):
 
 
 class _Draws:
-    """A tile's uniforms and each row's cursor into its own substream.
+    """A tile's uniforms and each row's cursor into its own stream.
 
     The uniforms are stored draw-major, so while every step has run on all
     rows they share one cursor and a step reads one contiguous row.  The
@@ -260,7 +265,7 @@ class _Draws:
     """
 
     def __init__(self, uniforms):
-        self.uniforms = uniforms.T  # (draws, batch), C-contiguous
+        self.uniforms = np.ascontiguousarray(uniforms.T)  # (draws, batch)
         self.shared = 0
         self.cursor = None
 
@@ -276,21 +281,34 @@ class _Draws:
         return values
 
 
+def tile_uniforms(key: np.ndarray, start: int, batch: int, draws: int) -> np.ndarray:
+    """The ``(batch, draws)`` uniforms of shots ``start..start+batch-1``.
+
+    Row ``i`` is what ``Generator(Philox(key=key, counter=(start + i) * S))``
+    draws first, with ``S = ceil(draws / 4)`` blocks per shot: the shots'
+    blocks are consecutive, so one generator started at the tile's first
+    block draws them all, and each row keeps its first ``draws`` outputs.
+    """
+    blocks = -(-draws // 4)
+    generator = np.random.Generator(np.random.Philox(key=key, counter=start * blocks))
+    return generator.random(batch * 4 * blocks).reshape(batch, 4 * blocks)[:, :draws]
+
+
 def run_batched(
     steps: List[tuple],
     num_qubits: int,
     num_clbits: int,
-    root: np.random.SeedSequence,
+    key: np.ndarray,
     shots: int,
     initial_state: Optional[np.ndarray],
     max_batch: int = DEFAULT_MAX_BATCH,
 ) -> Dict[str, int]:
-    """Simulate trajectories ``0..shots-1`` of ``root`` in ``max_batch`` tiles."""
+    """Simulate trajectories ``0..shots-1`` of Philox ``key`` in ``max_batch`` tiles."""
     counts: Dict[str, int] = {}
     draws = _max_draws(steps)
     for start in range(0, shots, max_batch):
         batch = min(max_batch, shots - start)
-        take = _Draws(_philox.substream_uniforms(root, start, batch, draws)).take
+        take = _Draws(tile_uniforms(key, start, batch, draws)).take
         states = _kernels.batched_state_tensor(1, num_qubits, initial_state)
         klass = np.zeros(batch, dtype=np.intp)
         clbits = np.zeros((batch, num_clbits), dtype=np.uint8)
@@ -328,8 +346,8 @@ def run_batched(
                 states, klass, _ = _sample_outcomes(
                     states, klass, rows, qubit, take(rows), reset=True
                 )
-        for key, value in _kernels.pack_counts(clbits).items():
-            counts[key] = counts.get(key, 0) + value
+        for bits, value in _kernels.pack_counts(clbits).items():
+            counts[bits] = counts.get(bits, 0) + value
     return counts
 
 
@@ -358,7 +376,7 @@ def sample_shots(
         _program.build_program(circuit, noise_model),
         circuit.num_qubits,
         circuit.num_clbits,
-        np.random.SeedSequence(seed),
+        np.random.SeedSequence(seed).generate_state(2, np.uint64),
         shots,
         initial_state,
         max_batch,

@@ -13,8 +13,9 @@ For circuits with many measurements the branch count can grow as ``2^m``; the
 engine falls back to per-shot Monte-Carlo simulation above ``max_branches``
 branches.  The fallback runs through the shared batch-axis machinery
 (:mod:`repro.simulators._batched`): all shots of a ``max_batch`` tile evolve
-together, each drawing its own per-trajectory Philox substream, so the
-counts are bit-identical for a fixed seed at every tiling.
+together, each drawing from its own counter range of the run's one
+Philox key, so the counts are bit-identical for a fixed seed at every
+tiling.
 """
 
 from __future__ import annotations

@@ -2,15 +2,18 @@
 
 The engines sample shots along a batch axis
 (:mod:`repro.simulators._batched`).  This module re-walks the circuit once
-per shot instead, consuming the same per-trajectory Philox substreams
-(``Philox(SeedSequence(seed).spawn(shots)[t])``, drawn here with NumPy's
-own generator) and running the same kernels at batch width 1.  Batched
-counts must equal :func:`loop_counts` bit for bit at every ``max_batch``
-tiling; ``test_batched.py`` and the trajectory tests hold them to it.
+per shot instead, building each shot's counter-addressed Philox stream
+with NumPy's own generator and running the same kernels at batch width 1.
+A run seeded ``s`` has one Philox key, ``SeedSequence(s)
+.generate_state(2, np.uint64)``; shot ``t`` owns the ``S = ceil(D / 4)``
+Philox blocks after counter ``t * S``, where ``D`` bounds the uniforms
+one shot can consume.  Batched counts must equal :func:`loop_counts` bit
+for bit at every ``max_batch`` tiling; ``test_batched.py`` and the
+trajectory tests hold them to it.
 """
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -26,8 +29,17 @@ def loop_counts(
     seed: Optional[int],
     initial_state: Optional[np.ndarray] = None,
 ) -> Dict[str, int]:
-    """Sample ``shots`` trajectories one at a time; returns the counts."""
-    return run_loop(circuit, noise_model, spawn_substreams(seed, shots), initial_state)
+    """Sample ``shots`` trajectories one at a time; returns the counts.
+
+    The noise model is queried per shot.
+    """
+    key = run_key(seed)
+    draws = max_draws(circuit, noise_model)
+    counts: Counter = Counter()
+    for shot in range(shots):
+        rng = shot_generator(key, shot, draws)
+        counts[_loop_shot(circuit, noise_model, rng, initial_state)] += 1
+    return dict(counts)
 
 
 def device_loop_counts(backend, circuit, shots: int, seed: Optional[int]):
@@ -35,40 +47,35 @@ def device_loop_counts(backend, circuit, shots: int, seed: Optional[int]):
     return loop_counts(backend.prepare(circuit), backend.noise_model, shots, seed)
 
 
-def spawn_substreams(seed: Optional[int], shots: int) -> List[np.random.SeedSequence]:
-    """Return one child :class:`~numpy.random.SeedSequence` per trajectory.
-
-    Substream ``t`` depends only on ``(seed, t)`` — never on how shots are
-    tiled into batches — which is the root of the batch-width-invariance
-    contract.  ``seed=None`` draws fresh OS entropy for the root.
-    """
-    root = np.random.SeedSequence(seed)
-    return root.spawn(shots) if shots > 0 else []
+def run_key(seed: Optional[int]) -> np.ndarray:
+    """The run's Philox key; ``seed=None`` draws fresh OS entropy."""
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def substream_generator(child: np.random.SeedSequence) -> np.random.Generator:
-    """Return the counter-based generator of one trajectory substream."""
-    return np.random.Generator(np.random.Philox(child))
+def max_draws(circuit, noise_model) -> int:
+    """Upper bound on the uniforms one shot consumes: one per Kraus channel,
+    measurement, readout flip and reset, whether or not a condition skips it."""
+    draws = 0
+    for inst in circuit.data:
+        if inst.name == "barrier":
+            continue
+        if inst.name == "measure":
+            draws += 1
+            if noise_model is not None:
+                draws += noise_model.readout_confusion(inst.qubits[0]) is not None
+        elif inst.name == "reset":
+            draws += 1
+        elif noise_model is not None:
+            draws += len(noise_model.channels_for(inst))
+    return draws
 
 
-def run_loop(
-    circuit,
-    noise_model,
-    children: List[np.random.SeedSequence],
-    initial_state: Optional[np.ndarray],
-) -> Dict[str, int]:
-    """Per-shot walker consuming the same substreams as the batched path.
-
-    It runs the *batched* kernels at batch width 1 and makes the same Kraus
-    decisions, so its counts are bit-identical to
-    :func:`repro.simulators._batched.run_batched` for a fixed seed.  The
-    noise model is queried per shot.
-    """
-    counts: Counter = Counter()
-    for child in children:
-        rng = substream_generator(child)
-        counts[_loop_shot(circuit, noise_model, rng, initial_state)] += 1
-    return dict(counts)
+def shot_generator(key: np.ndarray, shot: int, draws: int) -> np.random.Generator:
+    """The generator of shot ``shot``: its Philox blocks start after counter
+    ``shot * ceil(draws / 4)`` (NumPy increments the counter before each
+    block), and each uniform takes one 64-bit output."""
+    blocks = -(-draws // 4)
+    return np.random.Generator(np.random.Philox(key=key, counter=shot * blocks))
 
 
 def _loop_shot(circuit, noise_model, rng, initial_state) -> str:

@@ -2,15 +2,16 @@
 
 The sampling engines advance all shots of a ``max_batch`` tile together,
 one state per distinct stochastic history; the per-shot reference walker
-in ``loop_reference.py`` re-walks the circuit per shot.  Both consume
-identical per-trajectory Philox substreams keyed by ``(seed, trajectory
-index)``, so counts must be **bit-identical** to the reference at every
-``max_batch`` tiling for a fixed seed — that invariance is what lets the
-runtime treat the tiling as pure throughput.  These tests pin the contract
-(hypothesis properties across noisy backends, noise strengths and
-tilings), golden counts that engine rewrites must keep, the convergence of
-the batched path against the density-matrix engine's exact distribution,
-and duck-typed noise models compiled once per run.
+in ``loop_reference.py`` re-walks the circuit per shot.  Both draw shot
+``t``'s uniforms from the run's one Philox key at counter ``t * S``, so
+counts must be **bit-identical** to the reference at every ``max_batch``
+tiling for a fixed seed — that invariance is what lets the runtime treat
+the tiling as pure throughput.  These tests pin the contract (hypothesis
+properties across noisy backends, noise strengths and tilings), the
+counter addressing of a tile's uniforms, golden counts that engine
+rewrites must keep, the convergence of the batched path against the
+density-matrix engine's exact distribution, and duck-typed noise models
+compiled once per run.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.statistics import chi2_sf
 from repro.circuits import library
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.injector import AssertionInjector
@@ -33,12 +35,7 @@ from repro.simulators import _batched
 from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.simulators.statevector import StatevectorSimulator
 
-from loop_reference import (
-    device_loop_counts,
-    loop_counts,
-    spawn_substreams,
-    substream_generator,
-)
+from loop_reference import device_loop_counts, loop_counts, max_draws, run_key
 from noisy_circuits import DuckTypedNoise, noisy_model, paper_assertion
 
 SEEDS = st.integers(min_value=0, max_value=2 ** 31 - 1)
@@ -255,55 +252,58 @@ class TestRefine:
         assert got_labels.tolist() == (expected_labels - 1).tolist()
 
 
-#: ``list(counts.items())`` of the per-row batched walker that preceded
-#: the history-class walker, at 1024 shots and the default tiling.  The
-#: class walker must reproduce them exactly, key order included.
+#: ``sorted(loop_counts(...).items())`` of the per-shot reference walker on
+#: the counter-addressed streams, at 1024 shots.  The batched walker (one
+#: 1024-shot tile, whose keys come out sorted) must reproduce them
+#: exactly, key order included.
 GOLDEN_DEVICE_COUNTS = {
     ("classical", 11): [
-        ("0000", 67), ("0001", 833), ("0010", 3), ("0011", 30), ("0100", 7),
-        ("0101", 33), ("0110", 1), ("1000", 6), ("1001", 32), ("1010", 3),
-        ("1011", 5), ("1100", 1), ("1101", 3),
+        ("0000", 84), ("0001", 810), ("0010", 5), ("0011", 31), ("0100", 15),
+        ("0101", 40), ("0110", 1), ("0111", 2), ("1000", 1), ("1001", 29),
+        ("1011", 3), ("1100", 1), ("1101", 1), ("1111", 1),
     ],
     ("classical", 2020): [
-        ("0000", 72), ("0001", 814), ("0011", 34), ("0100", 14), ("0101", 33),
-        ("0110", 1), ("0111", 1), ("1000", 5), ("1001", 36), ("1011", 10),
-        ("1101", 2), ("1111", 2),
+        ("0000", 77), ("0001", 841), ("0010", 4), ("0011", 26), ("0100", 14),
+        ("0101", 36), ("0110", 1), ("0111", 1), ("1000", 1), ("1001", 18),
+        ("1011", 5),
     ],
     ("entanglement", 11): [
-        ("0000", 344), ("0001", 21), ("0010", 32), ("0011", 45), ("0100", 40),
-        ("0101", 49), ("0110", 31), ("0111", 306), ("1000", 31), ("1001", 7),
-        ("1010", 7), ("1011", 26), ("1100", 35), ("1101", 12), ("1110", 5),
-        ("1111", 33),
+        ("0000", 358), ("0001", 23), ("0010", 36), ("0011", 49), ("0100", 46),
+        ("0101", 36), ("0110", 32), ("0111", 276), ("1000", 42), ("1001", 9),
+        ("1010", 9), ("1011", 27), ("1100", 36), ("1101", 13), ("1110", 5),
+        ("1111", 27),
     ],
     ("entanglement", 2020): [
-        ("0000", 348), ("0001", 23), ("0010", 30), ("0011", 46), ("0100", 41),
-        ("0101", 36), ("0110", 33), ("0111", 319), ("1000", 20), ("1001", 1),
-        ("1010", 11), ("1011", 24), ("1100", 33), ("1101", 11), ("1110", 7),
-        ("1111", 41),
+        ("0000", 360), ("0001", 35), ("0010", 35), ("0011", 56), ("0100", 41),
+        ("0101", 27), ("0110", 29), ("0111", 304), ("1000", 30), ("1001", 4),
+        ("1010", 8), ("1011", 20), ("1100", 28), ("1101", 11), ("1110", 12),
+        ("1111", 24),
     ],
     ("superposition", 11): [
-        ("0000", 231), ("0001", 213), ("0010", 252), ("0011", 207), ("0100", 14),
-        ("0101", 19), ("0110", 16), ("0111", 13), ("1000", 12), ("1001", 9),
-        ("1010", 17), ("1011", 16), ("1100", 2), ("1110", 1), ("1111", 2),
+        ("0000", 219), ("0001", 232), ("0010", 245), ("0011", 199), ("0100", 19),
+        ("0101", 20), ("0110", 16), ("0111", 8), ("1000", 16), ("1001", 12),
+        ("1010", 18), ("1011", 14), ("1100", 1), ("1101", 2), ("1110", 1),
+        ("1111", 2),
     ],
     ("superposition", 2020): [
-        ("0000", 266), ("0001", 211), ("0010", 217), ("0011", 191), ("0100", 22),
-        ("0101", 14), ("0110", 19), ("0111", 18), ("1000", 14), ("1001", 22),
-        ("1010", 13), ("1011", 12), ("1100", 1), ("1101", 2), ("1110", 2),
+        ("0000", 254), ("0001", 223), ("0010", 216), ("0011", 198), ("0100", 18),
+        ("0101", 12), ("0110", 20), ("0111", 22), ("1000", 20), ("1001", 11),
+        ("1010", 10), ("1011", 17), ("1100", 2), ("1111", 1),
     ],
 }
 
 GOLDEN_STOCHASTIC_COUNTS = {
     7: [
-        ("0000", 348), ("0001", 18), ("0010", 35), ("0011", 2), ("0100", 30),
-        ("0101", 6), ("0110", 30), ("0111", 45), ("1000", 36), ("1001", 364),
-        ("1010", 4), ("1011", 30), ("1100", 3), ("1101", 23), ("1110", 14),
+        ("0000", 401), ("0001", 24), ("0010", 30), ("0011", 2), ("0100", 26),
+        ("0101", 2), ("0110", 26), ("0111", 29), ("1000", 41), ("1001", 333),
+        ("1010", 4), ("1011", 28), ("1100", 1), ("1101", 25), ("1110", 16),
         ("1111", 36),
     ],
     2020: [
-        ("0000", 412), ("0001", 17), ("0010", 35), ("0011", 5), ("0100", 34),
-        ("0110", 21), ("0111", 24), ("1000", 45), ("1001", 339), ("1011", 32),
-        ("1101", 24), ("1110", 16), ("1111", 20),
+        ("0000", 407), ("0001", 18), ("0010", 30), ("0011", 3), ("0100", 28),
+        ("0101", 3), ("0110", 23), ("0111", 19), ("1000", 27), ("1001", 352),
+        ("1010", 4), ("1011", 36), ("1100", 6), ("1101", 26), ("1110", 15),
+        ("1111", 27),
     ],
 }
 
@@ -336,6 +336,35 @@ class TestBatchedConvergence:
         assert sampled.counts.shots == shots
         for key, probability in exact.probabilities.items():
             assert abs(sampled.counts.get(key, 0) / shots - probability) < 0.04
+
+    def test_chi_square_against_density_matrix_on_paper_circuits(self):
+        """Trajectory counts fit the exact noisy distribution (experiment A5).
+
+        Pearson chi-square per (circuit, seed), outcomes of expected count
+        below 5 pooled into one bin; the thresholds were fixed before the
+        first run: each p >= 0.001, and p >= 0.01 for the sum of the nine
+        statistics on the summed degrees of freedom.
+        """
+        shots, statistics, dofs = 4096, [], []
+        trajectory = get_backend("trajectory:ibmqx4")
+        exact = get_backend("noisy:ibmqx4")
+        for kind in ("classical", "entanglement", "superposition"):
+            circuit = paper_assertion(kind)
+            probabilities = exact.run(circuit, shots=1, seed=0).probabilities
+            for seed in (11, 2020, 4242):
+                counts = trajectory.run(circuit, shots=shots, seed=seed).counts
+                assert set(counts) <= {k for k, p in probabilities.items() if p > 0}
+                bins = [(counts.get(k, 0), p * shots) for k, p in probabilities.items()]
+                kept = [(o, e) for o, e in bins if e >= 5]
+                pooled = [(o, e) for o, e in bins if e < 5]
+                if pooled:
+                    kept.append(tuple(map(sum, zip(*pooled))))
+                statistic = sum((o - e) ** 2 / e for o, e in kept)
+                p_value = chi2_sf(statistic, len(kept) - 1)
+                assert p_value >= 1e-3, (kind, seed, statistic, p_value)
+                statistics.append(statistic)
+                dofs.append(len(kept) - 1)
+        assert chi2_sf(sum(statistics), sum(dofs)) >= 1e-2
 
     def test_ideal_batched_matches_statevector(self):
         circuit = library.ghz_state(3)
@@ -394,25 +423,56 @@ class TestEngineOptions:
         assert "per_shot_method" not in fallback.metadata
 
 
-class TestSubstreamContract:
-    def test_substreams_depend_only_on_seed_and_index(self):
-        first = spawn_substreams(11, 8)
-        second = spawn_substreams(11, 8)
-        for a, b in zip(first, second):
-            assert (
-                substream_generator(a).random(4).tolist()
-                == substream_generator(b).random(4).tolist()
-            )
+class TestCounterAddressing:
+    """A tile's uniforms are the shots' own counter-addressed streams."""
 
-    def test_prefix_stability_across_shot_counts(self):
-        """Trajectory t's substream is the same whether 8 or 64 shots run."""
-        short = spawn_substreams(5, 8)
-        long = spawn_substreams(5, 64)
-        for a, b in zip(short, long):
-            assert (
-                substream_generator(a).random(2).tolist()
-                == substream_generator(b).random(2).tolist()
-            )
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+        start=st.integers(min_value=0, max_value=2 ** 40),
+        batch=st.integers(min_value=0, max_value=40),
+        draws=st.integers(min_value=0, max_value=81),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_t_is_shot_t_generator(self, seed, start, batch, draws):
+        key = run_key(seed)
+        blocks = -(-draws // 4)
+        tile = _batched.tile_uniforms(key, start, batch, draws)
+        assert tile.shape == (batch, draws)
+        for row in range(batch):
+            counter = [(start + row) * blocks, 0, 0, 0]
+            generator = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            assert np.array_equal(tile[row], generator.random(draws)), row
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 31 - 1),
+        shots=st.integers(min_value=0, max_value=200),
+        draws=st.integers(min_value=0, max_value=81),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mid_run_tile_equals_rows_of_whole_run(self, seed, shots, draws, data):
+        """Guards the off-by-one: NumPy increments the counter before each block."""
+        start = data.draw(st.integers(min_value=0, max_value=shots))
+        batch = data.draw(st.integers(min_value=0, max_value=shots - start))
+        key = run_key(seed)
+        whole = _batched.tile_uniforms(key, 0, shots, draws)
+        tile = _batched.tile_uniforms(key, start, batch, draws)
+        assert np.array_equal(tile, whole[start:start + batch])
+
+    def test_run_key_depends_only_on_seed(self):
+        assert run_key(11).tolist() == run_key(11).tolist()
+        assert run_key(11).tolist() != run_key(12).tolist()
+
+    @pytest.mark.parametrize("model", [None, noisy_model()], ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("kind", ["stochastic", "split", "entanglement"])
+    def test_reference_draw_bound_equals_the_program_bound(self, model, kind):
+        circuit = {
+            "stochastic": stochastic_circuit,
+            "split": split_then_noisy_circuit,
+            "entanglement": lambda: paper_assertion("entanglement"),
+        }[kind]()
+        program = _batched._program.build_program(circuit, model)
+        assert max_draws(circuit, model) == _batched._max_draws(program)
 
     def test_zero_shots(self):
         result = TrajectorySimulator(noisy_model()).run(
