@@ -16,7 +16,7 @@ compiled once per run.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.statistics import chi2_sf
@@ -31,7 +31,7 @@ from repro.noise.model import NoiseModel
 from repro.noise.readout import ReadoutError
 from repro.noise.trajectories import TrajectorySimulator
 from repro.runtime import execute, get_backend
-from repro.simulators import _batched
+from repro.simulators import _batched, _program
 from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.simulators.statevector import StatevectorSimulator
 
@@ -432,6 +432,9 @@ class TestCounterAddressing:
         batch=st.integers(min_value=0, max_value=40),
         draws=st.integers(min_value=0, max_value=81),
     )
+    @example(seed=0, start=0, batch=0, draws=5)  # no shots
+    @example(seed=1, start=3, batch=4, draws=0)  # no draws
+    @example(seed=2, start=500, batch=7, draws=7)  # D % 4 != 0, mid-run
     @settings(max_examples=60, deadline=None)
     def test_row_t_is_shot_t_generator(self, seed, start, batch, draws):
         key = run_key(seed)
@@ -471,7 +474,7 @@ class TestCounterAddressing:
             "split": split_then_noisy_circuit,
             "entanglement": lambda: paper_assertion("entanglement"),
         }[kind]()
-        program = _batched._program.build_program(circuit, model)
+        program = _program.build_program(circuit, model)
         assert max_draws(circuit, model) == _batched._max_draws(program)
 
     def test_zero_shots(self):
