@@ -45,6 +45,7 @@ Every case also records its wall-clocks into ``BENCH_runtime.json`` (see
 """
 
 import os
+import statistics
 import time
 
 from conftest import SMOKE, emit, record
@@ -297,6 +298,10 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     )
 
 
+#: Cold/warm interpreter pairs the warm-cache gate takes the median of.
+COLD_WARM_PAIRS = 7
+
+
 def _run_sweep_process(cache_dir):
     """Time the shared cross-process sweep driver (all four variants)."""
     from repro.runtime.harness import VARIANT_NAMES, run_sweep_process
@@ -314,29 +319,39 @@ def test_warm_disk_cache_accelerates_cold_process(tmp_path):
     report zero transpile misses and zero executed simulations while
     producing bit-identical counts — the paper's "pay the analysis once"
     discipline surviving the interpreter.
-    """
-    cache_dir = tmp_path / "cache"
-    cold, cold_s = _run_sweep_process(cache_dir)
-    warm, warm_s = _run_sweep_process(cache_dir)
 
-    assert warm["counts"] == cold["counts"]
-    assert cold["executed"] == 4  # one simulation per distinct circuit
-    assert warm["executed"] == 0
-    assert warm["cached"] == 4
-    assert warm["transpile"]["misses"] == 0
-    assert warm["distribution"]["misses"] == 0
+    The two times differ by less than a loaded host's run-to-run spread,
+    so the gate compares medians over ``COLD_WARM_PAIRS`` alternating
+    cold/warm interpreter pairs, each cold run on a fresh directory.
+    """
+    cold_times, warm_times = [], []
+    for pair in range(COLD_WARM_PAIRS):
+        cache_dir = tmp_path / f"cache-{pair}"
+        cold, cold_s = _run_sweep_process(cache_dir)
+        warm, warm_s = _run_sweep_process(cache_dir)
+        assert warm["counts"] == cold["counts"]
+        assert cold["executed"] == 4  # one simulation per distinct circuit
+        assert warm["executed"] == 0
+        assert warm["cached"] == 4
+        assert warm["transpile"]["misses"] == 0
+        assert warm["distribution"]["misses"] == 0
+        cold_times.append(cold_s)
+        warm_times.append(warm_s)
+    cold_s = statistics.median(cold_times)
+    warm_s = statistics.median(warm_times)
     assert warm_s < cold_s, (
         f"warm process ({warm_s:.3f}s) should beat the cold process "
-        f"({cold_s:.3f}s)"
+        f"({cold_s:.3f}s); medians of {COLD_WARM_PAIRS} pairs"
     )
-    record("warm_disk_cache_cold_process", cold_s, warm_s, jobs=len(cold["counts"]))
+    record("warm_disk_cache_cold_process", cold_s, warm_s,
+           jobs=len(cold["counts"]), pairs=COLD_WARM_PAIRS)
     emit(
         "runtime bench — same sweep in two processes, one REPRO_CACHE_DIR\n"
         f"jobs            : {len(cold['counts'])} (4 distinct circuits)\n"
-        f"cold process    : {cold_s:8.3f} s (4 simulations, "
-        f"{cold['transpile']['misses']} transpiles)\n"
-        f"warm process    : {warm_s:8.3f} s (0 simulations, 0 transpiles, "
-        f"speedup {cold_s / warm_s:.1f}x)"
+        f"cold process    : {cold_s:8.3f} s median of {COLD_WARM_PAIRS} "
+        f"(4 simulations, {cold['transpile']['misses']} transpiles)\n"
+        f"warm process    : {warm_s:8.3f} s median of {COLD_WARM_PAIRS} "
+        f"(0 simulations, 0 transpiles, speedup {cold_s / warm_s:.1f}x)"
     )
 
 

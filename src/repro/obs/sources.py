@@ -1,8 +1,9 @@
 """Collector registrations for the runtime layer's existing stats.
 
 The runtime's subsystems already keep counters — executor pool registry,
-the two `CacheStore`-backed caches (per-tier hits/misses/stores/
-evictions/errors), and the cost model's learned estimates.  This module
+the three `CacheStore`-backed caches (transpile, distribution and the
+cost model's profiles; per-tier hits/misses/stores/evictions/errors),
+and the cost model's learned estimates.  This module
 folds them into :data:`~repro.obs.metrics.DEFAULT_REGISTRY` as on-demand
 collectors: nothing is sampled until a snapshot or a ``/v1/metrics``
 scrape asks.

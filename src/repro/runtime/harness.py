@@ -21,6 +21,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -95,6 +96,18 @@ print(json.dumps({
 """
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the group is already empty
+
+
+def _expire(proc: subprocess.Popen, expired: threading.Event) -> None:
+    expired.set()
+    _kill_group(proc)
+
+
 def run_driver_process(
     source: str,
     spec: Optional[dict] = None,
@@ -135,15 +148,21 @@ def run_driver_process(
             env=env, stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr,
             start_new_session=True,
         )
+        # A blocking wait returns the moment the child exits; a wait with
+        # a timeout polls, in steps of up to 50 ms, which would round every
+        # elapsed time this harness reports.  A timer enforces the timeout.
+        expired = threading.Event()
+        timer = threading.Timer(timeout, _expire, (proc, expired))
+        timer.start()
         try:
-            returncode = proc.wait(timeout=timeout)
+            returncode = proc.wait()
+            elapsed = time.perf_counter() - start
         finally:
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass  # the group is already empty
+            timer.cancel()
+            _kill_group(proc)
             proc.wait()
-        elapsed = time.perf_counter() - start
+        if expired.is_set():
+            raise subprocess.TimeoutExpired(proc.args, timeout)
         stdout.seek(0)
         out = stdout.read().decode()
         stderr.seek(0)

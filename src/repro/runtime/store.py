@@ -11,66 +11,44 @@ one implementation and adds an optional persistent tier:
 ``memory``
     Today's behaviour: a bounded, thread-safe, in-process LRU.
 ``disk``
-    A directory of one-file-per-entry serialized values keyed by the same
-    content fingerprints the memory tier uses.  Fingerprints are stable
-    content hashes, so a *second process* running the same sweep finds the
-    first process's entries and skips the work entirely.
+    A :class:`~repro.runtime.recordlog.RecordLog` — the package's one
+    on-disk format — at ``<cache_dir>/<namespace>/`` holding the entries
+    under the same content fingerprints the memory tier uses.
+    Fingerprints are stable content hashes, so a *second process* running
+    the same sweep finds the first process's entries and skips the work
+    entirely.
 
 Disk-tier discipline
 --------------------
-* **Versioned schema** — every entry file starts with :data:`MAGIC`
-  (which embeds the schema version) followed by a SHA-256 digest of the
-  body; an incompatible future format simply misses.
-* **Atomic writes** — entries are written to a temporary file in the same
-  directory and ``os.replace``'d into place, so concurrent readers (and
-  concurrent *processes*) only ever see complete entries.
-* **Corruption tolerance** — a truncated, bit-flipped or otherwise
-  unreadable entry is a **miss, never an error**: the digest check rejects
-  it and the file is quarantined (unlinked) so it cannot mis-serve again.
-  The same degrade-don't-break rule covers the directory itself: an
-  unusable ``cache_dir`` (unwritable, not a directory, ...) disables the
-  disk tier with a warning instead of raising.
-* **Key verification** — the full key is serialized *separately from the
-  value* inside the entry and compared on load, so a filename-hash
-  collision can never alias entries (and :meth:`DiskTier.keys` can list
-  keys without deserializing a single value).
-* **Recency** — disk hits refresh the entry's mtime, and stores evict the
-  stalest files once the tier exceeds ``disk_maxsize``, giving the disk
-  tier the same LRU semantics as the memory tier.
+Each record is ``(key, pickle.dumps(value))``: the log verifies every
+frame's digest, so a truncated or bit-flipped entry is a **miss, never an
+error**, and building the index unpickles keys, never values.  Keys are
+stored whole, so two keys never alias.  The log's index is a recency
+LRU bounded at ``disk_maxsize``; removals append tombstones, so they
+survive a restart.  Several processes may write one directory at once
+(see the record log's writer rule).  An unusable ``cache_dir``
+(unwritable, not a directory, ...) disables the disk tier with a warning
+instead of raising, and an entry that cannot be pickled or written skips
+the disk tier (counted in the tier's ``errors``).
 
-Values are serialized with :mod:`pickle` by default (a ``serializer``
-object with ``dumps``/``loads`` can be plugged in).  Cache directories are
-trusted local state — never point ``REPRO_CACHE_DIR`` at a directory an
-untrusted party can write.
+Cache directories are trusted local state — never point
+``REPRO_CACHE_DIR`` at a directory an untrusted party can write.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
-import tempfile
 import threading
-import time
 import warnings
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Hashable, Iterator, List, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
-#: On-disk entry header; bump the embedded version for incompatible schema
-#: changes and every old entry becomes a clean miss.
-MAGIC = b"repro-cache-store/v1\n"
+from repro.runtime.recordlog import RecordLog
 
-#: Filename suffix of disk-tier entries (anything else in the directory is
-#: ignored, including in-flight temporary files).
-ENTRY_SUFFIX = ".entry"
-
-#: Suffix of in-flight atomic-write temporaries; stale ones (a crashed
-#: writer's leftovers) are swept opportunistically.
-TEMP_SUFFIX = ENTRY_SUFFIX + ".part"
-
-#: Age in seconds after which an orphaned temporary is assumed dead.
-_STALE_TEMP_SECONDS = 3600.0
+#: File name of a store's log inside ``<cache_dir>/<namespace>/``.
+LOG_NAME = "cache.log"
 
 #: Environment variable that attaches a disk tier to the process-default
 #: runtime caches.
@@ -181,272 +159,9 @@ class MemoryTier:
         return list(self._entries.items())
 
 
-class _CorruptEntry(Exception):
-    """Internal: an on-disk entry failed the magic/digest/decode checks."""
-
-
-class _KeyMismatch(Exception):
-    """Internal: a valid entry stores a different key (filename-hash alias)."""
-
-
-class DiskTier:
-    """The persistent tier: one serialized file per entry under a directory.
-
-    See the module docstring for the write/read discipline.  The tier
-    carries its own lock, so slow file I/O never blocks users of the
-    owning store's memory tier.  All methods tolerate concurrent processes
-    mutating the same directory — a vanished file is a miss, a racing
-    eviction is idempotent.
-
-    Entry layout (after :data:`MAGIC` and the body digest line): a decimal
-    key-pickle length, newline, the pickled key, then the pickled value —
-    so key listing and verification never deserialize values.
-    """
-
-    def __init__(
-        self,
-        directory,
-        maxsize: Optional[int] = 4096,
-        serializer=pickle,
-    ) -> None:
-        if maxsize is not None and maxsize < 0:
-            raise ValueError(f"maxsize must be non-negative, got {maxsize}")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.maxsize = maxsize
-        self.serializer = serializer
-        self.stats = TierStats()
-        self._lock = threading.Lock()
-        self._sweep_stale_temps()
-        #: Maintained incrementally so stores don't rescan the directory;
-        #: resynchronized by every over-budget eviction pass.
-        self._approx_count = sum(1 for _ in self._entry_paths())
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._entry_paths())
-
-    def _entry_paths(self) -> Iterator[Path]:
-        try:
-            yield from self.directory.glob(f"*{ENTRY_SUFFIX}")
-        except OSError:
-            return
-
-    def _sweep_stale_temps(self) -> None:
-        """Unlink atomic-write temporaries orphaned by a crashed writer."""
-        cutoff = time.time() - _STALE_TEMP_SECONDS
-        try:
-            candidates = list(self.directory.glob(f".tmp-*{TEMP_SUFFIX}"))
-        except OSError:
-            return
-        for path in candidates:
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-            except OSError:
-                pass
-
-    def _path(self, key: Hashable) -> Path:
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()
-        return self.directory / f"{digest[:48]}{ENTRY_SUFFIX}"
-
-    # -- entry encoding -------------------------------------------------
-
-    def _encode(self, key: Hashable, value: Any) -> bytes:
-        key_blob = self.serializer.dumps(key)
-        value_blob = self.serializer.dumps(value)
-        body = str(len(key_blob)).encode() + b"\n" + key_blob + value_blob
-        digest = hashlib.sha256(body).hexdigest().encode()
-        return MAGIC + digest + b"\n" + body
-
-    def _split(self, blob: bytes) -> tuple:
-        """Return ``(key_blob, value_blob)`` or raise :class:`_CorruptEntry`."""
-        if not blob.startswith(MAGIC):
-            raise _CorruptEntry("bad magic")
-        digest, sep, body = blob[len(MAGIC):].partition(b"\n")
-        if not sep or hashlib.sha256(body).hexdigest().encode() != digest:
-            raise _CorruptEntry("digest mismatch")
-        key_len_raw, sep, tail = body.partition(b"\n")
-        try:
-            key_len = int(key_len_raw)
-        except ValueError:
-            raise _CorruptEntry("bad key length") from None
-        if key_len < 0 or key_len > len(tail):
-            raise _CorruptEntry("bad key length")
-        return tail[:key_len], tail[key_len:]
-
-    def _decode_key(self, blob: bytes) -> Hashable:
-        key_blob, _value_blob = self._split(blob)
-        try:
-            return self.serializer.loads(key_blob)
-        except Exception as exc:
-            raise _CorruptEntry(str(exc)) from None
-
-    def _decode(self, blob: bytes, key: Hashable) -> Any:
-        key_blob, value_blob = self._split(blob)
-        try:
-            stored_key = self.serializer.loads(key_blob)
-        except Exception as exc:
-            raise _CorruptEntry(str(exc)) from None
-        if stored_key != key:
-            raise _KeyMismatch(f"{stored_key!r} != {key!r}")
-        try:
-            return self.serializer.loads(value_blob)
-        except Exception as exc:
-            raise _CorruptEntry(str(exc)) from None
-
-    # -- operations -----------------------------------------------------
-
-    def lookup(self, key: Hashable) -> Optional[Any]:
-        path = self._path(key)
-        with self._lock:
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                self.stats.misses += 1
-                return None
-            try:
-                value = self._decode(blob, key)
-            except _KeyMismatch:
-                self.stats.misses += 1
-                return None
-            except _CorruptEntry:
-                # Quarantine: a corrupt entry must never be consulted again.
-                self.stats.misses += 1
-                self.stats.errors += 1
-                try:
-                    path.unlink()
-                    self._approx_count = max(0, self._approx_count - 1)
-                except OSError:
-                    pass
-                return None
-            self.stats.hits += 1
-            try:
-                os.utime(path)  # refresh recency for LRU eviction
-            except OSError:
-                pass
-            return value
-
-    def store(self, key: Hashable, value: Any) -> None:
-        try:
-            blob = self._encode(key, value)  # CPU-bound: outside the lock
-        except Exception:
-            with self._lock:
-                self.stats.errors += 1  # unpicklable value: skip the tier
-            return
-        path = self._path(key)
-        with self._lock:
-            try:
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=self.directory, prefix=".tmp-", suffix=TEMP_SUFFIX
-                )
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(blob)
-                    replaced = path.exists()
-                    os.replace(tmp_name, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp_name)
-                    except OSError:
-                        pass
-                    raise
-            except OSError:
-                self.stats.errors += 1  # full/read-only disk: cache, not storage
-                return
-            self.stats.stores += 1
-            if not replaced:
-                self._approx_count += 1
-            if self.maxsize is not None and self._approx_count > self.maxsize:
-                self._evict_over_budget()
-
-    def _evict_over_budget(self) -> None:
-        """Unlink the stalest entries beyond ``maxsize`` (caller holds lock).
-
-        This is the one full-directory scan, amortized: it only runs when
-        the incrementally-tracked count crosses the budget, and it
-        resynchronizes that count (other processes may share the
-        directory).  Stale temporaries are swept on the way.
-        """
-        self._sweep_stale_temps()
-        entries = []
-        for path in self._entry_paths():
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue  # raced with another process's eviction
-        entries.sort()
-        excess = 0 if self.maxsize is None else len(entries) - self.maxsize
-        for _mtime, path in entries[: max(0, excess)]:
-            try:
-                path.unlink()
-                self.stats.evictions += 1
-            except OSError:
-                pass
-        self._approx_count = len(entries) - max(0, excess)
-
-    def remove(self, key: Hashable) -> bool:
-        with self._lock:
-            try:
-                self._path(key).unlink()
-            except OSError:
-                return False
-            self._approx_count = max(0, self._approx_count - 1)
-            return True
-
-    def clear(self) -> None:
-        with self._lock:
-            for path in self._entry_paths():
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            self._approx_count = 0
-
-    def keys(self) -> List[Hashable]:
-        """Return the stored keys (corrupt entries are skipped silently).
-
-        Only the key region of each entry is deserialized — values, which
-        can embed large distributions or statevectors, are never touched.
-        """
-        found = []
-        for path in self._entry_paths():
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                continue
-            try:
-                found.append(self._decode_key(blob))
-            except _CorruptEntry:
-                continue
-        return found
-
-    def items(self) -> List[tuple]:
-        """Return ``(key, value)`` pairs for every readable entry.
-
-        One read per file — bulk loaders (the service journal's recovery
-        scan) would otherwise pay :meth:`keys` plus a :meth:`lookup` per
-        key, reading every entry twice.  Corrupt entries are skipped
-        silently, exactly like :meth:`keys`.
-        """
-        found = []
-        for path in self._entry_paths():
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                continue
-            try:
-                key_blob, value_blob = self._split(blob)
-                found.append(
-                    (self.serializer.loads(key_blob),
-                     self.serializer.loads(value_blob))
-                )
-            except Exception:
-                continue
-        return found
-
-
-def _build_disk_tier(directory, maxsize, serializer) -> Optional[DiskTier]:
-    """Construct a :class:`DiskTier`, degrading to ``None`` on OS errors.
+def _open_log(directory, maxsize: Optional[int]) -> Optional[RecordLog]:
+    """Return the disk tier's log in ``directory``, or ``None`` (with a
+    warning) when the directory is unusable.
 
     A bad cache directory (unwritable, not a directory, ...) must disable
     persistence with a warning — never break imports or callers, since the
@@ -454,7 +169,7 @@ def _build_disk_tier(directory, maxsize, serializer) -> Optional[DiskTier]:
     ``$REPRO_CACHE_DIR``.
     """
     try:
-        return DiskTier(directory, maxsize=maxsize, serializer=serializer)
+        return RecordLog(Path(directory) / LOG_NAME, maxsize=maxsize)
     except OSError as exc:
         warnings.warn(
             f"disk cache tier disabled: cannot use {str(directory)!r} ({exc})",
@@ -473,9 +188,9 @@ class CacheStore:
     (every lookup misses, stores are dropped) — how benchmarks and the
     ``--no-transpile-cache`` CLI flag measure the uncached path.
 
-    Locking: the store's lock covers only the memory tier and the overall
-    counters; disk I/O happens under the :class:`DiskTier`'s own lock, so
-    a slow disk read never blocks memory-tier users.
+    Locking: the store's lock covers only the memory tier and the
+    counters; disk I/O happens under the log's own lock, so a slow disk
+    read never blocks memory-tier users.
 
     Parameters
     ----------
@@ -483,15 +198,13 @@ class CacheStore:
         Memory-tier entry bound (assignable later via :attr:`maxsize`).
     cache_dir:
         Parent directory for the disk tier, or ``None`` for memory-only.
-        The tier lives in ``<cache_dir>/<namespace>/`` so several stores
-        can share one directory.  An unusable directory disables the tier
-        with a :class:`RuntimeWarning` instead of raising.
+        The tier's log lives in ``<cache_dir>/<namespace>/`` so several
+        stores can share one directory.  An unusable directory disables
+        the tier with a :class:`RuntimeWarning` instead of raising.
     namespace:
         Disk subdirectory name; also keeps unrelated stores' entries apart.
     disk_maxsize:
         Disk-tier entry bound (``None`` = unbounded).
-    serializer:
-        ``dumps``/``loads`` provider for disk entries (default *pickle*).
 
     Attributes
     ----------
@@ -499,6 +212,9 @@ class CacheStore:
         Overall lookup outcomes (a disk hit counts as a hit); per-tier
         counters live in :meth:`stats`.  Lifetime — they survive
         :meth:`clear`.
+    disk:
+        The disk tier's :class:`~repro.runtime.recordlog.RecordLog`, or
+        ``None``.
     """
 
     def __init__(
@@ -507,20 +223,17 @@ class CacheStore:
         cache_dir: Optional[str] = None,
         namespace: str = "store",
         disk_maxsize: Optional[int] = 4096,
-        serializer=pickle,
     ) -> None:
         self.namespace = namespace
         self.hits = 0
         self.misses = 0
         self._disk_maxsize = disk_maxsize
-        self._serializer = serializer
         self._lock = threading.Lock()
         self.memory = MemoryTier(maxsize)
-        self.disk: Optional[DiskTier] = None
+        self.disk: Optional[RecordLog] = None
+        self._disk_stats = TierStats()
         if cache_dir:
-            self.disk = _build_disk_tier(
-                Path(cache_dir) / namespace, disk_maxsize, serializer
-            )
+            self.attach_disk(cache_dir)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -542,15 +255,14 @@ class CacheStore:
     def attach_disk(self, cache_dir: Optional[str]) -> None:
         """Attach a disk tier under ``<cache_dir>/<namespace>/`` (or detach
         with ``None``).  Memory entries and statistics are untouched."""
-        tier = None
-        if cache_dir:
-            tier = _build_disk_tier(
-                Path(cache_dir) / self.namespace,
-                self._disk_maxsize,
-                self._serializer,
-            )
+        self._use_log(Path(cache_dir) / self.namespace if cache_dir else None)
+
+    def _use_log(self, directory) -> None:
+        log = None if directory is None else _open_log(
+            directory, self._disk_maxsize)
         with self._lock:
-            self.disk = tier
+            self.disk = log
+            self._disk_stats = TierStats()
 
     # ------------------------------------------------------------------
     # Core operations
@@ -570,35 +282,63 @@ class CacheStore:
             if value is not None:
                 self.hits += 1
                 return value
-            disk = self.disk
+            disk, stats = self.disk, self._disk_stats
             if disk is None:
                 self.misses += 1
                 return None
-        value = disk.lookup(key)  # I/O outside the store lock
+        failed = False
+        try:  # I/O outside the store lock
+            blob = disk.read(key)
+            value = None if blob is None else pickle.loads(blob)
+        except Exception:  # unreadable log, or a value that no longer loads
+            value, failed = None, True
         with self._lock:
+            if failed:
+                stats.errors += 1
             if value is None:
+                stats.misses += 1
                 self.misses += 1
             else:
+                stats.hits += 1
                 self.memory.store(key, value)  # promote the disk hit
                 self.hits += 1
         return value
 
     def store(self, key: Hashable, value: Any) -> None:
-        """Write ``key -> value`` through to every enabled tier."""
+        """Write ``key -> value`` through to every enabled tier.
+
+        A value that cannot be pickled, or a write the disk refuses, skips
+        the disk tier and counts in its ``errors``."""
         with self._lock:
             if self.memory.maxsize == 0:
                 return
             self.memory.store(key, value)
-            disk = self.disk
-        if disk is not None:
-            disk.store(key, value)
+            disk, stats = self.disk, self._disk_stats
+        if disk is None:
+            return
+        try:
+            disk.append(key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+            stored = True
+        except Exception:  # unpicklable value, full or read-only disk
+            stored = False
+        with self._lock:
+            if stored:
+                stats.stores += 1
+            else:
+                stats.errors += 1
 
     def remove(self, key: Hashable) -> bool:
         """Drop ``key`` from both tiers; ``True`` if either held it."""
         with self._lock:
             in_memory = self.memory.remove(key)
             disk = self.disk
-        on_disk = disk.remove(key) if disk is not None else False
+        on_disk = False
+        if disk is not None:
+            try:
+                on_disk = disk.remove(key)
+            except OSError:
+                with self._lock:
+                    self._disk_stats.errors += 1
         return in_memory or on_disk
 
     def clear(self) -> None:
@@ -607,39 +347,50 @@ class CacheStore:
             self.memory.clear()
             disk = self.disk
         if disk is not None:
-            disk.clear()
+            try:
+                disk.clear()
+            except OSError:
+                with self._lock:
+                    self._disk_stats.errors += 1
+
+    def _disk_keys(self, disk: Optional[RecordLog]) -> List[Hashable]:
+        if disk is None:
+            return []
+        try:
+            return disk.keys()
+        except OSError:
+            return []
 
     def keys(self) -> List[Hashable]:
         """Return the distinct keys across both tiers (for invalidation)."""
         with self._lock:
             found = self.memory.keys()
             disk = self.disk
-        if disk is not None:
-            seen = set(found)
-            for key in disk.keys():
-                if key not in seen:
-                    seen.add(key)
-                    found.append(key)
+        seen = set(found)
+        found.extend(key for key in self._disk_keys(disk) if key not in seen)
         return found
 
     def items(self) -> List[tuple]:
         """Return distinct ``(key, value)`` pairs across both tiers.
 
         Memory-tier entries win (they are at least as fresh as their disk
-        copies); disk-only entries are read once each rather than once for
-        the key listing and once per lookup.  Corrupt disk entries are
-        skipped, never raised — the bulk-load counterpart of the
+        copies); each disk-only entry is read once.  Entries that fail to
+        read are skipped, never raised — the bulk-load counterpart of the
         corruption-is-a-miss lookup contract.
         """
         with self._lock:
             found = self.memory.items()
             disk = self.disk
-        if disk is not None:
-            seen = {key for key, _value in found}
-            for key, value in disk.items():
-                if key not in seen:
-                    seen.add(key)
-                    found.append((key, value))
+        seen = {key for key, _value in found}
+        for key in self._disk_keys(disk):
+            if key in seen:
+                continue
+            try:
+                blob = disk.read(key)
+                if blob is not None:
+                    found.append((key, pickle.loads(blob)))
+            except Exception:
+                continue
         return found
 
     # ------------------------------------------------------------------
@@ -651,16 +402,24 @@ class CacheStore:
 
         The top-level ``entries``/``hits``/``misses``/``hit_rate`` keys keep
         the pre-unification cache-stats shape; ``memory`` and ``disk`` add
-        per-tier detail (``disk`` is ``None`` for memory-only stores).
+        per-tier detail (``disk`` is ``None`` for memory-only stores).  The
+        disk tier's ``errors`` include the log frames that failed
+        verification, and its ``evictions`` the keys its bound dropped.
         """
         total = self.hits + self.misses
         memory = self.memory.stats.as_dict()
         memory["entries"] = len(self.memory)
         disk = None
-        if self.disk is not None:
-            disk = self.disk.stats.as_dict()
-            disk["entries"] = len(self.disk)
-            disk["directory"] = str(self.disk.directory)
+        log = self.disk
+        if log is not None:
+            disk = self._disk_stats.as_dict()
+            try:
+                disk["entries"] = len(log)
+            except OSError:
+                disk["entries"] = 0
+            disk["errors"] += log.corrupt
+            disk["evictions"] = log.evictions
+            disk["directory"] = str(log.path.parent)
         return {
             "entries": len(self.memory),
             "hits": self.hits,
@@ -687,15 +446,14 @@ class CacheStore:
         The lock cannot cross a process boundary and shipping every memory
         entry with every task would dwarf the task itself, so a worker
         unpickles a fresh store with the same bounds and — crucially — the
-        same disk-tier directory: fork- *and* spawn-started workers read
-        the parent's persisted entries instead of recomputing.  Statistics
-        restart at zero on the worker side.  A custom ``serializer`` is not
-        shipped; workers fall back to pickle.
+        same disk-tier log: fork- *and* spawn-started workers read the
+        parent's persisted entries instead of recomputing, and append to
+        the same log.  Statistics restart at zero on the worker side.
         """
         return {
             "namespace": self.namespace,
             "maxsize": self.memory.maxsize,
-            "disk_dir": None if self.disk is None else str(self.disk.directory),
+            "disk_dir": None if self.disk is None else str(self.disk.path.parent),
             "disk_maxsize": self._disk_maxsize,
         }
 
@@ -707,9 +465,7 @@ class CacheStore:
             disk_maxsize=state["disk_maxsize"],
         )
         if state["disk_dir"]:
-            self.disk = _build_disk_tier(
-                state["disk_dir"], state["disk_maxsize"], self._serializer
-            )
+            self._use_log(state["disk_dir"])
 
 
 class StoreBackedCache:

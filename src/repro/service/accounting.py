@@ -11,7 +11,7 @@ the estimated seconds those shots cost, and
 adjustment the service can feed back into
 :meth:`~repro.runtime.scheduler.Scheduler.client`.
 
-Ledgers persist in a :class:`~repro.service.recordlog.RecordLog` at
+Ledgers persist in a :class:`~repro.runtime.recordlog.RecordLog` at
 ``<cache_dir>/service/accounting.log``, next to the job journal: each
 charge appends the tenant's updated totals as one frame, replay keeps the
 last frame per tenant, and a checkpoint shrinks the file back to one
@@ -35,7 +35,7 @@ import threading
 import time
 from typing import Dict, Optional
 
-from repro.service.recordlog import RecordLog
+from repro.runtime.recordlog import RecordLog
 
 #: The ledgers' log file, relative to the shared cache dir.
 LEDGER_LOG = os.path.join("service", "accounting.log")

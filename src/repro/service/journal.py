@@ -5,7 +5,7 @@
 journal closes that gap: each submission is recorded *before* it reaches
 the scheduler, and each settlement (result counts or a typed failure) is
 recorded when the service observes it, both appended as frames to one
-:class:`~repro.service.recordlog.RecordLog` at
+:class:`~repro.runtime.recordlog.RecordLog` at
 ``<cache_dir>/service/journal.log``.
 
 The journal is where a settled job lives.  A durable journal keeps only
@@ -47,7 +47,7 @@ from typing import Dict, List, Optional
 
 from repro import faults
 from repro.exceptions import ServiceError
-from repro.service.recordlog import RecordLog, encode
+from repro.runtime.recordlog import RecordLog, encode
 
 #: The journal's log file, relative to the shared cache dir.
 JOURNAL_LOG = os.path.join("service", "journal.log")

@@ -12,6 +12,17 @@ the same one ``benchmarks/bench_runtime.py`` times.
 import pytest
 
 from repro.runtime.harness import run_sweep_process
+from repro.runtime.recordlog import HEADER, LOCK_SUFFIX, MAGIC, RecordLog
+from repro.runtime.store import LOG_NAME
+
+
+def flip_every_frame(log):
+    """Flip one byte in the middle of every frame of the log at ``log``."""
+    data = bytearray(log.read_bytes())
+    starts = [i for i in range(len(data)) if data.startswith(MAGIC, i)]
+    for start, end in zip(starts, starts[1:] + [len(data)]):
+        data[(start + HEADER.size + end) // 2] ^= 0xFF
+    log.write_bytes(bytes(data))
 
 
 def run_driver(cache_dir=None):
@@ -67,10 +78,15 @@ class TestCrossProcessDeterminism:
 
     def test_cache_directory_layout(self, sweep_runs):
         cache_dir = sweep_runs["cache_dir"]
-        transpile = list((cache_dir / "transpile").glob("*.entry"))
-        distribution = list((cache_dir / "distribution").glob("*.entry"))
-        assert len(transpile) == 2
-        assert len(distribution) == 2
+        assert len(RecordLog(cache_dir / "transpile" / LOG_NAME)) == 2
+        assert len(RecordLog(cache_dir / "distribution" / LOG_NAME)) == 2
+        # Every file the runs left is a log of frames or its lock.
+        for path in cache_dir.rglob("*"):
+            if path.name.endswith(LOCK_SUFFIX):
+                assert path.name == LOG_NAME + LOCK_SUFFIX
+            elif path.is_file():
+                assert path.name == LOG_NAME
+                assert path.read_bytes().startswith(MAGIC)
 
     def test_uncached_process_touched_no_cache_dir(self, sweep_runs):
         uncached = sweep_runs["uncached"]
@@ -83,14 +99,12 @@ class TestCorruptedCacheDirStaysCorrect:
     def test_corrupted_entries_fall_back_to_simulation_with_same_counts(
         self, tmp_path
     ):
-        """Flip bytes in every persisted entry: the next process re-simulates
+        """Flip a byte in every persisted entry: the next process re-simulates
         (misses, no crash) and still produces identical counts."""
         cache_dir = tmp_path / "cache"
         cold = run_driver(cache_dir=cache_dir)
-        for entry in cache_dir.rglob("*.entry"):
-            blob = bytearray(entry.read_bytes())
-            blob[len(blob) // 2] ^= 0xFF
-            entry.write_bytes(bytes(blob))
+        for log in cache_dir.rglob(LOG_NAME):
+            flip_every_frame(log)
         recovered = run_driver(cache_dir=cache_dir)
         assert recovered["counts"] == cold["counts"]
         assert recovered["executed"] == 2  # really re-simulated

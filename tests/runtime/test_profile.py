@@ -10,6 +10,17 @@ from repro.runtime.profile import (
     CostModel,
     profile_key,
 )
+from repro.runtime.recordlog import HEADER, MAGIC, RecordLog
+from repro.runtime.store import LOG_NAME
+
+
+def flip_every_frame(log):
+    """Flip one byte in the middle of every frame of the log at ``log``."""
+    data = bytearray(log.read_bytes())
+    starts = [i for i in range(len(data)) if data.startswith(MAGIC, i)]
+    for start, end in zip(starts, starts[1:] + [len(data)]):
+        data[(start + HEADER.size + end) // 2] ^= 0xFF
+    log.write_bytes(bytes(data))
 
 
 class TestProfileKey:
@@ -120,10 +131,7 @@ class TestPersistence:
         model = CostModel(cache_dir=tmp_path)
         model.observe_run(("engine", 2), shots=10, elapsed=1.0)
         model.flush()
-        for entry in (tmp_path / "profile").glob("*.entry"):
-            blob = bytearray(entry.read_bytes())
-            blob[len(blob) // 2] ^= 0xFF
-            entry.write_bytes(bytes(blob))
+        flip_every_frame(tmp_path / "profile" / LOG_NAME)
         fresh = CostModel(cache_dir=tmp_path)
         assert fresh.per_shot(("engine", 2)) is None
         # ... and the fresh model still learns and persists normally.
@@ -168,7 +176,7 @@ class TestPersistence:
         model = CostModel(cache_dir=tmp_path)
         assert model.per_shot(("empty", 1)) is None
         assert model.flush(all_entries=True) == 0
-        assert list((tmp_path / "profile").glob("*.entry")) == []
+        assert RecordLog(tmp_path / "profile" / LOG_NAME).keys() == []
 
     def test_keys_spans_live_and_persisted(self, tmp_path):
         writer = CostModel(cache_dir=tmp_path)

@@ -6,35 +6,43 @@ Three contracts are pinned here:
   the *same* `CacheStore`, so their eviction order and ``maxsize``
   semantics cannot drift apart again (they used to be two hand-rolled
   copies of the same OrderedDict machinery).
-* **Persistence** — the disk tier round-trips entries across store
-  instances (i.e. across processes) keyed by content fingerprints, with
-  atomic writes and per-tier statistics.
+* **Persistence** — the disk tier, a record log, round-trips entries
+  across store instances and OS processes keyed by content fingerprints,
+  with per-tier statistics, a recency bound, and several writers at once.
 * **Corruption tolerance** — a truncated, bit-flipped or alien on-disk
-  entry is a miss, never an error, and never mis-serves data (the payload
+  entry is a miss, never an error, and never mis-serves data (the frame
   digest and stored-key check reject it).
 """
 
+import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.results.result import Result
+from repro.runtime import recordlog
 from repro.runtime.distcache import DistributionCache
 from repro.runtime.cache import TranspileCache
-from repro.runtime.store import (
-    ENTRY_SUFFIX,
-    MAGIC,
-    CacheStore,
-    DiskTier,
-    default_cache_dir,
-)
+from repro.runtime.recordlog import LOCK_SUFFIX, MAGIC, encode
+from repro.runtime.store import LOG_NAME, CacheStore, default_cache_dir
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def entry_files(store):
-    return sorted(store.disk.directory.glob(f"*{ENTRY_SUFFIX}"))
+def log_path(tmp_path, namespace="t"):
+    return tmp_path / namespace / LOG_NAME
+
+
+def fresh_keys(tmp_path, namespace="t", **kwargs):
+    """The live disk keys as a new store (a new process) sees them."""
+    return CacheStore(cache_dir=tmp_path, namespace=namespace,
+                      **kwargs).disk.keys()
 
 
 class TestMemoryOnlyStore:
@@ -126,14 +134,14 @@ class TestDiskTierPersistence:
         assert (tmp_path / "a").is_dir() and (tmp_path / "b").is_dir()
 
     def test_disk_lru_eviction_bounds_entries(self, tmp_path):
-        store = CacheStore(cache_dir=tmp_path, namespace="t", disk_maxsize=2)
-        for i in range(4):
+        store = CacheStore(maxsize=1, cache_dir=tmp_path, namespace="t",
+                           disk_maxsize=2)
+        for i in range(3):
             store.store(f"k{i}", i)
-            # mtime granularity: make recency strictly ordered
-            paths = entry_files(store)
-            for offset, path in enumerate(sorted(paths, key=lambda p: p.stat().st_mtime)):
-                os.utime(path, (path.stat().st_atime, 1000 + i * 10 + offset))
-        assert len(entry_files(store)) == 2
+        assert store.lookup("k1") == 1  # a disk hit refreshes k1
+        store.store("k3", 3)
+        assert sorted(store.disk.keys()) == ["k1", "k3"]
+        assert store.stats()["disk"]["entries"] == 2
         assert store.stats()["disk"]["evictions"] == 2
 
     def test_remove_spans_tiers(self, tmp_path):
@@ -141,15 +149,18 @@ class TestDiskTierPersistence:
         store.store("k", 1)
         assert store.remove("k") is True
         assert store.lookup("k") is None
-        assert entry_files(store) == []
+        assert store.disk.keys() == []
         fresh = CacheStore(cache_dir=tmp_path, namespace="t")
-        assert fresh.lookup("k") is None
+        assert fresh.lookup("k") is None  # the tombstone survives replay
+        assert fresh.remove("k") is False
 
     def test_clear_spans_tiers(self, tmp_path):
         store = CacheStore(cache_dir=tmp_path, namespace="t")
         store.store("k", 1)
         store.clear()
-        assert entry_files(store) == []
+        assert store.disk.keys() == []
+        assert log_path(tmp_path).stat().st_size == 0
+        assert fresh_keys(tmp_path) == []
 
     def test_keys_spans_tiers(self, tmp_path):
         CacheStore(cache_dir=tmp_path, namespace="t").store(("a", "b"), 1)
@@ -172,7 +183,8 @@ class TestDiskTierPersistence:
         store = CacheStore(cache_dir=tmp_path, namespace="t")
         store.store("k", lambda: None)  # lambdas don't pickle
         assert store.lookup("k") is not None
-        assert entry_files(store) == []
+        assert store.disk.keys() == []
+        assert fresh_keys(tmp_path) == []
         assert store.stats()["disk"]["errors"] == 1
 
     def test_pickled_store_ships_config_and_disk_dir(self, tmp_path):
@@ -192,8 +204,7 @@ class TestCorruptionTolerance:
     def _seeded(self, tmp_path, value={"p": 0.5}):
         store = CacheStore(cache_dir=tmp_path, namespace="t")
         store.store("key", value)
-        (path,) = entry_files(store)
-        return store, path
+        return store, log_path(tmp_path)
 
     def _fresh(self, tmp_path):
         return CacheStore(cache_dir=tmp_path, namespace="t")
@@ -204,11 +215,12 @@ class TestCorruptionTolerance:
         path.write_bytes(blob[: len(blob) // 2])
         fresh = self._fresh(tmp_path)
         assert fresh.lookup("key") is None
-        assert fresh.stats()["disk"]["errors"] == 1
-        assert not path.exists()  # quarantined
+        # The torn bytes do not poison later writes.
+        fresh.store("key", {"p": 0.75})
+        assert self._fresh(tmp_path).lookup("key") == {"p": 0.75}
 
     def test_every_single_bit_flip_is_a_miss_or_equal(self, tmp_path):
-        """Flip one byte at a time through the whole file: never an error,
+        """Flip one bit at a time through the whole log: never an error,
         never wrong data."""
         _store, path = self._seeded(tmp_path, value={"p": 0.25})
         blob = bytearray(path.read_bytes())
@@ -219,14 +231,23 @@ class TestCorruptionTolerance:
             got = self._fresh(tmp_path).lookup("key")
             assert got is None or got == {"p": 0.25}
 
+    def test_flipped_body_is_a_counted_miss(self, tmp_path):
+        _store, path = self._seeded(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        fresh = self._fresh(tmp_path)
+        assert fresh.lookup("key") is None
+        assert fresh.stats()["disk"]["errors"] == 1
+
     def test_emptied_entry_is_a_miss(self, tmp_path):
         _store, path = self._seeded(tmp_path)
         path.write_bytes(b"")
         assert self._fresh(tmp_path).lookup("key") is None
 
     def test_alien_file_in_directory_is_ignored(self, tmp_path):
-        store, _path = self._seeded(tmp_path)
-        (store.disk.directory / "README.txt").write_text("not an entry")
+        store, path = self._seeded(tmp_path)
+        (path.parent / "README.txt").write_text("not an entry")
         fresh = self._fresh(tmp_path)
         assert fresh.lookup("key") == {"p": 0.5}
         assert "README.txt" not in [k for k in fresh.keys()]
@@ -234,41 +255,53 @@ class TestCorruptionTolerance:
     def test_wrong_schema_version_is_a_miss(self, tmp_path):
         _store, path = self._seeded(tmp_path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(MAGIC, b"repro-cache-store/v0\n", 1))
+        path.write_bytes(blob.replace(MAGIC, MAGIC[:4] + b"\x00" + MAGIC[5:], 1))
         assert self._fresh(tmp_path).lookup("key") is None
 
     def test_key_mismatch_never_aliases(self, tmp_path):
-        """A file renamed onto another key's filename must miss (the stored
-        key is verified), and must NOT be quarantined as corrupt."""
-        store = CacheStore(cache_dir=tmp_path, namespace="t")
+        """Swap two equal-sized frames under a live index: the index now
+        points each key at the other's frame, and the stored-key check
+        turns both reads into misses, never the other key's value."""
+        store = CacheStore(maxsize=1, cache_dir=tmp_path, namespace="t")
         store.store("a", "value-a")
-        (path,) = entry_files(store)
-        alias = store.disk._path("b")
-        path.rename(alias)
+        store.store("b", "value-b")
+        path = log_path(tmp_path)
+        blob = path.read_bytes()
+        half = len(blob) // 2
+        path.write_bytes(blob[half:] + blob[:half])
+        store.maxsize = 0
+        store.maxsize = 1  # empty the memory tier
+        assert store.lookup("a") is None
+        assert store.lookup("b") is None
+        # Each frame still holds its own key: a new index reads both.
         fresh = self._fresh(tmp_path)
-        assert fresh.lookup("b") is None
-        assert alias.exists()
-        assert fresh.stats()["disk"]["errors"] == 0
+        assert (fresh.lookup("a"), fresh.lookup("b")) == ("value-a", "value-b")
 
     def test_corrupt_entries_skipped_by_keys(self, tmp_path):
         store = CacheStore(cache_dir=tmp_path, namespace="t")
         store.store("a", 1)
         store.store("b", 2)
-        paths = entry_files(store)
-        paths[0].write_bytes(b"garbage")
-        assert len(store.keys()) >= 1  # memory still has both; disk skips one
+        path = log_path(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 4] ^= 0xFF  # inside the first frame
+        path.write_bytes(bytes(blob))
+        assert len(store.keys()) >= 1  # memory still has both
+        fresh = self._fresh(tmp_path)
+        assert fresh.keys() == ["b"]
+        assert fresh.stats()["disk"]["errors"] == 1
 
     def test_store_survives_readonly_directory(self, tmp_path):
         if os.geteuid() == 0:
             pytest.skip("root ignores directory permissions")
         store = CacheStore(cache_dir=tmp_path, namespace="t")
-        store.disk.directory.chmod(0o500)
+        directory = log_path(tmp_path).parent
+        directory.chmod(0o500)
         try:
             store.store("k", 1)  # disk write fails silently
             assert store.lookup("k") == 1  # memory tier still serves
             assert store.stats()["disk"]["errors"] == 1
         finally:
-            store.disk.directory.chmod(0o700)
+            directory.chmod(0o700)
 
 
 #: Probability dictionaries over 3-bit outcomes, then normalised.
@@ -481,22 +514,130 @@ class TestDisablingNeverDeletesDiskEntries:
         assert fresh.lookup(("fp", "dev", None, True)) == {"lowered": 1}
 
 
-class TestDiskTierDirect:
-    def test_atomic_write_leaves_no_partials(self, tmp_path):
-        tier = DiskTier(tmp_path)
+class TestDiskLog:
+    def test_cache_dir_holds_only_logs_and_their_locks(self, tmp_path):
+        store = CacheStore(cache_dir=tmp_path, namespace="t")
         for i in range(20):
-            tier.store(f"k{i}", list(range(50)))
-        leftovers = [
-            p for p in tmp_path.iterdir() if not p.name.endswith(ENTRY_SUFFIX)
-        ]
-        assert leftovers == []
+            store.store(f"k{i}", list(range(50)))
+        store.remove("k3")
+        names = sorted(p.name for p in log_path(tmp_path).parent.iterdir())
+        assert names == [LOG_NAME, LOG_NAME + LOCK_SUFFIX]
+        assert log_path(tmp_path).read_bytes().startswith(MAGIC)
 
     def test_negative_maxsize_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="maxsize"):
-            DiskTier(tmp_path, maxsize=-1)
+            CacheStore(cache_dir=tmp_path, namespace="t", disk_maxsize=-1)
 
     def test_unbounded_disk_keeps_everything(self, tmp_path):
-        tier = DiskTier(tmp_path, maxsize=None)
+        store = CacheStore(cache_dir=tmp_path, namespace="t", disk_maxsize=None)
         for i in range(10):
-            tier.store(i, i)
-        assert len(tier) == 10
+            store.store(i, i)
+        assert len(store.disk) == 10
+
+    def test_store_past_the_bound_keeps_the_most_recent_keys(
+        self, tmp_path, monkeypatch
+    ):
+        """Storing 3x ``disk_maxsize`` entries leaves exactly the
+        ``disk_maxsize`` most recent live, a new store agrees, and the next
+        checkpoint shrinks the log to those entries' frames."""
+        bound = 64
+        value = "v" * 1000
+        monkeypatch.setattr(recordlog, "CHECKPOINT_FLOOR", 1 << 30)
+        store = CacheStore(maxsize=4, cache_dir=tmp_path, namespace="t",
+                           disk_maxsize=bound)
+        for i in range(3 * bound):
+            store.store(("k", i), value)
+        expected = [("k", i) for i in range(2 * bound, 3 * bound)]
+        assert store.disk.keys() == expected
+        assert fresh_keys(tmp_path, disk_maxsize=bound) == expected
+        assert store.stats()["disk"]["evictions"] == 2 * bound
+        path = log_path(tmp_path)
+        before = path.stat().st_size
+        monkeypatch.setattr(recordlog, "CHECKPOINT_FLOOR", 0)
+        store.store(("k", 3 * bound), value)  # the next append checkpoints
+        live = [("k", i) for i in range(2 * bound + 1, 3 * bound + 1)]
+        assert store.disk.keys() == live
+        frame = len(encode(("k", 0), pickle.dumps(value, pickle.HIGHEST_PROTOCOL)))
+        assert path.stat().st_size == bound * frame < before / 2
+        assert fresh_keys(tmp_path, disk_maxsize=bound) == live
+
+
+#: Loads the namespace-"t" log, says so, waits for a line on stdin, then
+#: appends ``count`` keys ``(worker, i)``.
+_WRITER = """
+import sys
+from repro.runtime.store import CacheStore
+cache_dir, worker, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+store = CacheStore(maxsize=1, cache_dir=cache_dir, namespace="t")
+len(store.disk)
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(count):
+    store.store((worker, i), bytes([worker]) * 4096)
+assert store.stats()["disk"]["errors"] == 0, store.stats()
+"""
+
+
+def _store_in_child(store):
+    store.store("child", "from the child")
+
+
+class TestSeveralWriters:
+    def test_processes_appending_at_once_lose_nothing(self, tmp_path):
+        """Three processes append disjoint keys to one log at once — 2.4
+        MiB, past the checkpoint floor, so checkpoints replace the file
+        while the others append.  A new store then reads every key, and no frame is
+        corrupt."""
+        workers, count = 3, 200
+        seed = CacheStore(cache_dir=tmp_path, namespace="t")
+        seed.store("seed", 0)
+        inode = log_path(tmp_path).stat().st_ino
+        env = dict(os.environ, PYTHONPATH=SRC)
+        procs = [
+            subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path),
+                              str(worker), str(count)],
+                             env=env, stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for worker in range(workers)
+        ]
+        try:
+            for proc in procs:  # every writer has loaded the small log ...
+                assert proc.stdout.readline() == b"ready\n"
+            for proc in procs:  # ... before any of them appends
+                proc.stdin.write(b"go\n")
+                proc.stdin.flush()
+            for proc in procs:
+                _out, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, err.decode()
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert log_path(tmp_path).stat().st_ino != inode  # checkpointed
+        fresh = CacheStore(maxsize=1, cache_dir=tmp_path, namespace="t")
+        assert len(fresh.disk) == workers * count + 1
+        for worker in range(workers):
+            for i in range(count):
+                assert fresh.lookup((worker, i)) == bytes([worker]) * 4096
+        assert fresh.disk.corrupt == 0
+        # The writer that seeded the log sees the others' entries too.
+        assert seed.lookup((2, count - 1)) == bytes([2]) * 4096
+
+    def test_fork_child_and_parent_both_append(self, tmp_path):
+        store = CacheStore(maxsize=1, cache_dir=tmp_path, namespace="t")
+        store.store("before", "from the parent")  # descriptors are open
+        child = multiprocessing.get_context("fork").Process(
+            target=_store_in_child, args=(store,))
+        child.start()
+        store.store("parent", "from the parent")
+        child.join(60)
+        assert child.exitcode == 0
+        assert store.lookup("child") == "from the child"
+        fresh = CacheStore(cache_dir=tmp_path, namespace="t")
+        assert {key: fresh.lookup(key) for key in ("before", "parent", "child")} == {
+            "before": "from the parent",
+            "parent": "from the parent",
+            "child": "from the child",
+        }
+        assert fresh.disk.corrupt == 0

@@ -29,7 +29,7 @@ from repro.circuits import library
 from repro.runtime import execute
 from repro.runtime.harness import run_driver_process
 from repro.service import JobJournal
-from repro.service.recordlog import HEADER, RecordLog
+from repro.runtime.recordlog import HEADER, RecordLog
 
 #: Both executors the scheduler can fan out over; the service must be
 #: restart-durable regardless of which ran the pre-crash jobs.

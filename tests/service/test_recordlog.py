@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.service.recordlog`, the append-only log under the
+"""Tests for :mod:`repro.runtime.recordlog`, the append-only log under the
 job journal and the cost ledgers.
 
 The log's contract: replay is last-write-wins per key; a torn tail or a
@@ -20,8 +20,9 @@ from repro.circuits import library
 from repro.devices.backend import Backend
 from repro.results.counts import Counts
 from repro.results.result import Result
-from repro.service import JobJournal, RuntimeService, recordlog
-from repro.service.recordlog import RecordLog, encode
+from repro.runtime import recordlog
+from repro.runtime.recordlog import RecordLog, encode
+from repro.service import JobJournal, RuntimeService
 
 
 def measured_bell():
@@ -56,6 +57,14 @@ def replayed(path):
     return log.replay(), log
 
 
+@pytest.fixture(params=["one-window", "many-windows"])
+def scan_window(request, monkeypatch):
+    """Replay reads the file through a window of ``COPY_CHUNK`` bytes; a
+    window smaller than a frame makes frames and resyncs straddle it."""
+    if request.param == "many-windows":
+        monkeypatch.setattr(recordlog, "COPY_CHUNK", 16)
+
+
 class TestReplay:
     def test_last_write_wins_and_order_is_kept(self, tmp_path):
         path = tmp_path / "log"
@@ -69,11 +78,20 @@ class TestReplay:
         assert records == {}
         assert log.size == 0
 
-    def test_write_before_replay_is_refused(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            RecordLog(tmp_path / "log").append("a", 1)
+    def test_first_write_loads_the_index_lazily(self, tmp_path):
+        path = tmp_path / "log"
+        written_log(path, [("a", 1)])
+        log = RecordLog(path)  # no replay(): the first write loads the index
+        log.append("b", 2)
+        assert sorted(log.keys()) == ["a", "b"]
+        assert replayed(path)[0] == {"a": 1, "b": 2}
 
-    def test_truncation_at_every_offset_replays_a_prefix(self, tmp_path):
+    def test_construction_creates_only_the_directory(self, tmp_path):
+        RecordLog(tmp_path / "dir" / "log")
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_truncation_at_every_offset_replays_a_prefix(self, tmp_path,
+                                                         scan_window):
         path = tmp_path / "log"
         records = [(i, {"value": i, "pad": "x" * (i % 3)}) for i in range(6)]
         written_log(path, records)
@@ -90,7 +108,7 @@ class TestReplay:
             assert got == dict(records[:whole]), cut
             assert log.corrupt == 0, cut
 
-    def test_flipped_byte_drops_only_its_frame(self, tmp_path):
+    def test_flipped_byte_drops_only_its_frame(self, tmp_path, scan_window):
         path = tmp_path / "log"
         records = [(i, {"value": i}) for i in range(5)]
         written_log(path, records)
@@ -263,9 +281,11 @@ class TestRead:
         assert len(log) == 2
         assert sorted(log.keys()) == ["a", "b"]
 
-    def test_read_before_replay_is_refused(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            RecordLog(tmp_path / "log").read("a")
+    def test_read_before_replay_loads_the_index(self, tmp_path):
+        written_log(tmp_path / "log", [("a", 1), ("b", 2)])
+        log = RecordLog(tmp_path / "log")
+        assert log.read("a") == 1
+        assert len(log) == 2
 
     def test_read_on_a_replayed_log_reads_the_file(self, tmp_path):
         path = tmp_path / "log"

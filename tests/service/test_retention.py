@@ -19,13 +19,13 @@ import pytest
 
 from repro.circuits import library
 from repro.exceptions import JobExpired, UnknownJob
+from repro.runtime import recordlog
 from repro.service import (
     BackgroundServer,
     RecoveredJob,
     RuntimeService,
     ServiceClient,
     ServiceJob,
-    recordlog,
 )
 from repro.service import service as service_module
 from repro.service.service import RECENT_SETTLED_JOBS
