@@ -681,19 +681,28 @@ def test_service_wire_storm():
     )
 
 
+#: Alternating untraced/traced storm pairs the tracing-tax gate takes the
+#: median ratio of.
+TRACED_STORM_PAIRS = 9
+
+
 def test_traced_storm_overhead():
     """v9: the tracing tax — the same many-client storm, spans off vs on.
 
     Tracing is always-on in production, so its cost is measured the way
     it is paid: the full service storm (admission, queue, dispatch,
-    chunk fan-out, settle) run once with ``set_tracing_enabled(False)``
-    and once with span trees recording every stage, including the
-    worker-side chunk records shipped back across the executor boundary.
-    The traced storm must stay within 5% of the untraced wall-clock
-    (best-of runs with escalation, same-box ratio so shared-load noise
-    mostly cancels).  The traced run is asserted to actually produce
-    full span trees — a "win" from tracing silently not happening would
-    be meaningless.
+    chunk fan-out, settle) run with ``set_tracing_enabled(False)`` and
+    with span trees recording every stage, including the worker-side
+    chunk records shipped back across the executor boundary.  The traced
+    storm must stay within 5% of the untraced wall-clock.
+
+    One ~30 ms storm each way left host noise to decide the gate, so the
+    storm is 240 jobs long and the gate takes the median traced/untraced
+    ratio over ``TRACED_STORM_PAIRS`` back-to-back pairs, the side that
+    runs first alternating from pair to pair: the host's speed drifts
+    between pairs, far less within one.  The traced runs are asserted to
+    actually produce full span trees — a "win" from tracing silently not
+    happening would be meaningless.
 
     ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs, which
     record nothing.
@@ -704,7 +713,8 @@ def test_traced_storm_overhead():
     from repro.service import ClientQuota, RuntimeService
 
     clients = 3 if SMOKE else 6
-    per_client = 3 if SMOKE else 8
+    per_client = 3 if SMOKE else 40
+    pairs = 3 if SMOKE else TRACED_STORM_PAIRS
     shots = 256
     circuit = library.bell_pair()
     circuit.measure_all()
@@ -756,18 +766,19 @@ def test_traced_storm_overhead():
 
     run_storm(True)  # warm-up: code paths and caches, not the clock
 
-    untraced_s, stub = run_storm(False)
-    assert stub["span_id"] is None  # the off switch really was off
-
-    traced_s = None
+    untraced_times, traced_times, ratios = [], [], []
     trace = None
-    for attempt in range(3):
-        candidate_s, candidate_trace = run_storm(True)
-        if traced_s is None or candidate_s < traced_s:
-            traced_s, trace = candidate_s, candidate_trace
-        if traced_s <= untraced_s * 1.05:
-            break
-        untraced_s = min(untraced_s, run_storm(False)[0])
+    for pair in range(pairs):
+        seconds = {}
+        for traced in ((False, True) if pair % 2 == 0 else (True, False)):
+            seconds[traced], tree = run_storm(traced)
+            if traced:
+                trace = tree
+            else:
+                assert tree["span_id"] is None  # the off switch really was off
+        untraced_times.append(seconds[False])
+        traced_times.append(seconds[True])
+        ratios.append(seconds[True] / seconds[False])
 
     # The traced run recorded the full tree: every stage plus the
     # worker-side chunk record merged back across the executor boundary.
@@ -777,10 +788,14 @@ def test_traced_storm_overhead():
     chunks = [n for n in walk(trace) if n["name"] == "chunk"]
     assert all(n["attrs"]["worker_wall_s"] >= 0.0 for n in chunks)
 
-    overhead = traced_s / untraced_s - 1.0
-    assert traced_s <= untraced_s * 1.05, (
-        f"always-on tracing ({traced_s:.3f}s) should cost <=5% over the "
-        f"untraced storm ({untraced_s:.3f}s), got {overhead:+.1%}"
+    untraced_s = statistics.median(untraced_times)
+    traced_s = statistics.median(traced_times)
+    overhead = statistics.median(ratios) - 1.0
+    assert overhead <= 0.05, (
+        f"always-on tracing should cost <=5% over the untraced storm, got "
+        f"{overhead:+.1%} (median of {pairs} pair ratios "
+        f"{', '.join(f'{r:.3f}' for r in sorted(ratios))}; medians "
+        f"{traced_s:.3f}s traced, {untraced_s:.3f}s untraced)"
     )
 
     jobs = clients * per_client
@@ -791,6 +806,7 @@ def test_traced_storm_overhead():
         clients=clients,
         jobs=jobs,
         shots_per_job=shots,
+        pairs=pairs,
         untraced_jobs_per_second=round(jobs / untraced_s, 2),
         traced_jobs_per_second=round(jobs / traced_s, 2),
         tracing_overhead=round(overhead, 4),
@@ -800,11 +816,11 @@ def test_traced_storm_overhead():
         "runtime bench — tracing tax on the many-client storm\n"
         f"storm           : {clients} clients x {per_client} submissions "
         f"({jobs} jobs, full span trees per job)\n"
-        f"untraced storm  : {untraced_s:8.3f} s "
+        f"untraced storm  : {untraced_s:8.3f} s median of {pairs} "
         f"({jobs / untraced_s:.1f} jobs/s)\n"
-        f"traced storm    : {traced_s:8.3f} s "
+        f"traced storm    : {traced_s:8.3f} s median of {pairs} "
         f"({jobs / traced_s:.1f} jobs/s, {len(list(walk(trace)))} spans/job, "
-        f"overhead {overhead:+.1%})"
+        f"overhead {overhead:+.1%}, median pair ratio)"
     )
 
 

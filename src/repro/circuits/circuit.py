@@ -33,6 +33,10 @@ from repro.exceptions import CircuitError
 QubitSpecifier = Union[int, Qubit]
 ClbitSpecifier = Union[int, Clbit]
 
+#: Every measurement shares one :class:`Measure`: operations are never
+#: mutated in place.
+_MEASURE = Measure()
+
 
 class _TrackedInstructionList(list):
     """An instruction list that invalidates its circuit's fingerprint memo.
@@ -136,8 +140,15 @@ class QuantumCircuit:
         self.name = name
         self.qregs: List[QuantumRegister] = []
         self.cregs: List[ClassicalRegister] = []
-        self._qubit_index: Dict[Qubit, int] = {}
-        self._clbit_index: Dict[Clbit, int] = {}
+        self._num_qubits = 0
+        self._num_clbits = 0
+        #: Register name -> (register, flat index of its first bit): checks
+        #: duplicate names and resolves a Bit without hashing every bit.
+        self._qreg_offsets: Dict[str, Tuple[QuantumRegister, int]] = {}
+        self._creg_offsets: Dict[str, Tuple[ClassicalRegister, int]] = {}
+        #: Name prefix -> number of qregs whose name starts with it, filled
+        #: on the first :meth:`count_qregs` call for that prefix.
+        self._qreg_prefix_counts: Dict[str, int] = {}
         self._fingerprint_cache: Optional[str] = None
         #: Bumped by every mutation; fingerprint() only installs its memo
         #: when the generation it hashed is still current, so a mutation
@@ -202,42 +213,49 @@ class QuantumCircuit:
     @property
     def num_qubits(self) -> int:
         """Return the total number of qubits."""
-        return len(self._qubit_index)
+        return self._num_qubits
 
     @property
     def num_clbits(self) -> int:
         """Return the total number of classical bits."""
-        return len(self._clbit_index)
+        return self._num_clbits
 
     @property
     def qubits(self) -> List[Qubit]:
         """Return all qubits in flat index order."""
-        return sorted(self._qubit_index, key=self._qubit_index.get)
+        return [bit for reg in self.qregs for bit in reg]
 
     @property
     def clbits(self) -> List[Clbit]:
         """Return all classical bits in flat index order."""
-        return sorted(self._clbit_index, key=self._clbit_index.get)
+        return [bit for reg in self.cregs for bit in reg]
 
     def add_register(
         self, register: Union[QuantumRegister, ClassicalRegister]
     ) -> Union[QuantumRegister, ClassicalRegister]:
-        """Append a register, extending the flat bit index space."""
+        """Append a register, extending the flat bit index space.
+
+        Registers are added only through this method: ``qregs`` and
+        ``cregs`` are read, never appended to directly.
+        """
         self._invalidate_fingerprint()  # bit counts participate in the hash
+        name = register.name
         if isinstance(register, QuantumRegister):
-            if any(r.name == register.name for r in self.qregs):
-                raise CircuitError(f"duplicate register name {register.name!r}")
+            if name in self._qreg_offsets:
+                raise CircuitError(f"duplicate register name {name!r}")
             self.qregs.append(register)
-            base = len(self._qubit_index)
-            for offset, bit in enumerate(register):
-                self._qubit_index[bit] = base + offset
+            self._qreg_offsets[name] = (register, self._num_qubits)
+            self._num_qubits += register.size
+            counts = self._qreg_prefix_counts
+            for prefix in counts:
+                if name.startswith(prefix):
+                    counts[prefix] += 1
         elif isinstance(register, ClassicalRegister):
-            if any(r.name == register.name for r in self.cregs):
-                raise CircuitError(f"duplicate register name {register.name!r}")
+            if name in self._creg_offsets:
+                raise CircuitError(f"duplicate register name {name!r}")
             self.cregs.append(register)
-            base = len(self._clbit_index)
-            for offset, bit in enumerate(register):
-                self._clbit_index[bit] = base + offset
+            self._creg_offsets[name] = (register, self._num_clbits)
+            self._num_clbits += register.size
         else:
             raise CircuitError(f"not a register: {register!r}")
         return register
@@ -260,49 +278,72 @@ class QuantumCircuit:
         reg = ClassicalRegister(count, name=name) if name else ClassicalRegister(count)
         return self.add_register(reg)
 
+    def count_qregs(self, prefix: str) -> int:
+        """Return how many quantum registers have a name starting with ``prefix``.
+
+        The assertion builders number their ancilla registers with it.  The
+        first call for a prefix scans the registers; :meth:`add_register`
+        keeps that count current, so later calls cost O(1).
+        """
+        count = self._qreg_prefix_counts.get(prefix)
+        if count is None:
+            count = sum(1 for name in self._qreg_offsets if name.startswith(prefix))
+            self._qreg_prefix_counts[prefix] = count
+        return count
+
+    @staticmethod
+    def _bit_offset(bit, offsets) -> int:
+        entry = offsets.get(bit.register.name)
+        if entry is None or entry[0] is not bit.register:
+            raise CircuitError(f"{bit!r} is not in this circuit")
+        return entry[1] + bit.index
+
     def qubit_index(self, qubit: QubitSpecifier) -> int:
         """Resolve a qubit specifier to its flat index."""
         if isinstance(qubit, Qubit):
-            try:
-                return self._qubit_index[qubit]
-            except KeyError:
-                raise CircuitError(f"{qubit!r} is not in this circuit") from None
+            return self._bit_offset(qubit, self._qreg_offsets)
         index = int(qubit)
-        if not 0 <= index < self.num_qubits:
+        if not 0 <= index < self._num_qubits:
             raise CircuitError(
                 f"qubit index {index} out of range (circuit has "
-                f"{self.num_qubits} qubit(s))"
+                f"{self._num_qubits} qubit(s))"
             )
         return index
 
     def clbit_index(self, clbit: ClbitSpecifier) -> int:
         """Resolve a classical-bit specifier to its flat index."""
         if isinstance(clbit, Clbit):
-            try:
-                return self._clbit_index[clbit]
-            except KeyError:
-                raise CircuitError(f"{clbit!r} is not in this circuit") from None
+            return self._bit_offset(clbit, self._creg_offsets)
         index = int(clbit)
-        if not 0 <= index < self.num_clbits:
+        if not 0 <= index < self._num_clbits:
             raise CircuitError(
                 f"clbit index {index} out of range (circuit has "
-                f"{self.num_clbits} clbit(s))"
+                f"{self._num_clbits} clbit(s))"
             )
         return index
 
-    def _resolve_qubits(
-        self, qubits: Union[QubitSpecifier, Sequence[QubitSpecifier]]
-    ) -> List[int]:
-        if isinstance(qubits, (int, Qubit)):
-            return [self.qubit_index(qubits)]
-        return [self.qubit_index(q) for q in qubits]
+    def _qubit_operands(self, qubits: Iterable[QubitSpecifier]) -> Tuple[int, ...]:
+        """Resolve qubit operands to flat indices.
 
-    def _resolve_clbits(
-        self, clbits: Union[ClbitSpecifier, Sequence[ClbitSpecifier]]
-    ) -> List[int]:
-        if isinstance(clbits, (int, Clbit)):
-            return [self.clbit_index(clbits)]
-        return [self.clbit_index(c) for c in clbits]
+        An in-range ``int`` costs one check; anything else (a
+        :class:`Qubit`, a NumPy integer, a ``bool``, an out-of-range index)
+        goes through :meth:`qubit_index`, which resolves it or raises.
+        """
+        qubits = tuple(qubits)
+        size = self._num_qubits
+        for q in qubits:
+            if type(q) is not int or not 0 <= q < size:
+                return tuple(map(self.qubit_index, qubits))
+        return qubits
+
+    def _clbit_operands(self, clbits: Iterable[ClbitSpecifier]) -> Tuple[int, ...]:
+        """Resolve classical-bit operands like :meth:`_qubit_operands`."""
+        clbits = tuple(clbits)
+        size = self._num_clbits
+        for c in clbits:
+            if type(c) is not int or not 0 <= c < size:
+                return tuple(map(self.clbit_index, clbits))
+        return clbits
 
     # ------------------------------------------------------------------
     # Generic append
@@ -316,12 +357,15 @@ class QuantumCircuit:
         condition: Optional[Tuple[ClbitSpecifier, int]] = None,
     ) -> "QuantumCircuit":
         """Append ``operation`` on the given bits; returns ``self``."""
-        q_idx = self._resolve_qubits(list(qubits))
-        c_idx = self._resolve_clbits(list(clbits))
+        q_idx = self._qubit_operands(qubits)
+        c_idx = self._clbit_operands(clbits)
         cond = None
         if condition is not None:
             cond = (self.clbit_index(condition[0]), int(condition[1]))
-        self.data.append(Instruction(operation, q_idx, c_idx, cond))
+        # The circuit invalidates its own fingerprint: one call fewer than
+        # the tracked list's append on the builder's hot path.
+        list.append(self._data, Instruction(operation, q_idx, c_idx, cond))
+        self._invalidate_fingerprint()
         return self
 
     def _gate(
@@ -509,7 +553,7 @@ class QuantumCircuit:
     ) -> "QuantumCircuit":
         """Apply an arbitrary unitary matrix to ``qubits``."""
         gate = UnitaryGate(matrix, label=label)
-        qubit_list = self._resolve_qubits(list(qubits))
+        qubit_list = self._qubit_operands(qubits)
         if gate.num_qubits != len(qubit_list):
             raise CircuitError(
                 f"matrix acts on {gate.num_qubits} qubit(s) but "
@@ -527,15 +571,21 @@ class QuantumCircuit:
         clbits: Union[ClbitSpecifier, Sequence[ClbitSpecifier]],
     ) -> "QuantumCircuit":
         """Measure ``qubits`` into ``clbits`` pairwise."""
-        q_idx = self._resolve_qubits(qubits)
-        c_idx = self._resolve_clbits(clbits)
+        q_idx = self._qubit_operands(
+            (qubits,) if isinstance(qubits, (int, Qubit)) else qubits
+        )
+        c_idx = self._clbit_operands(
+            (clbits,) if isinstance(clbits, (int, Clbit)) else clbits
+        )
         if len(q_idx) != len(c_idx):
             raise CircuitError(
                 f"measure needs equal qubit/clbit counts, got "
                 f"{len(q_idx)} and {len(c_idx)}"
             )
+        data = self._data
         for q, c in zip(q_idx, c_idx):
-            self.append(Measure(), [q], [c])
+            list.append(data, Instruction(_MEASURE, (q,), (c,)))
+        self._invalidate_fingerprint()
         return self
 
     def measure_all(self) -> "QuantumCircuit":
@@ -544,7 +594,7 @@ class QuantumCircuit:
         self.add_register(reg)
         base = self.num_clbits - self.num_qubits
         for q in range(self.num_qubits):
-            self.append(Measure(), [q], [base + q])
+            self.append(_MEASURE, [q], [base + q])
         return self
 
     def reset(self, qubit: QubitSpecifier) -> "QuantumCircuit":
@@ -554,7 +604,7 @@ class QuantumCircuit:
     def barrier(self, *qubits: QubitSpecifier) -> "QuantumCircuit":
         """Insert a barrier on the given qubits (all qubits if omitted)."""
         q_idx = (
-            self._resolve_qubits(list(qubits))
+            self._qubit_operands(qubits)
             if qubits
             else list(range(self.num_qubits))
         )
@@ -605,7 +655,7 @@ class QuantumCircuit:
                 )
             qubit_map = list(range(other.num_qubits))
         else:
-            qubit_map = self._resolve_qubits(list(qubits))
+            qubit_map = self._qubit_operands(qubits)
             if len(qubit_map) != other.num_qubits:
                 raise CircuitError(
                     f"qubit map has {len(qubit_map)} entries for a "
@@ -619,7 +669,7 @@ class QuantumCircuit:
                 )
             clbit_map = list(range(other.num_clbits))
         else:
-            clbit_map = self._resolve_clbits(list(clbits))
+            clbit_map = self._clbit_operands(clbits)
             if len(clbit_map) != other.num_clbits:
                 raise CircuitError(
                     f"clbit map has {len(clbit_map)} entries for a circuit "

@@ -345,7 +345,7 @@ class Operation:
         self.name = name
         self.num_qubits = num_qubits
         self.num_clbits = num_clbits
-        self.params = tuple(float(p) for p in params)
+        self.params = tuple(map(float, params))
 
     @property
     def is_gate(self) -> bool:
@@ -381,7 +381,9 @@ class Gate(Operation):
 
     Standard gates are created through :func:`get_gate` or the
     :class:`~repro.circuits.QuantumCircuit` builder methods; arbitrary
-    unitaries through :class:`UnitaryGate`.
+    unitaries through :class:`UnitaryGate`.  A gate is never mutated in
+    place: :func:`get_gate` hands every caller the same instance of a
+    parameterless standard gate.
     """
 
     def __init__(
@@ -554,8 +556,17 @@ def standard_gate_names() -> Iterable[str]:
     return sorted(_STANDARD)
 
 
+#: name -> the one shared instance of a parameterless standard gate, each
+#: created on its first :func:`get_gate` call.
+_SHARED_GATES: Dict[str, Gate] = {}
+
+
 def get_gate(name: str, params: Sequence[float] = ()) -> Gate:
     """Look up a standard gate by ``name`` with the given ``params``.
+
+    A parameterless gate (``"cx"``, ``"h"``, ...) is one shared instance,
+    created on first use; gates are immutable, so sharing is safe, and
+    :meth:`Gate.copy` or :meth:`Gate.inverse` give a distinct object.
 
     Raises
     ------
@@ -563,6 +574,10 @@ def get_gate(name: str, params: Sequence[float] = ()) -> Gate:
         If the name is unknown or the parameter count is wrong.
     """
     key = name.lower()
+    if len(params) == 0:
+        shared = _SHARED_GATES.get(key)
+        if shared is not None:
+            return shared
     if key not in _STANDARD:
         raise GateError(f"unknown gate {name!r}")
     num_qubits, num_params, matrix_fn = _STANDARD[key]
@@ -570,7 +585,10 @@ def get_gate(name: str, params: Sequence[float] = ()) -> Gate:
         raise GateError(
             f"gate {name!r} expects {num_params} parameter(s), got {len(params)}"
         )
-    return Gate(key, num_qubits, params, matrix_fn)
+    gate = Gate(key, num_qubits, params, matrix_fn)
+    if not num_params:
+        _SHARED_GATES[key] = gate
+    return gate
 
 
 def is_clifford_gate(operation: Operation) -> bool:
@@ -593,7 +611,7 @@ def is_clifford_gate(operation: Operation) -> bool:
 def _invert_gate(gate: Gate) -> Gate:
     """Return the inverse of a gate, preferring a named standard gate."""
     if gate.name in _INVERSE_NAME:
-        return get_gate(_INVERSE_NAME[gate.name], gate.params)
+        return get_gate(_INVERSE_NAME[gate.name], gate.params).copy()
     if gate.name in _NEGATE_PARAM_GATES:
         return get_gate(gate.name, tuple(-p for p in gate.params))
     if gate.name == "u2":

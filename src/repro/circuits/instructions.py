@@ -18,6 +18,15 @@ from repro.exceptions import CircuitError
 class Instruction:
     """An operation applied to specific qubits/clbits.
 
+    Operands are validated once, here, against the operation alone: each
+    index is converted with ``int``, the qubit and clbit counts must match
+    the operation's, the qubits must be distinct, and a condition value
+    must be 0 or 1.  Whether an index lies inside a circuit is the
+    circuit's check, made when :meth:`QuantumCircuit.append
+    <repro.circuits.QuantumCircuit.append>` or
+    :meth:`~repro.circuits.QuantumCircuit.measure` resolves the operands
+    (an instruction does not know its circuit's size).
+
     Parameters
     ----------
     operation:
@@ -40,8 +49,8 @@ class Instruction:
         clbits: Sequence[int] = (),
         condition: Optional[Tuple[int, int]] = None,
     ) -> None:
-        qubits = tuple(int(q) for q in qubits)
-        clbits = tuple(int(c) for c in clbits)
+        qubits = tuple(map(int, qubits))
+        clbits = tuple(map(int, clbits))
         if len(qubits) != operation.num_qubits:
             raise CircuitError(
                 f"operation {operation.name!r} expects {operation.num_qubits} "
@@ -52,7 +61,12 @@ class Instruction:
                 f"operation {operation.name!r} expects {operation.num_clbits} "
                 f"clbit(s), got {len(clbits)}"
             )
-        if len(set(qubits)) != len(qubits):
+        if len(qubits) == 2:
+            if qubits[0] == qubits[1]:
+                raise CircuitError(
+                    f"duplicate qubit operands {qubits} for {operation.name!r}"
+                )
+        elif len(qubits) > 2 and len(set(qubits)) != len(qubits):
             raise CircuitError(
                 f"duplicate qubit operands {qubits} for {operation.name!r}"
             )

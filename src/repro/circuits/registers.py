@@ -10,7 +10,7 @@ bits (e.g. register names like ``assert_ent_0``).
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.exceptions import RegisterError
 
@@ -57,6 +57,9 @@ class Clbit(Bit):
 class Register:
     """Base class for bit registers.
 
+    Registers compare and hash by identity: two registers with the same
+    name and size are still different registers.
+
     Parameters
     ----------
     size:
@@ -75,29 +78,31 @@ class Register:
             raise RegisterError(f"invalid register name {name!r}")
         self.size = int(size)
         self.name = name or f"{self.prefix}{next(_register_counter)}"
-        self._bits: List[Bit] = [self.bit_type(self, i) for i in range(self.size)]
+        self._bits: Optional[List[Bit]] = None
+
+    def _bit_list(self) -> List[Bit]:
+        # Built on first use: an ancilla register is mostly addressed by
+        # flat index and never needs its Bit objects.
+        bits = self._bits
+        if bits is None:
+            bits = self._bits = [self.bit_type(self, i) for i in range(self.size)]
+        return bits
 
     def __len__(self) -> int:
         return self.size
 
     def __getitem__(self, key: Union[int, slice]) -> Union[Bit, List[Bit]]:
         if isinstance(key, slice):
-            return list(self._bits[key])
+            return list(self._bit_list()[key])
         if not -self.size <= key < self.size:
             raise RegisterError(
                 f"bit index {key} out of range for register "
                 f"{self.name!r} of size {self.size}"
             )
-        return self._bits[key]
+        return self._bit_list()[key]
 
     def __iter__(self) -> Iterator[Bit]:
-        return iter(self._bits)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
+        return iter(self._bit_list())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.size}, {self.name!r})"

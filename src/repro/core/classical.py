@@ -18,7 +18,12 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.types import AssertionKind, AssertionRecord
+from repro.core.types import (
+    AssertionKind,
+    AssertionRecord,
+    allocate_ancillas,
+    check_qubits,
+)
 from repro.exceptions import AssertionCircuitError
 
 
@@ -70,15 +75,10 @@ def append_classical_assertion(
     for value in value_list:
         if value not in (0, 1):
             raise AssertionCircuitError(f"asserted value must be 0 or 1, got {value}")
-    for qubit in qubit_list:
-        circuit.qubit_index(qubit)  # validates range
+    check_qubits(circuit, qubit_list)
 
     count = len(qubit_list)
-    tag = f"assert_cl{sum(1 for r in circuit.qregs if r.name.startswith('assert_cl'))}"
-    ancilla_reg = circuit.add_qubits(count, name=tag)
-    clbit_reg = circuit.add_clbits(count, name=f"{tag}_m")
-    ancilla_indices = tuple(circuit.qubit_index(bit) for bit in ancilla_reg)
-    clbit_indices = tuple(circuit.clbit_index(bit) for bit in clbit_reg)
+    ancilla_indices, clbit_indices = allocate_ancillas(circuit, "assert_cl", count)
 
     for qubit, value, ancilla, clbit in zip(
         qubit_list, value_list, ancilla_indices, clbit_indices

@@ -20,7 +20,12 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.types import AssertionKind, AssertionRecord
+from repro.core.types import (
+    AssertionKind,
+    AssertionRecord,
+    allocate_ancillas,
+    check_qubits,
+)
 from repro.exceptions import AssertionCircuitError
 
 
@@ -63,18 +68,13 @@ def append_parity_assertion(
             f"{len(source_list)} (see paper Fig. 4; repeat a qubit to pad, "
             "or pass enforce_even=False to study the failure mode)"
         )
-    for qubit in source_list:
-        circuit.qubit_index(qubit)
+    check_qubits(circuit, source_list)
     if expected_parity not in (0, 1):
         raise AssertionCircuitError(
             f"expected parity must be 0 or 1, got {expected_parity}"
         )
 
-    tag = f"assert_ent{sum(1 for r in circuit.qregs if r.name.startswith('assert_ent'))}"
-    ancilla_reg = circuit.add_qubits(1, name=tag)
-    clbit_reg = circuit.add_clbits(1, name=f"{tag}_m")
-    ancilla = circuit.qubit_index(ancilla_reg[0])
-    clbit = circuit.clbit_index(clbit_reg[0])
+    (ancilla,), (clbit,) = allocate_ancillas(circuit, "assert_ent")
 
     if expected_parity == 1:
         circuit.x(ancilla)

@@ -27,7 +27,12 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.types import AssertionKind, AssertionRecord
+from repro.core.types import (
+    AssertionKind,
+    AssertionRecord,
+    allocate_ancillas,
+    check_qubits,
+)
 from repro.exceptions import AssertionCircuitError
 
 
@@ -70,14 +75,9 @@ def append_phase_parity_assertion(
         raise AssertionCircuitError(
             f"expected parity must be 0 or 1, got {expected_parity}"
         )
-    for qubit in qubit_list:
-        circuit.qubit_index(qubit)
+    check_qubits(circuit, qubit_list)
 
-    tag = f"assert_xp{sum(1 for r in circuit.qregs if r.name.startswith('assert_xp'))}"
-    ancilla_reg = circuit.add_qubits(1, name=tag)
-    clbit_reg = circuit.add_clbits(1, name=f"{tag}_m")
-    ancilla = circuit.qubit_index(ancilla_reg[0])
-    clbit = circuit.clbit_index(clbit_reg[0])
+    (ancilla,), (clbit,) = allocate_ancillas(circuit, "assert_xp")
 
     if expected_parity == 1:
         circuit.x(ancilla)
@@ -158,11 +158,7 @@ def append_equality_assertion(
     if a == b:
         raise AssertionCircuitError("equality assertion needs two distinct qubits")
 
-    tag = f"assert_eq{sum(1 for r in circuit.qregs if r.name.startswith('assert_eq'))}"
-    ancilla_reg = circuit.add_qubits(1, name=tag)
-    clbit_reg = circuit.add_clbits(1, name=f"{tag}_m")
-    ancilla = circuit.qubit_index(ancilla_reg[0])
-    clbit = circuit.clbit_index(clbit_reg[0])
+    (ancilla,), (clbit,) = allocate_ancillas(circuit, "assert_eq")
 
     circuit.h(ancilla)
     circuit.cswap(ancilla, a, b)

@@ -189,8 +189,9 @@ class AssertionInjector:
                     f"qubit {qubit} is not a program qubit "
                     f"(program has {self._program_qubits})"
                 )
-        reg = self.circuit.add_clbits(len(targets), name=f"result{len(self.circuit.cregs)}")
-        clbits = [self.circuit.clbit_index(bit) for bit in reg]
+        first = self.circuit.num_clbits
+        self.circuit.add_clbits(len(targets), name=f"result{len(self.circuit.cregs)}")
+        clbits = list(range(first, self.circuit.num_clbits))
         for qubit, clbit in zip(targets, clbits):
             self.circuit.measure(qubit, clbit)
         return clbits

@@ -25,7 +25,7 @@ import math
 from typing import Tuple
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.types import AssertionKind, AssertionRecord
+from repro.core.types import AssertionKind, AssertionRecord, allocate_ancillas
 from repro.exceptions import AssertionCircuitError
 
 
@@ -55,11 +55,7 @@ def append_superposition_assertion(
     if sign not in {"+", "-"}:
         raise AssertionCircuitError(f"sign must be '+' or '-', got {sign!r}")
     circuit.qubit_index(qubit)
-    tag = f"assert_sup{sum(1 for r in circuit.qregs if r.name.startswith('assert_sup'))}"
-    ancilla_reg = circuit.add_qubits(1, name=tag)
-    clbit_reg = circuit.add_clbits(1, name=f"{tag}_m")
-    ancilla = circuit.qubit_index(ancilla_reg[0])
-    clbit = circuit.clbit_index(clbit_reg[0])
+    (ancilla,), (clbit,) = allocate_ancillas(circuit, "assert_sup")
 
     circuit.cx(qubit, ancilla)
     circuit.h(qubit)
@@ -101,11 +97,7 @@ def append_state_assertion(
         ``kind`` is :attr:`AssertionKind.STATE`.
     """
     circuit.qubit_index(qubit)
-    tag = f"assert_st{sum(1 for r in circuit.qregs if r.name.startswith('assert_st'))}"
-    ancilla_reg = circuit.add_qubits(1, name=tag)
-    clbit_reg = circuit.add_clbits(1, name=f"{tag}_m")
-    ancilla = circuit.qubit_index(ancilla_reg[0])
-    clbit = circuit.clbit_index(clbit_reg[0])
+    (ancilla,), (clbit,) = allocate_ancillas(circuit, "assert_st")
 
     # U = u3(theta, phi, 0) maps |0> to the target state; conjugate with it.
     circuit.u3(-theta, 0.0, -phi, qubit)  # U^dagger

@@ -4,16 +4,20 @@ Every appended assertion yields an :class:`AssertionRecord` describing where
 its ancilla lives and what classical bit carries its outcome.  The filtering
 and estimation modules consume these records; they are the bookkeeping that
 lets one circuit carry many assertions without the caller tracking bit
-indices by hand.
+indices by hand.  :func:`allocate_ancillas` adds the registers a record
+points at.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from repro.exceptions import AssertionCircuitError
+
+if TYPE_CHECKING:
+    from repro.circuits.circuit import QuantumCircuit
 
 
 class AssertionKind(enum.Enum):
@@ -75,7 +79,7 @@ class AssertionRecord:
             raise AssertionCircuitError(
                 f"expected values must be 0/1, got {self.expected}"
             )
-        if set(self.qubits) & set(self.ancillas):
+        if not set(self.qubits).isdisjoint(self.ancillas):
             raise AssertionCircuitError(
                 "ancilla qubits must be distinct from the qubits under test"
             )
@@ -103,3 +107,42 @@ class AssertionRecord:
             f"{name}: qubits={list(self.qubits)} ancillas={list(self.ancillas)} "
             f"clbits={list(self.clbits)} expected={list(self.expected)}"
         )
+
+
+def allocate_ancillas(
+    circuit: "QuantumCircuit", prefix: str, count: int = 1
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Add ``count`` ancilla qubits and ``count`` clbits for one assertion.
+
+    The ancillas form the register ``<prefix><k>`` and the clbits the
+    register ``<prefix><k>_m``, where ``k`` is the number of quantum
+    registers whose name already starts with ``prefix`` (user registers
+    included).  Both are appended at the end of the circuit's flat index
+    space, so their indices are known by position.
+
+    Returns
+    -------
+    (ancillas, clbits)
+        The new qubit and clbit indices, in register order.
+    """
+    tag = f"{prefix}{circuit.count_qregs(prefix)}"
+    first_qubit = circuit.num_qubits
+    first_clbit = circuit.num_clbits
+    circuit.add_qubits(count, name=tag)
+    circuit.add_clbits(count, name=f"{tag}_m")
+    return (
+        tuple(range(first_qubit, first_qubit + count)),
+        tuple(range(first_clbit, first_clbit + count)),
+    )
+
+
+def check_qubits(circuit: "QuantumCircuit", qubits: Sequence[int]) -> None:
+    """Raise :class:`~repro.exceptions.CircuitError` unless every int in
+    ``qubits`` is a qubit of ``circuit``.
+
+    In-range lists cost one ``min`` and one ``max``; otherwise the first
+    bad index raises the error :meth:`QuantumCircuit.qubit_index` gives.
+    """
+    if qubits and (min(qubits) < 0 or max(qubits) >= circuit.num_qubits):
+        for qubit in qubits:
+            circuit.qubit_index(qubit)

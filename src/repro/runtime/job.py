@@ -451,6 +451,9 @@ class Job:
         self._error: Optional[BaseException] = None
         self._cancelled = False
         self._lock = threading.Lock()
+        #: Held by the one caller collecting this job; concurrent
+        #: result() calls wait on it, then return what that caller stored.
+        self._collect_lock = threading.Lock()
         self._done_callbacks: List = []
         self._done_barrier: Optional[int] = None
         self._done_notified = False
@@ -864,6 +867,10 @@ class Job:
         is not interruptible, so the deadline only bounds waits on pool
         work.
 
+        Collection is single-flight: concurrent callers wait for the first
+        one, so a job's chunks merge once and its trace holds one
+        ``collect`` span.
+
         Raises
         ------
         JobError
@@ -871,6 +878,21 @@ class Job:
         """
         if self._result is not None:
             return self._result
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._collect_lock.acquire(
+            timeout=-1 if timeout is None else max(0.0, timeout)
+        ):
+            raise JobError(f"{self.job_id} timed out after {timeout}s")
+        try:
+            if self._result is not None:
+                return self._result
+            return self._collect(timeout, deadline)
+        finally:
+            self._collect_lock.release()
+
+    def _collect(self, timeout: Optional[float], deadline: Optional[float]) -> Result:
+        """Build and store this job's result; :meth:`result` holds the
+        collect lock.  ``timeout`` is only for error messages."""
         if self._cancelled:
             raise JobError(f"{self.job_id} was cancelled")
         if self.cached:
@@ -891,7 +913,10 @@ class Job:
             return self._result
         if self.derived:
             try:
-                source_result = self._source.result(timeout=timeout)
+                source_result = self._source.result(
+                    timeout=None if deadline is None
+                    else max(0.0, deadline - time.monotonic())
+                )
             except JobError:
                 if self._source.status() is not JobStatus.CANCELLED:
                     raise
@@ -924,7 +949,6 @@ class Job:
                 )
             self._finish_span(status="done", derived=True)
             return self._result
-        deadline = None if timeout is None else time.monotonic() + timeout
         try:
             chunk_results = []
             chunk_elapsed = []
@@ -950,8 +974,8 @@ class Job:
                 raise
             raise JobError(f"{self.job_id} failed: {exc}") from exc
         # Worker wall-clock is recorded at collection time (the workers may
-        # live in another process); guard against a concurrent first
-        # result() call double-counting it.
+        # live in another process); recorded once, even if a later step
+        # of this collection raises and result() is called again.
         with self._lock:
             if not self._pool_elapsed_recorded:
                 self._chunk_elapsed.extend(chunk_elapsed)

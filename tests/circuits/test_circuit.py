@@ -119,6 +119,97 @@ class TestBuilderMethods:
             qc.h(other[0])
 
 
+class TestOperandPath:
+    """The builder's operand checks: in-range ints take the cheap path,
+    everything else resolves (or fails) exactly as through qubit_index."""
+
+    @pytest.mark.parametrize("bad", [2, 7, -1, -3])
+    def test_out_of_range_qubit_raises(self, bad):
+        qc = QuantumCircuit(2, 1)
+        with pytest.raises(CircuitError, match=rf"qubit index {bad} out of range "
+                           r"\(circuit has 2 qubit\(s\)\)"):
+            qc.h(bad)
+        with pytest.raises(CircuitError, match=f"qubit index {bad} out of range"):
+            qc.cx(0, bad)
+        with pytest.raises(CircuitError, match=f"qubit index {bad} out of range"):
+            qc.measure(bad, 0)
+        assert len(qc) == 0
+
+    @pytest.mark.parametrize("bad", [1, -1])
+    def test_out_of_range_clbit_raises(self, bad):
+        qc = QuantumCircuit(2, 1)
+        with pytest.raises(CircuitError, match=rf"clbit index {bad} out of range "
+                           r"\(circuit has 1 clbit\(s\)\)"):
+            qc.measure(0, bad)
+        with pytest.raises(CircuitError, match=f"clbit index {bad} out of range"):
+            qc.x(0, condition=(bad, 1))
+
+    def test_bool_and_numpy_operands_store_plain_ints(self):
+        qc = QuantumCircuit(2, 2)
+        qc.cx(True, np.int64(0))
+        qc.measure([np.int64(1), False], [True, np.int32(0)])
+        qc.x(np.int64(0), condition=(np.int64(1), True))
+        assert [inst.qubits for inst in qc.data] == [(1, 0), (1,), (0,), (0,)]
+        assert [inst.clbits for inst in qc.data[1:3]] == [(1,), (0,)]
+        assert qc.data[3].condition == (1, 1)
+        for inst in qc.data:
+            assert all(type(q) is int for q in inst.qubits + inst.clbits)
+
+    def test_numpy_scalar_measure_stays_a_type_error(self):
+        # A bare NumPy scalar is not a specifier measure() accepts alone.
+        qc = QuantumCircuit(1, 1)
+        with pytest.raises(TypeError):
+            qc.measure(np.int64(0), 0)
+
+    def test_same_qubit_twice_raises(self):
+        qc = QuantumCircuit(3)
+        with pytest.raises(CircuitError, match=r"duplicate qubit operands \(0, 0\)"):
+            qc.cx(0, 0)
+        with pytest.raises(CircuitError, match="duplicate qubit operands"):
+            qc.ccx(0, 1, 0)
+        with pytest.raises(CircuitError, match="duplicate qubit operands"):
+            qc.cx(True, 1)
+        assert len(qc) == 0
+
+    def test_bit_operands_resolve_by_register(self):
+        first, second = QuantumRegister(2, "a"), QuantumRegister(3, "b")
+        creg = ClassicalRegister(2, "m")
+        qc = QuantumCircuit(first, second, creg)
+        qc.cx(second[2], first[1])
+        qc.measure(second[0], creg[1])
+        assert qc.data[0].qubits == (4, 1)
+        assert qc.data[1].qubits == (2,) and qc.data[1].clbits == (1,)
+        assert qc.qubits == list(first) + list(second)
+        assert qc.clbits == list(creg)
+
+    def test_foreign_bits_raise(self):
+        qc = QuantumCircuit(QuantumRegister(2, "a"), ClassicalRegister(1, "m"))
+        stranger = QuantumRegister(2, "a")  # same name, different register
+        with pytest.raises(CircuitError, match="is not in this circuit"):
+            qc.h(stranger[0])
+        with pytest.raises(CircuitError, match="is not in this circuit"):
+            qc.measure(0, ClassicalRegister(1, "m")[0])
+
+    def test_duplicate_register_name_raises(self):
+        qc = QuantumCircuit(QuantumRegister(1, "a"), ClassicalRegister(1, "a"))
+        with pytest.raises(CircuitError, match="duplicate register name 'a'"):
+            qc.add_register(QuantumRegister(2, "a"))
+        with pytest.raises(CircuitError, match="duplicate register name 'a'"):
+            qc.add_clbits(1, name="a")
+        assert (qc.num_qubits, qc.num_clbits) == (1, 1)
+        assert [r.name for r in qc.qregs] == ["a"]
+
+    def test_count_qregs_follows_added_registers(self):
+        qc = QuantumCircuit(QuantumRegister(1, "anc_x"))
+        assert qc.count_qregs("anc") == 1
+        qc.add_qubits(1, name="anc1")
+        qc.add_qubits(1, name="other")
+        qc.add_clbits(1, name="anc2")  # classical registers do not count
+        assert qc.count_qregs("anc") == 2
+        assert qc.count_qregs("") == 3
+        assert qc.copy().count_qregs("anc") == 2
+
+
 class TestComposeInverse:
     def test_compose_identity_mapping(self):
         inner = QuantumCircuit(2)

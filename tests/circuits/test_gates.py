@@ -135,6 +135,36 @@ class TestGateRegistry:
         assert "rx" in repr(gates.get_gate("rx", (0.5,)))
 
 
+class TestSharedGates:
+    def test_parameterless_gates_are_shared(self):
+        assert gates.get_gate("cx") is gates.get_gate("cx")
+        assert gates.get_gate("H") is gates.get_gate("h")
+
+    def test_copy_and_inverse_are_distinct(self):
+        cx = gates.get_gate("cx")
+        assert cx.copy() is not cx and cx.copy() == cx
+        assert cx.inverse() is not cx and cx.inverse() == cx
+        s = gates.get_gate("s")
+        assert s.inverse() is not gates.get_gate("sdg")
+        assert s.inverse() == gates.get_gate("sdg")
+
+    def test_parameterised_gates_are_fresh(self):
+        assert gates.get_gate("rz", (0.5,)) is not gates.get_gate("rz", (0.5,))
+
+    def test_standard_gates_carry_no_matrix_payload(self):
+        # The circuit fingerprint hashes an operation's ``_matrix``; a
+        # standard gate is identified by name and parameters alone.
+        assert getattr(gates.get_gate("cx"), "_matrix", None) is None
+        assert getattr(gates.get_gate("u3", (1, 2, 3)), "_matrix", None) is None
+
+    def test_errors_unchanged(self):
+        gates.get_gate("cx")
+        with pytest.raises(GateError, match="expects 0 parameter"):
+            gates.get_gate("cx", (0.1,))
+        with pytest.raises(GateError, match="unknown gate 'NOPE'"):
+            gates.get_gate("NOPE")
+
+
 class TestInverses:
     @pytest.mark.parametrize("name", list(gates.standard_gate_names()))
     def test_inverse_matrix_is_conjugate_transpose(self, name):

@@ -21,7 +21,8 @@ from repro.core.entanglement import (
     append_entanglement_assertion,
     append_parity_assertion,
 )
-from repro.exceptions import AssertionCircuitError
+from repro.circuits.registers import QuantumRegister
+from repro.exceptions import AssertionCircuitError, CircuitError
 from repro.simulators.postselection import postselected_statevector_after
 from repro.simulators.statevector import StatevectorSimulator
 
@@ -187,6 +188,41 @@ class TestModes:
     def test_unknown_mode(self):
         with pytest.raises(AssertionCircuitError, match="unknown"):
             append_entanglement_assertion(ghz_state(2), [0, 1], mode="weird")
+
+
+class TestAncillaTags:
+    """Ancilla register names count every qreg with the tag's prefix,
+    user registers included."""
+
+    def test_user_register_shifts_the_tag(self):
+        circuit = QuantumCircuit(QuantumRegister(2, "q"),
+                                 QuantumRegister(1, "assert_ent0"))
+        record = append_parity_assertion(circuit, [0, 1])
+        assert [r.name for r in circuit.qregs] == ["q", "assert_ent0", "assert_ent1"]
+        assert [r.name for r in circuit.cregs] == ["assert_ent1_m"]
+        assert record.ancillas == (3,) and record.clbits == (0,)
+
+    def test_colliding_user_register_still_raises(self):
+        circuit = QuantumCircuit(QuantumRegister(2, "q"),
+                                 QuantumRegister(1, "assert_ent1"))
+        with pytest.raises(CircuitError, match="duplicate register name 'assert_ent1'"):
+            append_parity_assertion(circuit, [0, 1])
+
+    def test_tags_number_per_prefix(self):
+        circuit = ghz_state(3)
+        append_entanglement_assertion(circuit, [0, 1, 2], mode="pairwise")
+        circuit.add_qubits(1, name="assert_entangler")
+        append_parity_assertion(circuit, [0, 2])
+        names = [r.name for r in circuit.qregs]
+        assert names == ["q", "assert_ent0", "assert_ent1", "assert_entangler",
+                         "assert_ent3"]
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_out_of_range_sources_raise_like_qubit_index(self, bad):
+        circuit = QuantumCircuit(3)
+        with pytest.raises(CircuitError, match=f"qubit index {bad} out of range"):
+            append_parity_assertion(circuit, [0, bad])
+        assert circuit.num_qubits == 3 and not circuit.qregs[1:]
 
 
 class TestValidation:

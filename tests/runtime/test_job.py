@@ -1,6 +1,7 @@
 """Tests for Job/JobSet lifecycle, chunk merging, and failure handling."""
 
 import threading
+import time
 
 import pytest
 
@@ -94,6 +95,42 @@ class TestJobLifecycle:
     def test_result_is_cached(self):
         job = execute(measured_bell(), "statevector", shots=100, seed=1)
         assert job.result() is job.result()
+
+    def test_concurrent_result_calls_collect_once(self, monkeypatch):
+        """Two threads calling result() while the first collection is slow
+        get one Result, and the trace holds one finished collect span."""
+        from repro.runtime import job as job_module
+
+        merge = job_module.merge_chunk_results
+        merging = threading.Event()
+
+        def slow_merge(*args, **kwargs):
+            merging.set()
+            time.sleep(0.2)
+            return merge(*args, **kwargs)
+
+        monkeypatch.setattr(job_module, "merge_chunk_results", slow_merge)
+        job = execute(measured_bell(), "statevector", shots=100, seed=1,
+                      executor="thread")
+        results = []
+        first = threading.Thread(target=lambda: results.append(job.result()))
+        first.start()
+        assert merging.wait(timeout=10)
+        second = threading.Thread(target=lambda: results.append(job.result()))
+        second.start()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert len(results) == 2 and results[0] is results[1]
+
+        def spans(node, name):
+            found = [node] if node["name"] == name else []
+            for child in node["children"]:
+                found += spans(child, name)
+            return found
+
+        collects = spans(job.trace(), "collect")
+        assert len(collects) == 1
+        assert collects[0]["duration_s"] is not None
 
     def test_counts_shorthand(self):
         job = execute(measured_bell(), "statevector", shots=100, seed=1)

@@ -194,6 +194,7 @@ class TestErrorReconstruction:
                     with pytest.raises(QuotaExceeded) as excinfo:
                         client.submit(circuit, backend="statevector",
                                       shots=16)
+                gate.set()  # let the job finish before the server stops
         finally:
             gate.set()
         assert excinfo.value.in_flight == 1
@@ -254,6 +255,7 @@ class TestErrorReconstruction:
                     # queue-timeout type, not a generic JobError.
                     with pytest.raises(QueueTimeout):
                         client.counts(handle.job_id, timeout=0.05)
+                gate.set()  # let the job finish before the server stops
         finally:
             gate.set()
 

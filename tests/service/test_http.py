@@ -223,6 +223,7 @@ class TestWireErrorMapping:
                 self.assert_error(parsed, "QuotaExceeded")
                 assert parsed["error"]["in_flight"] == 1
                 assert parsed["error"]["limit"] == 1
+                gate.set()  # let the job finish before the server stops
         finally:
             gate.set()
 
@@ -304,6 +305,7 @@ class TestWireErrorMapping:
                 # The job did not fail; the *request* timed out.
                 assert status == 504
                 assert set(parsed) == {"error"}
+                gate.set()  # let the job finish before the server stops
         finally:
             gate.set()
 
