@@ -61,12 +61,10 @@ class Instruction:
                 f"operation {operation.name!r} expects {operation.num_clbits} "
                 f"clbit(s), got {len(clbits)}"
             )
-        if len(qubits) == 2:
-            if qubits[0] == qubits[1]:
-                raise CircuitError(
-                    f"duplicate qubit operands {qubits} for {operation.name!r}"
-                )
-        elif len(qubits) > 2 and len(set(qubits)) != len(qubits):
+        count = len(qubits)
+        if count > 1 and (
+            qubits[0] == qubits[1] if count == 2 else len(set(qubits)) != count
+        ):
             raise CircuitError(
                 f"duplicate qubit operands {qubits} for {operation.name!r}"
             )

@@ -57,9 +57,6 @@ class Clbit(Bit):
 class Register:
     """Base class for bit registers.
 
-    Registers compare and hash by identity: two registers with the same
-    name and size are still different registers.
-
     Parameters
     ----------
     size:
@@ -103,6 +100,12 @@ class Register:
 
     def __iter__(self) -> Iterator[Bit]:
         return iter(self._bit_list())
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __hash__(self) -> int:
+        return id(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.size}, {self.name!r})"
