@@ -1,12 +1,13 @@
 """Monte-Carlo quantum-trajectory simulation.
 
-Unravels each Kraus channel stochastically on a statevector: after every
-noisy gate, one Kraus operator is sampled with probability
-``<psi| K^dagger K |psi>`` and applied (renormalised).  Memory scales like a
-statevector instead of a density matrix, trading exactness for sampling
-noise — the cross-validation benchmark (experiment A5 in the README's
-*Reproducing the paper* index, ``benchmarks/bench_simulators.py``) checks
-it converges to the density-matrix engine's exact distribution.
+Unravels each noisy gate's channels, folded into one Kraus set per
+segment, stochastically on a statevector: one Kraus operator is sampled
+with probability ``<psi| K^dagger K |psi>`` and applied (renormalised).
+Memory scales like a statevector instead of a density matrix, trading
+exactness for sampling noise — the cross-validation benchmark (experiment
+A5 in the README's *Reproducing the paper* index,
+``benchmarks/bench_simulators.py``) checks it converges to the
+density-matrix engine's exact distribution.
 
 Shots execute through :mod:`repro.simulators._batched`: all trajectories
 of a ``max_batch`` tile advance together, with one state per distinct
@@ -14,11 +15,12 @@ stochastic history rather than per shot, so weak device noise costs far
 less than one statevector walk per shot.  A run has one Philox key
 derived from its seed, and trajectory ``t`` draws from its own run of
 Philox counters (the blocks after ``t * ceil(D / 4)``, ``D`` the most
-uniforms one trajectory can take), so counts are bit-identical for a
-fixed seed at every ``max_batch`` tiling.  The noise model is compiled once per run: any model with
-``channels_for`` / ``readout_confusion``, duck-typed or a
-:class:`repro.noise.model.NoiseModel`, is asked for each gate's channels
-once per run.
+uniforms one trajectory can take: one per multi-branch Born step,
+measurement, readout flip and reset), so counts are bit-identical for a
+fixed seed at every ``max_batch`` tiling.  The noise model is compiled
+once per run: any model with ``channels_for`` / ``readout_confusion``,
+duck-typed or a :class:`repro.noise.model.NoiseModel`, is asked for each
+gate's channels once per run.
 """
 
 from __future__ import annotations

@@ -1101,21 +1101,20 @@ class RuntimeService:
                 self._expired_through = max(self._expired_through,
                                             expired.journal_id)
 
-    def _finalize_trace(self, handle: ServiceJob, terminal: str):
-        """Close the handle's settle and root spans; return the tree.
+    def _finalize_trace(self, handle: ServiceJob, terminal: str) -> None:
+        """Close the handle's settle and root spans.
 
-        Idempotent (span ``finish`` is).  Returns the JSON-safe span tree
-        for journaling, or ``None`` for an untraced handle.
+        Idempotent (span ``finish`` is).  Only a settlement that journals
+        builds the span tree (``to_dict``); the other paths discard it.
         """
         span = handle._span
         if span is None:
-            return None
+            return
         if handle._settle_span is not None:
             handle._settle_span.finish()
         if span.end_s is None:
             span.set(status=terminal)
         span.finish()
-        return span.to_dict()
 
     @staticmethod
     async def _notify(condition: asyncio.Condition) -> None:
@@ -1149,10 +1148,11 @@ class RuntimeService:
                 counts = [dict(r.counts) for r in results]
                 shots_out = [r.shots for r in results]
                 metadata = [r.metadata for r in results]
-            trace = self._finalize_trace(handle, terminal)
+            self._finalize_trace(handle, terminal)
             # Work a stop abandoned did not fail: leaving its record
             # unsettled lets recover() re-run it.
             if self.journal is not None and not isinstance(error, JobAbandoned):
+                trace = None if handle._span is None else handle._span.to_dict()
                 try:
                     self.journal.record_settlement(
                         handle.journal_id, terminal,

@@ -15,20 +15,16 @@ column per **history class** (a batch-last ``(2, ..., 2, C)`` tensor) plus
 a ``(B,)`` row-to-class map, and its cost follows the number of distinct
 histories ``C`` rather than the number of shots ``B``.  The walker runs
 the compiled program of :mod:`repro.simulators._program`: gates act on the
-class columns, and each gate step carries its noise channels.  A
-stochastic step computes its branch weights per class and lets every row
-decide with its own uniform.  A Kraus step renormalises every column onto
-branch 0 in place, computes the later branches in one stacked pass only
-for the classes of rows that may leave it, and gives the rows that do
-new columns keyed by ``(class, choice)``; under weak noise it costs what
-the rare branch costs.  A measurement or reset refines the classes by
-``(class, outcome)`` with a counting pass, no sort.  Every new class
-column is built from its parent column with the same arithmetic the row
-would have seen.  Readout flips touch only the rows' classical bits.  A
-classically conditioned step splits classes on the condition bit first
-and acts on the matching classes only.  Weak device noise keeps ``C`` small: on the
-paper's ibmqx4 assertion circuits a 1024-shot tile holds tens to a few
-hundred classes.
+class columns, and every stochastic step (a noisy gate's channels folded
+into one Kraus set per segment, a measurement, a reset) is one
+Born-weighted step, :func:`_born_step`: the rows that keep branch 0 keep
+their class, and only the ``(class, branch)`` columns the other rows
+choose are built, each from its parent column with the arithmetic the
+row would have done alone.  Readout flips touch only the rows' classical
+bits.  A classically conditioned step first splits the classes on the
+condition bit and acts on the passing classes only.  Weak device noise
+keeps ``C`` small: on the paper's ibmqx4 assertion circuits a 1024-shot
+tile holds tens to a few hundred classes.
 
 Why this is exact: every batched kernel is **column-wise deterministic** —
 a column's output floats depend only on that column's input, never on the
@@ -46,7 +42,8 @@ program's bound on the uniforms one shot consumes (:func:`_max_draws`) and
 ``t * S`` (NumPy increments the counter before each block), one uniform
 per 64-bit output.  It consumes one uniform per stochastic decision it
 actually executes (Kraus branch choice, measurement outcome, readout
-flip, reset), in program order.  A tile starting at shot ``start`` takes
+flip, reset), in program order: one per Born step with more than one
+branch, however many channels fold into it.  A tile starting at shot ``start`` takes
 its uniforms from one call of NumPy's own generator started at counter
 ``start * S`` (:func:`tile_uniforms`), and the walker advances one cursor
 shared by all rows until a conditioned step splits them, then one per
@@ -65,13 +62,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.circuits.gates import x_matrix
 from repro.exceptions import SimulationError
 from repro.simulators import _kernels, _program
 
 #: Default shot-tiling bound: big enough to amortise kernel dispatch,
-#: small enough that ``B * 2^n`` (plus one Kraus branch copy per operator)
-#: stays cache- and memory-friendly for the paper's circuit sizes.
+#: small enough that ``B * 2^n`` stays cache- and memory-friendly for the
+#: paper's circuit sizes.
 DEFAULT_MAX_BATCH = 1024
 
 
@@ -86,7 +82,7 @@ def _max_draws(steps: List[tuple]) -> int:
     draws = 0
     for step in steps:
         if step[0] == _program.GATE:
-            draws += len(step[3])
+            draws += sum(kraus.draws for kraus in step[3])
         elif step[0] == _program.MEASURE:
             draws += 1 + (1 if step[3] is not None else 0)
         else:
@@ -110,20 +106,16 @@ def _distinct(keys):
     return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
-def _refine(klass, rows, labels, num_labels):
-    """Split history classes by a per-row label.
+def _refine(klass, rows):
+    """Split the history classes on a condition that only ``rows`` pass.
 
-    ``rows`` carry ``labels`` in ``0..num_labels-1``; every other row keeps
-    its class under the label ``-1``.  Returns ``(klass, parents, labels)``:
-    the new ``(B,)`` row-to-class map, and each new class's parent column
-    and label, numbered in ``(parent, label)`` order.
+    Returns the new ``(B,)`` row-to-class map and each new class's parent
+    column, numbered in ``(parent, passed)`` order.
     """
-    width = num_labels + 1
-    key = klass * width
-    key[rows] += labels + 1
+    key = klass * 2
+    key[rows] += 1
     unique, klass = _distinct(key)
-    parents, labels = np.divmod(unique, width)
-    return klass, parents, labels - 1
+    return klass, unique // 2
 
 
 def _compact(states, klass):
@@ -139,120 +131,88 @@ def _compact(states, klass):
     return states[..., live], (np.cumsum(live) - 1)[klass]
 
 
-def _split(states, parents, labels, build):
-    """Return the refined class columns.
+def _apply(source, klass, rows, matrix):
+    """Apply an operator to the class columns of ``rows``.
 
-    An unlabelled class (``-1``) copies its parent column; the labelled ones
-    come from ``build(parents, labels)`` restricted to them.
-    """
-    active = labels >= 0
-    if active.all():
-        return build(parents, labels)
-    out = states[..., parents]
-    out[..., active] = build(parents[active], labels[active])
-    return out
-
-
-def _apply_gate(states, klass, rows, matrix, qubits):
-    """Apply a gate to the classes of ``rows``; returns ``(states, klass)``.
-
-    A conditioned gate that only some rows pass first splits the classes
-    on the condition, then acts on the passing classes alone.
+    The walker has split the classes on the step's condition, so a class
+    either holds only passing rows or none.
     """
     if rows.shape[0] == klass.shape[0]:
-        return _kernels.batched_apply_matrix(states, matrix, qubits), klass
-    klass, parents, labels = _refine(klass, rows, np.zeros_like(rows), 1)
-
-    def build(parents, _):
-        return _kernels.batched_apply_matrix(states[..., parents], matrix, qubits)
-
-    return _split(states, parents, labels, build), klass
+        return _kernels.batched_apply_operator(source, matrix)
+    active = np.bincount(klass[rows], minlength=source.shape[-1]) > 0
+    source[..., active] = _kernels.batched_apply_operator(source[..., active], matrix)
+    return source
 
 
-def _sample_kraus_rows(states, klass, rows, operators, targets, uniforms):
-    """Per-trajectory Kraus unravelling of one channel over history classes.
+def _select(weights, at, uniforms):
+    """Each row's branch: the first whose cumulative weight exceeds its uniform.
 
-    The first branch ``K_0 psi`` and its Born weight are computed for every
-    class column.  A row whose uniform falls below that weight takes
-    branch 0, which is what :func:`_kernels.kraus_select` decides for it:
-    the cumulative weights never decrease, so no later branch can come
-    first.  Under weak noise that settles almost every row, so every
-    column is renormalised onto branch 0 in place and those rows keep
-    their class.  The later branches are computed in one stacked pass
-    (:func:`_kernels.batched_apply_branches`) only for the classes of the
-    rows still pending, and those rows decide with
-    :func:`_kernels.kraus_select` on their class's full weight column.
-    Columns are independent (see the kernels module), so every branch and
-    weight a row sees is the float it would have seen with all branches
-    computed for all classes.
-
-    A row that leaves branch 0 moves to a new column keyed by ``(class,
-    choice)``, appended after the others; columns left without rows are
-    dropped by :func:`_compact`.  Every column is its parent's branch
-    divided by the square root of that branch's weight: the arithmetic the
-    row would have done alone, so the result is bit-identical to evolving
-    every row separately.  Returns the new ``(states, klass)``.
+    Row ``i`` reads weight column ``at[i]``.  Round-off past the last
+    branch, or a chosen branch without support, falls back to the last
+    branch with support.
     """
-    first = _kernels.batched_apply_matrix(states, operators[0], targets)
-    first_weight = _kernels.batched_norm_sq(first)
-    row_class = klass[rows]
-    row_weight = first_weight[row_class]
-    pending = np.flatnonzero(
-        (uniforms >= row_weight) | (row_weight <= _kernels.KRAUS_EPS)
-    )
-    # A column whose branch 0 has no weight keeps no row on it.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        first /= np.sqrt(first_weight)
-    if rows.shape[0] != klass.shape[0]:
-        idle = np.bincount(row_class, minlength=first.shape[-1]) == 0
-        first[..., idle] = states[..., idle]
+    count = weights.shape[0]
+    cumulative = np.take(np.cumsum(weights, axis=0).T, at, axis=0)
+    choice = (cumulative <= uniforms[:, np.newaxis]).sum(axis=1)
+    capped = np.minimum(choice, count - 1)
+    bad = (choice >= count) | (weights[capped, at] <= _kernels.KRAUS_EPS)
+    if bad.any():
+        support = weights[:, at] > _kernels.KRAUS_EPS
+        if not support.any(axis=0)[bad].all():
+            raise SimulationError("Kraus sampling found no branch with support")
+        last_supported = (count - 1) - np.argmax(support[::-1], axis=0)
+        capped = np.where(bad, last_supported, capped)
+    return capped
+
+
+def _born_step(source, klass, rows, step, uniforms):
+    """One Born-weighted step over history classes: a folded Kraus set, a
+    measurement or a reset (a :class:`~repro.simulators._program.BornStep`).
+
+    ``source`` is held over the step's targets (see
+    :func:`~repro.simulators._kernels.relayout`).  Returns ``(source,
+    klass, branch)`` with each row's branch.  Branch 0's weight is computed
+    for every class, and a row whose uniform falls below it takes branch
+    0; under weak noise that settles almost every row, so every column is
+    renormalised onto branch 0 in one pass and those rows keep their
+    class.  Only the pending rows' classes get every
+    weight, the rows choose with :func:`_select`, and only the ``(class,
+    branch)`` columns chosen are built, in one stacked pass, appended after
+    the others.  Every float is the one a lone row would compute (see the
+    kernels module), so the result is bit-identical to walking each row.
+    """
+    width = source.shape[-1]
+    features = step.features(source)
+    first_weight = step.weights(features, 1)[0]
+    full = rows.shape[0] == klass.shape[0]
+    row_class = klass if full else klass[rows]
+    # A branch 0 without support sends every row of its class on.
+    threshold = np.where(first_weight > _kernels.KRAUS_EPS, first_weight, -1.0)
+    pending = np.flatnonzero(uniforms >= threshold[row_class])
+    branch = np.zeros(rows.shape[0], dtype=np.intp)
+    first = step.first(source, first_weight)
+    if first is not source and not full:
+        idle = np.bincount(row_class, minlength=width) == 0
+        first[..., idle] = source[..., idle]
     if pending.size == 0:
-        return first, klass
+        return first, klass, branch
     columns, at = _distinct(row_class[pending])
-    branches, norms = _kernels.batched_apply_branches(
-        states[..., columns], operators[1:], targets
-    )
-    weights = np.concatenate([first_weight[np.newaxis, columns], norms])
-    choice = _kernels.kraus_select(weights[:, at], uniforms[pending])
+    weights = step.weights(features[:, columns])
+    choice = _select(weights, at, uniforms[pending])
+    branch[pending] = choice
     moved = np.flatnonzero(choice)
     if moved.size == 0:
-        return first, klass
-    # Later branch j of pending column p sits at j * P + p of the flattened
-    # branches; new columns are numbered in (class, choice) order.
-    later, count = len(operators) - 1, columns.shape[0]
-    keys, new_class = _distinct(at[moved] * later + choice[moved] - 1)
-    column, branch = np.divmod(keys, later)
-    picked = branch * count + column
-    flat = branches.reshape(branches.shape[:-2] + (-1,))
-    fresh = flat[..., picked] / np.sqrt(norms.reshape(-1)[picked])
+        return first, klass, branch
+    # Chosen branch j of pending column p is key p * J + j; new columns
+    # are numbered in (class, branch) order.
+    count = len(step.operators)
+    keys, new_class = _distinct(at[moved] * count + choice[moved])
+    column, chosen = np.divmod(keys, count)
+    fresh = step.build(source[..., columns[column]], chosen, weights[chosen, column])
     klass = klass.copy()
-    klass[rows[pending[moved]]] = first.shape[-1] + new_class
-    return _compact(np.concatenate([first, fresh], axis=-1), klass)
-
-
-def _sample_outcomes(states, klass, rows, qubit, uniforms, reset):
-    """Measure (or reset) ``qubit`` per row; returns ``(states, klass, outcomes)``.
-
-    ``P(1)`` is computed per class column, each row compares its own
-    uniform against its class's probability, and the classes are refined
-    by ``(class, outcome)`` before the collapse.  A reset then flips the
-    classes that collapsed to ``|1>``.
-    """
-    p_one = _kernels.batched_probability_of_one(states, qubit)
-    outcomes = (uniforms < p_one[klass[rows]]).astype(np.uint8)
-    klass, parents, labels = _refine(klass, rows, outcomes, 2)
-
-    def build(parents, labels):
-        collapsed, _ = _kernels.batched_collapse(states[..., parents], qubit, labels)
-        if reset:
-            ones = np.nonzero(labels == 1)[0]
-            if ones.size:
-                collapsed[..., ones] = _kernels.batched_apply_matrix(
-                    collapsed[..., ones], x_matrix(), [qubit]
-                )
-        return collapsed
-
-    return _split(states, parents, labels, build), klass, outcomes
+    klass[rows[pending[moved]]] = width + new_class
+    source, klass = _compact(np.concatenate([first, fresh], axis=-1), klass)
+    return source, klass, branch
 
 
 class _Draws:
@@ -309,7 +269,9 @@ def run_batched(
     for start in range(0, shots, max_batch):
         batch = min(max_batch, shots - start)
         take = _Draws(tile_uniforms(key, start, batch, draws)).take
-        states = _kernels.batched_state_tensor(1, num_qubits, initial_state)
+        initial = _kernels.batched_state_tensor(1, num_qubits, initial_state)
+        # The class columns, held over the qubits the last step acted on.
+        source, layout = initial.reshape(-1, 1, 1), ()
         klass = np.zeros(batch, dtype=np.intp)
         clbits = np.zeros((batch, num_clbits), dtype=np.uint8)
         all_rows = np.arange(batch)
@@ -321,18 +283,32 @@ def run_batched(
                 rows = np.nonzero(clbits[:, clbit] == value)[0]
                 if rows.shape[0] == 0:
                     continue
+                if rows.shape[0] < batch:
+                    # Split the classes on the condition; the step then
+                    # acts on the passing classes alone.
+                    klass, parents = _refine(klass, rows)
+                    source = source[..., parents]
             if kind == _program.GATE:
-                _, matrix, qubits, channels, _ = step
-                states, klass = _apply_gate(states, klass, rows, matrix, qubits)
-                for operators, targets in channels:
-                    states, klass = _sample_kraus_rows(
-                        states, klass, rows, operators, targets, take(rows)
-                    )
-            elif kind == _program.MEASURE:
-                _, qubit, clbit, confusion, _ = step
-                states, klass, outcomes = _sample_outcomes(
-                    states, klass, rows, qubit, take(rows), reset=False
-                )
+                _, matrix, qubits, born, _ = step
+                source, layout = _kernels.relayout(source, layout, qubits), qubits
+                source = _apply(source, klass, rows, matrix)
+                for kraus in born:
+                    source = _kernels.relayout(source, layout, kraus.targets)
+                    layout = kraus.targets
+                    if kraus.draws:
+                        source, klass, _ = _born_step(
+                            source, klass, rows, kraus, take(rows)
+                        )
+                    else:
+                        source = _apply(source, klass, rows, kraus.operators[0])
+                continue
+            outcome = _program.outcome_step(step[1], kind == _program.RESET)
+            source = _kernels.relayout(source, layout, outcome.targets)
+            layout = outcome.targets
+            source, klass, branch = _born_step(source, klass, rows, outcome, take(rows))
+            if kind == _program.MEASURE:
+                _, _, clbit, confusion, _ = step
+                outcomes = (branch == 0).astype(np.uint8)
                 recorded = outcomes
                 if confusion is not None:
                     flip_prob = np.where(
@@ -341,11 +317,6 @@ def run_batched(
                     flips = (take(rows) < flip_prob).astype(np.uint8)
                     recorded = outcomes ^ flips
                 clbits[rows, clbit] = recorded
-            elif kind == _program.RESET:
-                _, qubit, _ = step
-                states, klass, _ = _sample_outcomes(
-                    states, klass, rows, qubit, take(rows), reset=True
-                )
         for bits, value in _kernels.pack_counts(clbits).items():
             counts[bits] = counts.get(bits, 0) + value
     return counts
@@ -373,7 +344,7 @@ def sample_shots(
     """
     max_batch = validate_max_batch(max_batch)
     return run_batched(
-        _program.build_program(circuit, noise_model),
+        _program.build_program(circuit, noise_model, _program.born_steps),
         circuit.num_qubits,
         circuit.num_clbits,
         np.random.SeedSequence(seed).generate_state(2, np.uint64),

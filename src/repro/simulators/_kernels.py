@@ -1,4 +1,4 @@
-"""Shared numerical kernels for the statevector and density-matrix engines.
+"""Numerical kernels of the statevector, density-matrix and trajectory engines.
 
 States are stored as rank-``n`` tensors of shape ``(2,) * n`` where tensor
 axis ``k`` is qubit ``k``.  Flattening in C order therefore makes qubit 0 the
@@ -50,12 +50,6 @@ def apply_matrix(
     return np.moveaxis(state, tuple(range(k)), tuple(qubits))
 
 
-def probability_of_one(state: np.ndarray, qubit: int) -> float:
-    """Return P(measuring |1>) on ``qubit`` for a statevector tensor."""
-    sliced = np.take(state, 1, axis=qubit)
-    return float(np.real(np.vdot(sliced, sliced)))
-
-
 def collapse(state: np.ndarray, qubit: int, outcome: int) -> Tuple[np.ndarray, float]:
     """Project ``qubit`` onto ``outcome`` and renormalise.
 
@@ -93,22 +87,22 @@ def basis_label(index: int, num_qubits: int) -> str:
 # trajectory.  Batch-last keeps every qubit-basis slice contiguous over
 # the batch, so the elementwise kernels stream long runs instead of
 # strided singles.  Every kernel below is *column-wise deterministic*:
-# each column's output amplitudes and norms are computed by a fixed-order
-# sum over that column's own amplitudes only (elementwise ufuncs and
-# fixed-length axis-0 reductions, never a batch-shaped BLAS call), so the
-# floats a column sees are identical whether it runs in a batch of 1, 7
+# each column's output amplitudes and sums are computed from that column's
+# own amplitudes only, by elementwise ufuncs in a fixed order, never a
+# batch-shaped BLAS call or a library reduction.  (NumPy's ``sum`` and
+# ``einsum`` may pick their summation order by memory layout; on a
+# contiguous width-1 batch they add in a different order than on a wider
+# one.  :func:`_column_sums` adds by halving instead.)  The floats a
+# column sees are therefore identical whether it runs in a batch of 1, 7
 # or 4096, and whichever other columns sit beside it.  That invariance is
 # what lets the batched walker evolve one column per history class and
 # still match a per-shot walk bit-for-bit (see
 # :mod:`repro.simulators._batched`).
 #
-# Plans are cached so no call re-derives structure: the basis-slice index
-# tuples per ``(qubits, ndim)``, and each operator's scalar, monomial or
-# dense plan in a bounded cache keyed by its content (a gate rebuilt with
-# the same angle, or a Kraus operator of a channel applied again, hits the
-# same plan), and likewise each channel's stacked coefficients.  A plan
-# holds the operator's own scalars, so the floats are those the uncached
-# kernel computed.
+# One kernel, :func:`batched_apply_stack`, applies every operator: gates
+# with one plan for all columns, Kraus branches with one per column.  A
+# gate's monomial or dense plan is cached by content (a gate rebuilt with
+# the same angle hits the same plan) and holds the matrix's own scalars.
 
 #: Born weights at or below this are treated as unsupported Kraus branches.
 KRAUS_EPS = 1e-15
@@ -124,54 +118,28 @@ def batched_state_tensor(
     )
 
 
-@functools.lru_cache(maxsize=512)
-def _slice_keys(qubits: Tuple[int, ...], ndim: int) -> Tuple[tuple, ...]:
-    """Return the index tuples selecting each basis index of ``qubits``."""
-    k = len(qubits)
-    keys = []
-    for index in range(2 ** k):
-        key: list = [slice(None)] * ndim
-        for position, axis in enumerate(qubits):
-            key[axis] = (index >> (k - 1 - position)) & 1
-        keys.append(tuple(key))
-    return tuple(keys)
-
-
-_SCALAR = "scalar"
-_MONOMIAL = "monomial"
-_DENSE = "dense"
-
-
 def _operator_plan(matrix: np.ndarray) -> tuple:
-    """Return the cached ``(kind, data)`` plan of a square operator."""
+    """Return the cached :func:`batched_apply_stack` plan of a square operator."""
     return _plan_for_content(matrix.dtype.str, matrix.shape, matrix.tobytes())
 
 
 @functools.lru_cache(maxsize=256)
 def _plan_for_content(dtype: str, shape: Tuple[int, int], data: bytes) -> tuple:
-    """Plan the operator with the given content (see :func:`_operator_plan`).
+    """Plan the operator with the given content: ``(columns, coefficients)``.
 
-    The structure test is exact (no tolerance), so matrices with equal
-    content share one plan.  The plan keeps the matrix's own scalars, so a
-    kernel reading it multiplies by exactly the floats it would have read
-    from the matrix.
+    A monomial operator (one nonzero per row: Pauli factors, CX/CZ/SWAP,
+    phase rotations, scaled identities) gets each row's source and
+    coefficient, any other its dense coefficients; every state of a batch
+    shares them.  The structure test is exact, so matrices with equal
+    content share one plan, which keeps the matrix's own scalars.
     """
     matrix = np.frombuffer(data, dtype=dtype).reshape(shape)
-    dim = shape[0]
     nonzero = matrix != 0
     if np.all(nonzero.sum(axis=1) == 1):
-        # Monomial matrix (one nonzero per row): Pauli factors, CX/CZ/SWAP,
-        # phase rotations and the scaled-identity Kraus branch that
-        # dominates every weak channel.  One multiply per basis slice.
         columns = nonzero.argmax(axis=1)
-        coefficients = matrix[np.arange(dim), columns]
-        if (columns == np.arange(dim)).all() and (
-            coefficients == coefficients[0]
-        ).all():
-            # Scalar multiple of the identity: one contiguous pass.
-            return _SCALAR, coefficients[0]
-        return _MONOMIAL, tuple(zip(coefficients, (int(c) for c in columns)))
-    return _DENSE, tuple(tuple(row) for row in matrix)
+        coefficients = matrix[np.arange(shape[0]), columns]
+        return columns[:, np.newaxis], coefficients[:, np.newaxis]
+    return None, matrix[..., np.newaxis]
 
 
 def batched_apply_matrix(
@@ -179,206 +147,105 @@ def batched_apply_matrix(
 ) -> np.ndarray:
     """Apply a ``2^k x 2^k`` matrix to qubit axes of every batched state.
 
-    The contraction is written as elementwise scalar-multiply-adds over
-    basis-index views (no reshape copies, no BLAS): each output amplitude
-    is a fixed-order ``2^k``-term sum of that trajectory's own amplitudes,
-    so results are bitwise identical regardless of the batch width
-    (trajectory-wise determinism; see the section note).
+    Each output amplitude is one product (monomial operators) or a
+    fixed-order ``2^k``-term sum of that trajectory's own amplitudes, so
+    results are bitwise identical regardless of the batch width.
     """
     k = len(qubits)
-    dim = 2 ** k
-    if matrix.shape != (dim, dim):
+    if matrix.shape != (2 ** k, 2 ** k):
         raise SimulationError(
             f"matrix shape {matrix.shape} does not act on {k} qubit(s)"
         )
-    kind, data = _operator_plan(matrix)
-    if kind == _SCALAR:
-        return data * states
-    keys = _slice_keys(tuple(qubits), states.ndim)
-    out = np.empty_like(states)
-    if kind == _MONOMIAL:
-        for key, (coefficient, column) in zip(keys, data):
-            np.multiply(coefficient, states[keys[column]], out=out[key])
-        return out
-    sources = [states[key] for key in keys]
-    for key, row in zip(keys, data):
-        acc = out[key]
-        np.multiply(row[0], sources[0], out=acc)
-        for j in range(1, dim):
-            acc += row[j] * sources[j]
-    return out
+    flat = states.reshape(-1, 1, states.shape[-1])
+    values = batched_apply_operator(relayout(flat, (), qubits), matrix)
+    return relayout(values, qubits, ()).reshape(states.shape)
 
 
-@functools.lru_cache(maxsize=256)
-def _plan_branches(contents: Tuple[tuple, ...]) -> tuple:
-    """Group a channel's operators for :func:`batched_apply_branches`.
+def batched_apply_operator(source: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Apply one operator to every column of a :func:`relayout` array."""
+    columns, coefficients = _operator_plan(matrix)
+    return batched_apply_stack(source, coefficients, columns)
 
-    ``contents`` holds each operator's ``(dtype, shape, bytes)``.  Returns
-    ``(dim, groups)``; a group is ``(kind, positions, data)``, where
-    ``positions`` are the operators' indices in the channel.  Scalar and
-    monomial operators form one ``_MONOMIAL`` group whose data is the
-    ``(dim, J)`` source columns and ``(dim, J, 1)`` coefficients of each
-    output row; dense operators form one ``_DENSE`` group whose data is
-    the ``(dim, dim, J, 1)`` coefficients indexed ``[column, row]``.
-    Every coefficient is the operator plan's own scalar.
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum a ``(2^m, ...)`` array over its first axis by halving, elementwise."""
+    while terms.shape[0] > 1:
+        half = terms.shape[0] // 2
+        terms = terms[:half] + terms[half:]
+    return terms[0]
+
+
+@functools.lru_cache(maxsize=1024)
+def _permutation(layout: tuple, qubits: tuple, num_qubits: int) -> tuple:
+    old = [a for a in range(num_qubits) if a not in layout] + [*layout, num_qubits]
+    new = [a for a in range(num_qubits) if a not in qubits] + [*qubits, num_qubits]
+    return tuple(old.index(axis) for axis in new)
+
+
+def relayout(
+    source: np.ndarray, layout: Sequence[int], qubits: Sequence[int]
+) -> np.ndarray:
+    """Re-view a batched state array over target ``layout`` as one over ``qubits``.
+
+    The walker holds states as ``(rest, 2^k, B)`` arrays: the other qubits
+    in order, then the targets' basis index (its first qubit the most
+    significant bit), then the batch; ``()`` is the plain ``(2^n, 1, B)``
+    layout.  One copy, none when the targets agree.
     """
-    dim = contents[0][1][0]
-    monomial, dense = [], []
-    for position, content in enumerate(contents):
-        kind, data = _plan_for_content(*content)
-        if kind == _DENSE:
-            dense.append((position, data))
-            continue
-        if kind == _SCALAR:
-            data = tuple((data, column) for column in range(dim))
-        monomial.append((position, data))
-    groups = []
-    if monomial:
-        positions, plans = zip(*monomial)
-        columns = np.array([[plan[row][1] for plan in plans] for row in range(dim)])
-        coefficients = np.array(
-            [[plan[row][0] for plan in plans] for row in range(dim)]
-        )
-        groups.append(
-            (_MONOMIAL, np.array(positions), (columns, coefficients[..., np.newaxis]))
-        )
-    if dense:
-        positions, plans = zip(*dense)
-        coefficients = np.array(
-            [
-                [[plan[row][column] for plan in plans] for row in range(dim)]
-                for column in range(dim)
-            ]
-        )
-        groups.append((_DENSE, np.array(positions), coefficients[..., np.newaxis]))
-    return dim, tuple(groups)
+    layout, qubits = tuple(layout), tuple(qubits)
+    if layout == qubits:
+        return source
+    num_qubits = (source.shape[0] * source.shape[1]).bit_length() - 1
+    tensor = source.reshape((2,) * num_qubits + source.shape[-1:])
+    tensor = tensor.transpose(_permutation(layout, qubits, num_qubits))
+    return tensor.reshape(-1, 2 ** len(qubits), source.shape[-1])
 
 
-def batched_apply_branches(
-    states: np.ndarray, operators: Sequence[np.ndarray], qubits: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Apply each of a channel's operators to every batched state at once.
+def batched_target_features(
+    source: np.ndarray, pairs: Sequence[Tuple[int, int]] = ()
+) -> np.ndarray:
+    """Quadratic features of the targets' reduced state, ``(F, B)``.
 
-    Returns ``(branches, norms)``: ``branches`` has shape ``(2, ..., 2, J,
-    B)`` with ``branches[..., j, :]`` the result of operator ``j``, and
-    ``norms`` is their ``(J, B)`` squared norms.  The operators' target
-    amplitudes are stacked so one pass serves the whole channel: a gather
-    and a multiply for the monomial operators, ``2^k`` multiply-adds for
-    the dense ones.  Each amplitude is the product, or the same ordered
-    sum of products, that :func:`batched_apply_matrix` computes for that
-    operator, and the norms are one :func:`batched_norm_sq` over the ``J *
-    B`` columns, so every float equals the per-operator kernels'.
+    ``source`` is a :func:`relayout` array.  Rows ``0..2^k-1`` are the
+    targets' basis populations; each ``(r, c)`` in ``pairs`` adds the real
+    and then the imaginary part of ``sum conj(a_r) a_c`` over the other
+    qubits (all real parts first).  A Born weight ``<psi|M|psi>`` is a
+    fixed linear form of these rows.
     """
-    dim, groups = _plan_branches(
-        tuple((op.dtype.str, op.shape, op.tobytes()) for op in operators)
-    )
-    qubits = tuple(qubits)
-    if dim != 2 ** len(qubits):
-        raise SimulationError(
-            f"matrix shape {(dim, dim)} does not act on {len(qubits)} qubit(s)"
-        )
-    num_qubits = states.ndim - 1
-    batch = states.shape[-1]
-    rest = tuple(axis for axis in range(num_qubits) if axis not in qubits)
-    # Target amplitudes as a (rest, dim, B) array: basis index i of the
-    # targets reads qubits[0] as its most significant bit.
-    source = states.transpose(rest + qubits + (num_qubits,)).reshape(
-        -1, dim, batch
-    )
-    out = np.empty(states.shape[:-1] + (len(operators), batch), dtype=states.dtype)
-    # The same layout over ``out``: a view to scatter each group into.
-    view = out.transpose(rest + qubits + (num_qubits, num_qubits + 1))
-    for kind, positions, data in groups:
-        if kind == _MONOMIAL:
-            columns, coefficients = data
-            values = np.multiply(coefficients, source[:, columns, :])
-        else:
-            values = np.multiply(data[0], source[:, 0, np.newaxis, np.newaxis, :])
-            for column in range(1, dim):
-                values += data[column] * source[:, column, np.newaxis, np.newaxis, :]
-        index = slice(None) if len(groups) == 1 else positions
-        view[..., index, :] = values.reshape(view.shape[:-2] + values.shape[-2:])
-    flat = out.reshape(states.shape[:-1] + (-1,))
-    return out, batched_norm_sq(flat).reshape(len(operators), batch)
+    real, imag = source.real, source.imag
+    terms = [real * real + imag * imag]
+    if len(pairs):
+        rows, cols = np.asarray(pairs).T
+        terms.append(real[:, rows] * real[:, cols] + imag[:, rows] * imag[:, cols])
+        terms.append(real[:, rows] * imag[:, cols] - imag[:, rows] * real[:, cols])
+    return _column_sums(np.concatenate(terms, axis=1) if len(pairs) else terms[0])
 
 
-def batched_norm_sq(states: np.ndarray) -> np.ndarray:
-    """Return each batched state's squared norm as a ``(B,)`` float array.
+def batched_apply_stack(
+    source: np.ndarray, coefficients: np.ndarray, columns: np.ndarray = None
+) -> np.ndarray:
+    """Apply its own operator to each column of a :func:`relayout` array.
 
-    ``sum(re^2) + sum(im^2)`` with each sum an ``einsum`` contraction over
-    the amplitude axis: einsum accumulates the contracted index
-    sequentially per output element, so the summation order a trajectory
-    sees depends only on ``2^n`` — never on the batch width or memory
-    layout — keeping norms bitwise batch-invariant.  (A plain
-    ``.sum(axis=0)`` would not be: its pairwise blocking switches strategy
-    with the array's shape.)
+    Dense operators come as ``coefficients[r, c, b]``: output row ``r`` of
+    column ``b`` is the ordered sum over ``c`` of ``coefficients[r, c, b] *
+    source[:, c, b]``.  Monomial ones come as ``coefficients[r, b]`` with
+    source row ``columns[r, b]``: one product per amplitude.
     """
-    flat = states.reshape(-1, states.shape[-1])
-    real, imag = flat.real, flat.imag
-    return np.einsum("ib,ib->b", real, real) + np.einsum("ib,ib->b", imag, imag)
-
-
-def batched_probability_of_one(states: np.ndarray, qubit: int) -> np.ndarray:
-    """Return per-trajectory P(measuring |1>) on ``qubit`` as ``(B,)``."""
-    return batched_norm_sq(np.take(states, 1, axis=qubit))
-
-
-def batched_collapse(
-    states: np.ndarray, qubit: int, outcomes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Project ``qubit`` onto per-trajectory ``outcomes`` and renormalise.
-
-    ``outcomes`` is a ``(B,)`` array of 0/1.  Returns ``(collapsed,
-    probabilities)`` where trajectory ``b`` was projected onto
-    ``outcomes[b]``; zero-probability trajectories come back as zero
-    tensors (never NaN).
-    """
-    batch = states.shape[-1]
-    keep = np.zeros((2, batch))
-    keep[outcomes, np.arange(batch)] = 1.0
-    shape = [1] * states.ndim
-    shape[qubit] = 2
-    shape[-1] = batch
-    projected = states * keep.reshape(shape)
-    norm_sq = batched_norm_sq(projected)
-    scale = np.ones_like(norm_sq)
-    safe = norm_sq > 0.0
-    scale[safe] = 1.0 / np.sqrt(norm_sq[safe])
-    projected *= scale
-    return projected, norm_sq
-
-
-def kraus_select(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Pick one Kraus branch per trajectory from Born ``weights``.
-
-    ``weights`` is ``(m, B)`` (branch-major), ``uniforms`` is ``(B,)``.
-    Trajectory ``b`` selects the first branch ``j`` whose cumulative
-    weight exceeds ``uniforms[b]``; float round-off (or a selected branch
-    without support) falls back to the last branch with support.  A
-    trajectory's branch choice therefore depends only on its own weights
-    and draw, whatever the batch holds beside it.
-    """
-    m = weights.shape[0]
-    cumulative = np.cumsum(weights, axis=0)
-    choice = (cumulative <= uniforms).sum(axis=0)
-    capped = np.minimum(choice, m - 1)
-    columns = np.arange(weights.shape[1])
-    bad = (choice >= m) | (weights[capped, columns] <= KRAUS_EPS)
-    if np.any(bad):
-        support = weights > KRAUS_EPS
-        if not support.any(axis=0)[bad].all():
-            raise SimulationError("Kraus sampling found no branch with support")
-        last_supported = (m - 1) - np.argmax(support[::-1], axis=0)
-        capped = np.where(bad, last_supported, capped)
-    return capped
+    if columns is not None:
+        return coefficients * source[:, columns, np.arange(source.shape[-1])]
+    values = coefficients[:, 0] * source[:, np.newaxis, 0]
+    for column in range(1, source.shape[1]):
+        values += coefficients[:, column] * source[:, np.newaxis, column]
+    return values
 
 
 def pack_counts(clbits: np.ndarray) -> Dict[str, int]:
     """Histogram a ``(B, num_clbits)`` 0/1 matrix into bitstring counts.
 
-    Rows are bit-packed so the unique pass runs on a handful of bytes per
-    trajectory instead of Python strings — the vectorised replacement for
-    the engines' old per-shot ``counts[key] = counts.get(key, 0) + 1``.
+    Rows are bit-packed and sorted bytewise (a ``lexsort`` over the byte
+    columns, several times faster than ``np.unique(axis=0)``), so keys come
+    out in bitstring order and the counting runs on a handful of bytes per
+    trajectory instead of Python strings.
     """
     shots, width = clbits.shape
     if shots == 0:
@@ -386,8 +253,10 @@ def pack_counts(clbits: np.ndarray) -> Dict[str, int]:
     if width == 0:
         return {"": int(shots)}
     packed = np.packbits(clbits.astype(np.uint8, copy=False), axis=1)
-    unique, counts = np.unique(packed, axis=0, return_counts=True)
-    rows = np.unpackbits(unique, axis=1, count=width)
+    packed = packed[np.lexsort(packed.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, shots])
+    rows = np.unpackbits(packed[starts], axis=1, count=width)
     return {
         "".join("1" if bit else "0" for bit in row): int(count)
         for row, count in zip(rows, counts)

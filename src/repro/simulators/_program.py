@@ -5,9 +5,9 @@ per run to a flat step list.  Every step carries what its engine needs,
 so neither the density-matrix engine nor the batched trajectory walker
 re-derives structure per branch or per shot:
 
-* ``(GATE, matrix, qubits, channels, condition)`` — the gate's matrix,
-  its operand tuple and the ``(kraus_operators, targets)`` channels the
-  noise model attaches to it, applied in order after the gate;
+* ``(GATE, matrix, qubits, folded, condition)`` — the gate's matrix, its
+  operand tuple and the ``(kraus_operators, targets)`` channels the noise
+  model attaches to it, as the engine's ``fold`` compiled them;
 * ``(MEASURE, qubit, clbit, confusion, condition)`` — ``confusion`` is the
   readout matrix (``confusion[r][m] = P(recorded r | true m)``) or
   ``None``;
@@ -16,25 +16,44 @@ re-derives structure per branch or per shot:
 ``condition`` is the instruction's ``(clbit, value)`` pair or ``None``.
 The noise model is queried exactly once per instruction, so a duck-typed
 model sees one ``channels_for`` call per gate per run.
+
+Both engines fold a gate's channels by one rule, :func:`channel_segments`,
+cached per gate (:func:`cached_fold`): the density-matrix engine into
+superoperators, the trajectory walker into :class:`BornStep` Kraus sets,
+one stochastic choice per segment instead of one per channel.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from typing import List
+
+import numpy as np
 
 from repro.circuits.gates import Gate
 from repro.exceptions import SimulationError
+from repro.noise.channels import lift_operators
+from repro.simulators import _kernels
 
 GATE = "gate"
 MEASURE = "measure"
 RESET = "reset"
 
+#: Entries each :func:`cached_fold` table holds before it is cleared.
+FOLD_CACHE_SIZE = 256
 
-def build_program(circuit, noise_model) -> List[tuple]:
+#: Most composed operators one :class:`BornStep` holds; past it a segment
+#: continues in the next step.  An ibmqx4 CX composes 16 x 3 x 3 = 144.
+MAX_BRANCHES = 256
+
+
+def build_program(circuit, noise_model, fold) -> List[tuple]:
     """Compile ``circuit.data`` under ``noise_model`` to a flat step list.
 
-    Barriers are dropped.  Raises on non-gate unitaries at compile time,
-    whether or not a run would reach them.
+    ``fold(qubits, channels)`` compiles each gate's channels.  Barriers
+    are dropped.  Raises on non-gate unitaries at compile time, whether or
+    not a run would reach them.
     """
     steps: List[tuple] = []
     for inst in circuit.data:
@@ -55,11 +74,181 @@ def build_program(circuit, noise_model) -> List[tuple]:
             op = inst.operation
             if not isinstance(op, Gate):
                 raise SimulationError(f"cannot apply non-gate {op.name!r}")
-            channels = ()
+            qubits, channels = tuple(inst.qubits), ()
             if noise_model is not None:
                 channels = tuple(
                     (tuple(kraus), tuple(targets))
                     for kraus, targets in noise_model.channels_for(inst)
                 )
-            steps.append((GATE, op.matrix, tuple(inst.qubits), channels, condition))
+            steps.append((GATE, op.matrix, qubits, fold(qubits, channels), condition))
     return steps
+
+
+def channel_segments(qubits: tuple, channels: tuple) -> list:
+    """Group a gate's channels into ``[(targets, [operators, ...]), ...]``.
+
+    The first segment acts on the gate's own qubits.  A channel on the
+    gate's qubits, or a 1-qubit channel on one operand (lifted to the
+    gate's arity), joins the current gate-qubit segment; a channel on
+    other qubits, which only a duck-typed model returns, gets a segment of
+    its own, so the channels keep their order.
+    """
+    segments = [(qubits, [])]
+    for kraus, targets in channels:
+        if targets == qubits:
+            operators = kraus
+        elif len(targets) == 1 and targets[0] in qubits:
+            operators = lift_operators(kraus, qubits.index(targets[0]), len(qubits))
+        else:
+            segments.append((targets, [kraus]))
+            continue
+        if segments[-1][0] != qubits:
+            segments.append((qubits, []))
+        segments[-1][1].append(operators)
+    return segments
+
+
+def cached_fold(build):
+    """Memoise a ``build(qubits, channels)`` fold per gate.
+
+    The fold does not depend on the gate angle, so it is keyed by the
+    qubits and the identity of the channels' operator tuples.  The entry
+    holds those tuples, so their ids stay unique while it lives; a
+    :class:`~repro.noise.model.NoiseModel` edited by ``add_*`` resolves to
+    a new channel list and misses.  The table is cleared when full, which
+    bounds it for models that build fresh operators on every call.
+    """
+    table: dict = {}
+    lock = threading.Lock()
+
+    @functools.wraps(build)
+    def fold(qubits, channels):
+        key = (qubits, tuple((id(kraus), targets) for kraus, targets in channels))
+        with lock:
+            cached = table.get(key)
+        if cached is None:
+            cached = (channels, build(qubits, channels))
+            with lock:
+                if len(table) >= FOLD_CACHE_SIZE:
+                    table.clear()
+                table[key] = cached
+        return cached[1]
+
+    return fold
+
+
+def _live(operators) -> list:
+    """The operators whose ``K^dagger K`` is not exactly zero."""
+    return [k for k in operators if (k.conj().T @ k).any()]
+
+
+@cached_fold
+def born_steps(qubits: tuple, channels: tuple) -> tuple:
+    """Compile a gate's channels to the trajectory walker's Born steps.
+
+    A segment's channels compose in order (``B_b A_a`` in ``(a, b)``
+    order, so branch 0 is every channel's first operator), dead operators
+    dropped, splitting past :data:`MAX_BRANCHES`.  A lone multiple of the
+    identity, such as a zero-rate depolarizing channel, is a global phase:
+    no step at all.
+    """
+    steps = []
+    for targets, group in channel_segments(qubits, channels):
+        composed = []
+        for kraus in map(_live, group):
+            if not kraus:
+                raise SimulationError("channel has no Kraus operators")
+            if composed and len(composed[-1]) * len(kraus) <= MAX_BRANCHES:
+                composed[-1] = _live([b @ a for a in composed[-1] for b in kraus])
+            else:
+                composed.append(kraus)
+        steps.extend(BornStep(targets, operators) for operators in composed)
+    return tuple(step for step in steps if step.draws or not step.identity_first)
+
+
+@functools.lru_cache(maxsize=256)
+def outcome_step(qubit: int, reset: bool) -> "BornStep":
+    """A measurement, or a reset, of ``qubit`` as a two-branch Born step.
+
+    Branch 0 is outcome 1 (``|1><1|``, or ``|0><1|`` for a reset), so a
+    row reads 1 when its uniform falls below ``P(1)``; branch 1 is
+    ``|0><0|``.
+    """
+    one = np.zeros((2, 2), dtype=complex)
+    one[int(not reset), 1] = 1.0
+    return BornStep((qubit,), [one, np.diag([1.0, 0.0]).astype(complex)])
+
+
+class BornStep:
+    """One folded Kraus set on ``targets``, sampled with one uniform.
+
+    Branch ``j``'s weight ``<psi|K_j^dagger K_j|psi>`` is row ``j`` of
+    ``forms`` applied to the targets' :meth:`features`: their populations
+    when every ``K_j^dagger K_j`` is diagonal (every device model), plus
+    the off-diagonal parts otherwise, and none when each is a multiple of
+    the identity (a unitary mixture: constant weights).  A single operator
+    (``draws`` false) is a plain gate step and takes no uniform.
+    """
+
+    def __init__(self, targets: tuple, operators) -> None:
+        stack = np.array(operators)
+        dim = stack.shape[1]
+        off = ~np.eye(dim, dtype=bool)
+        forms = np.conj(np.swapaxes(stack, 1, 2)) @ stack
+        diagonal = np.diagonal(forms, axis1=1, axis2=2).real
+        self.targets, self.operators, self.draws = targets, stack, len(stack) > 1
+        self.pairs, self.forms = (), diagonal
+        if forms[:, off].any():
+            rows, cols = np.triu_indices(dim, 1)
+            self.pairs, upper = list(zip(rows, cols)), forms[:, rows, cols]
+            self.forms = np.concatenate([diagonal, 2 * upper.real, -2 * upper.imag], 1)
+        elif (diagonal == diagonal[:, :1]).all():
+            self.pairs, self.forms = None, diagonal[:, :1]
+        first = None if stack[0][off].any() else np.diagonal(stack[0])
+        self.first_diagonal = first
+        self.identity_first = (
+            self.pairs is None and first is not None and (first == first[0]).all()
+        )
+        nonzero = stack != 0
+        # Indexed [branch, column, row], so ``coefficients[branches].T`` is
+        # :func:`_kernels.batched_apply_stack`'s ``[row, column, b]``.
+        self.columns, self.coefficients = None, np.swapaxes(stack, 1, 2)
+        if (nonzero.sum(axis=2) <= 1).all():  # monomial, zero rows allowed
+            self.columns = nonzero.argmax(axis=2)
+            self.coefficients = np.take_along_axis(
+                stack, self.columns[..., np.newaxis], axis=2
+            )[..., 0]
+
+    def features(self, source: np.ndarray) -> np.ndarray:
+        """The ``(F, B)`` features of a :func:`_kernels.relayout` array."""
+        if self.pairs is None:
+            return np.ones((1, source.shape[-1]))
+        return _kernels.batched_target_features(source, self.pairs)
+
+    def weights(self, features: np.ndarray, count: int = None) -> np.ndarray:
+        """The ``(J, B)`` weights of the first ``count`` branches (default all):
+        the same ordered sums whatever is asked for, clipped at zero."""
+        forms = self.forms[:count]
+        total = forms[:, :1] * features[0]
+        for index in range(1, forms.shape[1]):
+            total += forms[:, index:index + 1] * features[index]
+        return np.maximum(total, 0.0, out=total)
+
+    def first(self, source: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Every column on branch 0, renormalised by its branch-0 ``weights``;
+        the identity of a unitary mixture is a global phase, left undone."""
+        if self.identity_first:
+            return source
+        if self.first_diagonal is None:
+            zeros = np.zeros(source.shape[-1], dtype=np.intp)
+            return self.build(source, zeros, weights)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.first_diagonal[:, np.newaxis] / np.sqrt(weights) * source
+
+    def build(self, source: np.ndarray, branches, weights) -> np.ndarray:
+        """Column ``b`` on branch ``branches[b]``, renormalised by ``weights[b]``."""
+        shape = (-1,) + (1,) * (self.coefficients.ndim - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coefficients = self.coefficients[branches] / np.sqrt(weights).reshape(shape)
+        columns = None if self.columns is None else self.columns[branches].T
+        return _kernels.batched_apply_stack(source, coefficients.T, columns)

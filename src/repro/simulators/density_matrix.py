@@ -21,7 +21,6 @@ The density matrix is stored as a rank-``2n`` tensor with row axes
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import x_matrix
 from repro.exceptions import SimulationError
-from repro.noise.channels import lift_operators
 from repro.results.counts import Counts, counts_from_probabilities
 from repro.results.result import Result
 from repro.simulators import _kernels, _program
@@ -102,12 +100,6 @@ def _rho_tensor(num_qubits: int, initial: Optional[np.ndarray]) -> np.ndarray:
     return rho.reshape((2,) * (2 * num_qubits))
 
 
-#: Folded channel superoperators per (gate qubits, channel list); see
-#: :func:`_channel_segments`.
-_SEGMENTS: Dict[tuple, tuple] = {}
-_SEGMENTS_SIZE = 256
-_SEGMENTS_LOCK = threading.Lock()
-
 _X_SUPEROPERATOR = np.kron(x_matrix(), x_matrix().conj())
 
 
@@ -122,55 +114,31 @@ def _superoperator(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
+@_program.cached_fold
 def _channel_segments(qubits: Tuple[int, ...], channels: tuple) -> list:
-    """Fold a gate's channels into superoperators ``[(targets, C), ...]``.
-
-    The first segment acts on the gate's own qubits.  A channel on the
-    gate's qubits, or a 1-qubit channel on one operand (lifted to the
-    gate's arity), multiplies into the current gate-qubit segment; a
-    channel on other qubits, which only a duck-typed model returns, gets a
-    segment of its own, so the channels keep their order.
-
-    ``C`` does not depend on the gate angle, so the segments are cached,
-    keyed by the qubits and the identity of the channels' operator tuples.
-    The entry holds those tuples, so their ids stay unique while it lives;
-    a :class:`~repro.noise.model.NoiseModel` edited by ``add_*`` resolves to
-    a new channel list and misses.  The cache is cleared when full, which
-    bounds it for models that build fresh operators on every call.
-    """
-    key = (qubits, tuple((id(kraus), targets) for kraus, targets in channels))
-    with _SEGMENTS_LOCK:
-        cached = _SEGMENTS.get(key)
-    if cached is not None:
-        return cached[1]
-    identity = np.eye(4 ** len(qubits), dtype=complex)
-    segments = [(qubits, identity)]
-    for kraus, targets in channels:
-        if targets == qubits:
-            operators = kraus
-        elif len(targets) == 1 and targets[0] in qubits:
-            operators = lift_operators(kraus, qubits.index(targets[0]), len(qubits))
-        else:
-            segments.append((targets, _superoperator(kraus)))
+    """Fold a gate's :func:`~repro.simulators._program.channel_segments`
+    into superoperators ``[(targets, C), ...]``: a gate-qubit segment's
+    channels multiply onto the identity in order; another holds one."""
+    segments = []
+    for targets, group in _program.channel_segments(qubits, channels):
+        if targets != qubits:
+            segments.append((targets, _superoperator(group[0])))
             continue
-        if segments[-1][0] != qubits:
-            segments.append((qubits, identity))
-        segments[-1] = (qubits, _superoperator(operators) @ segments[-1][1])
-    with _SEGMENTS_LOCK:
-        if len(_SEGMENTS) >= _SEGMENTS_SIZE:
-            _SEGMENTS.clear()
-        _SEGMENTS[key] = (channels, segments)
+        total = np.eye(4 ** len(qubits), dtype=complex)
+        for operators in group:
+            total = _superoperator(operators) @ total
+        segments.append((qubits, total))
     return segments
 
 
-def _gate_superoperators(matrix, qubits, channels) -> list:
+def _gate_superoperators(matrix, qubits, segments) -> list:
     """Return the ``(qubits, S)`` contractions of one noisy gate.
 
     ``S = C_r ... C_1 (U (x) conj(U))`` acts on the gate's row and column
     axes at once: one contraction per gate instead of two per Kraus
     operator.
     """
-    first, *rest = _channel_segments(qubits, channels)
+    first, *rest = segments
     return [(qubits, first[1] @ np.kron(matrix, matrix.conj())), *rest]
 
 
@@ -303,11 +271,12 @@ class DensityMatrixSimulator:
     ) -> List[_Branch]:
         rho = _rho_tensor(circuit.num_qubits, initial_state)
         branches = [_Branch(1.0, [0] * circuit.num_clbits, rho)]
-        for step in _program.build_program(circuit, self.noise_model):
+        program = _program.build_program(circuit, self.noise_model, _channel_segments)
+        for step in program:
             kind, condition = step[0], step[-1]
             if kind == _program.GATE:
-                _, matrix, qubits, channels, _ = step
-                superops = _gate_superoperators(matrix, qubits, channels)
+                _, matrix, qubits, segments, _ = step
+                superops = _gate_superoperators(matrix, qubits, segments)
             new_branches: List[_Branch] = []
             for branch in branches:
                 if condition is not None:

@@ -7,7 +7,10 @@ with NumPy's own generator and running the same kernels at batch width 1.
 A run seeded ``s`` has one Philox key, ``SeedSequence(s)
 .generate_state(2, np.uint64)``; shot ``t`` owns the ``S = ceil(D / 4)``
 Philox blocks after counter ``t * S``, where ``D`` bounds the uniforms
-one shot can consume.  Batched counts must equal :func:`loop_counts` bit
+one shot can consume.  Each noisy gate's channels are compiled by the
+engines' own :func:`repro.simulators._program.born_steps`, and a shot
+makes one Born-weighted choice per multi-branch step with the step's own
+forms at batch width 1.  Batched counts must equal :func:`loop_counts` bit
 for bit at every ``max_batch`` tiling; ``test_batched.py`` and the
 trajectory tests hold them to it.
 """
@@ -17,9 +20,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.circuits.gates import Gate, x_matrix
+from repro.circuits.gates import Gate
 from repro.exceptions import SimulationError
-from repro.simulators import _kernels
+from repro.simulators import _kernels, _program
 
 
 def loop_counts(
@@ -53,8 +56,9 @@ def run_key(seed: Optional[int]) -> np.ndarray:
 
 
 def max_draws(circuit, noise_model) -> int:
-    """Upper bound on the uniforms one shot consumes: one per Kraus channel,
-    measurement, readout flip and reset, whether or not a condition skips it."""
+    """Upper bound on the uniforms one shot consumes: one per multi-branch
+    Born step, measurement, readout flip and reset, whether or not a
+    condition skips it."""
     draws = 0
     for inst in circuit.data:
         if inst.name == "barrier":
@@ -66,8 +70,16 @@ def max_draws(circuit, noise_model) -> int:
         elif inst.name == "reset":
             draws += 1
         elif noise_model is not None:
-            draws += len(noise_model.channels_for(inst))
+            draws += sum(step.draws for step in _born_steps(inst, noise_model))
     return draws
+
+
+def _born_steps(inst, noise_model):
+    channels = tuple(
+        (tuple(kraus), tuple(targets))
+        for kraus, targets in noise_model.channels_for(inst)
+    )
+    return _program.born_steps(tuple(inst.qubits), channels)
 
 
 def shot_generator(key: np.ndarray, shot: int, draws: int) -> np.random.Generator:
@@ -98,52 +110,51 @@ def _loop_shot(circuit, noise_model, rng, initial_state) -> str:
                 raise SimulationError(f"cannot apply non-gate {op.name!r}")
             state = _kernels.batched_apply_matrix(state, op.matrix, inst.qubits)
             if noise_model is not None:
-                for kraus, targets in noise_model.channels_for(inst):
-                    state = _loop_sample_kraus(
-                        state, tuple(kraus), tuple(targets), rng.random()
-                    )
+                for step in _born_steps(inst, noise_model):
+                    if step.draws:
+                        state = _loop_born(state, step, rng.random())[0]
+                    else:
+                        state = _kernels.batched_apply_matrix(
+                            state, step.operators[0], step.targets
+                        )
     return "".join(str(b) for b in clbits)
 
 
-def _loop_sample_kraus(state, operators, targets, uniform):
-    """Early-exiting scalar twin of ``_batched._sample_kraus_rows``.
+def _loop_born(state, step, uniform):
+    """Early-exiting scalar twin of ``_batched._born_step`` and ``_select``.
 
-    Applies operators only until the sampled branch is found (usually the
-    first, high-weight one), instead of materialising all ``m`` branches
-    per shot.  Decision-equivalent to :func:`_kernels.kraus_select`
-    bit-for-bit: the cumulative partial sums are the same float64
-    sequence, the first branch whose cumulative weight exceeds the draw
-    wins, and the round-off / zero-weight fallback (which does need every
-    weight) picks the last branch with support.
+    Walks the cumulative weights as Python floats, the same float64
+    sequence as ``np.cumsum``: the first branch whose cumulative weight
+    exceeds the draw wins, and round-off past the last branch (or a chosen
+    branch without support) takes the last branch with support.  Returns
+    ``(state, branch)``.
     """
+    source = _kernels.relayout(state.reshape(-1, 1, 1), (), step.targets)
+    weights = step.weights(step.features(source))[:, 0]
     cumulative = 0.0
-    branches = []
-    weights = []
-    for k_op in operators:
-        branch = _kernels.batched_apply_matrix(state, k_op, targets)
-        weight = float(_kernels.batched_norm_sq(branch)[0])
-        branches.append(branch)
-        weights.append(weight)
+    choice = None
+    for branch, weight in enumerate(weights):
         cumulative += weight
         if uniform < cumulative:
             if weight > _kernels.KRAUS_EPS:
-                return branch / np.sqrt(weight)
-            break  # selected a zero-weight branch: take the fallback
-    for k_op in operators[len(branches):]:
-        branch = _kernels.batched_apply_matrix(state, k_op, targets)
-        branches.append(branch)
-        weights.append(float(_kernels.batched_norm_sq(branch)[0]))
-    for branch, weight in zip(reversed(branches), reversed(weights)):
-        if weight > _kernels.KRAUS_EPS:
-            return branch / np.sqrt(weight)
-    raise SimulationError("Kraus sampling found no branch with support")
+                choice = branch
+            break
+    if choice is None:
+        supported = np.flatnonzero(weights > _kernels.KRAUS_EPS)
+        if supported.size == 0:
+            raise SimulationError("Kraus sampling found no branch with support")
+        choice = int(supported[-1])
+    if choice == 0:
+        source = step.first(source, weights[:1])
+    else:
+        source = step.build(source, np.array([choice]), weights[choice:choice + 1])
+    return _kernels.relayout(source, step.targets, ()).reshape(state.shape), choice
 
 
 def _loop_measure(state, inst, clbits, noise_model, rng):
     qubit, clbit = inst.qubits[0], inst.clbits[0]
-    p_one = _kernels.batched_probability_of_one(state, qubit)[0]
-    outcome = 1 if rng.random() < p_one else 0
-    state, _ = _kernels.batched_collapse(state, qubit, np.array([outcome], dtype=np.uint8))
+    state, branch = _loop_born(state, _program.outcome_step(qubit, False), rng.random())
+    outcome = 1 - branch
     recorded = outcome
     if noise_model is not None:
         confusion = noise_model.readout_confusion(qubit)
@@ -156,10 +167,5 @@ def _loop_measure(state, inst, clbits, noise_model, rng):
 
 
 def _loop_reset(state, inst, rng):
-    qubit = inst.qubits[0]
-    p_one = _kernels.batched_probability_of_one(state, qubit)[0]
-    outcome = 1 if rng.random() < p_one else 0
-    state, _ = _kernels.batched_collapse(state, qubit, np.array([outcome], dtype=np.uint8))
-    if outcome == 1:
-        state = _kernels.batched_apply_matrix(state, x_matrix(), [qubit])
-    return state
+    step = _program.outcome_step(inst.qubits[0], True)
+    return _loop_born(state, step, rng.random())[0]

@@ -14,6 +14,8 @@ density-matrix engine's exact distribution, and duck-typed noise models
 compiled once per run.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +28,12 @@ from repro.core.injector import AssertionInjector
 from repro.devices.backend import TrajectoryDeviceBackend
 from repro.devices.ibmqx4 import ibmqx4
 from repro.exceptions import SimulationError
-from repro.noise.channels import amplitude_damping, depolarizing
+from repro.noise.channels import (
+    KrausChannel,
+    amplitude_damping,
+    depolarizing,
+    two_qubit_depolarizing,
+)
 from repro.noise.model import NoiseModel
 from repro.noise.readout import ReadoutError
 from repro.noise.trajectories import TrajectorySimulator
@@ -193,7 +200,8 @@ class TestClassWalkerSwitchPoints:
     """The walker's two switch points keep batched == looped counts.
 
     After the partial conditioned step the rows no longer share one draw
-    cursor, and under strong noise a Kraus step leaves more dead class
+    cursor and the conditioned noisy gate's Born step runs on only some
+    rows, and under strong noise a Kraus step leaves more dead class
     columns than live ones, which compacts them.
     """
 
@@ -203,7 +211,8 @@ class TestClassWalkerSwitchPoints:
         loop = loop_counts(circuit, model, shots, seed)
         compact = _batched._compact
         take = _batched._Draws.take
-        seen = {"compacted": 0, "per_row": 0}
+        born = _batched._born_step
+        seen = {"compacted": 0, "per_row": 0, "partial_born": 0}
 
         def counting_compact(states, klass):
             kept, klass = compact(states, klass)
@@ -215,17 +224,144 @@ class TestClassWalkerSwitchPoints:
             seen["per_row"] += draws.cursor is not None
             return values
 
+        def counting_born(states, klass, rows, step, uniforms):
+            seen["partial_born"] += rows.shape[0] < klass.shape[0]
+            return born(states, klass, rows, step, uniforms)
+
         monkeypatch.setattr(_batched, "_compact", counting_compact)
         monkeypatch.setattr(_batched._Draws, "take", counting_take)
+        monkeypatch.setattr(_batched, "_born_step", counting_born)
         for max_batch in (1, 7, shots):
-            seen.update(compacted=0, per_row=0)
+            seen.update(compacted=0, per_row=0, partial_born=0)
             batched = TrajectorySimulator(model, max_batch=max_batch).run(
                 circuit, shots=shots, seed=seed
             )
             assert dict(batched.counts) == loop, max_batch
             assert seen["compacted"] > 0, max_batch
-            # A one-row tile never splits its rows on a condition.
+            # A one-row tile never splits its rows on a condition; a wider
+            # one runs the conditioned noisy x on only some of its rows.
             assert (seen["per_row"] > 0) == (max_batch > 1), max_batch
+            assert (seen["partial_born"] > 0) == (max_batch > 1), max_batch
+
+
+def hadamard_damping(gamma):
+    """Amplitude damping conjugated by H: its ``K^dagger K`` are not diagonal."""
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    return KrausChannel(
+        [hadamard @ k @ hadamard for k in amplitude_damping(gamma).operators],
+        name=f"h_damping({gamma:g})",
+    )
+
+
+def small_noisy_circuit():
+    qc = QuantumCircuit(3, 3)
+    qc.h(0)
+    qc.x(1)
+    qc.cx(0, 1)
+    qc.h(2)
+    qc.cx(1, 2)
+    qc.x(0)
+    qc.measure(0, 0)
+    qc.measure(1, 1)
+    qc.measure(2, 2)
+    return qc
+
+
+class NeighbourNoise:
+    """A duck-typed model that also dephases the qubit after each gate's
+    last operand, between the gate's own channels."""
+
+    name = "neighbour"
+
+    def __init__(self):
+        self._inner = noisy_model()
+        self._neighbour = hadamard_damping(0.3).operators
+
+    def channels_for(self, instruction):
+        own = self._inner.channels_for(instruction)
+        outside = ((max(instruction.qubits) + 1) % 3,)
+        return own[:1] + [(self._neighbour, outside)] + own[1:]
+
+    def readout_confusion(self, qubit):
+        return self._inner.readout_confusion(qubit)
+
+
+def past_cap_model():
+    """Three two-qubit depolarizing channels on every CX: 16^3 > MAX_BRANCHES."""
+    model = NoiseModel("past-cap")
+    model.add_all_qubit_gate_error(["h", "x"], depolarizing(0.2))
+    for rate in (0.1, 0.2, 0.3):
+        model.add_all_qubit_gate_error(["cx"], two_qubit_depolarizing(rate))
+    return model
+
+
+def hadamard_damping_model():
+    return (
+        NoiseModel("h-damping")
+        .add_all_qubit_gate_error(["h", "x", "cx"], hadamard_damping(0.3))
+        .add_readout_error(ReadoutError(0.05, 0.02))
+    )
+
+
+def _folded(model, name, qubits):
+    instruction = SimpleNamespace(name=name, qubits=qubits)
+    channels = tuple(
+        (tuple(kraus), tuple(targets))
+        for kraus, targets in model.channels_for(instruction)
+    )
+    return _program.born_steps(qubits, channels)
+
+
+class TestFoldedShapes:
+    """Folds the paper circuits never reach keep batched == looped counts."""
+
+    def _check(self, circuit, model, shots=96, seeds=(3, 2020)):
+        for seed in seeds:
+            loop = loop_counts(circuit, model, shots, seed)
+            for max_batch in (1, 7, shots):
+                batched = TrajectorySimulator(model, max_batch=max_batch).run(
+                    circuit, shots=shots, seed=seed
+                )
+                assert dict(batched.counts) == loop, (seed, max_batch)
+
+    def test_non_diagonal_born_forms(self):
+        model = hadamard_damping_model()
+        (step,) = _folded(model, "x", (0,))
+        assert step.pairs  # off-diagonal features are read
+        self._check(small_noisy_circuit(), model)
+
+    def test_non_diagonal_born_forms_converge_to_density_matrix(self):
+        circuit, model, shots = small_noisy_circuit(), hadamard_damping_model(), 8000
+        exact = DensityMatrixSimulator(noise_model=model).run(circuit, shots=1)
+        sampled = TrajectorySimulator(model).run(circuit, shots=shots, seed=5)
+        for key, probability in exact.probabilities.items():
+            assert abs(sampled.counts.get(key, 0) / shots - probability) < 0.02, key
+
+    def test_channel_outside_the_gate_keeps_its_order(self):
+        model = NeighbourNoise()
+        steps = _folded(model, "cx", (0, 1))
+        # own depolarizing, the neighbour's damping, then the rest of the own
+        # channels on the gate's qubits again.
+        assert [step.targets for step in steps] == [(0, 1), (2,), (0, 1)]
+        self._check(small_noisy_circuit(), model)
+        exact = DensityMatrixSimulator(noise_model=model).run(
+            small_noisy_circuit(), shots=1
+        )
+        sampled = TrajectorySimulator(model).run(
+            small_noisy_circuit(), shots=8000, seed=9
+        )
+        for key, probability in exact.probabilities.items():
+            assert abs(sampled.counts.get(key, 0) / 8000 - probability) < 0.02, key
+
+    def test_composed_set_past_the_cap_splits(self):
+        model = past_cap_model()
+        steps = _folded(model, "cx", (0, 1))
+        assert [len(step.operators) for step in steps] == [256, 16]
+        assert _program.MAX_BRANCHES == 256
+        self._check(small_noisy_circuit(), model)
+
+    def test_conditioned_noisy_gate_on_some_rows(self):
+        self._check(split_then_noisy_circuit(), strong_model())
 
 
 class TestRefine:
@@ -233,23 +369,17 @@ class TestRefine:
     def test_counting_refine_numbers_classes_as_unique(self, seed):
         """The bincount ``_refine`` gives the sorted ``np.unique`` numbering."""
         rng = np.random.default_rng(seed)
-        batch, classes, num_labels = 500, int(rng.integers(1, 40)), 4
+        batch, classes = 500, int(rng.integers(1, 40))
         klass = rng.integers(0, classes, size=batch)
         rows = np.sort(rng.choice(batch, size=int(rng.integers(1, batch)), replace=False))
-        labels = rng.integers(0, num_labels, size=rows.shape[0])
 
-        width = num_labels + 1
-        key = klass * width
-        key[rows] += labels + 1
+        key = klass * 2
+        key[rows] += 1
         unique, expected_klass = np.unique(key, return_inverse=True)
-        expected_parents, expected_labels = np.divmod(unique, width)
 
-        got_klass, got_parents, got_labels = _batched._refine(
-            klass, rows, labels, num_labels
-        )
+        got_klass, got_parents = _batched._refine(klass, rows)
         assert got_klass.tolist() == expected_klass.tolist()
-        assert got_parents.tolist() == expected_parents.tolist()
-        assert got_labels.tolist() == (expected_labels - 1).tolist()
+        assert got_parents.tolist() == (unique // 2).tolist()
 
 
 #: ``sorted(loop_counts(...).items())`` of the per-shot reference walker on
@@ -258,52 +388,52 @@ class TestRefine:
 #: exactly, key order included.
 GOLDEN_DEVICE_COUNTS = {
     ("classical", 11): [
-        ("0000", 84), ("0001", 810), ("0010", 5), ("0011", 31), ("0100", 15),
-        ("0101", 40), ("0110", 1), ("0111", 2), ("1000", 1), ("1001", 29),
-        ("1011", 3), ("1100", 1), ("1101", 1), ("1111", 1),
+        ("0000", 88), ("0001", 821), ("0010", 3), ("0011", 30), ("0100", 9),
+        ("0101", 32), ("0110", 1), ("0111", 5), ("1000", 4), ("1001", 25),
+        ("1011", 4), ("1100", 1), ("1101", 1),
     ],
     ("classical", 2020): [
-        ("0000", 77), ("0001", 841), ("0010", 4), ("0011", 26), ("0100", 14),
-        ("0101", 36), ("0110", 1), ("0111", 1), ("1000", 1), ("1001", 18),
-        ("1011", 5),
+        ("0000", 82), ("0001", 832), ("0010", 5), ("0011", 31), ("0100", 11),
+        ("0101", 32), ("1000", 1), ("1001", 21), ("1010", 1), ("1011", 7),
+        ("1101", 1),
     ],
     ("entanglement", 11): [
-        ("0000", 358), ("0001", 23), ("0010", 36), ("0011", 49), ("0100", 46),
-        ("0101", 36), ("0110", 32), ("0111", 276), ("1000", 42), ("1001", 9),
-        ("1010", 9), ("1011", 27), ("1100", 36), ("1101", 13), ("1110", 5),
-        ("1111", 27),
+        ("0000", 385), ("0001", 22), ("0010", 34), ("0011", 50), ("0100", 46),
+        ("0101", 34), ("0110", 31), ("0111", 285), ("1000", 22), ("1001", 8),
+        ("1010", 13), ("1011", 24), ("1100", 35), ("1101", 10), ("1110", 3),
+        ("1111", 22),
     ],
     ("entanglement", 2020): [
-        ("0000", 360), ("0001", 35), ("0010", 35), ("0011", 56), ("0100", 41),
-        ("0101", 27), ("0110", 29), ("0111", 304), ("1000", 30), ("1001", 4),
-        ("1010", 8), ("1011", 20), ("1100", 28), ("1101", 11), ("1110", 12),
-        ("1111", 24),
+        ("0000", 367), ("0001", 20), ("0010", 29), ("0011", 43), ("0100", 48),
+        ("0101", 31), ("0110", 21), ("0111", 318), ("1000", 35), ("1001", 3),
+        ("1010", 7), ("1011", 28), ("1100", 25), ("1101", 17), ("1110", 3),
+        ("1111", 29),
     ],
     ("superposition", 11): [
-        ("0000", 219), ("0001", 232), ("0010", 245), ("0011", 199), ("0100", 19),
-        ("0101", 20), ("0110", 16), ("0111", 8), ("1000", 16), ("1001", 12),
-        ("1010", 18), ("1011", 14), ("1100", 1), ("1101", 2), ("1110", 1),
-        ("1111", 2),
+        ("0000", 266), ("0001", 209), ("0010", 226), ("0011", 210), ("0100", 22),
+        ("0101", 21), ("0110", 9), ("0111", 16), ("1000", 7), ("1001", 12),
+        ("1010", 11), ("1011", 10), ("1100", 2), ("1101", 1), ("1110", 1),
+        ("1111", 1),
     ],
     ("superposition", 2020): [
-        ("0000", 254), ("0001", 223), ("0010", 216), ("0011", 198), ("0100", 18),
-        ("0101", 12), ("0110", 20), ("0111", 22), ("1000", 20), ("1001", 11),
-        ("1010", 10), ("1011", 17), ("1100", 2), ("1111", 1),
+        ("0000", 266), ("0001", 202), ("0010", 210), ("0011", 201), ("0100", 18),
+        ("0101", 25), ("0110", 18), ("0111", 20), ("1000", 21), ("1001", 9),
+        ("1010", 19), ("1011", 12), ("1100", 1), ("1110", 1), ("1111", 1),
     ],
 }
 
 GOLDEN_STOCHASTIC_COUNTS = {
     7: [
-        ("0000", 401), ("0001", 24), ("0010", 30), ("0011", 2), ("0100", 26),
-        ("0101", 2), ("0110", 26), ("0111", 29), ("1000", 41), ("1001", 333),
-        ("1010", 4), ("1011", 28), ("1100", 1), ("1101", 25), ("1110", 16),
-        ("1111", 36),
+        ("0000", 384), ("0001", 24), ("0010", 27), ("0011", 6), ("0100", 29),
+        ("0101", 2), ("0110", 20), ("0111", 23), ("1000", 39), ("1001", 359),
+        ("1010", 7), ("1011", 30), ("1100", 5), ("1101", 25), ("1110", 13),
+        ("1111", 31),
     ],
     2020: [
-        ("0000", 407), ("0001", 18), ("0010", 30), ("0011", 3), ("0100", 28),
-        ("0101", 3), ("0110", 23), ("0111", 19), ("1000", 27), ("1001", 352),
-        ("1010", 4), ("1011", 36), ("1100", 6), ("1101", 26), ("1110", 15),
-        ("1111", 27),
+        ("0000", 423), ("0001", 20), ("0010", 28), ("0011", 3), ("0100", 31),
+        ("0101", 4), ("0110", 15), ("0111", 29), ("1000", 30), ("1001", 331),
+        ("1010", 4), ("1011", 30), ("1100", 6), ("1101", 26), ("1110", 11),
+        ("1111", 33),
     ],
 }
 
@@ -474,8 +604,26 @@ class TestCounterAddressing:
             "split": split_then_noisy_circuit,
             "entanglement": lambda: paper_assertion("entanglement"),
         }[kind]()
-        program = _program.build_program(circuit, model)
+        program = _program.build_program(circuit, model, _program.born_steps)
         assert max_draws(circuit, model) == _batched._max_draws(program)
+
+    def test_zero_rate_channel_takes_no_uniform(self):
+        """ibmqx4's virtual ``u1`` carries ``depolarizing(0.0)``: after its
+        dead operators go it is the identity, no step and no draw."""
+        backend = get_backend("trajectory:ibmqx4")
+        circuit = QuantumCircuit(1, 1)
+        circuit.u1(0.3, 0)
+        circuit.measure(0, 0)
+        (channels,) = [
+            backend.noise_model.channels_for(inst) for inst in circuit.data[:1]
+        ]
+        assert [len(kraus) for kraus, _ in channels] == [4]
+        program = _program.build_program(
+            circuit, backend.noise_model, _program.born_steps
+        )
+        assert program[0][3] == ()
+        assert _batched._max_draws(program) == 2  # the measurement and its flip
+        assert max_draws(circuit, backend.noise_model) == 2
 
     def test_zero_shots(self):
         result = TrajectorySimulator(noisy_model()).run(

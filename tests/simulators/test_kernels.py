@@ -1,15 +1,16 @@
 """Planned batched kernels: byte-identical to the unplanned kernel.
 
-``batched_apply_matrix`` reads cached basis-slice keys and a cached
-per-operator plan instead of re-deriving them on every call.  The
+``batched_apply_matrix`` reads a cached per-operator plan instead of
+re-deriving it on every call, and applies it with the stacked kernel.  The
 trajectory engine's bit-identity contract rests on it computing every
 output float exactly as the plain kernel below (the implementation that
-preceded the plans, kept verbatim as the reference) does.  The stacked
-``batched_apply_branches`` must in turn give, for every operator of a
-channel, the bytes the per-operator kernels give.
+preceded the plans, kept verbatim as the reference) does.  A compiled
+Born step's weights and branches must in turn give every column of a
+batch the bytes that column gets alone.
 """
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,8 +19,8 @@ import pytest
 from repro.circuits.gates import get_gate
 from repro.devices.ibmqx4 import ibmqx4
 from repro.exceptions import SimulationError
-from repro.noise.channels import lift_operators, thermal_relaxation
-from repro.simulators import _kernels
+from repro.noise.channels import amplitude_damping, lift_operators, thermal_relaxation
+from repro.simulators import _kernels, _program
 
 from noisy_circuits import noisy_model
 
@@ -92,6 +93,15 @@ MATRICES = {
 QUBITS = {1: [(0,), (2,), (4,)], 2: [(0, 1), (3, 1), (4, 2)]}
 
 
+def _over_targets(states, step):
+    """``states`` held over ``step``'s targets, as the walker holds them."""
+    return _kernels.relayout(states.reshape(-1, 1, states.shape[-1]), (), step.targets)
+
+
+def _norms(states):
+    return (np.abs(states) ** 2).reshape(-1, states.shape[-1]).sum(axis=0)
+
+
 def _random_states(batch, seed):
     rng = np.random.default_rng(seed)
     shape = (2,) * 5 + (batch,)
@@ -140,11 +150,13 @@ class TestPlanCache:
         assert info().currsize == info().maxsize
 
     def test_plan_kinds(self):
-        assert _kernels._operator_plan(MATRICES["scaled-identity"])[0] == "scalar"
-        assert _kernels._operator_plan(MATRICES["cx"])[0] == "monomial"
-        assert _kernels._operator_plan(MATRICES["phase"])[0] == "monomial"
-        assert _kernels._operator_plan(MATRICES["u3"])[0] == "dense"
-        assert _kernels._operator_plan(MATRICES["u3-pair"])[0] == "dense"
+        """Monomial plans carry each row's source column, dense ones none."""
+        for name in ("scaled-identity", "cx", "phase", "pauli-y"):
+            columns, coefficients = _kernels._operator_plan(MATRICES[name])
+            assert columns is not None and coefficients.shape == columns.shape, name
+        for name in ("u3", "u3-pair", "thermal-kraus"):
+            columns, coefficients = _kernels._operator_plan(MATRICES[name])
+            assert columns is None and coefficients.ndim == 3, name
 
     def test_shape_mismatch_raises(self):
         states = _random_states(2, seed=0)
@@ -154,73 +166,143 @@ class TestPlanCache:
             _kernels.batched_apply_matrix(states, MATRICES["cx"], (0,))
 
 
-def _channels(model, gates):
-    """The distinct Kraus channels ``model`` attaches to ``gates``."""
-    channels = {}
+def _born_steps(model, gates):
+    """The distinct multi-branch Born steps of ``model``'s channels on ``gates``."""
+    steps = {}
     for name, qubits in gates:
         instruction = SimpleNamespace(name=name, qubits=qubits)
-        for operators, targets in model.channels_for(instruction):
-            key = tuple(op.tobytes() for op in operators)
-            channels.setdefault(key, (operators, len(targets)))
-    return list(channels.values())
+        channels = tuple(
+            (tuple(kraus), tuple(targets))
+            for kraus, targets in model.channels_for(instruction)
+        )
+        for step in _program.born_steps(tuple(qubits), channels):
+            key = (step.targets, step.operators.tobytes())
+            if step.draws:
+                steps.setdefault(key, step)
+    return list(steps.values())
 
 
-def _device_channels():
+def _hadamard_damping():
+    """Amplitude damping conjugated by H: Born forms that are not diagonal."""
+    hadamard = get_gate("h").matrix
+    return [hadamard @ k @ hadamard for k in amplitude_damping(0.3).operators]
+
+
+def _device_gates():
     device = ibmqx4()
-    gates = [(cal.name, cal.qubits or (0,)) for cal in device.gate_calibrations]
-    return _channels(device.noise_model(), gates)
+    return device.noise_model(), [
+        (cal.name, cal.qubits or (0,)) for cal in device.gate_calibrations
+    ]
 
 
-CHANNELS = {
-    **{f"ibmqx4-{i}": c for i, c in enumerate(_device_channels())},
+STEPS = {
+    **{f"ibmqx4-{i}": s for i, s in enumerate(_born_steps(*_device_gates()))},
     **{
-        f"unit-noise-{i}": c
-        for i, c in enumerate(
-            _channels(noisy_model(), [("h", (0,)), ("x", (0,)), ("cx", (0, 1))])
+        f"unit-noise-{i}": s
+        for i, s in enumerate(
+            _born_steps(noisy_model(), [("h", (0,)), ("x", (3,)), ("cx", (4, 1))])
         )
     },
+    "hadamard-damping": _program.BornStep((2,), _hadamard_damping()),
+    "hadamard-damping-pair": _program.BornStep(
+        (3, 1),
+        [np.kron(a, b) for a in _hadamard_damping() for b in _hadamard_damping()],
+    ),
 }
 
 
-class TestStackedBranchesMatchPerOperator:
-    """``batched_apply_branches`` against per-operator apply and norm."""
+class TestBornStepKernels:
+    """A Born step's weights and branches, column by column.
+
+    Each column of a batch must get the bytes it gets alone (the walker
+    evolves one column per history class and the reference walker one
+    shot at a time), and the values the operators define.
+    """
 
     @pytest.mark.parametrize("batch", [1, 7, 300])
-    @pytest.mark.parametrize("name", sorted(CHANNELS))
-    def test_bytes_equal(self, name, batch):
-        operators, k = CHANNELS[name]
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    def test_columns_equal_lone_columns(self, name, batch):
+        step = STEPS[name]
         states = _random_states(batch, seed=batch)
         states[..., 0] = 0.0  # a column without support: signed zeros
-        for qubits in QUBITS[k]:
-            # The walker's later branches, and the whole channel, whose
-            # operators mix the monomial and dense plans.
-            for subset in (operators[1:], operators):
-                branches, norms = _kernels.batched_apply_branches(
-                    states, subset, qubits
-                )
-                assert branches.shape == states.shape[:-1] + (len(subset), batch)
-                assert norms.shape == (len(subset), batch)
-                for j, k_op in enumerate(subset):
-                    expected = _kernels.batched_apply_matrix(states, k_op, qubits)
-                    got = np.ascontiguousarray(branches[..., j, :])
-                    assert got.tobytes() == expected.tobytes(), (name, qubits, j)
-                    norm = _kernels.batched_norm_sq(expected)
-                    assert norms[j].tobytes() == norm.tobytes(), (name, qubits, j)
+        source = _over_targets(states, step)
+        weights = step.weights(step.features(source))
+        branches = np.random.default_rng(batch).integers(0, len(step.operators), batch)
+        chosen = weights[branches, np.arange(batch)]
+        first = step.first(source, weights[0])
+        built = step.build(source, branches, chosen)
+        for column in range(batch):
+            alone = source[..., column:column + 1]
+            lone = step.weights(step.features(alone))
+            assert lone.tobytes() == weights[:, column:column + 1].tobytes(), column
+            assert (
+                step.first(alone, lone[0]).tobytes()
+                == np.ascontiguousarray(first[..., column:column + 1]).tobytes()
+            ), column
+            branch = branches[column:column + 1]
+            got = step.build(alone, branch, lone[branch[0], :])
+            expected = np.ascontiguousarray(built[..., column:column + 1])
+            assert got.tobytes() == expected.tobytes(), column
 
-    def test_channels_cover_every_plan(self):
-        """Scalar, monomial and dense operators, on 1 and 2 targets."""
-        covered = {
-            (k, _kernels._operator_plan(op)[0])
-            for operators, k in CHANNELS.values()
-            for op in operators
-        }
-        assert covered >= {
-            (k, kind) for k in (1, 2) for kind in ("scalar", "monomial", "dense")
-        }
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    def test_weights_and_branches_are_the_operators(self, name):
+        step = STEPS[name]
+        states = _random_states(5, seed=3)
+        states /= np.sqrt(_norms(states))  # trajectories are unit
+        source = _over_targets(states, step)
+        weights = step.weights(step.features(source))
+        np.testing.assert_allclose(weights.sum(axis=0), 1.0, atol=1e-12)
+        for branch, operator in enumerate(step.operators):
+            image = _kernels.batched_apply_matrix(states, operator, step.targets)
+            norms = _norms(image)
+            np.testing.assert_allclose(weights[branch], norms, atol=1e-12)
+            built = step.build(source, np.full(5, branch), weights[branch])
+            expected = _over_targets(image / np.sqrt(norms), step)
+            np.testing.assert_allclose(built, expected, atol=1e-10)
+        first = step.first(source, weights[0])
+        image = _kernels.batched_apply_matrix(states, step.operators[0], step.targets)
+        image = _over_targets(image / np.sqrt(weights[0]), step).reshape(-1, 5)
+        overlap = np.abs((first.reshape(-1, 5).conj() * image).sum(axis=0))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-10)  # up to a global phase
 
-    def test_shape_mismatch_raises(self):
-        states = _random_states(2, seed=0)
-        with pytest.raises(SimulationError, match="does not act on 2"):
-            _kernels.batched_apply_branches(
-                states, [np.eye(2, dtype=complex)], (0, 1)
+    def test_relayout_round_trips(self):
+        states = _random_states(3, seed=4)
+        flat = states.reshape(-1, 1, 3)
+        for qubits in [(0,), (4,), (3, 1), (0, 4), (2, 1, 0)]:
+            source = _kernels.relayout(flat, (), qubits)
+            assert source.shape == (2 ** (5 - len(qubits)), 2 ** len(qubits), 3)
+            index = [slice(None)] * 6
+            for position, qubit in enumerate(qubits):  # target 1 at its bit
+                index[qubit] = 1
+            assert np.array_equal(source[0, -1], states[tuple(index)].reshape(-1, 3)[0])
+            again = _kernels.relayout(_kernels.relayout(source, qubits, (3,)), (3,), ())
+            assert again.tobytes() == np.ascontiguousarray(flat).tobytes()
+
+    def test_steps_cover_every_form(self):
+        """Constant, diagonal and general forms; monomial and dense
+        operators; an identity branch 0; on one and two targets."""
+        covered = set()
+        for step in STEPS.values():
+            form = {None: "constant", (): "diagonal"}.get(
+                None if step.pairs is None else tuple(step.pairs), "general"
             )
+            operators = "dense" if step.columns is None else "monomial"
+            covered |= {(len(step.targets), form), (len(step.targets), operators)}
+            covered.add(("identity-first", step.identity_first))
+        assert covered >= {
+            (k, kind)
+            for k in (1, 2)
+            for kind in ("constant", "diagonal", "general", "monomial", "dense")
+        } | {("identity-first", True), ("identity-first", False)}
+
+
+class TestPackCounts:
+    @pytest.mark.parametrize(
+        "shots, width", [(0, 3), (5, 0), (1, 1), (64, 4), (300, 9), (200, 70)]
+    )
+    def test_counts_in_bitstring_order(self, shots, width):
+        rng = np.random.default_rng(width)
+        clbits = (rng.random((shots, width)) < 0.3).astype(np.uint8)
+        expected = Counter("".join(map(str, row)) for row in clbits)
+        got = _kernels.pack_counts(clbits)
+        assert list(got.items()) == sorted(expected.items())
