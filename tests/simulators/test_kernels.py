@@ -19,7 +19,12 @@ import pytest
 from repro.circuits.gates import get_gate
 from repro.devices.ibmqx4 import ibmqx4
 from repro.exceptions import SimulationError
-from repro.noise.channels import amplitude_damping, lift_operators, thermal_relaxation
+from repro.noise.channels import (
+    amplitude_damping,
+    depolarizing,
+    lift_operators,
+    thermal_relaxation,
+)
 from repro.simulators import _kernels, _program
 
 from noisy_circuits import noisy_model
@@ -294,6 +299,48 @@ class TestBornStepKernels:
             for k in (1, 2)
             for kind in ("constant", "diagonal", "general", "monomial", "dense")
         } | {("identity-first", True), ("identity-first", False)}
+
+
+class TestFold:
+    """How :func:`_program.born_steps` composes a gate's channels."""
+
+    def test_channels_compose_in_order(self):
+        first, second = depolarizing(0.1).operators, amplitude_damping(0.3).operators
+        (step,) = _program.born_steps((0,), ((first, (0,)), (second, (0,))))
+        expected = [b @ a for a in first for b in second]
+        assert len(step.operators) == len(expected)
+        for got, want in zip(step.operators, expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_dead_operators_are_dropped(self):
+        """Thermal relaxation's zero operator leaves; the rest stay complete."""
+        operators = thermal_relaxation(
+            t1=50_000.0, t2=40_000.0, gate_time=400.0
+        ).operators
+        dead = [not (k.conj().T @ k).any() for k in operators]
+        assert sum(dead) == 1
+        (step,) = _program.born_steps((1,), ((operators, (1,)),))
+        assert len(step.operators) == len(operators) - 1
+        assert all((k.conj().T @ k).any() for k in step.operators)
+        completeness = sum(k.conj().T @ k for k in step.operators)
+        np.testing.assert_allclose(completeness, np.eye(2), atol=1e-12)
+
+    def test_channel_without_live_operators_raises(self):
+        zero = (np.zeros((2, 2), dtype=complex),)
+        with pytest.raises(SimulationError, match="no Kraus operators"):
+            _program.born_steps((0,), ((zero, (0,)),))
+
+    def test_fold_is_cached_per_gate_and_bounded(self):
+        built = []
+        fold = _program.cached_fold(lambda qubits, channels: built.append(qubits))
+        channels = ((depolarizing(0.1).operators, (0,)),)
+        fold((0,), channels)
+        fold((0,), channels)
+        assert built == [(0,)]
+        for qubit in range(1, _program.FOLD_CACHE_SIZE + 1):
+            fold((qubit,), channels)
+        fold((0,), channels)  # the full table was cleared
+        assert len(built) == _program.FOLD_CACHE_SIZE + 2
 
 
 class TestPackCounts:
