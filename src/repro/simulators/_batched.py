@@ -191,7 +191,7 @@ def _born_step(source, klass, rows, step, uniforms):
     pending = np.flatnonzero(uniforms >= threshold[row_class])
     branch = np.zeros(rows.shape[0], dtype=np.intp)
     first = step.first(source, first_weight)
-    if first is not source and not full:
+    if not full:
         idle = np.bincount(row_class, minlength=width) == 0
         first[..., idle] = source[..., idle]
     if pending.size == 0:

@@ -142,27 +142,18 @@ def _plan_for_content(dtype: str, shape: Tuple[int, int], data: bytes) -> tuple:
     return None, matrix[..., np.newaxis]
 
 
-def batched_apply_matrix(
-    states: np.ndarray, matrix: np.ndarray, qubits: Sequence[int]
-) -> np.ndarray:
-    """Apply a ``2^k x 2^k`` matrix to qubit axes of every batched state.
+def batched_apply_operator(source: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Apply a ``2^k x 2^k`` matrix to every column of a :func:`relayout`
+    array held over ``k`` targets.
 
     Each output amplitude is one product (monomial operators) or a
-    fixed-order ``2^k``-term sum of that trajectory's own amplitudes, so
+    fixed-order ``2^k``-term sum of that column's own amplitudes, so
     results are bitwise identical regardless of the batch width.
     """
-    k = len(qubits)
-    if matrix.shape != (2 ** k, 2 ** k):
-        raise SimulationError(
-            f"matrix shape {matrix.shape} does not act on {k} qubit(s)"
-        )
-    flat = states.reshape(-1, 1, states.shape[-1])
-    values = batched_apply_operator(relayout(flat, (), qubits), matrix)
-    return relayout(values, qubits, ()).reshape(states.shape)
-
-
-def batched_apply_operator(source: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply one operator to every column of a :func:`relayout` array."""
+    dim = source.shape[1]
+    if matrix.shape != (dim, dim):
+        k = dim.bit_length() - 1
+        raise SimulationError(f"matrix shape {matrix.shape} does not act on {k} qubit(s)")
     columns, coefficients = _operator_plan(matrix)
     return batched_apply_stack(source, coefficients, columns)
 
@@ -242,10 +233,9 @@ def batched_apply_stack(
 def pack_counts(clbits: np.ndarray) -> Dict[str, int]:
     """Histogram a ``(B, num_clbits)`` 0/1 matrix into bitstring counts.
 
-    Rows are bit-packed and sorted bytewise (a ``lexsort`` over the byte
-    columns, several times faster than ``np.unique(axis=0)``), so keys come
-    out in bitstring order and the counting runs on a handful of bytes per
-    trajectory instead of Python strings.
+    Rows are bit-packed so the unique pass runs on a handful of bytes per
+    trajectory instead of Python strings — the vectorised replacement for
+    the engines' old per-shot ``counts[key] = counts.get(key, 0) + 1``.
     """
     shots, width = clbits.shape
     if shots == 0:
@@ -253,10 +243,8 @@ def pack_counts(clbits: np.ndarray) -> Dict[str, int]:
     if width == 0:
         return {"": int(shots)}
     packed = np.packbits(clbits.astype(np.uint8, copy=False), axis=1)
-    packed = packed[np.lexsort(packed.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]).any(axis=1)])
-    counts = np.diff(np.r_[starts, shots])
-    rows = np.unpackbits(packed[starts], axis=1, count=width)
+    unique, counts = np.unique(packed, axis=0, return_counts=True)
+    rows = np.unpackbits(unique, axis=1, count=width)
     return {
         "".join("1" if bit else "0" for bit in row): int(count)
         for row, count in zip(rows, counts)

@@ -142,6 +142,24 @@ def _live(operators) -> list:
     return [k for k in operators if (k.conj().T @ k).any()]
 
 
+def _check_shapes(channels) -> None:
+    """Raise unless every operator is ``2^k x 2^k`` on its ``k`` targets."""
+    for kraus, targets in channels:
+        dim = 2 ** len(targets)
+        for operator in kraus:
+            if np.shape(operator) != (dim, dim):
+                raise SimulationError(
+                    f"matrix shape {np.shape(operator)} does not act on "
+                    f"{len(targets)} qubit(s)"
+                )
+
+
+def _global_phase(operators) -> bool:
+    """Whether ``operators`` is one multiple of the identity."""
+    first, *rest = operators
+    return not rest and not (first - first[0, 0] * np.eye(len(first))).any()
+
+
 @cached_fold
 def born_steps(qubits: tuple, channels: tuple) -> tuple:
     """Compile a gate's channels to the trajectory walker's Born steps.
@@ -152,6 +170,7 @@ def born_steps(qubits: tuple, channels: tuple) -> tuple:
     identity, such as a zero-rate depolarizing channel, is a global phase:
     no step at all.
     """
+    _check_shapes(channels)
     steps = []
     for targets, group in channel_segments(qubits, channels):
         composed = []
@@ -162,8 +181,12 @@ def born_steps(qubits: tuple, channels: tuple) -> tuple:
                 composed[-1] = _live([b @ a for a in composed[-1] for b in kraus])
             else:
                 composed.append(kraus)
-        steps.extend(BornStep(targets, operators) for operators in composed)
-    return tuple(step for step in steps if step.draws or not step.identity_first)
+        steps.extend(
+            BornStep(targets, operators)
+            for operators in composed
+            if not _global_phase(operators)
+        )
+    return tuple(steps)
 
 
 @functools.lru_cache(maxsize=256)
@@ -184,10 +207,9 @@ class BornStep:
 
     Branch ``j``'s weight ``<psi|K_j^dagger K_j|psi>`` is row ``j`` of
     ``forms`` applied to the targets' :meth:`features`: their populations
-    when every ``K_j^dagger K_j`` is diagonal (every device model), plus
-    the off-diagonal parts otherwise, and none when each is a multiple of
-    the identity (a unitary mixture: constant weights).  A single operator
-    (``draws`` false) is a plain gate step and takes no uniform.
+    when every ``K_j^dagger K_j`` is diagonal (every device model and every
+    unitary mixture), plus the off-diagonal parts otherwise.  A single
+    operator (``draws`` false) is a plain gate step and takes no uniform.
     """
 
     def __init__(self, targets: tuple, operators) -> None:
@@ -195,20 +217,13 @@ class BornStep:
         dim = stack.shape[1]
         off = ~np.eye(dim, dtype=bool)
         forms = np.conj(np.swapaxes(stack, 1, 2)) @ stack
-        diagonal = np.diagonal(forms, axis1=1, axis2=2).real
         self.targets, self.operators, self.draws = targets, stack, len(stack) > 1
-        self.pairs, self.forms = (), diagonal
+        self.pairs, self.forms = (), np.diagonal(forms, axis1=1, axis2=2).real
         if forms[:, off].any():
             rows, cols = np.triu_indices(dim, 1)
             self.pairs, upper = list(zip(rows, cols)), forms[:, rows, cols]
-            self.forms = np.concatenate([diagonal, 2 * upper.real, -2 * upper.imag], 1)
-        elif (diagonal == diagonal[:, :1]).all():
-            self.pairs, self.forms = None, diagonal[:, :1]
-        first = None if stack[0][off].any() else np.diagonal(stack[0])
-        self.first_diagonal = first
-        self.identity_first = (
-            self.pairs is None and first is not None and (first == first[0]).all()
-        )
+            self.forms = np.concatenate([self.forms, 2 * upper.real, -2 * upper.imag], 1)
+        self.first_diagonal = None if stack[0][off].any() else np.diagonal(stack[0])
         nonzero = stack != 0
         # Indexed [branch, column, row], so ``coefficients[branches].T`` is
         # :func:`_kernels.batched_apply_stack`'s ``[row, column, b]``.
@@ -221,8 +236,6 @@ class BornStep:
 
     def features(self, source: np.ndarray) -> np.ndarray:
         """The ``(F, B)`` features of a :func:`_kernels.relayout` array."""
-        if self.pairs is None:
-            return np.ones((1, source.shape[-1]))
         return _kernels.batched_target_features(source, self.pairs)
 
     def weights(self, features: np.ndarray, count: int = None) -> np.ndarray:
@@ -235,10 +248,7 @@ class BornStep:
         return np.maximum(total, 0.0, out=total)
 
     def first(self, source: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Every column on branch 0, renormalised by its branch-0 ``weights``;
-        the identity of a unitary mixture is a global phase, left undone."""
-        if self.identity_first:
-            return source
+        """Every column on branch 0, renormalised by its branch-0 ``weights``."""
         if self.first_diagonal is None:
             zeros = np.zeros(source.shape[-1], dtype=np.intp)
             return self.build(source, zeros, weights)

@@ -90,6 +90,15 @@ def shot_generator(key: np.ndarray, shot: int, draws: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key=key, counter=shot * blocks))
 
 
+def apply_matrix(states, matrix, qubits):
+    """Apply ``matrix`` to ``qubits`` of batched ``(2, ..., 2, B)`` states
+    with the walker's kernel, held over ``qubits`` as the walker holds it."""
+    qubits = tuple(qubits)
+    source = _kernels.relayout(states.reshape(-1, 1, states.shape[-1]), (), qubits)
+    values = _kernels.batched_apply_operator(source, matrix)
+    return _kernels.relayout(values, qubits, ()).reshape(states.shape)
+
+
 def _loop_shot(circuit, noise_model, rng, initial_state) -> str:
     state = _kernels.batched_state_tensor(1, circuit.num_qubits, initial_state)
     clbits = [0] * circuit.num_clbits
@@ -108,15 +117,13 @@ def _loop_shot(circuit, noise_model, rng, initial_state) -> str:
             op = inst.operation
             if not isinstance(op, Gate):
                 raise SimulationError(f"cannot apply non-gate {op.name!r}")
-            state = _kernels.batched_apply_matrix(state, op.matrix, inst.qubits)
+            state = apply_matrix(state, op.matrix, inst.qubits)
             if noise_model is not None:
                 for step in _born_steps(inst, noise_model):
                     if step.draws:
                         state = _loop_born(state, step, rng.random())[0]
                     else:
-                        state = _kernels.batched_apply_matrix(
-                            state, step.operators[0], step.targets
-                        )
+                        state = apply_matrix(state, step.operators[0], step.targets)
     return "".join(str(b) for b in clbits)
 
 

