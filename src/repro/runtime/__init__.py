@@ -31,8 +31,9 @@ interchangeable backends.  This package is the layer between the engines
 * :mod:`~repro.runtime.profile` / :mod:`~repro.runtime.scheduler` — the
   adaptive control layer: an online :class:`~repro.runtime.profile.CostModel`
   (EWMA per-shot/per-prepare estimates fed by every completed chunk,
-  persisted through the cache store) drives cost-sized shot chunks and
-  pool widths (``schedule="adaptive"``, the default), and :class:`~repro.runtime.scheduler.Scheduler` adds a
+  persisted through the cache store) sizes shot chunks on process pools
+  (``schedule="adaptive"``, the default), and
+  :class:`~repro.runtime.scheduler.Scheduler` adds a
   fair-share multi-client submission queue with weighted round-robin
   dispatch and bounded in-flight admission control.
 
@@ -93,7 +94,6 @@ from repro.runtime.scheduler import (
     Scheduler,
     default_schedule_mode,
     plan_chunk_shots,
-    plan_width,
 )
 from repro.runtime.store import (
     CacheStore,
@@ -145,7 +145,6 @@ __all__ = [
     "next_backoff",
     "plan_batches",
     "plan_chunk_shots",
-    "plan_width",
     "pool_stats",
     "profile_key",
     "register_backend",

@@ -140,9 +140,9 @@ def execute(
         Split each job into chunks of at most this many shots (parallel
         shot sharding for the per-shot Monte-Carlo engines).  ``"auto"``
         (adaptive schedule only) sizes chunks from the cost model's
-        measured per-shot cost; the resolved size is recorded in
-        ``job.plan`` and the counts equal an explicit ``chunk_shots`` of
-        that same value.
+        measured per-shot cost on a process pool and keeps the job whole
+        elsewhere; the resolved size is recorded in ``job.plan`` and the
+        counts equal an explicit ``chunk_shots`` of that same value.
     dedupe:
         Group identical ``(circuit, backend)`` jobs so the distribution is
         simulated once and re-sampled per job.
@@ -169,14 +169,16 @@ def execute(
         survive into future processes.
     schedule:
         ``"adaptive"`` or ``"fixed"``; ``None`` reads ``$REPRO_SCHEDULE``
-        and falls back to ``"adaptive"``.  The adaptive schedule picks
-        cost-model-driven chunk sizes and submits transpile-heavy jobs
-        first — but only where counts cannot change: an explicit
-        ``chunk_shots`` always wins, and a seeded job keeps the fixed chunk
-        plan unless it opts in with ``chunk_shots="auto"``.  For a fixed
-        seed, counts are bit-identical under both modes (see
-        :mod:`repro.runtime.scheduler`).  Both modes feed the cost model
-        with every completed chunk's measured wall-clock.
+        and falls back to ``"adaptive"``.  On a process pool the adaptive
+        schedule picks cost-model-driven chunk sizes — but only where
+        counts cannot change: an explicit ``chunk_shots`` always wins, and
+        a seeded job keeps the fixed chunk plan unless it opts in with
+        ``chunk_shots="auto"``.  Serial and thread runs stay whole under
+        both modes.  Jobs reach the pool in priority order, then input
+        order, under both modes.  For a fixed seed, counts are
+        bit-identical under both modes (see :mod:`repro.runtime.scheduler`).
+        Both modes feed the cost model with every completed chunk's
+        measured wall-clock.
     trace_parent:
         Optional :class:`~repro.obs.trace.Span` to hang the per-job trace
         spans off (the service layer passes its per-submission root).
@@ -254,6 +256,7 @@ def execute(
 
         fault_plan = active_plan()
     pool = get_executor(executor, max_workers)
+    kind = executor_kind(pool)
 
     # Adaptive chunk sizing, resolved once per (profile key, shots) so that
     # identical jobs inside one call (dedup groups, repeated sweep points)
@@ -263,7 +266,10 @@ def execute(
     def chunk_for(index: int) -> Optional[int]:
         if not auto_chunks and chunk_shots is not None:
             return chunk_shots  # explicit always wins
-        if not adaptive:
+        if not adaptive or kind != "process":
+            # Serial chunks run one after another and thread chunks of
+            # the in-repo engines do not overlap: splitting only adds
+            # per-chunk setup, so these runs stay whole.
             return None
         if not auto_chunks and seed_list[index] is not None:
             # A caller seed pins the chunk plan: adaptive splitting here
@@ -342,24 +348,10 @@ def execute(
             else:
                 job._span = Span("job", attrs)
         jobs.append(job)
-    # Stable sort: equal ranks keep plan order, higher priorities go
-    # first.  Under the adaptive schedule, ties are broken by the cost
-    # model's measured prepare (transpile) estimate, most expensive first:
-    # transpile-heavy jobs reach the pool while it is still filling, so
-    # their parent-side lowering overlaps the cheap jobs' execution.
+    # Stable sort: higher priorities go first, equal ones keep plan order.
     # Dispatch order never changes counts or the returned job order.  The
     # shared pools outlive the call — no shutdown, no churn.
-    def submit_rank(job: Job):
-        prepare_estimate = 0.0
-        if adaptive and getattr(job.backend, "transpile", False):
-            prepare_estimate = (
-                DEFAULT_COST_MODEL.per_prepare(profile_key(job.backend, job.circuit))
-                or 0.0
-            )
-        return (-job.priority, -prepare_estimate)
-
-    kind = executor_kind(pool)
-    for job in sorted(to_submit, key=submit_rank):
+    for job in sorted(to_submit, key=lambda job: -job.priority):
         job.plan["executor"] = kind
         job._submit(pool)
     return jobs[0] if single else JobSet(jobs)

@@ -36,6 +36,7 @@ import enum
 import functools
 import itertools
 import os
+import queue
 import threading
 import time
 from concurrent.futures import (
@@ -1059,8 +1060,9 @@ class JobSet:
         once**, whatever its terminal state — callers see cancelled and
         failed jobs too (their ``result()`` raises
         :class:`~repro.exceptions.JobError`), so the stream never silently
-        drops work.  Derived and distribution-cached jobs surface as soon
-        as their source is settled.
+        drops work.  Driven by :meth:`Job.add_done_callback` feeding a
+        queue: a job surfaces once every chunk it ran settled, derived
+        jobs with their source and distribution-cached jobs at once.
 
         Raises
         ------
@@ -1070,33 +1072,19 @@ class JobSet:
             collectable individually.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        pending = list(self.jobs)
-        # Exponential poll backoff: snappy while jobs finish quickly, near
-        # zero CPU while long engine runs are in flight (a poll is the only
-        # mechanism that also covers derived/cached jobs, which settle with
-        # their source rather than with a future of their own).
-        delay = 0.001
-        while pending:
-            still_pending = []
-            progressed = False
-            for job in pending:
-                if job.done():
-                    progressed = True
-                    yield job
-                else:
-                    still_pending.append(job)
-            pending = still_pending
-            if not pending:
-                return
-            if deadline is not None and time.monotonic() > deadline:
+        finished: queue.SimpleQueue = queue.SimpleQueue()
+        for job in self.jobs:
+            job.add_done_callback(finished.put)
+        for pending in range(len(self.jobs), 0, -1):
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            try:
+                yield finished.get(timeout=remaining)
+            except queue.Empty:
                 raise JobError(
-                    f"{len(pending)} job(s) still pending after {timeout}s"
-                )
-            if progressed:
-                delay = 0.001
-            else:
-                time.sleep(delay)
-                delay = min(delay * 2, 0.05)
+                    f"{pending} job(s) still pending after {timeout}s"
+                ) from None
 
     @property
     def time_taken(self) -> float:

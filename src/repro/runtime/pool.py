@@ -13,8 +13,10 @@ registry:
     A shared :class:`~concurrent.futures.ThreadPoolExecutor`, the default
     for every in-repo engine.  Chunks overlap only where NumPy kernels
     release the GIL: the trajectory walker is mostly Python-level steps,
-    and on a 2-core host 4 thread chunks of a 16384-shot job took
-    0.37-0.41 s against 0.17-0.18 s for the job unsplit.
+    and on a 2-core host 4 thread chunks of a 131072-shot job took about
+    twice as long as the job unsplit.  The adaptive schedule therefore
+    splits jobs only on process pools; thread and serial runs stay whole
+    unless the caller passes ``chunk_shots``.
 ``process``
     A shared :class:`~concurrent.futures.ProcessPoolExecutor`, for
     engines that hold the GIL; circuits, backends and results cross the
@@ -22,7 +24,8 @@ registry:
 
 Pools are keyed by ``(kind, width)`` and created on first use, so repeated
 ``execute()`` calls with the same configuration reuse one executor instead
-of rebuilding it.  The counts contract is unchanged: for a fixed seed,
+of rebuilding it.  A call with a different ``max_workers`` gets a pool of
+its own, not a share of the default one.  The counts contract is unchanged: for a fixed seed,
 every executor kind produces bit-identical counts (``tests/runtime/
 test_determinism.py`` pins this).
 

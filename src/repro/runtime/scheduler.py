@@ -1,37 +1,40 @@
-"""Cost-model-driven adaptive scheduling: chunk sizing, worker width,
-and a fair-share multi-client submission queue.
-
-This module sizes each ``execute()`` call's work from measurements, the
-measure-then-decide discipline of profile-guided optimisation:
+"""Cost-model-driven chunk sizing and a fair-share multi-client
+submission queue.
 
 * :func:`plan_chunk_shots` sizes shot chunks for the sampling engines
   (stabilizer, trajectory, user engines) from the
   :class:`~repro.runtime.profile.CostModel`'s measured per-shot cost —
   enough chunks to saturate the pool, never so many that scheduling
-  overhead dominates.  Exact-distribution engines are never chunked
+  overhead dominates.  ``execute()`` asks it only for process pools:
+  thread chunks of the in-repo engines do not overlap, so serial and
+  thread runs stay whole.  Exact-distribution engines are never chunked
   (their simulation cost is shots-independent).
-* :func:`plan_width` grants a dispatch roughly one worker per
-  :data:`WORKER_SECONDS` of estimated work.
 * :class:`Scheduler` is a submission front door for *many clients*:
   weighted round-robin dispatch across per-client queues, priority order
   within a client, and bounded in-flight admission control layered on the
   existing ``execute()``/:class:`~repro.runtime.job.JobSet` machinery.
+  It learns that a batch finished only from its jobs' done-callbacks
+  (:meth:`~repro.runtime.job.Job.add_done_callback`); the dispatcher
+  sleeps until something it can act on happens (a submit, a completion
+  that frees admission, a cancel, shutdown) or the earliest queue
+  deadline or preemption is due.
 
 Determinism contract
 --------------------
 Adaptive decisions never change counts for a seeded call.  Counts are a
 pure function of ``(circuit, backend, shots, seed, chunk_shots)``; the
 adaptive scheduler therefore only varies the pieces outside that tuple —
-pool width and dispatch order — and applies cost-driven chunk
+dispatch timing and unseeded chunk sizes — and applies cost-driven chunk
 sizing exactly where it is count-transparent or explicitly requested:
 
 * ``seed=None`` jobs (no reproducibility contract — every run draws fresh
   entropy) are chunked freely;
 * ``chunk_shots="auto"`` is an explicit opt-in for seeded jobs: the
-  resolved size is deterministic given the model state, recorded in the
-  job's plan, and the counts equal ``schedule="fixed"`` with that same
-  explicit ``chunk_shots`` (``tests/runtime/test_schedule_determinism.py``
-  pins both halves of the contract);
+  resolved size is deterministic given the model state and the pool
+  kind, recorded in the job's plan, and the counts equal
+  ``schedule="fixed"`` with that same explicit ``chunk_shots``
+  (``tests/runtime/test_schedule_determinism.py`` pins both halves of
+  the contract);
 * everything else runs the fixed plan's chunk schedule verbatim, so
   ``schedule="adaptive"`` is bit-identical to ``schedule="fixed"`` for a
   fixed seed on every backend family and executor kind.
@@ -66,9 +69,6 @@ SCHEDULE_ENV_VAR = "REPRO_SCHEDULE"
 #: one Philox draw amortise over the tile): chunks are fat, and fine
 #: slicing would be pure overhead.  A long job still streams progress through the pool.
 TARGET_CHUNK_SECONDS = 1.6
-
-#: :func:`plan_width` grants one worker per this much estimated work.
-WORKER_SECONDS = 0.2
 
 #: Estimated job cost below which splitting is pure overhead.
 SPLIT_THRESHOLD_SECONDS = 0.05
@@ -162,45 +162,6 @@ def plan_chunk_shots(
     return chunk if chunk < shots else None
 
 
-def plan_width(
-    backend,
-    circuits,
-    shots,
-    max_width: Optional[int] = None,
-    cost_model: Optional[CostModel] = None,
-) -> Optional[int]:
-    """Size one dispatch's ``max_workers`` from estimated total cost.
-
-    The shared pools default to the full machine width, so every dispatch
-    historically competed for (and fragmented) the same maximal pool even
-    when the batch was milliseconds of work.  With a measured cost
-    profile, grant roughly one worker per :data:`WORKER_SECONDS` of
-    estimated total cost (prepare + run across the batch), clamped to
-    ``[1, max_width]`` — tiny batches take one worker and leave the rest
-    of the machine to concurrent clients, huge batches still get the full
-    pool.  Returns ``None`` (no opinion — take the default width) when
-    the model has no measured data for any circuit in the batch.
-
-    Width never changes counts (the runtime's determinism contract), so
-    the planner is always count-transparent.
-    """
-    cap = max_width if max_width is not None else default_max_workers()
-    if cap <= 1:
-        return None
-    model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-    if isinstance(backend, str):
-        try:
-            from repro.runtime.provider import resolve_backend
-
-            backend = resolve_backend(backend)
-        except Exception:
-            return None  # unknown spec: dispatch will surface the error
-    total = model.estimate_batch(backend, circuits, shots)
-    if total is None:
-        return None
-    return max(1, min(cap, math.ceil(total / WORKER_SECONDS)))
-
-
 # ----------------------------------------------------------------------
 # Fair-share multi-client submission queue
 # ----------------------------------------------------------------------
@@ -226,7 +187,9 @@ class ScheduledBatch:
 
     Returned immediately by :meth:`Scheduler.submit`; the underlying
     :class:`~repro.runtime.job.JobSet` exists only once the fair-share
-    dispatcher admits the batch.  Collection blocks until then.
+    dispatcher admits the batch.  Collection blocks until then.  From
+    dispatch on, the batch counts its jobs down through their
+    done-callbacks; the last one retires it from the scheduler.
     """
 
     def __init__(
@@ -245,9 +208,6 @@ class ScheduledBatch:
         #: Queue deadline in seconds from submission; ``None`` waits forever.
         self.deadline = deadline
         self.deadline_action = deadline_action
-        #: Pool width the scheduler's width planner chose for this
-        #: dispatch, or ``None`` (default width / planning off).
-        self.planned_width: Optional[int] = None
         #: Root trace span the queue/dispatch/per-circuit spans hang off.
         #: A front-end (the service) passes its own; standalone batches
         #: get a fresh root when process-wide tracing is on.
@@ -270,29 +230,48 @@ class ScheduledBatch:
         self._cancelled = False
         self._boosted = False
         self._callback_lock = threading.Lock()
-        self._callbacks: List[Callable] = []
-        self._settled = False
+        #: Callbacks per event, ``None`` once the event fired.
+        self._callbacks: Dict[str, Optional[List[Callable]]] = {
+            "dispatch": [], "done": [],
+        }
+        self._jobs_left = 0
 
     # -- scheduler-internal ---------------------------------------------
 
     def _mark_dispatched(self, jobset) -> None:
+        """Record the dispatch and arm the job countdown (the scheduler
+        lock is held; a job already settled counts down at once)."""
         self.dispatched_at = time.monotonic()
         self._finish_queue_span()
         self._jobset = jobset
         self._dispatched.set()
-        self._fire_callbacks()
+        self._fire("dispatch")
+        self._jobs_left = len(jobset)
+        if not self._jobs_left:
+            self._scheduler._retire_dispatched(self)
+        for job in jobset:
+            job.add_done_callback(self._job_settled)
+
+    def _job_settled(self, _job) -> None:
+        with self._callback_lock:
+            self._jobs_left -= 1
+            if self._jobs_left:
+                return
+        self._scheduler._retire_dispatched(self)
 
     def _mark_failed(self, error: BaseException) -> None:
         self._error = error
         self._finish_queue_span(outcome=type(error).__name__)
         self._dispatched.set()
-        self._fire_callbacks()
+        self._fire("dispatch")
+        self._fire("done")
 
     def _mark_cancelled(self) -> None:
         self._cancelled = True
         self._finish_queue_span(outcome="cancelled")
         self._dispatched.set()
-        self._fire_callbacks()
+        self._fire("dispatch")
+        self._fire("done")
 
     def _finish_queue_span(self, outcome: Optional[str] = None) -> None:
         span = self._trace_queue_span
@@ -301,12 +280,19 @@ class ScheduledBatch:
                 span.set(outcome=outcome)
             span.finish()
 
-    def _fire_callbacks(self) -> None:
+    def _fire(self, event: str) -> None:
         with self._callback_lock:
-            self._settled = True
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
+            callbacks, self._callbacks[event] = self._callbacks[event], None
+        for fn in callbacks or ():
             fn(self)
+
+    def _add_callback(self, event: str, fn: Callable) -> None:
+        with self._callback_lock:
+            callbacks = self._callbacks[event]
+            if callbacks is not None:
+                callbacks.append(fn)
+                return
+        fn(self)
 
     # -- client surface -------------------------------------------------
 
@@ -320,11 +306,21 @@ class ScheduledBatch:
         back into the scheduler (an async front-end typically just
         schedules a loop callback; see :mod:`repro.service`).
         """
-        with self._callback_lock:
-            if not self._settled:
-                self._callbacks.append(fn)
-                return
-        fn(self)
+        self._add_callback("dispatch", fn)
+
+    def add_done_callback(self, fn: Callable) -> None:
+        """Call ``fn(batch)`` once the batch is settled and retired.
+
+        Fires exactly once, after the dispatch callbacks: when the last
+        job of a dispatched batch settles (on the thread that settled it),
+        or with the queue-side terminal state (dispatch failure, deadline
+        drop, cancel, shutdown) — or immediately when the batch already
+        settled.  The scheduler's counts and in-flight load already
+        reflect the batch.  The same rules as for
+        :meth:`add_dispatch_callback` apply: quick, and no calls back into
+        the scheduler.
+        """
+        self._add_callback("done", fn)
 
     @property
     def dispatched(self) -> bool:
@@ -572,11 +568,13 @@ class Scheduler:
       the client jumps the round-robin order once, so long-waiting
       low-priority work preempts a steady stream of high-priority
       submissions instead of starving behind it.
-    * **Width planning** — with ``width_planning=True``, each dispatch's
-      ``max_workers`` is sized by :func:`plan_width` from the cost
-      model's estimated total batch cost instead of always taking the
-      full shared pool (an explicit per-batch or scheduler-level
-      ``max_workers`` always wins).
+
+    Completion reaches the scheduler only through job done-callbacks:
+    each dispatched batch counts its jobs down and the last one retires
+    it (in-flight load, client counts, breaker outcome), waking the
+    dispatcher when work waits for admission.  The dispatcher otherwise
+    sleeps until a submit, cancel or shutdown, or until the earliest
+    queue deadline or ``preempt_after`` falls due — it never polls.
 
     Parameters
     ----------
@@ -593,10 +591,6 @@ class Scheduler:
     preempt_after:
         Seconds a queued batch may wait before it is boosted (see above);
         ``None`` disables preemption.
-    width_planning:
-        Enable cost-model-driven ``max_workers`` sizing per dispatch.
-    cost_model:
-        Model the width planner consults (default: the process default).
     breaker:
         Per-backend-spec circuit breaking: ``None``/``True`` enables the
         default :class:`~repro.runtime.breaker.CircuitBreaker` knobs, a
@@ -616,11 +610,8 @@ class Scheduler:
         executor: Optional[str] = None,
         max_workers: Optional[int] = None,
         schedule: Optional[str] = None,
-        poll_interval: float = 0.002,
         require_registration: bool = False,
         preempt_after: Optional[float] = None,
-        width_planning: bool = False,
-        cost_model: Optional[CostModel] = None,
         breaker=None,
     ) -> None:
         if max_in_flight is None:
@@ -637,8 +628,6 @@ class Scheduler:
         self.schedule = schedule
         self.require_registration = bool(require_registration)
         self.preempt_after = preempt_after
-        self.width_planning = bool(width_planning)
-        self.cost_model = cost_model
         if breaker is False:
             self._breaker_config = None
         elif breaker is None or breaker is True:
@@ -651,8 +640,10 @@ class Scheduler:
                 f"knobs, got {breaker!r}"
             )
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._poll_interval = float(poll_interval)
-        self._lock = threading.Condition()
+        # Re-entrant: a job already settled at dispatch (serial executor,
+        # abandon at shutdown) retires its batch on the thread holding it.
+        self._lock = threading.Condition(threading.RLock())
+        self._idle_waiters = 0  # wait_idle() callers blocked on the lock
         self._clients: Dict[str, _ClientState] = {}
         self._round: List[str] = []  # remaining WRR slots of the current round
         self._in_flight: List[ScheduledBatch] = []
@@ -931,20 +922,7 @@ class Scheduler:
         options = dict(spec["options"])
         options.setdefault("executor", self.executor)
         options.setdefault("schedule", self.schedule)
-        if (
-            self.width_planning
-            and options.get("max_workers") is None
-            and self.max_workers is None
-        ):
-            batch.planned_width = plan_width(
-                spec["backend"],
-                spec["circuits"],
-                spec["shots"],
-                cost_model=self.cost_model,
-            )
-            options["max_workers"] = batch.planned_width
-        else:
-            options.setdefault("max_workers", self.max_workers)
+        options.setdefault("max_workers", self.max_workers)
         self._in_flight.append(batch)
         self._in_flight_jobs += batch.size
         state.dispatched_batches.inc()
@@ -979,10 +957,7 @@ class Scheduler:
             state.record_failure(batch, exc)
             return
         if dispatch_span is not None:
-            dispatch_span.finish().set(
-                planned_width=batch.planned_width,
-                executor=options.get("executor"),
-            )
+            dispatch_span.finish().set(executor=options.get("executor"))
         self._lock.acquire()
         batch._mark_dispatched(jobset)
         if self._abandoning:
@@ -1000,22 +975,27 @@ class Scheduler:
         for job in batch._jobset:
             job._abandon(batch._error)
 
-    def _reap_completed(self) -> bool:
-        """Retire finished in-flight batches (caller holds the lock)."""
-        finished = [
-            b for b in self._in_flight if b._jobset is not None and b._jobset.done()
-        ]
-        for batch in finished:
+    def _retire_dispatched(self, batch: ScheduledBatch) -> None:
+        """Retire a dispatched batch whose jobs all settled, then fire
+        its done callbacks.  Runs on whichever thread settled the last
+        job."""
+        with self._lock:
             self._in_flight.remove(batch)
             self._in_flight_jobs -= batch.size
             self._clients[batch.client]._retire(batch)
             if batch._breaker_key is not None:
                 from repro.runtime.job import JobStatus
 
-                statuses = batch._jobset.statuses()
-                success = not any(s is JobStatus.ERROR for s in statuses)
+                success = JobStatus.ERROR not in batch._jobset.statuses()
                 self._record_breaker_outcome(batch, success)
-        return bool(finished)
+            # Wake only someone with a use for it: the dispatcher when
+            # work waits for admission or the scheduler is closing, and
+            # wait_idle().  An idle dispatcher woken on every completion
+            # would contend for the interpreter lock with the thread
+            # delivering the result.
+            if self._idle_waiters or self._closed or self._has_pending():
+                self._lock.notify_all()
+        batch._fire("done")
 
     def _apply_queue_policies(self) -> bool:
         """Enforce deadlines and preemption on queued batches (holds lock).
@@ -1076,11 +1056,26 @@ class Scheduler:
             state.pending[:] = retained
         return changed
 
+    def _next_expiry(self) -> Optional[float]:
+        """Seconds until the earliest queued deadline or preemption falls
+        due, ``None`` when none can (caller holds the lock)."""
+        due = []
+        for state in self._clients.values():
+            for _entry, batch in state.pending:
+                if batch.deadline is not None and (
+                    batch.deadline_action == "drop" or not batch._boosted
+                ):
+                    due.append(batch.submitted_at + batch.deadline)
+                if self.preempt_after is not None and not batch._boosted:
+                    due.append(batch.submitted_at + self.preempt_after)
+        if not due:
+            return None
+        return max(0.0, min(due) - time.monotonic())
+
     def _dispatch_loop(self) -> None:
         with self._lock:
             while True:
-                progressed = self._reap_completed()
-                progressed |= self._apply_queue_policies()
+                progressed = self._apply_queue_policies()
                 while True:
                     state = self._next_slot()
                     if state is None:
@@ -1097,12 +1092,8 @@ class Scheduler:
                     self._lock.notify_all()
                 if self._closed and not self._in_flight and not self._has_pending():
                     return
-                if self._in_flight:
-                    # Completion has no callback that covers derived jobs;
-                    # poll like JobSet.as_completed does.
-                    self._lock.wait(self._poll_interval)
-                else:
-                    self._lock.wait(0.2 if self._closed else None)
+                # Submit, completion, cancel and shutdown all notify.
+                self._lock.wait(self._next_expiry())
 
     def _has_pending(self) -> bool:
         return any(state.pending for state in self._clients.values())
@@ -1201,11 +1192,11 @@ class Scheduler:
                 )
                 if remaining is not None and remaining <= 0:
                     return False
-                self._lock.wait(
-                    self._poll_interval
-                    if self._in_flight
-                    else remaining
-                )
+                self._idle_waiters += 1
+                try:
+                    self._lock.wait(remaining)
+                finally:
+                    self._idle_waiters -= 1
             return True
 
     def shutdown(self, timeout: float = CLOSE_GRACE_S) -> dict:
@@ -1224,6 +1215,7 @@ class Scheduler:
         """
         with self._lock:
             self._closed = True
+            self._lock.notify_all()
         settled = self.wait_idle(timeout)
         failed: List[ScheduledBatch] = []
         with self._lock:

@@ -22,16 +22,16 @@ Design rules:
 
 * **Never block the event loop.**  Submission is admission-control math
   plus a queue insert; completion is bridged from the executor futures by
-  callbacks (:meth:`Job.add_done_callback` →
-  ``loop.call_soon_threadsafe``), not by polling threads; result
+  callbacks (:meth:`Job.add_done_callback` → the scheduler's batch
+  countdown → ``loop.call_soon_threadsafe``), not by polling; result
   *collection* (which may merge chunks or lazily re-run a derived job)
   runs in the loop's default thread pool.
 * **Admission before execution.**  Authentication
   (:mod:`repro.service.auth`), per-client concurrency quotas and
   shots/sec token buckets (:mod:`repro.service.quota`) gate ``submit()``
   with typed errors — or, under ``over_quota="queue"``, with async
-  backpressure.  The scheduler's queue policies (deadlines, preemption,
-  cost-model width planning) act after admission.
+  backpressure.  The scheduler's queue policies (deadlines, preemption)
+  act after admission.
 * **Counts are sacred.**  The service adds *when* and *whether*, never
   *what*: everything flows through the same ``Scheduler`` → ``execute()``
   stack, so a seeded submission's counts are bit-identical to calling
@@ -489,11 +489,9 @@ class RuntimeService:
     allow_anonymous:
         Accept token-less submissions under the shared ``"anonymous"``
         client (default ``True`` — turn off for real multi-tenancy).
-    preempt_after / width_planning:
-        Queue policies, forwarded to the scheduler: boost batches queued
-        longer than ``preempt_after`` seconds, and size each dispatch's
-        pool width from the cost model (on by default — the service's
-        whole point is many concurrent clients sharing one machine).
+    preempt_after:
+        Queue policy, forwarded to the scheduler: boost batches queued
+        longer than ``preempt_after`` seconds.
     breaker:
         Per-backend circuit-breaker policy, forwarded to the scheduler:
         ``None``/``True`` for the default thresholds, ``False`` to
@@ -549,7 +547,6 @@ class RuntimeService:
         max_workers: Optional[int] = None,
         schedule: Optional[str] = None,
         preempt_after: Optional[float] = None,
-        width_planning: bool = True,
         breaker=None,
         max_queue_depth: Optional[int] = None,
         clock=time.monotonic,
@@ -604,7 +601,6 @@ class RuntimeService:
             schedule=schedule,
             require_registration=True,
             preempt_after=preempt_after,
-            width_planning=width_planning,
             breaker=breaker,
         )
         if max_queue_depth is not None and int(max_queue_depth) < 1:
@@ -998,11 +994,15 @@ class RuntimeService:
         handle._span = span
         with self._lock:
             self._jobs[handle.job_id] = handle
-        # The bridge out of the threaded scheduler: fires on dispatch,
-        # dispatch failure, deadline drop or queue-side cancel — possibly
-        # on the dispatcher thread — and hops onto the loop.
+        # The bridges out of the threaded scheduler, each hopping onto the
+        # loop: one when the batch leaves the queue, one when the
+        # scheduler retires it (its last job settled, or a queue-side
+        # terminal state).
         batch.add_dispatch_callback(
-            lambda _batch: self._post(loop, self._on_left_queue, handle)
+            lambda _batch: self._post(loop, handle._dispatched.set)
+        )
+        batch.add_done_callback(
+            lambda _batch: self._post(loop, self._settle, handle)
         )
         return handle
 
@@ -1017,33 +1017,6 @@ class RuntimeService:
     # ------------------------------------------------------------------
     # Settlement (event-loop thread)
     # ------------------------------------------------------------------
-
-    def _on_left_queue(self, handle: ServiceJob) -> None:
-        """The handle's batch left the queue: arm completion callbacks (or
-        settle immediately on a queue-side terminal state)."""
-        handle._dispatched.set()
-        batch = handle.batch
-        status = batch.status()
-        if status in ("failed", "dropped", "cancelled"):
-            self._settle(handle)
-            return
-        jobset = batch._jobset
-        remaining = len(jobset.jobs)
-        if remaining == 0:
-            self._settle(handle)
-            return
-        countdown = {"left": remaining}
-        lock = threading.Lock()
-
-        def job_done(_job) -> None:
-            with lock:
-                countdown["left"] -= 1
-                if countdown["left"]:
-                    return
-            self._post(handle._loop, self._settle, handle)
-
-        for job in jobset:
-            job.add_done_callback(job_done)
 
     def _settle(self, handle: ServiceJob) -> None:
         """Terminal bookkeeping; runs on the loop exactly once per handle."""

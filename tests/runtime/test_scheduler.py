@@ -5,6 +5,7 @@ process-fan-out prepare, and the fair-share multi-client queue.
 
 import math
 import multiprocessing
+import sys
 import threading
 import time
 
@@ -222,10 +223,25 @@ class TestAdaptiveChunkingInExecute:
         backend = get_backend("stabilizer")
         circuit = measured_ghz(6)
         self._warmed_key(backend, circuit)
-        job = execute(circuit, backend, shots=320, executor="serial",
+        job = execute(circuit, backend, shots=320, executor="process",
                       max_workers=4, schedule="adaptive")
         assert job.plan["chunk_shots"] is not None
         assert len(job._futures) > 1
+        assert job.result().counts.shots == 320
+
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    @pytest.mark.parametrize("chunk_shots", [None, "auto"])
+    def test_warmed_job_stays_whole_off_process_pools(self, kind, chunk_shots):
+        # Thread chunks of the in-repo engines do not overlap, and serial
+        # ones run back to back: the same job the process pool splits
+        # runs as one task here.
+        backend = get_backend("stabilizer")
+        circuit = measured_ghz(6)
+        self._warmed_key(backend, circuit)
+        job = execute(circuit, backend, shots=320, chunk_shots=chunk_shots,
+                      executor=kind, max_workers=4, schedule="adaptive")
+        assert job.plan["chunk_shots"] is None
+        assert len(job._futures) == 1
         assert job.result().counts.shots == 320
 
     def test_seeded_job_keeps_fixed_plan(self):
@@ -246,12 +262,12 @@ class TestAdaptiveChunkingInExecute:
         circuit = measured_ghz(6)
         self._warmed_key(backend, circuit)
         auto = execute(circuit, backend, shots=320, seed=11,
-                       chunk_shots="auto", executor="serial", max_workers=4,
+                       chunk_shots="auto", executor="process", max_workers=4,
                        schedule="adaptive")
         resolved = auto.plan["chunk_shots"]
         assert resolved is not None and resolved < 320
         fixed = execute(circuit, backend, shots=320, seed=11,
-                        chunk_shots=resolved, executor="serial",
+                        chunk_shots=resolved, executor="process",
                         max_workers=4, schedule="fixed")
         assert dict(auto.counts()) == dict(fixed.counts())
 
@@ -429,7 +445,8 @@ class TranspilingRecordingBackend(Backend):
 
 
 class TestPrepareAwareDispatch:
-    """ROADMAP follow-up: transpile-heavy jobs are submitted first."""
+    """Jobs reach the pool in priority order, then plan order; a measured
+    prepare (transpile) cost does not reorder them under either mode."""
 
     def _circuits(self):
         cheap = QuantumCircuit(1, name="cheap")
@@ -438,22 +455,14 @@ class TestPrepareAwareDispatch:
         heavy.measure_all()
         return cheap, heavy
 
-    def test_adaptive_submits_transpile_heavy_first(self):
+    @pytest.mark.parametrize("schedule", ["adaptive", "fixed"])
+    def test_schedule_keeps_submission_order(self, schedule):
         log = []
         backend = TranspilingRecordingBackend(log)
         cheap, heavy = self._circuits()
         DEFAULT_COST_MODEL.observe_prepare(profile_key(backend, heavy), 5.0)
         execute([cheap, heavy], backend, shots=8, seed=1, executor="serial",
-                schedule="adaptive", dedupe=False).result()
-        assert log == ["heavy", "cheap"]
-
-    def test_fixed_schedule_keeps_submission_order(self):
-        log = []
-        backend = TranspilingRecordingBackend(log)
-        cheap, heavy = self._circuits()
-        DEFAULT_COST_MODEL.observe_prepare(profile_key(backend, heavy), 5.0)
-        execute([cheap, heavy], backend, shots=8, seed=1, executor="serial",
-                schedule="fixed", dedupe=False).result()
+                schedule=schedule, dedupe=False).result()
         assert log == ["cheap", "heavy"]
 
     def test_priority_still_wins_over_prepare_estimate(self):
@@ -935,76 +944,217 @@ class TestCancelQueued:
             gate.set()
 
 
-class TestWidthPlanner:
-    def test_no_data_means_no_opinion(self):
-        from repro.runtime import plan_width
+class GatedBackend(RecordingBackend):
+    """A gated :class:`RecordingBackend` that reports when a run started."""
 
-        model = CostModel()
-        assert plan_width(get_backend("statevector"),
-                          [measured_bell()], 1024,
-                          max_width=8, cost_model=model) is None
+    def __init__(self, log, gate):
+        super().__init__(log, gate=gate)
+        self.started = threading.Event()
 
-    def test_width_scales_with_estimated_cost(self):
-        from repro.runtime import plan_width
-        from repro.runtime.scheduler import WORKER_SECONDS
+    def run(self, circuit, shots=1024, seed=None):
+        self.started.set()
+        return super().run(circuit, shots=shots, seed=seed)
 
-        backend = get_backend("statevector")
-        circuit = measured_bell()
-        model = CostModel()
-        key = profile_key(backend, circuit)
-        # Train: 1 ms per shot -> 1024 shots ~ 1.024 s of estimated work.
-        model.observe_run(key, shots=100, elapsed=0.1)
-        width = plan_width(backend, [circuit], 1024, max_width=64,
-                           cost_model=model)
-        expected = math.ceil(1024 * 0.001 / WORKER_SECONDS)
-        assert width == expected
-        # Tiny batches take one worker; huge ones clamp to the cap.
-        assert plan_width(backend, [circuit], 16, max_width=64,
-                          cost_model=model) == 1
-        assert plan_width(backend, [circuit] * 100, 100000, max_width=8,
-                          cost_model=model) == 8
 
-    def test_single_worker_cap_means_no_opinion(self):
-        from repro.runtime import plan_width
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
-        assert plan_width(get_backend("statevector"), [measured_bell()],
-                          1024, max_width=1) is None
 
-    def test_unknown_backend_spec_means_no_opinion(self):
-        from repro.runtime import plan_width
+class TestCompletionCallbacks:
+    """Completion reaches the scheduler only through job done-callbacks:
+    the dispatcher sleeps while work runs, every terminal path settles a
+    batch exactly once, and queue policies fire on their own timers."""
 
-        assert plan_width("no-such-backend", [measured_bell()], 1024,
-                          max_width=8) is None
+    @staticmethod
+    def settle_log(batch):
+        fired = []
+        batch.add_done_callback(fired.append)
+        return fired
 
-    def test_scheduler_records_planned_width(self, monkeypatch):
-        # The planner defers to the machine width; pin it so the test is
-        # meaningful on single-core runners too.
-        import repro.runtime.scheduler as scheduler_module
+    @staticmethod
+    def assert_settled_once(scheduler, batch, fired):
+        assert scheduler.wait_idle(timeout=10)
+        assert fired == [batch]
+        late = []
+        batch.add_done_callback(late.append)  # settled: fires at once
+        assert late == [batch]
+        stats = scheduler.stats()
+        assert stats["in_flight_jobs"] == 0
+        for client in stats["clients"].values():
+            assert client["completed_batches"] == client["submitted_batches"]
+            assert client["completed_jobs"] == client["submitted_jobs"]
 
-        monkeypatch.setattr(scheduler_module, "default_max_workers",
-                            lambda: 8)
-        backend = get_backend("statevector")
-        circuit = measured_bell()
-        model = CostModel()
-        model.observe_run(profile_key(backend, circuit), shots=100, elapsed=0.1)
-        with Scheduler(executor="thread", width_planning=True,
-                       cost_model=model) as scheduler:
-            batch = scheduler.submit(circuit, backend, shots=1024, seed=3)
-            batch.result(timeout=30)
-            assert batch.planned_width is not None
-            assert batch.planned_width >= 1
+    def test_dispatcher_sleeps_while_a_batch_runs(self):
+        gate = threading.Event()
+        wakes = []
+        try:
+            with Scheduler(executor="thread") as scheduler:
+                wait = scheduler._lock.wait
 
-    def test_width_planning_never_changes_counts(self):
-        circuit = measured_bell()
-        reference = execute(circuit, "statevector", shots=256,
-                            seed=5).result().counts
-        model = CostModel()
-        model.observe_run(profile_key(get_backend("statevector"), circuit),
-                          shots=100, elapsed=0.1)
-        with Scheduler(executor="thread", width_planning=True,
-                       cost_model=model) as scheduler:
-            batch = scheduler.submit(circuit, "statevector", shots=256, seed=5)
-            assert batch.counts(timeout=30)[0] == reference
+                def counting_wait(timeout=None):
+                    if threading.current_thread().name == "repro-scheduler":
+                        wakes.append(timeout)
+                    return wait(timeout)
+
+                scheduler._lock.wait = counting_wait
+                batch = scheduler.submit(
+                    named_circuit("gated"), RecordingBackend([], gate=gate),
+                    shots=4,
+                )
+                batch.jobs(timeout=10)
+                before = len(wakes)
+                time.sleep(0.3)
+                during = len(wakes) - before
+                gate.set()
+                batch.result(timeout=30)
+                assert scheduler.wait_idle(timeout=10)
+        finally:
+            gate.set()
+        assert during <= 3, f"dispatcher woke {during} times while idle"
+
+    def test_countdown_survives_concurrent_settles(self):
+        """Many jobs settling at once on more workers than cores, with a
+        tiny switch interval: a lost countdown update would leave a batch
+        in flight forever."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Scheduler(executor="thread", max_workers=8,
+                           max_in_flight=1000) as scheduler:
+                batches = [
+                    scheduler.submit(
+                        [named_circuit(f"c{b}-{j}") for j in range(32)],
+                        RecordingBackend([]), shots=1, seed=list(range(32)),
+                        client=f"client{b % 3}", dedupe=False,
+                    )
+                    for b in range(6)
+                ]
+                fired = [self.settle_log(batch) for batch in batches]
+                for batch, log in zip(batches, fired):
+                    self.assert_settled_once(scheduler, batch, log)
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_cached_batch_settles_once(self):
+        from repro.runtime import DistributionCache
+
+        cache = DistributionCache()
+        with Scheduler(executor="thread") as scheduler:
+            scheduler.submit(measured_bell(), "statevector", shots=64,
+                             seed=1, distribution_cache=cache).result(timeout=30)
+            batch = scheduler.submit(measured_bell(), "statevector",
+                                     shots=64, seed=2,
+                                     distribution_cache=cache)
+            fired = self.settle_log(batch)
+            assert batch.jobs(timeout=10)[0].cached
+            self.assert_settled_once(scheduler, batch, fired)
+        assert batch.status() == "done"
+
+    def test_derived_job_with_cancelled_source_settles_once(self):
+        gate = threading.Event()
+        blocker_backend = GatedBackend([], gate)
+        try:
+            with Scheduler(executor="thread", max_workers=1) as scheduler:
+                blocker = scheduler.submit(named_circuit("blocker"),
+                                           blocker_backend, shots=4)
+                assert blocker_backend.started.wait(10)
+                circuit = measured_bell()
+                batch = scheduler.submit([circuit, circuit], "statevector",
+                                         shots=64, seed=[3, 4])
+                fired = self.settle_log(batch)
+                primary, derived = batch.jobs(timeout=10)
+                assert derived.derived
+                assert primary.cancel()
+                # Settled while the blocker still holds the only worker.
+                wait_until(lambda: fired)
+                assert blocker.status() == "running"
+                gate.set()
+                self.assert_settled_once(scheduler, batch, fired)
+                assert derived.result(timeout=30).counts.shots == 64
+        finally:
+            gate.set()
+
+    def test_dispatch_failure_settles_once(self):
+        with Scheduler(executor="thread") as scheduler:
+            batch = scheduler.submit(named_circuit("x"), "no-such-backend",
+                                     shots=4)
+            fired = self.settle_log(batch)
+            self.assert_settled_once(scheduler, batch, fired)
+        assert batch.status() == "failed"
+
+    @pytest.mark.parametrize("path", ["deadline_drop", "queued_cancel",
+                                      "shutdown_abandon"])
+    def test_queue_side_and_shutdown_paths_settle_once(self, path):
+        gate = threading.Event()
+        try:
+            scheduler = Scheduler(max_in_flight=1, executor="thread")
+            blocker = scheduler.submit(
+                named_circuit("blocker"), RecordingBackend([], gate=gate),
+                shots=4,
+            )
+            blocker.jobs(timeout=10)
+            queued = scheduler.submit(
+                named_circuit("queued"), RecordingBackend([]), shots=4,
+                deadline=0.05 if path == "deadline_drop" else None,
+            )
+            fired = {b: self.settle_log(b) for b in (blocker, queued)}
+            if path == "deadline_drop":
+                wait_until(lambda: queued.status() == "dropped")
+            elif path == "queued_cancel":
+                assert queued.cancel()
+            else:
+                report = scheduler.shutdown(timeout=0)
+                assert report["failed"] == [queued]
+                assert report["abandoned"] == [blocker]
+            assert fired[queued] == [queued]
+            gate.set()
+            for batch in (blocker, queued):
+                self.assert_settled_once(scheduler, batch, fired[batch])
+        finally:
+            gate.set()
+            scheduler.shutdown()
+
+    def test_reprioritize_deadline_fires_while_work_runs(self):
+        gate = threading.Event()
+        try:
+            with Scheduler(max_in_flight=1, executor="thread") as scheduler:
+                blocker = scheduler.submit(
+                    named_circuit("blocker"), RecordingBackend([], gate=gate),
+                    shots=4,
+                )
+                blocker.jobs(timeout=10)
+                scheduler.submit(named_circuit("late"), RecordingBackend([]),
+                                 shots=4, deadline=0.05,
+                                 deadline_action="reprioritize")
+                # Nothing else happens: the dispatcher's own timer fires.
+                wait_until(lambda: scheduler.stats()["clients"]["default"]
+                           ["reprioritized_batches"] == 1)
+                assert blocker.status() == "running"
+                gate.set()
+        finally:
+            gate.set()
+
+    def test_preemption_fires_while_work_runs(self):
+        gate = threading.Event()
+        try:
+            with Scheduler(max_in_flight=1, executor="thread",
+                           preempt_after=0.05) as scheduler:
+                blocker = scheduler.submit(
+                    named_circuit("blocker"), RecordingBackend([], gate=gate),
+                    shots=4,
+                )
+                blocker.jobs(timeout=10)
+                scheduler.submit(named_circuit("aged"), RecordingBackend([]),
+                                 shots=4)
+                wait_until(lambda: scheduler.stats()["clients"]["default"]
+                           ["preempted_batches"] == 1)
+                assert blocker.status() == "running"
+                gate.set()
+        finally:
+            gate.set()
 
 
 class TestSchedulerQueueStats:

@@ -135,6 +135,30 @@ class TestAsCompleted:
             jobs[0].job_id
         ]
 
+    def test_stream_wakes_on_completion_not_on_a_timer(self, monkeypatch):
+        import time
+        import types
+
+        import repro.runtime.job as job_module
+
+        def no_sleep(_seconds):
+            raise AssertionError("as_completed slept instead of waiting")
+
+        monkeypatch.setattr(job_module, "time", types.SimpleNamespace(
+            monotonic=time.monotonic, perf_counter=time.perf_counter,
+            sleep=no_sleep,
+        ))
+        gate = GateBackend()
+        jobs = execute(
+            [measured_bell()], gate, shots=16, executor="thread", max_workers=1
+        )
+        stream = jobs.as_completed(timeout=30)
+        assert gate.started.wait(timeout=10)
+        threading.Timer(0.05, gate.release.set).start()
+        assert next(stream) is jobs[0]
+        with pytest.raises(StopIteration):
+            next(stream)
+
     def test_derived_jobs_stream_with_their_primary(self):
         jobs = execute(
             [measured_bell()] * 4, "density_matrix", shots=64, seed=7,

@@ -98,6 +98,12 @@ class TestDurableRetention:
                 tracemalloc.stop()
             log = service.journal._log
             checkpointed = log.checkpoint_size > 0
+            # A handle goes just after its journal write and ledger charge;
+            # the collections above can hold the GIL across that step.
+            for _ in range(5000):
+                if not service._jobs:
+                    break
+                await asyncio.sleep(0.001)
             answers = []
             for job_id, _ in seen:
                 handle = service.job(job_id)

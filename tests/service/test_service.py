@@ -317,6 +317,118 @@ class TestTerminalStates:
         run(main())
 
 
+class BarrierBackend(Backend):
+    """Each run waits for a second run to arrive: two batches complete
+    only if they run at the same time."""
+
+    name = "barrier"
+
+    def __init__(self):
+        self.barrier = threading.Barrier(2, timeout=5)
+
+    def run(self, circuit, shots=1024, seed=None):
+        self.barrier.wait()
+        return Result(counts=Counts({"0": shots}), shots=shots)
+
+
+class TestCompletionPath:
+    def test_two_clients_run_at_the_same_time(self, monkeypatch):
+        """A default service dispatches on the full shared pool: two
+        clients' one-job batches overlap instead of queueing on a
+        one-thread pool."""
+        import repro.runtime.pool as pool_module
+        import repro.runtime.scheduler as scheduler_module
+        from repro.runtime import DEFAULT_COST_MODEL, profile_key
+
+        for module in (pool_module, scheduler_module):
+            monkeypatch.setattr(module, "default_max_workers", lambda: 2)
+        backend = BarrierBackend()
+        circuits = [named_circuit("left"), named_circuit("right")]
+        for circuit in circuits:  # a measured, tiny cost per job
+            DEFAULT_COST_MODEL.observe_run(profile_key(backend, circuit),
+                                           shots=100, elapsed=0.001)
+
+        async def main():
+            async with RuntimeService(executor="thread") as service:
+                tokens = [service.register_client(name)
+                          for name in ("alice", "bob")]
+                handles = [
+                    await service.submit(circuit, backend, shots=4,
+                                         token=token)
+                    for circuit, token in zip(circuits, tokens)
+                ]
+                return [await handle.counts(timeout=30) for handle in handles]
+
+        assert run(main()) == [[{"0": 4}], [{"0": 4}]]
+
+    def test_every_terminal_path_settles_once(self):
+        """Cached, derived-from-a-cancelled-source, dispatch failure,
+        deadline drop, queued cancel and shutdown abandon: each handle
+        settles exactly once, through the scheduler's batch countdown."""
+        from repro.runtime import DistributionCache
+
+        gate = threading.Event()
+        blocker_backend = RecordingBackend([], gate=gate)
+        cache = DistributionCache()
+
+        async def main():
+            service = RuntimeService(executor="thread", max_workers=1)
+            settles = []
+            settle = service._settle
+
+            def counting_settle(handle):
+                settles.append(handle.job_id)
+                settle(handle)
+
+            service._settle = counting_settle
+            try:
+                warm = await service.submit(measured_bell(), "statevector",
+                                            shots=64, seed=1,
+                                            distribution_cache=cache)
+                await warm.wait(timeout=30)
+                cached = await service.submit(measured_bell(), "statevector",
+                                              shots=64, seed=2,
+                                              distribution_cache=cache)
+                failed = await service.submit(named_circuit("x"),
+                                              "no-such-backend", shots=4)
+                blocker = await service.submit(named_circuit("blocker"),
+                                               blocker_backend, shots=4)
+                await blocker.jobs(timeout=10)
+                circuit = measured_bell()
+                derived = await service.submit([circuit, circuit],
+                                               "statevector", shots=64,
+                                               seed=[3, 4])
+                primary, twin = await derived.jobs(timeout=10)
+                assert twin.derived and primary.cancel()
+                await derived.wait(timeout=30)
+                service.scheduler.max_in_flight = 1
+                dropped = await service.submit(named_circuit("late"),
+                                               RecordingBackend([]), shots=4,
+                                               deadline=0.05)
+                cancelled = await service.submit(named_circuit("doomed"),
+                                                 RecordingBackend([]), shots=4)
+                await dropped.wait(timeout=30)
+                assert cancelled.cancel()
+                await cancelled.wait(timeout=30)
+                abandoned = await service.submit(named_circuit("stuck"),
+                                                 RecordingBackend([]), shots=4)
+                await service.close(timeout=0)
+                handles = [warm, cached, failed, blocker, derived, dropped,
+                           cancelled, abandoned]
+                for handle in handles:
+                    await handle.wait(timeout=30)
+                assert cached.batch.jobs(timeout=0)[0].cached
+                assert sorted(settles) == sorted(h.job_id for h in handles)
+                return [h.status() for h in handles]
+            finally:
+                gate.set()
+
+        assert run(main()) == [
+            "done", "done", "failed", "failed", "done", "dropped",
+            "cancelled", "failed",
+        ]
+
+
 # ----------------------------------------------------------------------
 # Admission control: authentication, quotas, rate limits
 # ----------------------------------------------------------------------
