@@ -20,9 +20,10 @@ second (warm) process serves everything from the disk-backed cache store —
 zero transpiles, zero exact-distribution simulations, bit-identical
 counts.
 
-The v4 bench covers the scheduler: a long unseeded trajectory job under
-``schedule="fixed"`` runs as one pool task, while ``schedule="adaptive"``
-shards it into cost-model-sized chunks that saturate the process pool.
+The v4 bench covers process-pool chunk planning: a long unseeded
+trajectory job pinned to one chunk (``chunk_shots=shots``) runs as one
+pool task, while the same job left to the planner is sharded into
+cost-model-sized chunks that saturate the process pool.
 
 The v6/v7 benches storm the multi-tenant service layer (concurrent
 tenants vs back-to-back submissions, plus the write-ahead-journal tax);
@@ -226,11 +227,11 @@ def test_cross_call_distribution_cache_resamples_repeat_sweep():
 
 
 def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
-    """v4: cost-driven chunk sizing vs the fixed single-task plan.
+    """v4: cost-driven chunk sizing vs the single-task plan.
 
-    The trajectory engine pays per shot, so a long unseeded job under the
-    fixed schedule occupies exactly one process-pool worker while the rest
-    idle.  The adaptive schedule reads the cost model's measured per-shot
+    The trajectory engine pays per shot, so a long unseeded job pinned to
+    one chunk occupies exactly one process-pool worker while the rest
+    idle.  The chunk planner reads the cost model's measured per-shot
     cost (learned here from a short probe run — in production, from any
     earlier call or a persisted profile) and shards the job to saturate
     the pool.  The job is unseeded because that is where adaptive chunking
@@ -260,7 +261,7 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     start = time.perf_counter()
     fixed = execute(
         circuit, backend, shots=shots, executor="process",
-        max_workers=workers, schedule="fixed",
+        max_workers=workers, chunk_shots=shots,
     )
     fixed.result()
     fixed_s = time.perf_counter() - start
@@ -268,7 +269,7 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     start = time.perf_counter()
     adaptive = execute(
         circuit, backend, shots=shots, executor="process",
-        max_workers=workers, schedule="adaptive",
+        max_workers=workers,
     )
     adaptive.result()
     adaptive_s = time.perf_counter() - start
@@ -292,7 +293,7 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     emit(
         "runtime bench — trajectory engine, fixed vs adaptive chunking\n"
         f"job             : {shots} unseeded shots, {workers} process workers\n"
-        f"fixed schedule  : {fixed_s:8.3f} s (1 task)\n"
+        f"one chunk       : {fixed_s:8.3f} s (1 task)\n"
         f"adaptive        : {adaptive_s:8.3f} s ({len(adaptive._futures)} tasks "
         f"of <= {chunk} shots, speedup {fixed_s / adaptive_s:.1f}x)"
     )

@@ -17,12 +17,10 @@ cache (``--runtime-stats`` prints cache and pool statistics, or
 service layer can be exposed over HTTP with ``--serve HOST:PORT`` (plus
 ``--serve-client NAME:TOKEN[:SCOPES]`` to pre-register tenants), the
 noise sweep re-samples repeat runs through the cross-call distribution
-cache, ``--schedule adaptive|fixed`` picks the runtime scheduling mode
-(adaptive chunk sizing; counts are identical either way for a fixed
-seed), ``--cache-dir PATH`` (or ``$REPRO_CACHE_DIR``) persists the
-caches *and cost profiles* on disk so a
-*second invocation* skips transpiles and exact-distribution simulations
-entirely and schedules from measured costs, ``--list-backends`` shows
+cache, ``--cache-dir PATH`` (or ``$REPRO_CACHE_DIR``) persists the
+caches *and cost profiles* on disk so a *second invocation* skips
+transpiles and exact-distribution simulations entirely and plans
+process-pool chunks from measured costs, ``--list-backends`` shows
 the provider registry's spec strings, and ``--service-demo`` drives a
 small multi-client storm through the async service layer
 (:mod:`repro.service`) and prints its stats snapshot.
@@ -390,14 +388,6 @@ def main(argv=None) -> int:
         "every kind)",
     )
     parser.add_argument(
-        "--schedule",
-        choices=["adaptive", "fixed"],
-        default=None,
-        help="runtime scheduling mode (default: $REPRO_SCHEDULE or adaptive; "
-        "adaptive picks cost-model-driven chunk sizes where counts cannot "
-        "change — for a fixed seed both modes produce bit-identical counts)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="PATH",
@@ -507,15 +497,6 @@ def main(argv=None) -> int:
         return 0
     if args.workers is not None and args.workers < 1:
         parser.error(f"--workers must be positive, got {args.workers}")
-    if args.schedule:
-        # The scheduling mode is process-wide policy, not a per-experiment
-        # argument: setting the env default reaches every execute() call the
-        # runners make, exactly like exporting REPRO_SCHEDULE would.
-        import os
-
-        from repro.runtime.scheduler import SCHEDULE_ENV_VAR
-
-        os.environ[SCHEDULE_ENV_VAR] = args.schedule
     if args.cache_dir:
         from repro.runtime import set_default_cache_dir
 

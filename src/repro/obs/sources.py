@@ -79,10 +79,6 @@ def _collect_cost_model() -> Iterable[Sample]:
             samples.append(
                 ("repro_cost_model_shot_samples_total", labels, entry["shot_samples"], "counter")
             )
-        if entry.get("prepare_samples"):
-            samples.append(
-                ("repro_cost_model_per_prepare_seconds", labels, entry["per_prepare"])
-            )
     return samples
 
 

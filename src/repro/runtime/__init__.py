@@ -28,18 +28,19 @@ interchangeable backends.  This package is the layer between the engines
   job completion so overlapping calls share entries.
 * :mod:`~repro.runtime.batching` — identical ``(circuit, backend)`` jobs
   simulate the distribution once and re-sample counts per job.
-* :mod:`~repro.runtime.profile` / :mod:`~repro.runtime.scheduler` — the
-  adaptive control layer: an online :class:`~repro.runtime.profile.CostModel`
-  (EWMA per-shot/per-prepare estimates fed by every completed chunk,
-  persisted through the cache store) sizes shot chunks on process pools
-  (``schedule="adaptive"``, the default), and
+* :mod:`~repro.runtime.profile` / :mod:`~repro.runtime.scheduler` — an
+  online :class:`~repro.runtime.profile.CostModel` (EWMA per-shot
+  estimates fed by every completed chunk, persisted through the cache
+  store) sizes the shot chunks of unseeded (or ``chunk_shots="auto"``)
+  jobs on process pools, its one decision; and
   :class:`~repro.runtime.scheduler.Scheduler` adds a
   fair-share multi-client submission queue with weighted round-robin
   dispatch and bounded in-flight admission control.
 
 Everything is deterministic under a caller seed: serial, thread, process,
-chunked, deduplicated, cached (memory- or disk-tier) and adaptively
-scheduled execution all produce the same counts for the same seed.
+chunked, deduplicated, cached (memory- or disk-tier) and scheduled
+execution all produce the same counts for the same seed and
+``chunk_shots``.
 """
 
 from repro.runtime.batching import BatchPlan, plan_batches
@@ -89,7 +90,6 @@ from repro.runtime.provider import (
 )
 from repro.runtime.scheduler import (
     DEADLINE_ACTIONS,
-    SCHEDULE_MODES,
     ScheduledBatch,
     Scheduler,
     default_schedule_mode,
@@ -123,7 +123,6 @@ __all__ = [
     "JobSet",
     "JobStatus",
     "RetryPolicy",
-    "SCHEDULE_MODES",
     "ScheduledBatch",
     "Scheduler",
     "SerialExecutor",

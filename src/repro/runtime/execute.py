@@ -45,6 +45,7 @@ Semantics:
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional, Sequence, Union
 
 from repro.circuits.circuit import QuantumCircuit
@@ -67,7 +68,7 @@ from repro.runtime.pool import executor_kind, get_executor
 from repro.runtime.profile import DEFAULT_COST_MODEL, profile_key
 from repro.runtime.provider import resolve_backend
 from repro.runtime.retry import resolve_retry_policy
-from repro.runtime.scheduler import plan_chunk_shots, resolve_schedule_mode
+from repro.runtime.scheduler import plan_chunk_shots
 
 CircuitInput = Union[QuantumCircuit, Sequence[QuantumCircuit]]
 BackendInput = Union[str, Backend, Sequence[Union[str, Backend]]]
@@ -84,6 +85,20 @@ def _broadcast(value, count: int, name: str) -> list:
             )
         return list(value)
     return [value] * count
+
+
+def _count(value, name: str) -> int:
+    """Return ``value`` as a Python int, or raise :class:`JobError`.
+
+    Accepts what :func:`operator.index` accepts (so NumPy integers pass)
+    except ``bool``: ``True`` is not a shot or worker count.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise JobError(f"{name} must be an int, got {type(value).__name__} {value!r}")
 
 
 def _resolve_distribution_cache(
@@ -113,7 +128,6 @@ def execute(
     executor: Optional[str] = None,
     priority: Union[int, Sequence[int]] = 0,
     distribution_cache: DistCacheInput = False,
-    schedule: Optional[str] = None,
     trace_parent: Optional[Span] = None,
     retry=None,
     fault_plan=None,
@@ -138,11 +152,14 @@ def execute(
         and reused across calls.  Width never changes the merged counts.
     chunk_shots:
         Split each job into chunks of at most this many shots (parallel
-        shot sharding for the per-shot Monte-Carlo engines).  ``"auto"``
-        (adaptive schedule only) sizes chunks from the cost model's
-        measured per-shot cost on a process pool and keeps the job whole
-        elsewhere; the resolved size is recorded in ``job.plan`` and the
-        counts equal an explicit ``chunk_shots`` of that same value.
+        shot sharding for the per-shot Monte-Carlo engines).  An explicit
+        int always wins.  ``None`` keeps a job whole except an unseeded
+        one on a process pool, which is sized from the cost model's
+        measured per-shot cost; ``"auto"`` opts a seeded job into that
+        sizing too.  Serial and thread runs stay whole either way.  The
+        resolved size is recorded in ``job.plan`` and the counts equal an
+        explicit ``chunk_shots`` of that same value (see
+        :mod:`repro.runtime.scheduler`).
     dedupe:
         Group identical ``(circuit, backend)`` jobs so the distribution is
         simulated once and re-sampled per job.
@@ -167,18 +184,6 @@ def execute(
         from the cache instead of simulating again.  When the cache has a
         disk tier (``$REPRO_CACHE_DIR`` or ``cache_dir=``), entries also
         survive into future processes.
-    schedule:
-        ``"adaptive"`` or ``"fixed"``; ``None`` reads ``$REPRO_SCHEDULE``
-        and falls back to ``"adaptive"``.  On a process pool the adaptive
-        schedule picks cost-model-driven chunk sizes — but only where
-        counts cannot change: an explicit ``chunk_shots`` always wins, and
-        a seeded job keeps the fixed chunk plan unless it opts in with
-        ``chunk_shots="auto"``.  Serial and thread runs stay whole under
-        both modes.  Jobs reach the pool in priority order, then input
-        order, under both modes.  For a fixed seed, counts are
-        bit-identical under both modes (see :mod:`repro.runtime.scheduler`).
-        Both modes feed the cost model with every completed chunk's
-        measured wall-clock.
     trace_parent:
         Optional :class:`~repro.obs.trace.Span` to hang the per-job trace
         spans off (the service layer passes its per-submission root).
@@ -207,15 +212,19 @@ def execute(
         (``executor="serial"`` runs inline); call ``.result()`` or iterate
         ``.as_completed()`` to collect.
     """
-    mode = resolve_schedule_mode(schedule)
-    adaptive = mode == "adaptive"
     auto_chunks = isinstance(chunk_shots, str)
     if auto_chunks and chunk_shots != "auto":
         raise JobError(
             f"chunk_shots must be a positive int, None or 'auto', got {chunk_shots!r}"
         )
-    if auto_chunks and not adaptive:
-        raise JobError('chunk_shots="auto" requires schedule="adaptive"')
+    if chunk_shots is not None and not auto_chunks:
+        chunk_shots = _count(chunk_shots, "chunk_shots")
+        if chunk_shots < 1:
+            raise JobError(f"chunk_shots must be positive, got {chunk_shots}")
+    if max_workers is not None:
+        max_workers = _count(max_workers, "max_workers")
+        if max_workers < 1:
+            raise JobError(f"max_workers must be positive, got {max_workers}")
     single = isinstance(circuits, QuantumCircuit)
     circuit_list: List[QuantumCircuit] = [circuits] if single else list(circuits)
     if not circuit_list:
@@ -233,7 +242,7 @@ def execute(
         if spec not in resolved_specs:
             resolved_specs[spec] = resolve_backend(spec)
         backends.append(resolved_specs[spec])
-    shots_list = [int(s) for s in _broadcast(shots, count, "shots")]
+    shots_list = [_count(s, "shots") for s in _broadcast(shots, count, "shots")]
     seed_list = _broadcast(seed, count, "seed")
     priority_list = [int(p) for p in _broadcast(priority, count, "priority")]
     dist_cache = _resolve_distribution_cache(distribution_cache)
@@ -242,10 +251,6 @@ def execute(
     for s in shots_list:
         if s < 0:
             raise JobError(f"shots must be non-negative, got {s}")
-    if chunk_shots is not None and not auto_chunks and chunk_shots < 1:
-        raise JobError(f"chunk_shots must be positive, got {chunk_shots}")
-    if max_workers is not None and max_workers < 1:
-        raise JobError(f"max_workers must be positive, got {max_workers}")
     retry_policy = resolve_retry_policy(retry)
     if fault_plan is not None:
         from repro.faults import FaultPlan
@@ -258,7 +263,7 @@ def execute(
     pool = get_executor(executor, max_workers)
     kind = executor_kind(pool)
 
-    # Adaptive chunk sizing, resolved once per (profile key, shots) so that
+    # Planned chunk sizing, resolved once per (profile key, shots) so that
     # identical jobs inside one call (dedup groups, repeated sweep points)
     # always share a plan even while cost observations stream in.
     resolved_chunks: dict = {}
@@ -266,13 +271,13 @@ def execute(
     def chunk_for(index: int) -> Optional[int]:
         if not auto_chunks and chunk_shots is not None:
             return chunk_shots  # explicit always wins
-        if not adaptive or kind != "process":
+        if kind != "process":
             # Serial chunks run one after another and thread chunks of
             # the in-repo engines do not overlap: splitting only adds
             # per-chunk setup, so these runs stay whole.
             return None
         if not auto_chunks and seed_list[index] is not None:
-            # A caller seed pins the chunk plan: adaptive splitting here
+            # A caller seed pins the chunk plan: a planned split here
             # would change counts, so it only applies on explicit opt-in.
             return None
         key = (profile_key(backends[index], circuit_list[index]), shots_list[index])
@@ -334,7 +339,7 @@ def execute(
                     profile_key(backends[index], circuit_list[index]),
                 )
                 to_submit.append(job)
-        job.plan = {"schedule": mode, "chunk_shots": job_chunk, "executor": None}
+        job.plan = {"chunk_shots": job_chunk, "executor": None}
         if trace_parent is not None or tracing_enabled():
             attrs = {
                 "job_id": job.job_id,

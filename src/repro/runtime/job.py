@@ -423,11 +423,11 @@ class Job:
         self._dist_store = None
         self._dist_stored = False
         #: Set by execute(): (CostModel, profile key) every completed
-        #: chunk / parent-side prepare reports its measured wall-clock
-        #: into (see repro.runtime.profile).
+        #: chunk reports its measured wall-clock into (see
+        #: repro.runtime.profile).
         self._cost_probe = None
-        #: Set by execute(): how the scheduler planned this job —
-        #: {"schedule", "chunk_shots", "executor"} — for introspection.
+        #: Set by execute(): how this job was planned —
+        #: {"chunk_shots", "executor"} — for introspection.
         self.plan: Optional[dict] = None
         #: Set by execute() when tracing is on: this job's trace span.
         #: Chunk submissions hang child spans off it and ship its context
@@ -505,8 +505,7 @@ class Job:
         tasks re-lower the circuit.  Instead the parent runs ``prepare()``
         once (through the cache) and ships the *prepared* circuit with a
         transpile-disabled copy of the backend: the chunks execute exactly
-        the circuit a direct ``run()`` would have, so counts are untouched,
-        and the measured prepare cost feeds the cost model.
+        the circuit a direct ``run()`` would have, so counts are untouched.
 
         Any ``prepare()`` failure falls back to shipping the original pair
         so the error keeps surfacing through the job's future (the
@@ -515,36 +514,26 @@ class Job:
         prepare = getattr(self.backend, "prepare", None)
         if prepare is None or not getattr(self.backend, "transpile", False):
             return self.backend, self.circuit
-        # Only a cache *miss* measures real lowering work; folding in the
-        # microsecond cache hits would collapse the per-prepare EWMA to
-        # ~zero right after the first transpile.  (Concurrent jobs sharing
-        # a cache can skew the miss delta — an occasional mis-attributed
-        # sample, never a systematic bias.)
-        cache = getattr(self.backend, "cache", None)
-        if cache is None:
-            from repro.runtime.cache import DEFAULT_CACHE
+        span = misses_before = None
+        if self._span is not None:
+            span = self._span.child("prepare")
+            cache = getattr(self.backend, "cache", None)
+            if cache is None:
+                from repro.runtime.cache import DEFAULT_CACHE
 
-            cache = DEFAULT_CACHE
-        misses_before = getattr(cache, "misses", None)
-        span = self._span.child("prepare") if self._span is not None else None
-        start = time.perf_counter()
+                cache = DEFAULT_CACHE
+            misses_before = getattr(cache, "misses", None)
         try:
             prepared = prepare(self.circuit)
         except Exception:
             if span is not None:
                 span.finish().set(error=True)
             return self.backend, self.circuit
-        elapsed = time.perf_counter() - start
-        lowered = (
-            True
-            if misses_before is None  # cache=False: every prepare is real
-            else cache.misses > misses_before
-        )
         if span is not None:
-            span.finish().set(cache_hit=not lowered)
-        if self._cost_probe is not None and lowered:
-            model, key = self._cost_probe
-            model.observe_prepare(key, elapsed)
+            # cache=False: every prepare lowers the circuit.
+            span.finish().set(
+                cache_hit=misses_before is not None and cache.misses <= misses_before
+            )
         shipped = copy.copy(self.backend)
         shipped.transpile = False
         return shipped, prepared

@@ -14,8 +14,8 @@ registry:
     for every in-repo engine.  Chunks overlap only where NumPy kernels
     release the GIL: the trajectory walker is mostly Python-level steps,
     and on a 2-core host 4 thread chunks of a 131072-shot job took about
-    twice as long as the job unsplit.  The adaptive schedule therefore
-    splits jobs only on process pools; thread and serial runs stay whole
+    twice as long as the job unsplit.  ``execute()`` therefore plans
+    chunks only on process pools; thread and serial runs stay whole
     unless the caller passes ``chunk_shots``.
 ``process``
     A shared :class:`~concurrent.futures.ProcessPoolExecutor`, for

@@ -1,10 +1,10 @@
-"""Online execution-cost profiles: measure every chunk, schedule the next.
+"""Online execution-cost profiles: measure every chunk, size the next.
 
-The adaptive scheduler (see :mod:`repro.runtime.scheduler`) needs two
-numbers to size work units well: what one shot costs on a given engine,
-and what preparing a circuit (transpilation) costs.  This
-module owns those numbers as an **online cost model** — the measure-then-
-decide loop of profile-guided optimisation applied to the runtime:
+:func:`~repro.runtime.scheduler.plan_chunk_shots` needs one number to
+split a job on a process pool: what one shot costs on a given engine.
+This module owns that number as an **online cost model** — the
+measure-then-decide loop of profile-guided optimisation applied to the
+runtime, with one decision reading it:
 
 * Every completed chunk task reports its worker-side wall-clock back to the
   parent (the ``(result, elapsed)`` pair chunk tasks already return), and a
@@ -16,13 +16,13 @@ decide loop of profile-guided optimisation applied to the runtime:
 * Profiles persist through the same :class:`~repro.runtime.store.CacheStore`
   disk tier the transpile and distribution caches use
   (``$REPRO_CACHE_DIR``/``cache_dir=``, namespace ``profile/``), so a *warm
-  process* schedules from measured costs on its very first call instead of
+  process* plans from measured costs on its very first call instead of
   re-learning them.
 
-Observation is always on and always passive: ``schedule="fixed"`` runs
-still feed the model (profiling costs one float per chunk), they just never
-consult it.  Nothing in this module ever touches counts — estimates steer
-chunk sizing and pool width only where that is count-transparent (see
+Observation is always on and always passive: every executor kind feeds
+the model (profiling costs one float per chunk), and only process-pool
+chunk planning reads it.  Nothing in this module ever touches counts —
+estimates steer chunk sizing only where that is count-transparent (see
 the scheduler's determinism contract).
 """
 
@@ -53,38 +53,35 @@ def profile_key(backend, circuit) -> ProfileKey:
 
     The backend ``name`` already encodes the engine family and, for device
     backends, the device (``"noisy(ibmqx4)"``); the qubit count is the
-    dominant cost factor within a family.  Both the run (per-shot) and
-    the prepare (transpile) estimates live under this one key.  Seeds,
-    shots and noise scale are deliberately excluded — they change *how
-    much* work runs, not the per-shot unit cost the planner divides by.
+    dominant cost factor within a family.  Seeds, shots and noise scale
+    are deliberately excluded — they change *how much* work runs, not the
+    per-shot unit cost the planner divides by.
     """
     return (str(getattr(backend, "name", type(backend).__name__)),
             int(getattr(circuit, "num_qubits", 0)))
 
 
 def _fresh_entry() -> Dict[str, object]:
-    return {
-        "per_shot": None,
-        "per_prepare": None,
-        "shot_samples": 0,
-        "prepare_samples": 0,
-    }
+    return {"per_shot": None, "shot_samples": 0}
 
 
-def _valid_entry(value) -> bool:
-    """Reject foreign/corrupt persisted payloads (treated as a fresh start)."""
+def _loaded_entry(value) -> Dict[str, object]:
+    """Return a persisted payload's ``per_shot`` fields as a live entry.
+
+    Fields this model no longer keeps (older profiles also stored
+    ``per_prepare``/``prepare_samples``) are dropped; a foreign or
+    corrupt payload is a fresh start.
+    """
     if not isinstance(value, dict):
-        return False
-    for field in ("per_shot", "per_prepare"):
-        number = value.get(field)
-        if number is not None and not (
-            isinstance(number, float) and math.isfinite(number) and number >= 0
-        ):
-            return False
-    for field in ("shot_samples", "prepare_samples"):
-        if not isinstance(value.get(field), int) or value[field] < 0:
-            return False
-    return True
+        return _fresh_entry()
+    per_shot, samples = value.get("per_shot"), value.get("shot_samples")
+    if per_shot is not None and not (
+        isinstance(per_shot, float) and math.isfinite(per_shot) and per_shot >= 0
+    ):
+        return _fresh_entry()
+    if not isinstance(samples, int) or samples < 0:
+        return _fresh_entry()
+    return {"per_shot": per_shot, "shot_samples": samples}
 
 
 def _ewma(old: Optional[float], value: float) -> float:
@@ -94,7 +91,7 @@ def _ewma(old: Optional[float], value: float) -> float:
 
 
 class CostModel(StoreBackedCache):
-    """EWMA per-shot / per-prepare cost estimates, persisted across processes.
+    """EWMA per-shot cost estimates, persisted across processes.
 
     Parameters
     ----------
@@ -129,12 +126,11 @@ class CostModel(StoreBackedCache):
 
         Caller holds the profile lock.  The first touch of a key consults
         the store (memory tier, then disk) — this is the warm-process path:
-        a persisted profile is scheduling-ready before any job has run.
+        a persisted profile is planning-ready before any job has run.
         """
         entry = self._live.get(key)
         if entry is None:
-            loaded = self._store.lookup(key)
-            entry = dict(loaded) if _valid_entry(loaded) else _fresh_entry()
+            entry = _loaded_entry(self._store.lookup(key))
             self._live[key] = entry
         return entry
 
@@ -148,16 +144,6 @@ class CostModel(StoreBackedCache):
             entry["shot_samples"] = int(entry["shot_samples"]) + 1
             self._mark_dirty(key, entry)
 
-    def observe_prepare(self, key: ProfileKey, elapsed: float) -> None:
-        """Fold one measured ``prepare()`` (transpile) wall-clock in."""
-        if not math.isfinite(elapsed) or elapsed < 0:
-            return
-        with self._profile_lock:
-            entry = self._entry(key)
-            entry["per_prepare"] = _ewma(entry["per_prepare"], elapsed)
-            entry["prepare_samples"] = int(entry["prepare_samples"]) + 1
-            self._mark_dirty(key, entry)
-
     def _mark_dirty(self, key: ProfileKey, entry: Dict[str, object]) -> None:
         """Caller holds the profile lock; write through every FLUSH_EVERY."""
         pending = self._dirty.get(key, 0) + 1
@@ -169,7 +155,7 @@ class CostModel(StoreBackedCache):
 
     @staticmethod
     def _has_samples(entry: Dict[str, object]) -> bool:
-        return bool(entry["shot_samples"] or entry["prepare_samples"])
+        return bool(entry["shot_samples"])
 
     def flush(self, all_entries: bool = False) -> int:
         """Write dirty (or, with ``all_entries``, every live) profile through
@@ -227,64 +213,11 @@ class CostModel(StoreBackedCache):
             entry = self._entry(key)
             return entry["per_shot"] if entry["shot_samples"] else None
 
-    def per_prepare(self, key: ProfileKey) -> Optional[float]:
-        """Return the estimated prepare/transpile seconds, or ``None``."""
-        with self._profile_lock:
-            entry = self._entry(key)
-            return entry["per_prepare"] if entry["prepare_samples"] else None
-
-    def estimate_run(self, key: ProfileKey, shots: int) -> Optional[float]:
-        """Return the estimated wall-clock of a ``shots``-shot run."""
-        per_shot = self.per_shot(key)
-        if per_shot is None:
-            return None
-        return per_shot * max(0, shots)
-
-    def estimate_job(self, backend, circuit, shots: int) -> Optional[float]:
-        """Estimate one job's total seconds: prepare (transpile) plus run.
-
-        Components the model has never measured contribute nothing;
-        ``None`` means *neither* component is known — the caller has no
-        data to plan from and should fall back to its static default.
-        """
-        total = None
-        key = profile_key(backend, circuit)
-        run = self.estimate_run(key, shots)
-        if run is not None:
-            total = run
-        if getattr(backend, "transpile", False):
-            prepare = self.per_prepare(key)
-            if prepare is not None:
-                total = prepare if total is None else total + prepare
-        return total
-
-    def estimate_batch(self, backend, circuits, shots) -> Optional[float]:
-        """Estimate a batch's total seconds across ``circuits``.
-
-        ``shots`` is a scalar or a per-circuit sequence.  Used by the
-        service layer's width planner to size ``max_workers`` per dispatch
-        from measured cost instead of always taking the full shared pool.
-        ``None`` when no circuit has any measured component.
-        """
-        circuits = list(circuits)
-        if isinstance(shots, (list, tuple)):
-            shot_list = [int(s) for s in shots]
-        else:
-            shot_list = [int(shots)] * len(circuits)
-        total = None
-        for circuit, n in zip(circuits, shot_list):
-            estimate = self.estimate_job(backend, circuit, n)
-            if estimate is not None:
-                total = estimate if total is None else total + estimate
-        return total
-
     def profile(self, key: ProfileKey) -> Optional[dict]:
         """Return a copy of the full entry for ``key``, or ``None``."""
         with self._profile_lock:
             entry = self._entry(key)
-            if not entry["shot_samples"] and not entry["prepare_samples"]:
-                return None
-            return dict(entry)
+            return dict(entry) if self._has_samples(entry) else None
 
     def keys(self) -> list:
         """Return every profiled key (live entries plus persisted ones)."""
@@ -303,12 +236,12 @@ class CostModel(StoreBackedCache):
             return {
                 key: dict(entry)
                 for key, entry in self._live.items()
-                if entry["shot_samples"] or entry["prepare_samples"]
+                if self._has_samples(entry)
             }
 
 
-#: Process-wide default model: every execute() call observes into it, the
-#: adaptive scheduler plans from it.  Attaches a disk tier automatically
+#: Process-wide default model: every execute() call observes into it,
+#: process-pool chunk planning reads it.  Attaches a disk tier automatically
 #: when ``$REPRO_CACHE_DIR`` is set, so profiles survive the interpreter.
 DEFAULT_COST_MODEL = CostModel(cache_dir=default_cache_dir())
 

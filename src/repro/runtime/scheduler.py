@@ -5,10 +5,11 @@ submission queue.
   (stabilizer, trajectory, user engines) from the
   :class:`~repro.runtime.profile.CostModel`'s measured per-shot cost —
   enough chunks to saturate the pool, never so many that scheduling
-  overhead dominates.  ``execute()`` asks it only for process pools:
-  thread chunks of the in-repo engines do not overlap, so serial and
-  thread runs stay whole.  Exact-distribution engines are never chunked
-  (their simulation cost is shots-independent).
+  overhead dominates.  It is the cost model's only decision reader, and
+  ``execute()`` asks it only for process pools: thread chunks of the
+  in-repo engines do not overlap, so serial and thread runs stay whole.
+  Exact-distribution engines are never chunked (their simulation cost
+  is shots-independent).
 * :class:`Scheduler` is a submission front door for *many clients*:
   weighted round-robin dispatch across per-client queues, priority order
   within a client, and bounded in-flight admission control layered on the
@@ -21,30 +22,25 @@ submission queue.
 
 Determinism contract
 --------------------
-Adaptive decisions never change counts for a seeded call.  Counts are a
-pure function of ``(circuit, backend, shots, seed, chunk_shots)``; the
-adaptive scheduler therefore only varies the pieces outside that tuple —
-dispatch timing and unseeded chunk sizes — and applies cost-driven chunk
-sizing exactly where it is count-transparent or explicitly requested:
+Planned chunk sizes never change counts for a seeded call.  Counts are
+a pure function of ``(circuit, backend, shots, seed, chunk_shots)``, and
+``execute()`` resolves ``chunk_shots`` by one rule:
 
-* ``seed=None`` jobs (no reproducibility contract — every run draws fresh
-  entropy) are chunked freely;
-* ``chunk_shots="auto"`` is an explicit opt-in for seeded jobs: the
-  resolved size is deterministic given the model state and the pool
-  kind, recorded in the job's plan, and the counts equal
-  ``schedule="fixed"`` with that same explicit ``chunk_shots``
-  (``tests/runtime/test_schedule_determinism.py`` pins both halves of
-  the contract);
-* everything else runs the fixed plan's chunk schedule verbatim, so
-  ``schedule="adaptive"`` is bit-identical to ``schedule="fixed"`` for a
-  fixed seed on every backend family and executor kind.
+* an explicit int always wins;
+* otherwise only a process pool chunks, and only an unseeded job (no
+  reproducibility contract — every run draws fresh entropy) or one that
+  opts in with ``chunk_shots="auto"``.  The resolved size is
+  deterministic given the model state and the pool, recorded in
+  ``job.plan["chunk_shots"]``, and the counts equal an explicit
+  ``chunk_shots`` of that value
+  (``tests/runtime/test_schedule_determinism.py`` pins this);
+* every other job runs whole, so its counts equal the serial run's.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 import time
 import weakref
@@ -56,12 +52,6 @@ from repro.obs.trace import Span, tracing_enabled
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.profile import DEFAULT_COST_MODEL, CostModel, profile_key
 from repro.runtime.pool import default_max_workers
-
-#: The selectable scheduling modes.
-SCHEDULE_MODES = ("adaptive", "fixed")
-
-#: Environment variable naming the default scheduling mode.
-SCHEDULE_ENV_VAR = "REPRO_SCHEDULE"
 
 #: Adaptive chunks aim for roughly this much work per pool task.  The
 #: sampling engines draw their shots along a batch axis, so their
@@ -92,27 +82,9 @@ EXIT_GRACE_S = 1.0
 
 
 def default_schedule_mode() -> str:
-    """Return the default mode: ``$REPRO_SCHEDULE`` or ``"adaptive"``."""
-    mode = os.environ.get(SCHEDULE_ENV_VAR, "").strip().lower()
-    if not mode:
-        return "adaptive"
-    if mode not in SCHEDULE_MODES:
-        raise JobError(
-            f"{SCHEDULE_ENV_VAR}={mode!r} is not a valid schedule mode; "
-            f"choose from {list(SCHEDULE_MODES)}"
-        )
-    return mode
-
-
-def resolve_schedule_mode(schedule: Optional[str]) -> str:
-    """Map an ``execute(schedule=...)`` argument to a concrete mode."""
-    if schedule is None:
-        return default_schedule_mode()
-    if schedule not in SCHEDULE_MODES:
-        raise JobError(
-            f"unknown schedule mode {schedule!r}; choose from {list(SCHEDULE_MODES)}"
-        )
-    return schedule
+    """Return ``"adaptive"``, the one chunk-planning rule ``execute()``
+    applies (see the module's determinism contract)."""
+    return "adaptive"
 
 
 def plan_chunk_shots(
@@ -580,7 +552,7 @@ class Scheduler:
     ----------
     max_in_flight:
         In-flight job bound (default: ``4 * default_max_workers()``).
-    executor / max_workers / schedule:
+    executor / max_workers:
         Forwarded to every ``execute()`` call (per-batch ``**options``
         override them).
     require_registration:
@@ -609,7 +581,6 @@ class Scheduler:
         max_in_flight: Optional[int] = None,
         executor: Optional[str] = None,
         max_workers: Optional[int] = None,
-        schedule: Optional[str] = None,
         require_registration: bool = False,
         preempt_after: Optional[float] = None,
         breaker=None,
@@ -625,7 +596,6 @@ class Scheduler:
         self.max_in_flight = int(max_in_flight)
         self.executor = executor
         self.max_workers = max_workers
-        self.schedule = schedule
         self.require_registration = bool(require_registration)
         self.preempt_after = preempt_after
         if breaker is False:
@@ -784,7 +754,7 @@ class Scheduler:
 
         ``circuits``/``backend``/``shots``/``seed`` and ``**options`` are
         exactly :func:`repro.runtime.execute.execute`'s arguments; the
-        scheduler's ``executor``/``max_workers``/``schedule`` defaults
+        scheduler's ``executor``/``max_workers`` defaults
         apply unless the batch overrides them.  ``priority`` orders
         batches *within* this client's queue (cross-client order is the
         weighted round-robin's business); it must be a non-negative
@@ -921,7 +891,6 @@ class Scheduler:
         spec = _entry[2]
         options = dict(spec["options"])
         options.setdefault("executor", self.executor)
-        options.setdefault("schedule", self.schedule)
         options.setdefault("max_workers", self.max_workers)
         self._in_flight.append(batch)
         self._in_flight_jobs += batch.size

@@ -4,9 +4,8 @@ The scheduler's weighted round-robin treats a tenant's configured weight
 as ground truth, but weights are set at registration time — before
 anyone knows what the tenant's workload actually costs.  This module
 closes the loop in the spirit of profile-guided optimization: every
-settled job charges its tenant's ledger with the shots it ran and (when
-the :class:`~repro.runtime.profile.CostModel` has measured the workload)
-the estimated seconds those shots cost, and
+settled job charges its tenant's ledger with the shots it ran and the
+chunk wall-clock seconds its jobs measured running them, and
 :meth:`CostLedger.effective_weight` turns relative spend into a weight
 adjustment the service can feed back into
 :meth:`~repro.runtime.scheduler.Scheduler.client`.
@@ -45,7 +44,7 @@ WEIGHT_CLAMP = 4
 
 
 class CostLedger:
-    """Per-tenant spend totals (shots, estimated seconds, jobs).
+    """Per-tenant spend totals (shots, measured seconds, jobs).
 
     Parameters
     ----------
@@ -86,9 +85,10 @@ class CostLedger:
     ) -> dict:
         """Add one settled job's spend to ``client``'s ledger.
 
-        ``cost_s`` is the cost model's estimate for the job in seconds,
-        or ``None`` when the workload has never been measured — the shots
-        still count, so accounting works before profiles warm up.
+        ``cost_s`` is the job's measured chunk wall-clock in seconds
+        (:attr:`~repro.runtime.job.JobSet.time_taken`; work that never
+        ran, such as a dedupe twin, adds nothing), or ``None`` when there
+        is no measurement — the shots still count either way.
         Returns a copy of the updated ledger.  The append happens under
         the ledger lock, so the log's last frame per tenant is its latest
         total; an append that fails raises :class:`OSError`.

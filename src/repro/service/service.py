@@ -148,11 +148,9 @@ class ServiceJob:
         self._loop = loop
         self._dispatched = asyncio.Event()
         self._settled = asyncio.Event()
-        # Accounting references, attached by submit()/recover(): what this
-        # job ran, so settlement can price it against the cost model.
-        self._circuits = None
-        self._backend = None
-        self._shots = None
+        # Attached by submit()/recover(): the batch's total shots, which
+        # settlement charges to the tenant's ledger.
+        self._total_shots = 0
         # Trace plumbing, attached by submit()/_resubmit(): the root span
         # of this submission's trace tree and the open "settle" stage.
         self._span: Optional[Span] = None
@@ -503,7 +501,7 @@ class RuntimeService:
         with :class:`~repro.exceptions.ServiceOverloaded` (a 503 with
         ``Retry-After`` on the wire) instead of deepening the queue.
         ``None`` (default) never sheds.
-    max_in_flight / executor / max_workers / schedule:
+    max_in_flight / executor / max_workers:
         Forwarded to the underlying
         :class:`~repro.runtime.scheduler.Scheduler`.
     cache_dir:
@@ -521,9 +519,6 @@ class RuntimeService:
         ledger back into scheduler fair-share weights — heavy spenders
         are nudged down, light ones up (see
         :meth:`~repro.service.accounting.CostLedger.effective_weight`).
-    cost_model:
-        :class:`~repro.runtime.profile.CostModel` pricing settled jobs
-        for the ledger (default: the process-wide model).
     clock / sleep:
         Injectable monotonic clock and async sleep, used together by the
         rate limiter (``clock`` feeds the token buckets, ``sleep`` paces
@@ -545,7 +540,6 @@ class RuntimeService:
         max_in_flight: Optional[int] = None,
         executor: Optional[str] = None,
         max_workers: Optional[int] = None,
-        schedule: Optional[str] = None,
         preempt_after: Optional[float] = None,
         breaker=None,
         max_queue_depth: Optional[int] = None,
@@ -555,7 +549,6 @@ class RuntimeService:
         journal=None,
         accounting=None,
         cost_weighted_shares: bool = False,
-        cost_model=None,
     ) -> None:
         resolved_dir = cache_dir if cache_dir is not None else default_cache_dir()
         if authenticator is not None:
@@ -585,12 +578,6 @@ class RuntimeService:
         else:
             self.accounting = None if accounting is False else accounting
         self.cost_weighted_shares = bool(cost_weighted_shares)
-        if cost_model is not None:
-            self._cost_model = cost_model
-        else:
-            from repro.runtime.profile import DEFAULT_COST_MODEL
-
-            self._cost_model = DEFAULT_COST_MODEL
         self.default_quota = (
             default_quota if default_quota is not None else UNLIMITED
         )
@@ -598,7 +585,6 @@ class RuntimeService:
             max_in_flight=max_in_flight,
             executor=executor,
             max_workers=max_workers,
-            schedule=schedule,
             require_registration=True,
             preempt_after=preempt_after,
             breaker=breaker,
@@ -626,7 +612,6 @@ class RuntimeService:
         # none yet).
         self._known_from: Optional[int] = None
         self._started_wall = time.time()
-        self._backend_cache: Dict[str, object] = {}  # spec -> resolved backend
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._settlement_warned: set = set()  # (stage, exc type) seen
         self._started = started = clock()
@@ -969,7 +954,7 @@ class RuntimeService:
                 self.journal.record_settlement(numeric_id, "failed", error=exc)
             raise
         handle = self._track(identity.name, batch, size, loop, numeric_id,
-                             circuit_list, backend, shots, root_span)
+                             total_shots, root_span)
         if root_span is not None:
             root_span.set(
                 job_id=handle.job_id,
@@ -979,7 +964,7 @@ class RuntimeService:
         return handle
 
     def _track(self, client: str, batch: ScheduledBatch, size: int, loop,
-               job_id: int, circuits, backend, shots,
+               job_id: int, total_shots: int,
                span: Optional[Span]) -> ServiceJob:
         """Count a batch the scheduler accepted and return its handle.
 
@@ -988,9 +973,7 @@ class RuntimeService:
         """
         self._submitted.inc(size)
         handle = ServiceJob(self, client, batch, size, loop, job_id=job_id)
-        handle._circuits = circuits
-        handle._backend = backend
-        handle._shots = shots
+        handle._total_shots = total_shots
         handle._span = span
         with self._lock:
             self._jobs[handle.job_id] = handle
@@ -1177,42 +1160,17 @@ class RuntimeService:
                 stage, handle.job_id, type(exc).__name__, exc,
             )
 
-    def _resolve_backend_cached(self, backend):
-        """Resolve a backend spec for costing, memoized per spec string.
-
-        Resolving ``"noisy:<device>"`` rebuilds the device noise model
-        (~10ms); settlements would otherwise pay that per job.  Backend
-        *objects* pass through untouched.
-        """
-        if not isinstance(backend, str):
-            return backend
-        resolved = self._backend_cache.get(backend)
-        if resolved is None:
-            from repro.runtime.provider import resolve_backend
-
-            resolved = resolve_backend(backend)
-            with self._lock:
-                self._backend_cache.setdefault(backend, resolved)
-        return resolved
-
     def _charge(self, handle: ServiceJob) -> None:
         """Charge the tenant's cost ledger for a completed handle and,
-        under ``cost_weighted_shares``, rebalance its scheduler weight."""
-        _size, total_shots = self._batch_shape(
-            handle._circuits if handle._circuits is not None else [],
-            handle._shots if handle._shots is not None else 0,
+        under ``cost_weighted_shares``, rebalance its scheduler weight.
+
+        The charge is the batch's measured chunk wall-clock
+        (:attr:`JobSet.time_taken`): a dedupe twin or a distribution-cache
+        hit that simulated nothing adds nothing.
+        """
+        self.accounting.charge(
+            handle.client, handle._total_shots, handle.batch._jobset.time_taken
         )
-        cost_s = None
-        if handle._circuits is not None and handle._backend is not None:
-            try:
-                cost_s = self._cost_model.estimate_batch(
-                    self._resolve_backend_cached(handle._backend),
-                    handle._circuits,
-                    handle._shots,
-                )
-            except Exception:
-                cost_s = None  # unpriceable: the shots still count
-        self.accounting.charge(handle.client, total_shots, cost_s)
         if not self.cost_weighted_shares:
             return
         state = self._clients.get(handle.client)
@@ -1354,9 +1312,9 @@ class RuntimeService:
                 state.in_flight_jobs -= size
             self.journal.record_settlement(record["id"], "failed", error=exc)
             return None
-        return self._track(name, batch, size, loop, record["id"],
-                           record["circuits"], record["backend"],
-                           record["shots"], root_span)
+        _size, total_shots = self._batch_shape(record["circuits"], record["shots"])
+        return self._track(name, batch, size, loop, record["id"], total_shots,
+                           root_span)
 
     def job(self, job_id: str, token: Optional[str] = None):
         """Look a handle up by its stable ``svc-N`` id.

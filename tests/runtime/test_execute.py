@@ -88,6 +88,43 @@ class TestExecuteShapes:
         with pytest.raises(JobError, match="chunk_shots"):
             execute(measured_bell(), "statevector", shots=100, chunk_shots=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("chunk_shots", 2.5),
+        ("chunk_shots", True),
+        ("shots", 2.5),
+        ("shots", False),
+        ("shots", "8"),
+        ("max_workers", 2.5),
+        ("max_workers", True),
+    ])
+    def test_non_integer_counts_rejected_before_any_job(self, name, value):
+        """Only ints (NumPy ints included) count shots, chunks and
+        workers; anything else fails before a backend prepares or a pool
+        is opened."""
+        calls = []
+
+        class Recording(type(get_backend("stabilizer"))):
+            def prepare(self, circuit):
+                calls.append(circuit)
+                return circuit
+
+        backend = Recording()
+        backend.transpile = True
+        with pytest.raises(JobError, match=f"{name} must be an int"):
+            execute(measured_bell(), backend, executor="thread",
+                    **{"shots": 8, name: value})
+        assert calls == []
+
+    def test_numpy_integer_counts_accepted(self):
+        import numpy as np
+
+        job = execute(measured_bell(), "stabilizer", shots=np.int64(64),
+                      seed=3, chunk_shots=np.int32(16),
+                      max_workers=np.int64(2), executor="serial")
+        assert job.plan["chunk_shots"] == 16
+        assert type(job.plan["chunk_shots"]) is int
+        assert job.result().counts.shots == 64
+
     def test_execute_and_collect(self):
         result = execute_and_collect(measured_bell(), "statevector", shots=64, seed=9)
         assert result.counts.shots == 64

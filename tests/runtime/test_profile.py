@@ -60,23 +60,10 @@ class TestObservation:
         assert model.per_shot(key) == pytest.approx(expected)
         assert model.profile(key)["shot_samples"] == 2
 
-    def test_prepare_observations_are_separate(self):
-        model = CostModel()
-        key = ("engine", 2)
-        model.observe_prepare(key, 0.5)
-        assert model.per_prepare(key) == pytest.approx(0.5)
-        assert model.per_shot(key) is None
-
     def test_unknown_key_estimates_none(self):
         model = CostModel()
         assert model.per_shot(("never-seen", 9)) is None
-        assert model.estimate_run(("never-seen", 9), 1000) is None
         assert model.profile(("never-seen", 9)) is None
-
-    def test_estimate_run_scales_with_shots(self):
-        model = CostModel()
-        model.observe_run(("engine", 2), shots=10, elapsed=1.0)
-        assert model.estimate_run(("engine", 2), 500) == pytest.approx(50.0)
 
     def test_garbage_observations_ignored(self):
         model = CostModel()
@@ -111,6 +98,20 @@ class TestPersistence:
         second = CostModel(cache_dir=tmp_path)
         assert second.per_shot(("engine", 2)) == pytest.approx(0.02)
         assert second.profile(("engine", 2))["shot_samples"] == 1
+
+    def test_four_field_profile_warm_starts_per_shot(self, tmp_path):
+        """Profiles persisted with the retired per-prepare fields still
+        warm-start the per-shot estimate; the extra fields are dropped."""
+        writer = CostModel(cache_dir=tmp_path)
+        writer._store.store(("engine", 2), {
+            "per_shot": 0.25, "per_prepare": 0.5,
+            "shot_samples": 3, "prepare_samples": 1,
+        })
+        reader = CostModel(cache_dir=tmp_path)
+        assert reader.per_shot(("engine", 2)) == pytest.approx(0.25)
+        assert reader.profile(("engine", 2)) == {
+            "per_shot": 0.25, "shot_samples": 3,
+        }
 
     def test_auto_flush_after_enough_observations(self, tmp_path):
         model = CostModel(cache_dir=tmp_path)
@@ -202,22 +203,6 @@ class TestExecuteFeedsDefaultModel:
         assert after == before + 1
         assert DEFAULT_COST_MODEL.per_shot(key) > 0
 
-    def test_fixed_schedule_still_observes(self):
-        """Profiling is passive: fixed runs feed the model too."""
-        from repro.circuits import library
-        from repro.runtime import DEFAULT_COST_MODEL, execute, get_backend
-
-        backend = get_backend("stabilizer")
-        circuit = library.ghz_state(5)
-        circuit.measure_all()
-        key = profile_key(backend, circuit)
-        before = (DEFAULT_COST_MODEL.profile(key) or {}).get("shot_samples", 0)
-        execute(
-            circuit, backend, shots=64, seed=2, executor="serial",
-            schedule="fixed",
-        ).result()
-        assert DEFAULT_COST_MODEL.profile(key)["shot_samples"] == before + 1
-
     def test_cost_model_stats_shape(self):
         from repro.runtime import cost_model_stats
 
@@ -225,6 +210,4 @@ class TestExecuteFeedsDefaultModel:
         assert "profiles" in stats
         for label, entry in stats["profiles"].items():
             assert "/q" in label
-            assert set(entry) == {
-                "per_shot", "per_prepare", "shot_samples", "prepare_samples",
-            }
+            assert set(entry) == {"per_shot", "shot_samples"}

@@ -32,8 +32,8 @@ from repro.runtime.profile import CostModel
 from repro.runtime.scheduler import (
     MIN_CHUNK_SHOTS,
     OVERSUBSCRIBE,
-    SCHEDULE_ENV_VAR,
     TARGET_CHUNK_SECONDS,
+    default_schedule_mode,
     plan_chunk_shots,
 )
 
@@ -82,52 +82,41 @@ class TestExecutorDefaults:
     ])
     def test_every_engine_defaults_to_thread(self, monkeypatch, spec):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        job = execute(measured_bell(), spec, shots=8, seed=1,
-                      schedule="adaptive")
+        job = execute(measured_bell(), spec, shots=8, seed=1)
         assert job.plan["executor"] == "thread"
 
     def test_env_override_wins(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "serial")
-        job = execute(measured_bell(), "stabilizer", shots=8, seed=1,
-                      schedule="adaptive")
+        job = execute(measured_bell(), "stabilizer", shots=8, seed=1)
         assert job.plan["executor"] == "serial"
 
     def test_explicit_executor_wins(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        job = execute(measured_bell(), "stabilizer", shots=8, seed=1,
-                      schedule="adaptive", executor="serial")
+        job = execute(measured_bell(), "stabilizer", shots=8, seed=1, executor="serial")
         assert job.plan["executor"] == "serial"
-
-    def test_fixed_schedule_keeps_flat_default(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        job = execute(measured_bell(), "stabilizer", shots=8, seed=1,
-                      schedule="fixed")
-        assert job.plan["executor"] == "thread"
 
     def test_mixed_batch_shares_one_pool(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         jobs = execute(
             [measured_bell(), measured_bell()],
             [get_backend("trajectory:ibmqx4"), get_backend("statevector")],
-            shots=8, seed=1, schedule="adaptive",
+            shots=8, seed=1,
         )
         assert [job.plan["executor"] for job in jobs] == ["thread", "thread"]
 
-    def test_schedule_env_default(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        monkeypatch.setenv(SCHEDULE_ENV_VAR, "fixed")
+    def test_schedule_switch_is_gone(self):
+        """One chunk-planning rule: no ``schedule`` argument anywhere."""
+        with pytest.raises(TypeError, match="schedule"):
+            execute(measured_bell(), "statevector", shots=8, schedule="fixed")
+        with pytest.raises(TypeError, match="schedule"):
+            Scheduler(schedule="fixed")
+
+    def test_schedule_env_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCHEDULE", "psychic")
+        assert default_schedule_mode() == "adaptive"
         job = execute(measured_bell(), "stabilizer", shots=8, seed=1)
-        assert job.plan["schedule"] == "fixed"
-        assert job.plan["executor"] == "thread"
-
-    def test_bad_schedule_rejected(self):
-        with pytest.raises(JobError, match="schedule"):
-            execute(measured_bell(), "statevector", shots=8, schedule="psychic")
-
-    def test_bad_schedule_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULE_ENV_VAR, "psychic")
-        with pytest.raises(JobError, match="REPRO_SCHEDULE"):
-            execute(measured_bell(), "statevector", shots=8)
+        assert "schedule" not in job.plan
+        assert job.result().counts.shots == 8
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +213,7 @@ class TestAdaptiveChunkingInExecute:
         circuit = measured_ghz(6)
         self._warmed_key(backend, circuit)
         job = execute(circuit, backend, shots=320, executor="process",
-                      max_workers=4, schedule="adaptive")
+                      max_workers=4)
         assert job.plan["chunk_shots"] is not None
         assert len(job._futures) > 1
         assert job.result().counts.shots == 320
@@ -239,42 +228,36 @@ class TestAdaptiveChunkingInExecute:
         circuit = measured_ghz(6)
         self._warmed_key(backend, circuit)
         job = execute(circuit, backend, shots=320, chunk_shots=chunk_shots,
-                      executor=kind, max_workers=4, schedule="adaptive")
+                      executor=kind, max_workers=4)
         assert job.plan["chunk_shots"] is None
         assert len(job._futures) == 1
         assert job.result().counts.shots == 320
 
-    def test_seeded_job_keeps_fixed_plan(self):
+    def test_seeded_job_stays_whole_on_process_pool(self):
+        # The warmed model would split this job if it were unseeded; the
+        # caller's seed keeps it whole, so it draws the serial run's counts.
         backend = get_backend("stabilizer")
         circuit = measured_ghz(6)
         self._warmed_key(backend, circuit)
-        adaptive = execute(circuit, backend, shots=320, seed=11,
-                           executor="serial", max_workers=4,
-                           schedule="adaptive")
-        fixed = execute(circuit, backend, shots=320, seed=11,
-                        executor="serial", max_workers=4, schedule="fixed")
-        assert adaptive.plan["chunk_shots"] is None
-        assert len(adaptive._futures) == 1
-        assert dict(adaptive.counts()) == dict(fixed.counts())
+        planned = execute(circuit, backend, shots=320, seed=11,
+                          executor="process", max_workers=4)
+        serial = execute(circuit, backend, shots=320, seed=11,
+                         executor="serial")
+        assert planned.plan["chunk_shots"] is None
+        assert len(planned._futures) == 1
+        assert dict(planned.counts()) == dict(serial.counts())
 
-    def test_auto_opt_in_matches_explicit_fixed_chunking(self):
+    def test_auto_opt_in_matches_explicit_chunking(self):
         backend = get_backend("stabilizer")
         circuit = measured_ghz(6)
         self._warmed_key(backend, circuit)
         auto = execute(circuit, backend, shots=320, seed=11,
-                       chunk_shots="auto", executor="process", max_workers=4,
-                       schedule="adaptive")
+                       chunk_shots="auto", executor="process", max_workers=4)
         resolved = auto.plan["chunk_shots"]
         assert resolved is not None and resolved < 320
-        fixed = execute(circuit, backend, shots=320, seed=11,
-                        chunk_shots=resolved, executor="process",
-                        max_workers=4, schedule="fixed")
-        assert dict(auto.counts()) == dict(fixed.counts())
-
-    def test_auto_requires_adaptive(self):
-        with pytest.raises(JobError, match="auto"):
-            execute(measured_bell(), "stabilizer", shots=64,
-                    chunk_shots="auto", schedule="fixed")
+        explicit = execute(circuit, backend, shots=320, seed=11,
+                           chunk_shots=resolved, executor="serial")
+        assert dict(auto.counts()) == dict(explicit.counts())
 
     def test_bogus_chunk_string_rejected(self):
         with pytest.raises(JobError, match="chunk_shots"):
@@ -286,7 +269,7 @@ class TestAdaptiveChunkingInExecute:
         circuit = measured_ghz(6)
         self._warmed_key(backend, circuit)
         job = execute(circuit, backend, shots=320, chunk_shots=320,
-                      executor="serial", max_workers=4, schedule="adaptive")
+                      executor="process", max_workers=4)
         assert job.plan["chunk_shots"] == 320
         assert len(job._futures) == 1
 
@@ -444,9 +427,8 @@ class TranspilingRecordingBackend(Backend):
         return Result(counts=Counts({"0": shots}), shots=shots)
 
 
-class TestPrepareAwareDispatch:
-    """Jobs reach the pool in priority order, then plan order; a measured
-    prepare (transpile) cost does not reorder them under either mode."""
+class TestDispatchOrder:
+    """Jobs reach the pool in priority order, then plan order."""
 
     def _circuits(self):
         cheap = QuantumCircuit(1, name="cheap")
@@ -455,23 +437,20 @@ class TestPrepareAwareDispatch:
         heavy.measure_all()
         return cheap, heavy
 
-    @pytest.mark.parametrize("schedule", ["adaptive", "fixed"])
-    def test_schedule_keeps_submission_order(self, schedule):
+    def test_keeps_submission_order(self):
         log = []
         backend = TranspilingRecordingBackend(log)
         cheap, heavy = self._circuits()
-        DEFAULT_COST_MODEL.observe_prepare(profile_key(backend, heavy), 5.0)
         execute([cheap, heavy], backend, shots=8, seed=1, executor="serial",
-                schedule=schedule, dedupe=False).result()
+                dedupe=False).result()
         assert log == ["cheap", "heavy"]
 
-    def test_priority_still_wins_over_prepare_estimate(self):
+    def test_priority_wins_over_plan_order(self):
         log = []
         backend = TranspilingRecordingBackend(log)
         cheap, heavy = self._circuits()
-        DEFAULT_COST_MODEL.observe_prepare(profile_key(backend, heavy), 5.0)
-        execute([cheap, heavy], backend, shots=8, seed=1, executor="serial",
-                schedule="adaptive", dedupe=False, priority=[1, 0]).result()
+        execute([heavy, cheap], backend, shots=8, seed=1, executor="serial",
+                dedupe=False, priority=[0, 1]).result()
         assert log == ["cheap", "heavy"]
 
 

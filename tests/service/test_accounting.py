@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.circuits import library
 from repro.service import CostLedger, RuntimeService
 
@@ -91,6 +93,36 @@ class TestServiceAccounting:
         assert stats["accounting"]["alice"]["jobs"] == 1
         # And it persisted alongside the journal.
         assert CostLedger(cache_dir=str(tmp_path)).spend("alice")["shots"] == 300
+
+    def test_charge_is_the_measured_chunk_time(self):
+        """The ledger bills what the jobs measured: a dedupe twin that
+        re-samples its primary's distribution adds no seconds."""
+        async def live():
+            service = RuntimeService(journal=False, accounting=CostLedger())
+            token = service.register_client("alice")
+            circuit = measured_bell()
+            job = await service.submit(
+                [circuit, circuit], "statevector", shots=256, seed=4,
+                token=token,
+            )
+            await job.wait()
+            for _ in range(500):
+                if service.accounting.spend("alice"):
+                    break
+                await asyncio.sleep(0.01)
+            spend = service.accounting.spend("alice")
+            await service.close()
+            return spend, job.batch._jobset
+
+        spend, jobset = run(live())
+        assert spend["shots"] == 512
+        assert jobset[1].time_taken == 0.0  # the twin ran nothing
+        assert spend["cost_s"] == jobset.time_taken > 0
+
+    @pytest.mark.parametrize("option", ["schedule", "cost_model"])
+    def test_retired_options_rejected(self, option):
+        with pytest.raises(TypeError, match=option):
+            RuntimeService(**{option: None})
 
     def test_cost_weighted_shares_rebalance_scheduler(self, tmp_path):
         async def live():
