@@ -369,8 +369,9 @@ def test_service_storm_many_clients(tmp_path):
     to plain ``execute()`` (the service never touches counts).
 
     The v7 rider measures the durability tax: a *sustained* storm — a
-    distinct circuit per submission, so every job pays a real transpile
-    and density-matrix simulation instead of a cache resample — run
+    distinct circuit per submission, so every job binds its own angle
+    into the shape's transpile template and pays a full density-matrix
+    simulation instead of a cache resample — run
     plain vs with the write-ahead job journal and cost ledger writing
     every submission and settlement through to disk.  The journaled run
     must stay within 10% of the plain wall-clock (best-of runs; a ratio
@@ -471,8 +472,9 @@ def test_service_storm_many_clients(tmp_path):
 
     async def sustained(cache_dir=None):
         # A distinct circuit per submission: no distribution-cache
-        # resampling, every job pays a real transpile + density-matrix
-        # simulation, so wall-clock measures sustained throughput.  Each
+        # resampling, every job binds its angle into one cached transpile
+        # template and pays a full density-matrix simulation, so
+        # wall-clock measures sustained throughput.  Each
         # run draws fresh angles so no run warms another's caches.
         base = next(run_offsets)
         if cache_dir is None:

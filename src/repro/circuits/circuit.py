@@ -38,6 +38,16 @@ ClbitSpecifier = Union[int, Clbit]
 _MEASURE = Measure()
 
 
+def is_angle_gate(inst: Instruction) -> bool:
+    """Return ``True`` for a 1-qubit gate that takes parameters.
+
+    These are the instructions whose parameters
+    :meth:`QuantumCircuit.shape_fingerprint` leaves out.
+    """
+    op = inst.operation
+    return op.is_gate and op.num_qubits == 1 and bool(op.params)
+
+
 class _TrackedInstructionList(list):
     """An instruction list that invalidates its circuit's fingerprint memo.
 
@@ -798,11 +808,36 @@ class QuantumCircuit:
         if memo is not None:
             return memo
         generation = self._fingerprint_generation
+        digest = self._content_digest(angles=True)
+        if self._fingerprint_generation == generation:
+            self._fingerprint_cache = digest
+        return digest
+
+    def shape_fingerprint(self) -> str:
+        """Return a content hash that leaves out the angles of 1-qubit gates.
+
+        It hashes what :meth:`fingerprint` hashes, except that an
+        instruction for which :func:`is_angle_gate` holds contributes its
+        gate name, parameter count, operands and condition but not its
+        parameter values.  Circuits that differ only in those angles (an
+        angle sweep) share it.  The transpile cache keys on it: device
+        lowering reads those angles only through the 1-qubit matrices it
+        merges.  Parameters of multi-qubit gates stay in the hash.  The
+        digest is never equal to a :meth:`fingerprint`, and it is not
+        memoised.
+        """
+        return self._content_digest(angles=False)
+
+    def _content_digest(self, angles: bool) -> str:
         hasher = hashlib.sha256()
-        hasher.update(f"v1|{self.num_qubits}|{self.num_clbits}".encode())
+        version = "v1" if angles else "shape1"
+        hasher.update(f"{version}|{self.num_qubits}|{self.num_clbits}".encode())
         for inst in self.data:
             op = inst.operation
-            params = ",".join(repr(float(p)) for p in op.params)
+            if angles or not is_angle_gate(inst):
+                params = ",".join(repr(float(p)) for p in op.params)
+            else:
+                params = "~" * len(op.params)
             hasher.update(
                 f"|{op.name}/{op.num_qubits}({params})"
                 f"q{inst.qubits}c{inst.clbits}?{inst.condition}".encode()
@@ -810,10 +845,7 @@ class QuantumCircuit:
             matrix = getattr(op, "_matrix", None)
             if matrix is not None:
                 hasher.update(np.ascontiguousarray(matrix, dtype=complex).tobytes())
-        digest = hasher.hexdigest()
-        if self._fingerprint_generation == generation:
-            self._fingerprint_cache = digest
-        return digest
+        return hasher.hexdigest()
 
     def has_measurements(self) -> bool:
         """Return ``True`` if the circuit contains any measurement."""

@@ -10,7 +10,7 @@ For batch workloads, prefer going through :mod:`repro.runtime`:
 pool, deduplicates identical jobs, and resolves backends by name via
 ``repro.runtime.get_backend`` (e.g. ``"noisy:ibmqx4"``).  Device-model
 backends transparently memoise their transpile step through the runtime's
-fingerprint-keyed :class:`~repro.runtime.cache.TranspileCache`.
+shape-keyed :class:`~repro.runtime.cache.TranspileCache`.
 """
 
 from __future__ import annotations
@@ -194,10 +194,10 @@ class DeviceBackend(Backend):
     def prepare(self, circuit: QuantumCircuit) -> QuantumCircuit:
         """Return the circuit as it would execute (transpiled if enabled).
 
-        Transpilation goes through the runtime's fingerprint-keyed cache,
-        so sweeps that re-run an identical circuit (any shots, seed or
-        noise scale) lower it exactly once per ``(circuit, device,
-        layout)``.
+        Transpilation goes through the runtime's shape-keyed cache, so
+        sweeps that re-run a circuit (any shots, seed, noise scale or
+        1-qubit angles) run the full lowering once per ``(circuit shape,
+        device, layout)`` and re-bind only the angles after that.
         """
         if circuit.num_qubits > self.device.num_qubits:
             raise DeviceError(

@@ -20,8 +20,9 @@ interchangeable backends.  This package is the layer between the engines
 * :class:`~repro.runtime.store.CacheStore` — the shared bounded-LRU store
   behind both caches, with an optional persistent disk tier
   (``$REPRO_CACHE_DIR`` / ``cache_dir=``) so entries survive the process.
-* :class:`~repro.runtime.cache.TranspileCache` — fingerprint-keyed
-  transpile memoisation wired into the device backends.
+* :class:`~repro.runtime.cache.TranspileCache` — transpile memoisation
+  keyed by circuit shape (angles of 1-qubit gates left out), wired into
+  the device backends.
 * :class:`~repro.runtime.distcache.DistributionCache` — cross-call
   distribution reuse: repeat runs of an exact-distribution backend
   re-sample cached probabilities instead of re-simulating, populated at

@@ -1,12 +1,24 @@
-"""Transpile caching keyed by canonical circuit fingerprints.
+"""Transpile caching keyed by circuit shape.
 
 Transpiling for a device is the most expensive *classical* step of a noisy
 run, and the paper's sweeps re-execute the same instrumented circuit at many
-noise scales and shot counts.  :class:`TranspileCache` memoises
-``transpile_for_device`` output keyed by
-``(circuit.fingerprint(), device content fingerprint, layout, optimize)``
-so a sweep pays the lowering cost once per distinct configuration — the
-profile-guided "pay the analysis once, reuse it across runs" discipline.
+noise scales, shot counts and rotation angles.  :class:`TranspileCache`
+keys each entry by
+``(circuit.shape_fingerprint(), device content fingerprint, layout, optimize)``
+and stores a :class:`~repro.transpiler.template.ShapeTemplate`, so a sweep
+pays the full lowering once per circuit shape — the profile-guided "pay the
+analysis once, reuse it across runs" discipline.
+
+The shape fingerprint is the circuit's content hash without the parameter
+values of its 1-qubit gates: it keeps every gate name, operand, condition,
+unitary payload and every multi-qubit gate's parameters.  Those angles may
+leave the key because lowering reads them in one place only: each 1-qubit
+gate decomposes to exactly one u1/u2/u3, the layout, routing, direction
+and CX-cancellation passes never read a parameter, and the angles reach
+the output only through the 1-qubit runs that merging folds.  A template
+returns its stored circuit for the angles it was built with and rebuilds
+only the runs an angle touches for any other; either way the result is
+``transpile_for_device``'s output bit for bit.
 
 The noise scale deliberately does **not** participate in the key: lowering
 never sees it — ``transpile_for_device`` takes no noise argument and layout
@@ -17,10 +29,11 @@ Storage lives in a shared :class:`~repro.runtime.store.CacheStore`
 (thread-safe, bounded LRU) — the same machinery behind the distribution
 cache.  Because the key is a pure content hash, entries also survive the
 process when a disk tier is attached (``cache_dir=`` here, or
-``$REPRO_CACHE_DIR`` for the process-wide default cache): a second CLI
-invocation or CI shard running the same sweep skips every transpile.
-Cached circuits are returned as-is: callers must treat them as immutable,
-which every engine in :mod:`repro.simulators` already does.
+``$REPRO_CACHE_DIR`` for the process-wide default cache): the tier holds
+one pickled template per shape, and a second CLI invocation or CI shard
+running the same sweep skips every full lowering.  Returned circuits may
+be shared: callers must treat them as immutable, which every engine in
+:mod:`repro.simulators` already does.
 """
 
 from __future__ import annotations
@@ -32,8 +45,9 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.devices.device import DeviceModel
 from repro.runtime.store import StoreBackedCache, default_cache_dir
 from repro.transpiler.layout import Layout
+from repro.transpiler.template import ShapeTemplate
 
-#: Cache key: (circuit fingerprint, device fingerprint, layout tuple, optimize).
+#: Cache key: (shape fingerprint, device fingerprint, layout tuple, optimize).
 CacheKey = Tuple[str, str, Optional[Tuple[int, ...]], bool]
 
 
@@ -84,7 +98,7 @@ def transpile_key(
     """Build the canonical cache key for one transpile request."""
     layout_key = None if layout is None else tuple(layout.virtual_to_physical)
     return (
-        circuit.fingerprint(),
+        circuit.shape_fingerprint(),
         device_fingerprint(device),
         layout_key,
         bool(optimize),
@@ -92,7 +106,7 @@ def transpile_key(
 
 
 class TranspileCache(StoreBackedCache):
-    """Transpiled-circuit cache over the shared cache store.
+    """Per-shape transpile-template cache over the shared cache store.
 
     Parameters
     ----------
@@ -108,8 +122,9 @@ class TranspileCache(StoreBackedCache):
     Attributes
     ----------
     hits / misses:
-        Lifetime lookup statistics (survive :meth:`clear`).  A disk-tier
-        hit counts as a hit — per-tier detail lives in :meth:`stats`.
+        Lifetime lookup statistics (survive :meth:`clear`).  A lookup that
+        finds its shape is a hit whatever the angles, and a disk-tier hit
+        counts as a hit — per-tier detail lives in :meth:`stats`.
 
     Pickling ships configuration (bounds, disk directory), never contents:
     a process-pool worker unpickles an empty memory tier but shares the
@@ -123,13 +138,13 @@ class TranspileCache(StoreBackedCache):
     def __init__(self, maxsize: int = 1024, cache_dir: Optional[str] = None) -> None:
         super().__init__(maxsize, cache_dir)
 
-    def lookup(self, key: CacheKey) -> Optional[QuantumCircuit]:
-        """Return the cached circuit for ``key`` (marking a hit) or ``None``."""
+    def lookup(self, key: CacheKey) -> Optional[ShapeTemplate]:
+        """Return the template for ``key`` (marking a hit) or ``None``."""
         return self._store.lookup(key)
 
-    def store(self, key: CacheKey, circuit: QuantumCircuit) -> None:
-        """Insert a transpiled circuit, evicting the LRU entry when full."""
-        self._store.store(key, circuit)
+    def store(self, key: CacheKey, template: ShapeTemplate) -> None:
+        """Insert a template, evicting the LRU entry when full."""
+        self._store.store(key, template)
 
     def transpile(
         self,
@@ -138,16 +153,15 @@ class TranspileCache(StoreBackedCache):
         layout: Optional[Layout] = None,
         optimize: bool = True,
     ) -> QuantumCircuit:
-        """Return the device-lowered circuit, computing it on a miss."""
+        """Return the device-lowered circuit, building its shape's template
+        on a miss."""
         key = transpile_key(circuit, device, layout, optimize)
-        cached = self.lookup(key)
-        if cached is not None:
-            return cached
-        from repro.transpiler.passes import transpile_for_device
-
-        lowered = transpile_for_device(circuit, device, layout=layout, optimize=optimize)
-        self.store(key, lowered)
-        return lowered
+        template = self.lookup(key)
+        if template is not None:
+            return template.bind(circuit)
+        template = ShapeTemplate(circuit, device, layout=layout, optimize=optimize)
+        self.store(key, template)
+        return template.circuit
 
 
 #: Process-wide default cache used by the device backends.  Attaches a disk

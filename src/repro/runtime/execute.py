@@ -91,7 +91,7 @@ def _count(value, name: str) -> int:
     """Return ``value`` as a Python int, or raise :class:`JobError`.
 
     Accepts what :func:`operator.index` accepts (so NumPy integers pass)
-    except ``bool``: ``True`` is not a shot or worker count.
+    except ``bool``: ``True`` is not a count, a seed or a priority.
     """
     if not isinstance(value, bool):
         try:
@@ -243,14 +243,22 @@ def execute(
             resolved_specs[spec] = resolve_backend(spec)
         backends.append(resolved_specs[spec])
     shots_list = [_count(s, "shots") for s in _broadcast(shots, count, "shots")]
-    seed_list = _broadcast(seed, count, "seed")
-    priority_list = [int(p) for p in _broadcast(priority, count, "priority")]
+    seed_list = [
+        None if s is None else _count(s, "seed")
+        for s in _broadcast(seed, count, "seed")
+    ]
+    priority_list = [
+        _count(p, "priority") for p in _broadcast(priority, count, "priority")
+    ]
     dist_cache = _resolve_distribution_cache(distribution_cache)
     # Validate everything before any job reaches the pool: a late failure
     # would leak already-submitted work with no Job handle to collect it.
     for s in shots_list:
         if s < 0:
             raise JobError(f"shots must be non-negative, got {s}")
+    for s in seed_list:
+        if s is not None and s < 0:
+            raise JobError(f"seed must be non-negative, got {s}")
     retry_policy = resolve_retry_policy(retry)
     if fault_plan is not None:
         from repro.faults import FaultPlan

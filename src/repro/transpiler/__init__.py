@@ -6,11 +6,14 @@ coupling map (the constraint that forced q2 as the Table 1 ancilla), insert
 SWAPs for distant interactions, fix CX direction on directed edges, and
 clean up with peephole optimisation.
 
-Lowering is deterministic for a given (circuit, device, layout), so the
-runtime layer memoises it: :class:`repro.runtime.cache.TranspileCache` keys
-:func:`transpile_for_device` output by ``QuantumCircuit.fingerprint()`` and
-the device backends call through it — sweeps re-running the same circuit
-pay the lowering cost once.
+Lowering is deterministic for a given (circuit, device, layout), and it
+reads the angles of 1-qubit gates only through the runs it merges, so the
+runtime layer memoises it per circuit shape:
+:class:`repro.runtime.cache.TranspileCache` keys a
+:class:`~repro.transpiler.template.ShapeTemplate` by
+``QuantumCircuit.shape_fingerprint()`` and the device backends call
+through it — sweeps re-running a circuit at new angles pay the full
+lowering once.
 """
 
 from repro.transpiler.decompose import decompose_to_basis

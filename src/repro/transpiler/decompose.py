@@ -42,15 +42,22 @@ def decompose_to_basis(
     out = circuit.copy()
     out.data = []
     for inst in circuit.data:
-        if inst.name in {"measure", "reset", "barrier"}:
-            out.data.append(inst)
-            continue
-        if inst.name in basis and not isinstance(inst.operation, UnitaryGate):
-            out.data.append(inst)
-            continue
-        for new_inst in _decompose_instruction(inst, basis):
-            out.data.append(new_inst)
+        out.data.extend(decompose_instruction(inst, basis))
     return out
+
+
+def decompose_instruction(inst: Instruction, basis: Set[str]) -> List[Instruction]:
+    """Return what :func:`decompose_to_basis` turns ``inst`` into.
+
+    ``basis`` is the lower-cased basis name set.  ``measure``, ``reset``,
+    ``barrier`` and basis gates (other than explicit unitaries) come back
+    unchanged; a 1-qubit gate otherwise becomes exactly one u1/u2/u3.
+    """
+    if inst.name in {"measure", "reset", "barrier"}:
+        return [inst]
+    if inst.name in basis and not isinstance(inst.operation, UnitaryGate):
+        return [inst]
+    return _decompose_instruction(inst, basis)
 
 
 def _decompose_instruction(inst: Instruction, basis: Set[str]) -> List[Instruction]:

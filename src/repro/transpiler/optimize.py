@@ -11,7 +11,7 @@ which holds because any operation on either wire in between blocks it).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,60 +21,79 @@ from repro.circuits.instructions import Instruction
 from repro.exceptions import TranspilerError
 
 
+#: One piece of :func:`single_qubit_runs`: an instruction kept as it is, or
+#: ``(qubit, run)`` for a run of 1-qubit gates merged into one.
+Piece = Union[Instruction, Tuple[int, List[Instruction]]]
+
+
 def merge_single_qubit_runs(circuit: QuantumCircuit) -> QuantumCircuit:
     """Merge maximal runs of unconditioned 1-qubit gates per wire.
 
     Each run is multiplied into one matrix and re-emitted as the cheapest of
     u1/u2/u3 (identity runs are dropped entirely).
     """
+    data: List[Instruction] = []
+    for piece in single_qubit_runs(circuit.data):
+        if isinstance(piece, Instruction):
+            data.append(piece)
+            continue
+        qubit, run = piece
+        merged = u_instruction_from_matrix(
+            fold_matrices(inst.operation.matrix for inst in run), qubit
+        )
+        if merged is not None:
+            data.append(merged)
     out = circuit.copy()
-    out.data = []
-    pending: dict = {}  # qubit -> accumulated 2x2 matrix
+    out.data = data
+    return out
+
+
+def single_qubit_runs(data: Sequence[Instruction]) -> List[Piece]:
+    """Split ``data`` into the pieces :func:`merge_single_qubit_runs` emits.
+
+    The split reads only gate kinds, operands and conditions, never a
+    matrix, so circuits that differ only in 1-qubit angles split alike.
+    """
+    pieces: List[Piece] = []
+    pending: Dict[int, List[Instruction]] = {}  # qubit -> its open run
 
     def flush(qubit: int) -> None:
-        matrix = pending.pop(qubit, None)
-        if matrix is None:
-            return
-        instruction = _u_instruction_from_matrix(matrix, qubit)
-        if instruction is not None:
-            out.data.append(instruction)
+        run = pending.pop(qubit, None)
+        if run is not None:
+            pieces.append((qubit, run))
 
-    def flush_all() -> None:
-        for qubit in sorted(pending):
-            matrix = pending[qubit]
-            instruction = _u_instruction_from_matrix(matrix, qubit)
-            if instruction is not None:
-                out.data.append(instruction)
-        pending.clear()
-
-    for inst in circuit.data:
-        is_mergeable = (
-            isinstance(inst.operation, Gate)
-            and inst.operation.num_qubits == 1
-            and inst.condition is None
-        )
-        if is_mergeable:
-            qubit = inst.qubits[0]
-            accumulated = pending.get(qubit, np.eye(2, dtype=complex))
-            pending[qubit] = inst.operation.matrix @ accumulated
-            continue
-        if inst.name == "barrier":
-            for qubit in inst.qubits:
-                flush(qubit)
-            out.data.append(inst)
+    for inst in data:
+        op = inst.operation
+        if isinstance(op, Gate) and op.num_qubits == 1 and inst.condition is None:
+            pending.setdefault(inst.qubits[0], []).append(inst)
             continue
         for qubit in inst.qubits:
             flush(qubit)
         if inst.condition is not None:
             # Conditioned gates depend on classical state: flush everything
             # that could race with the conditioning bit's writers.
-            flush_all()
-        out.data.append(inst)
-    flush_all()
-    return out
+            for qubit in sorted(pending):
+                flush(qubit)
+        pieces.append(inst)
+    for qubit in sorted(pending):
+        flush(qubit)
+    return pieces
 
 
-def _u_instruction_from_matrix(matrix: np.ndarray, qubit: int) -> Optional[Instruction]:
+def fold_matrices(matrices: Iterable[np.ndarray]) -> np.ndarray:
+    """Return the product of a run's matrices, later gates on the left.
+
+    The fold starts from the identity, so a replayed run reproduces a
+    merged one bit for bit (a product with the identity turns a ``-0.0``
+    entry into ``+0.0``, which a fold seeded with the first matrix keeps).
+    """
+    accumulated = np.eye(2, dtype=complex)
+    for matrix in matrices:
+        accumulated = matrix @ accumulated
+    return accumulated
+
+
+def u_instruction_from_matrix(matrix: np.ndarray, qubit: int) -> Optional[Instruction]:
     """Convert a 2x2 unitary into a u1/u2/u3 instruction (None if identity)."""
     theta, phi, lam, _ = u3_angles_from_unitary(matrix)
     two_pi = 2.0 * math.pi

@@ -118,10 +118,15 @@ def transpile_for_device(
     optimize: bool = True,
 ) -> QuantumCircuit:
     """Lower ``circuit`` to ``device``'s basis, connectivity and directions."""
+    check_fits(circuit, device)
+    manager = device_pass_manager(device, layout=layout, optimize=optimize)
+    return manager.run(circuit)
+
+
+def check_fits(circuit: QuantumCircuit, device: DeviceModel) -> None:
+    """Raise :class:`TranspilerError` if ``circuit`` is wider than ``device``."""
     if circuit.num_qubits > device.num_qubits:
         raise TranspilerError(
             f"circuit needs {circuit.num_qubits} qubits but {device.name} "
             f"has {device.num_qubits}"
         )
-    manager = device_pass_manager(device, layout=layout, optimize=optimize)
-    return manager.run(circuit)

@@ -178,7 +178,7 @@ class TestTranspileKey:
         layout = Layout([1, 2], 5)
         key = transpile_key(circuit, ibmqx4_device, layout, True)
         assert key == (
-            circuit.fingerprint(),
+            circuit.shape_fingerprint(),
             device_fingerprint(ibmqx4_device),
             (1, 2),
             True,
@@ -337,3 +337,105 @@ class TestDiskBackedTranspileCache:
         from_disk = disk_backend.run(measured_bell(), shots=1024, seed=3)
         assert dict(direct.counts) == dict(from_disk.counts)
         assert direct.probabilities == from_disk.probabilities
+
+
+def rotated_bell(theta):
+    qc = QuantumCircuit(2, 2)
+    qc.h(0)
+    qc.rz(theta, 0)
+    qc.cx(0, 1)
+    qc.ry(-theta, 1)
+    qc.measure([0, 1], [0, 1])
+    return qc
+
+
+def as_lists(circuit):
+    return [
+        (inst.name, inst.qubits, inst.clbits,
+         [float(p).hex() for p in inst.operation.params], inst.condition)
+        for inst in circuit.data
+    ]
+
+
+class TestShapeKey:
+    """Circuits that differ only in 1-qubit angles share one template."""
+
+    def test_two_angles_of_one_shape_share_one_entry(self, ibmqx4_device):
+        from repro.transpiler import transpile_for_device
+
+        cache = TranspileCache()
+        cache.transpile(rotated_bell(0.3), ibmqx4_device)
+        served = cache.transpile(rotated_bell(-1.1), ibmqx4_device)
+        assert (len(cache), cache.misses, cache.hits) == (1, 1, 1)
+        assert as_lists(served) == as_lists(
+            transpile_for_device(rotated_bell(-1.1), ibmqx4_device)
+        )
+
+    def test_angle_free_key_drops_only_one_qubit_angles(self):
+        assert rotated_bell(0.3).shape_fingerprint() == rotated_bell(2.0).shape_fingerprint()
+        assert rotated_bell(0.3).fingerprint() != rotated_bell(2.0).fingerprint()
+        assert measured_bell().shape_fingerprint() != measured_bell().fingerprint()
+
+    @pytest.mark.parametrize("variant", ["gate", "qubit", "condition", "two_qubit_angle"])
+    def test_structurally_different_circuits_never_share(self, ibmqx4_device, variant):
+        from repro.circuits.gates import get_gate
+
+        other = QuantumCircuit(2, 2)
+        other.h(0)
+        if variant == "gate":
+            other.rx(0.3, 0)
+        elif variant == "qubit":
+            other.rz(0.3, 1)
+        else:
+            other.rz(0.3, 0)
+        if variant == "condition":
+            other.append(get_gate("cx"), [0, 1], condition=(0, 1))
+        else:
+            other.cx(0, 1)
+        other.ry(-0.3, 1)
+        other.measure([0, 1], [0, 1])
+        cache = TranspileCache()
+        cache.transpile(rotated_bell(0.3), ibmqx4_device)
+        if variant == "two_qubit_angle":
+            first = QuantumCircuit(2)
+            first.append(get_gate("crz", (0.3,)), [0, 1])
+            other = QuantumCircuit(2)
+            other.append(get_gate("crz", (0.4,)), [0, 1])
+            cache.transpile(first, ibmqx4_device)
+        cache.transpile(other, ibmqx4_device)
+        assert cache.hits == 0
+        assert len(cache) == cache.misses
+
+    def test_fresh_cache_serves_a_new_angle_from_the_persisted_template(
+        self, ibmqx4_device, tmp_path
+    ):
+        from repro.transpiler import transpile_for_device
+
+        TranspileCache(cache_dir=tmp_path).transpile(rotated_bell(0.3), ibmqx4_device)
+        fresh = TranspileCache(cache_dir=tmp_path)
+        served = fresh.transpile(rotated_bell(2.5), ibmqx4_device)
+        assert fresh.misses == 0
+        assert fresh.stats()["disk"]["hits"] == 1
+        assert fresh.stats()["disk"]["entries"] == 1
+        assert as_lists(served) == as_lists(
+            transpile_for_device(rotated_bell(2.5), ibmqx4_device)
+        )
+
+    def test_prepare_span_reads_a_shape_hit_as_a_hit(self, ibmqx4_device):
+        from repro.obs.trace import Span
+        from repro.runtime import execute
+
+        def walk(node):
+            yield node
+            for child in node.get("children", ()):
+                yield from walk(child)
+
+        backend = NoisyDeviceBackend(ibmqx4_device, cache=TranspileCache())
+        stamps = []
+        for theta in (0.3, 0.7):
+            job = execute(rotated_bell(theta), backend, shots=16, seed=1,
+                          trace_parent=Span("sweep"))
+            job.result(timeout=60)
+            stamps += [n["attrs"]["cache_hit"] for n in walk(job.trace())
+                       if n["name"] == "prepare"]
+        assert stamps == [False, True]

@@ -96,11 +96,17 @@ class TestExecuteShapes:
         ("shots", "8"),
         ("max_workers", 2.5),
         ("max_workers", True),
+        ("seed", 2.5),
+        ("seed", True),
+        ("seed", "8"),
+        ("priority", 2.5),
+        ("priority", True),
+        ("priority", "8"),
     ])
     def test_non_integer_counts_rejected_before_any_job(self, name, value):
         """Only ints (NumPy ints included) count shots, chunks and
-        workers; anything else fails before a backend prepares or a pool
-        is opened."""
+        workers, seed a job or set its priority; anything else fails
+        before a backend prepares or a pool is opened."""
         calls = []
 
         class Recording(type(get_backend("stabilizer"))):
@@ -124,6 +130,29 @@ class TestExecuteShapes:
         assert job.plan["chunk_shots"] == 16
         assert type(job.plan["chunk_shots"]) is int
         assert job.result().counts.shots == 64
+
+    def test_per_circuit_seed_and_priority_entries_checked(self):
+        with pytest.raises(JobError, match="seed must be an int"):
+            execute([measured_bell()] * 2, "statevector", shots=8,
+                    seed=[1, 2.5])
+        with pytest.raises(JobError, match="priority must be an int"):
+            execute([measured_bell()] * 2, "statevector", shots=8,
+                    priority=[1, True])
+
+    def test_negative_seed_rejected_before_submission(self):
+        with pytest.raises(JobError, match="seed must be non-negative"):
+            execute([measured_bell()] * 2, "statevector", shots=8,
+                    seed=[1, -1])
+
+    def test_numpy_integer_seed_and_priority_accepted(self):
+        import numpy as np
+
+        job = execute(measured_bell(), "stabilizer", shots=64,
+                      seed=np.int64(3), priority=np.int32(2),
+                      executor="serial")
+        reference = execute(measured_bell(), "stabilizer", shots=64, seed=3,
+                            executor="serial")
+        assert dict(job.counts()) == dict(reference.counts())
 
     def test_execute_and_collect(self):
         result = execute_and_collect(measured_bell(), "statevector", shots=64, seed=9)
