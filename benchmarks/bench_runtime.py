@@ -233,8 +233,8 @@ def test_adaptive_chunking_saturates_pool_on_trajectory_engine():
     one chunk occupies exactly one process-pool worker while the rest
     idle.  The chunk planner reads the cost model's measured per-shot
     cost (learned here from a short probe run — in production, from any
-    earlier call or a persisted profile) and shards the job to saturate
-    the pool.  The job is unseeded because that is where adaptive chunking
+    earlier call in the process) and shards the job to saturate the
+    pool.  The job is unseeded because that is where adaptive chunking
     applies automatically (a caller seed pins the chunk plan; see the
     scheduler's determinism contract), so the assertions are structural
     (chunk count, total shots) plus the wall-clock win where the cores
@@ -356,6 +356,12 @@ def test_warm_disk_cache_accelerates_cold_process(tmp_path):
     )
 
 
+#: Plain/journaled sustained-storm pairs the journal gate takes the
+#: median ratio of.  Single pair ratios spread from 0.8 to 1.3 on a
+#: shared 2-core host, and seven pairs still failed one run in eight.
+JOURNAL_STORM_PAIRS = 11
+
+
 def test_service_storm_many_clients(tmp_path):
     """v6: the multi-tenant async service under a many-client storm.
 
@@ -374,14 +380,17 @@ def test_service_storm_many_clients(tmp_path):
     simulation instead of a cache resample — run
     plain vs with the write-ahead job journal and cost ledger writing
     every submission and settlement through to disk.  The journaled run
-    must stay within 10% of the plain wall-clock (best-of runs; a ratio
-    of two same-box runs, so shared-load noise mostly cancels).  And a
+    must stay within 10% of the plain wall-clock.  A ratio of two single
+    ~1-2 s runs swung from -8% to +50% on a shared 2-core host, so the
+    gate takes the median journaled/plain ratio over
+    ``JOURNAL_STORM_PAIRS`` back-to-back pairs, the side that runs first
+    alternating from pair to pair.  And a
     service that has completed exactly one job must report a sane
     jobs/sec — bounded by one-per-elapsed, never the ~1e9/s the pre-fix
     ``RateMeter`` gave a single early event.
 
-    ``REPRO_STORM_SMOKE=1`` shrinks the storm for CI smoke runs, which
-    record nothing.
+    ``REPRO_STORM_SMOKE=1`` shrinks the storm, but not the sustained
+    storm, for CI smoke runs, which record nothing.
     """
     import asyncio
 
@@ -475,8 +484,11 @@ def test_service_storm_many_clients(tmp_path):
         # resampling, every job binds its angle into one cached transpile
         # template and pays a full density-matrix simulation, so
         # wall-clock measures sustained throughput.  Each
-        # run draws fresh angles so no run warms another's caches.
+        # run draws fresh angles so no run warms another's caches.  It
+        # keeps its full size under smoke: 9-job storms read pair ratios
+        # of 0.67-1.38, too wide for the journal gate's 10% bound.
         base = next(run_offsets)
+        clients, per_client = 6, 8
         if cache_dir is None:
             service = RuntimeService(executor="thread", journal=False,
                                      accounting=False)
@@ -513,24 +525,28 @@ def test_service_storm_many_clients(tmp_path):
     sequential_s = asyncio.run(sequential())
     storm_s, stats = asyncio.run(storm())
 
-    # Journaling overhead on the sustained storm: best-of runs on both
-    # sides, with escalation rounds against wall-clock noise.
+    # Journaling overhead on the sustained storm: the median ratio over
+    # alternating plain/journaled pairs, each journaled run in a fresh
+    # directory.
     asyncio.run(sustained())  # warm-up: code paths, not circuits
-    sustained_s = asyncio.run(sustained())
-    journaled_s = None
-    for attempt in range(3):
-        candidate = asyncio.run(sustained(tmp_path / f"journal{attempt}"))
-        journaled_s = candidate if journaled_s is None else min(
-            journaled_s, candidate
-        )
-        if journaled_s <= sustained_s * 1.10:
-            break
-        sustained_s = min(sustained_s, asyncio.run(sustained()))
-    overhead = journaled_s / sustained_s - 1.0
-    assert journaled_s <= sustained_s * 1.10, (
-        f"write-ahead journaling ({journaled_s:.3f}s) should cost <=10% "
-        f"over the plain sustained storm ({sustained_s:.3f}s), "
-        f"got {overhead:+.1%}"
+    pairs = JOURNAL_STORM_PAIRS
+    plain_times, journaled_times, ratios = [], [], []
+    for pair in range(pairs):
+        seconds = {}
+        for journaled in ((False, True) if pair % 2 == 0 else (True, False)):
+            cache_dir = tmp_path / f"journal{pair}" if journaled else None
+            seconds[journaled] = asyncio.run(sustained(cache_dir))
+        plain_times.append(seconds[False])
+        journaled_times.append(seconds[True])
+        ratios.append(seconds[True] / seconds[False])
+    sustained_s = statistics.median(plain_times)
+    journaled_s = statistics.median(journaled_times)
+    overhead = statistics.median(ratios) - 1.0
+    assert overhead <= 0.10, (
+        f"write-ahead journaling should cost <=10% over the plain "
+        f"sustained storm, got {overhead:+.1%} (median of {pairs} pair "
+        f"ratios {', '.join(f'{r:.3f}' for r in sorted(ratios))}; medians "
+        f"{journaled_s:.3f}s journaled, {sustained_s:.3f}s plain)"
     )
 
     jobs = clients * per_client
@@ -564,6 +580,7 @@ def test_service_storm_many_clients(tmp_path):
         sustained_s=round(sustained_s, 6),
         journaled_s=round(journaled_s, 6),
         journaling_overhead=round(overhead, 4),
+        journal_pairs=pairs,
         single_job_rate=round(single_rate, 6),
     )
     emit(
@@ -576,8 +593,8 @@ def test_service_storm_many_clients(tmp_path):
         f"p99 {latency['p99_s'] * 1e3:.1f} ms, "
         f"speedup {sequential_s / storm_s:.1f}x)\n"
         f"sustained storm : {sustained_s:8.3f} s plain, {journaled_s:8.3f} s "
-        f"journaled (write-ahead journal + cost ledger, "
-        f"overhead {overhead:+.1%})\n"
+        f"journaled, medians of {pairs} (write-ahead journal + cost "
+        f"ledger, overhead {overhead:+.1%}, median pair ratio)\n"
         f"single-job rate : {single_rate:8.3f} jobs/s after "
         f"{single_uptime:.3f}s uptime (sane, not ~1e9)"
     )

@@ -18,9 +18,8 @@ service layer can be exposed over HTTP with ``--serve HOST:PORT`` (plus
 ``--serve-client NAME:TOKEN[:SCOPES]`` to pre-register tenants), the
 noise sweep re-samples repeat runs through the cross-call distribution
 cache, ``--cache-dir PATH`` (or ``$REPRO_CACHE_DIR``) persists the
-caches *and cost profiles* on disk so a *second invocation* skips
-transpiles and exact-distribution simulations entirely and plans
-process-pool chunks from measured costs, ``--list-backends`` shows
+caches on disk so a *second invocation* skips transpiles and
+exact-distribution simulations entirely, ``--list-backends`` shows
 the provider registry's spec strings, and ``--service-demo`` drives a
 small multi-client storm through the async service layer
 (:mod:`repro.service`) and prints its stats snapshot.

@@ -1,12 +1,11 @@
 """Collector registrations for the runtime layer's existing stats.
 
 The runtime's subsystems already keep counters — executor pool registry,
-the three `CacheStore`-backed caches (transpile, distribution and the
-cost model's profiles; per-tier hits/misses/stores/evictions/errors),
-and the cost model's learned estimates.  This module
-folds them into :data:`~repro.obs.metrics.DEFAULT_REGISTRY` as on-demand
-collectors: nothing is sampled until a snapshot or a ``/v1/metrics``
-scrape asks.
+the two `CacheStore`-backed caches (transpile and distribution; per-tier
+hits/misses/stores/evictions/errors), and the cost model's learned
+estimates.  This module folds them into
+:data:`~repro.obs.metrics.DEFAULT_REGISTRY` as on-demand collectors:
+nothing is sampled until a snapshot or a ``/v1/metrics`` scrape asks.
 
 Imports of the runtime modules happen inside the collector bodies so the
 ``obs`` package itself stays import-cycle free (``repro.runtime``
@@ -68,18 +67,12 @@ def _collect_distribution_cache() -> Iterable[Sample]:
 
 
 def _collect_cost_model() -> Iterable[Sample]:
-    from repro.runtime.profile import cost_model_stats
+    from repro.runtime.scheduler import cost_model_stats
 
-    stats = cost_model_stats()
-    samples: List[Sample] = _cache_samples("cost_model", stats)
-    for label, entry in (stats.get("profiles") or {}).items():
+    for label, entry in cost_model_stats()["profiles"].items():
         labels = {"profile": label}
-        if entry.get("shot_samples"):
-            samples.append(("repro_cost_model_per_shot_seconds", labels, entry["per_shot"]))
-            samples.append(
-                ("repro_cost_model_shot_samples_total", labels, entry["shot_samples"], "counter")
-            )
-    return samples
+        yield ("repro_cost_model_per_shot_seconds", labels, entry["per_shot"])
+        yield ("repro_cost_model_shot_samples_total", labels, entry["shot_samples"], "counter")
 
 
 def register_runtime_sources(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:

@@ -29,11 +29,10 @@ interchangeable backends.  This package is the layer between the engines
   job completion so overlapping calls share entries.
 * :mod:`~repro.runtime.batching` — identical ``(circuit, backend)`` jobs
   simulate the distribution once and re-sample counts per job.
-* :mod:`~repro.runtime.profile` / :mod:`~repro.runtime.scheduler` — an
-  online :class:`~repro.runtime.profile.CostModel` (EWMA per-shot
-  estimates fed by every completed chunk, persisted through the cache
-  store) sizes the shot chunks of unseeded (or ``chunk_shots="auto"``)
-  jobs on process pools, its one decision; and
+* :mod:`~repro.runtime.scheduler` — an in-memory
+  :class:`~repro.runtime.scheduler.CostModel` (EWMA per-shot estimates
+  fed by every completed chunk) sizes the shot chunks of unseeded jobs
+  on process pools, its one decision; and
   :class:`~repro.runtime.scheduler.Scheduler` adds a
   fair-share multi-client submission queue with weighted round-robin
   dispatch and bounded in-flight admission control.
@@ -70,12 +69,6 @@ from repro.runtime.pool import (
     pool_stats,
     shutdown_executors,
 )
-from repro.runtime.profile import (
-    DEFAULT_COST_MODEL,
-    CostModel,
-    cost_model_stats,
-    profile_key,
-)
 from repro.runtime.retry import (
     RetryPolicy,
     backoff_rng,
@@ -91,10 +84,14 @@ from repro.runtime.provider import (
 )
 from repro.runtime.scheduler import (
     DEADLINE_ACTIONS,
+    DEFAULT_COST_MODEL,
+    CostModel,
     ScheduledBatch,
     Scheduler,
+    cost_model_stats,
     default_schedule_mode,
     plan_chunk_shots,
+    profile_key,
 )
 from repro.runtime.store import (
     CacheStore,

@@ -65,15 +65,14 @@ from repro.runtime.distcache import (
 )
 from repro.runtime.job import Job, JobSet
 from repro.runtime.pool import executor_kind, get_executor
-from repro.runtime.profile import DEFAULT_COST_MODEL, profile_key
 from repro.runtime.provider import resolve_backend
 from repro.runtime.retry import resolve_retry_policy
-from repro.runtime.scheduler import plan_chunk_shots
+from repro.runtime.scheduler import DEFAULT_COST_MODEL, plan_chunk_shots, profile_key
 
 CircuitInput = Union[QuantumCircuit, Sequence[QuantumCircuit]]
 BackendInput = Union[str, Backend, Sequence[Union[str, Backend]]]
 DistCacheInput = Union[bool, DistributionCache, None]
-ChunkInput = Union[None, int, str]
+ChunkInput = Optional[int]
 
 
 def _broadcast(value, count: int, name: str) -> list:
@@ -155,10 +154,8 @@ def execute(
         shot sharding for the per-shot Monte-Carlo engines).  An explicit
         int always wins.  ``None`` keeps a job whole except an unseeded
         one on a process pool, which is sized from the cost model's
-        measured per-shot cost; ``"auto"`` opts a seeded job into that
-        sizing too.  Serial and thread runs stay whole either way.  The
-        resolved size is recorded in ``job.plan`` and the counts equal an
-        explicit ``chunk_shots`` of that same value (see
+        measured per-shot cost; serial and thread runs stay whole.  The
+        resolved size is recorded in ``job.plan`` (see
         :mod:`repro.runtime.scheduler`).
     dedupe:
         Group identical ``(circuit, backend)`` jobs so the distribution is
@@ -212,12 +209,7 @@ def execute(
         (``executor="serial"`` runs inline); call ``.result()`` or iterate
         ``.as_completed()`` to collect.
     """
-    auto_chunks = isinstance(chunk_shots, str)
-    if auto_chunks and chunk_shots != "auto":
-        raise JobError(
-            f"chunk_shots must be a positive int, None or 'auto', got {chunk_shots!r}"
-        )
-    if chunk_shots is not None and not auto_chunks:
+    if chunk_shots is not None:
         chunk_shots = _count(chunk_shots, "chunk_shots")
         if chunk_shots < 1:
             raise JobError(f"chunk_shots must be positive, got {chunk_shots}")
@@ -277,16 +269,16 @@ def execute(
     resolved_chunks: dict = {}
 
     def chunk_for(index: int) -> Optional[int]:
-        if not auto_chunks and chunk_shots is not None:
+        if chunk_shots is not None:
             return chunk_shots  # explicit always wins
         if kind != "process":
             # Serial chunks run one after another and thread chunks of
             # the in-repo engines do not overlap: splitting only adds
             # per-chunk setup, so these runs stay whole.
             return None
-        if not auto_chunks and seed_list[index] is not None:
+        if seed_list[index] is not None:
             # A caller seed pins the chunk plan: a planned split here
-            # would change counts, so it only applies on explicit opt-in.
+            # would change counts.
             return None
         key = (profile_key(backends[index], circuit_list[index]), shots_list[index])
         if key not in resolved_chunks:

@@ -42,8 +42,7 @@ import json, sys
 from repro.circuits import library
 from repro.core.injector import AssertionInjector
 from repro.runtime import (
-    DEFAULT_COST_MODEL, distribution_cache_stats, execute, get_backend,
-    plan_chunk_shots, profile_key, transpile_cache_stats,
+    distribution_cache_stats, execute, get_backend, transpile_cache_stats,
 )
 
 def _instrument(program, assertion, *args, **kwargs):
@@ -64,13 +63,7 @@ BUILDERS = {
 spec = json.loads(sys.argv[1])
 variants = [BUILDERS[name]() for name in spec["variants"]]
 circuits = variants * spec["repeats"]
-backend = get_backend(spec.get("backend", "noisy:ibmqx4"))
-# The cost model's warm-process claim, probed before any job runs: a
-# persisted profile makes per-shot cost known (and the adaptive chunk
-# planner data-driven) from the very first call of a fresh interpreter.
-key = profile_key(backend, variants[0])
-warm_estimate = DEFAULT_COST_MODEL.per_shot(key)
-warm_plan = plan_chunk_shots(backend, variants[0], spec["shots"], width=4)
+backend = get_backend("noisy:ibmqx4")
 for circuit in variants:
     backend.prepare(circuit)
 jobs = execute(
@@ -78,20 +71,12 @@ jobs = execute(
     distribution_cache=True,
 )
 counts = [dict(sorted(c.items())) for c in jobs.counts()]
-DEFAULT_COST_MODEL.flush()
 print(json.dumps({
     "counts": counts,
     "executed": jobs.num_executed,
     "cached": jobs.num_cached,
     "transpile": transpile_cache_stats(),
     "distribution": distribution_cache_stats(),
-    "profile": {
-        "warm_estimate": warm_estimate,
-        "warm_plan": warm_plan,
-        "per_shot_after": DEFAULT_COST_MODEL.per_shot(key),
-        "samples_after": (DEFAULT_COST_MODEL.profile(key) or {}).get(
-            "shot_samples", 0),
-    },
 }))
 """
 
@@ -178,9 +163,8 @@ def run_sweep_process(
     shots: int = 1024,
     repeats: int = 3,
     timeout: float = 600.0,
-    backend: str = "noisy:ibmqx4",
 ) -> Tuple[dict, float]:
-    """Run the sweep driver in a fresh interpreter.
+    """Run the sweep driver in a fresh interpreter on ``noisy:ibmqx4``.
 
     Parameters
     ----------
@@ -191,10 +175,6 @@ def run_sweep_process(
     variants / shots / repeats:
         Workload shape: which :data:`VARIANT_NAMES` to build and how the
         batch fans out (``len(variants) * repeats`` jobs).
-    backend:
-        Provider spec the driver executes on (default the paper's noisy
-        device model; ``"trajectory:ibmqx4"`` exercises the per-shot
-        path, which is what the cost-profile persistence smoke measures).
 
     Returns
     -------
@@ -210,7 +190,6 @@ def run_sweep_process(
         "variants": list(variants),
         "shots": int(shots),
         "repeats": int(repeats),
-        "backend": str(backend),
     }
     return run_driver_process(
         _DRIVER_SOURCE, spec, cache_dir=cache_dir, timeout=timeout

@@ -205,7 +205,7 @@ class _ChunkRun:
 
     def __init__(self, job: "Job", index: int, shots: int,
                  seed: Optional[int], backend, circuit, ctx, span,
-                 executor, kind: Optional[str]) -> None:
+                 executor, kind: str) -> None:
         self.job = job
         self.index = index
         self.shots = shots
@@ -301,9 +301,6 @@ class _ChunkRun:
         if self.pool_resubmits >= _MAX_POOL_RESUBMITS:
             return False
         replacement = rebuild_executor(self.executor)
-        if replacement is None:
-            # A foreign executor we cannot rebuild: not recoverable here.
-            return False
         self.pool_resubmits += 1
         self.attempt += 1
         self.executor = replacement
@@ -424,7 +421,7 @@ class Job:
         self._dist_stored = False
         #: Set by execute(): (CostModel, profile key) every completed
         #: chunk reports its measured wall-clock into (see
-        #: repro.runtime.profile).
+        #: repro.runtime.scheduler).
         self._cost_probe = None
         #: Set by execute(): how this job was planned —
         #: {"chunk_shots", "executor"} — for introspection.

@@ -1,8 +1,8 @@
 """Append-only record log: the one on-disk format of the package.
 
 Every persistent piece of state is a :class:`RecordLog`: the disk tier of
-each :class:`~repro.runtime.store.CacheStore` (transpile, distribution,
-cost-profile and service-auth entries), the service's
+each :class:`~repro.runtime.store.CacheStore` (transpile, distribution
+and service-auth entries), the service's
 :class:`~repro.service.journal.JobJournal` and its
 :class:`~repro.service.accounting.CostLedger`.  A record costs one pickle
 and one ``os.write`` on an ``O_APPEND`` descriptor; nothing is ever

@@ -1,15 +1,22 @@
-"""Cost-model-driven chunk sizing and a fair-share multi-client
+"""Chunk sizing from measured costs, and a fair-share multi-client
 submission queue.
 
+* :class:`CostModel` keeps one number per ``(engine name, qubit count)``:
+  what a shot costs, as an exponentially-weighted moving average of
+  measured chunk wall-clocks.  Every completed chunk feeds it through a
+  done-callback (the ``(result, elapsed)`` pair chunk tasks already
+  return), on every executor kind.  The table lives in memory only: a
+  fresh process plans its first job of a key from the cold bootstrap,
+  and every later one from measurements.
 * :func:`plan_chunk_shots` sizes shot chunks for the sampling engines
-  (stabilizer, trajectory, user engines) from the
-  :class:`~repro.runtime.profile.CostModel`'s measured per-shot cost —
+  (stabilizer, trajectory, user engines) from that per-shot cost —
   enough chunks to saturate the pool, never so many that scheduling
-  overhead dominates.  It is the cost model's only decision reader, and
-  ``execute()`` asks it only for process pools: thread chunks of the
-  in-repo engines do not overlap, so serial and thread runs stay whole.
-  Exact-distribution engines are never chunked (their simulation cost
-  is shots-independent).
+  overhead dominates.  It is the cost model's only reader, and
+  ``execute()`` asks it only for unseeded jobs on process pools: thread
+  chunks of the in-repo engines do not overlap, so serial and thread
+  runs stay whole.  The warm estimate keeps cheap jobs whole, where a
+  split would only add pool round-trips.  Exact-distribution engines are
+  never chunked (their simulation cost is shots-independent).
 * :class:`Scheduler` is a submission front door for *many clients*:
   weighted round-robin dispatch across per-client queues, priority order
   within a client, and bounded in-flight admission control layered on the
@@ -28,13 +35,10 @@ a pure function of ``(circuit, backend, shots, seed, chunk_shots)``, and
 
 * an explicit int always wins;
 * otherwise only a process pool chunks, and only an unseeded job (no
-  reproducibility contract — every run draws fresh entropy) or one that
-  opts in with ``chunk_shots="auto"``.  The resolved size is
-  deterministic given the model state and the pool, recorded in
-  ``job.plan["chunk_shots"]``, and the counts equal an explicit
-  ``chunk_shots`` of that value
-  (``tests/runtime/test_schedule_determinism.py`` pins this);
-* every other job runs whole, so its counts equal the serial run's.
+  reproducibility contract — every run draws fresh entropy).  The
+  resolved size is recorded in ``job.plan["chunk_shots"]``;
+* every other job runs whole, so its counts equal the serial run's
+  (``tests/runtime/test_schedule_determinism.py`` pins this).
 """
 
 from __future__ import annotations
@@ -44,13 +48,12 @@ import math
 import threading
 import time
 import weakref
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import CircuitOpen, JobAbandoned, JobError, QueueTimeout
 from repro.obs.metrics import DEFAULT_REGISTRY, Counter, MetricsRegistry
 from repro.obs.trace import Span, tracing_enabled
 from repro.runtime.breaker import CircuitBreaker
-from repro.runtime.profile import DEFAULT_COST_MODEL, CostModel, profile_key
 from repro.runtime.pool import default_max_workers
 
 #: Adaptive chunks aim for roughly this much work per pool task.  The
@@ -80,6 +83,93 @@ CLOSE_GRACE_S = 10.0
 #: left to do to exit.
 EXIT_GRACE_S = 1.0
 
+#: Cost-model key: (engine/backend name, qubit count).
+ProfileKey = Tuple[str, int]
+
+#: EWMA smoothing factor: high enough to track a machine whose load
+#: changes, low enough that one descheduled chunk does not whipsaw the
+#: chunk planner.
+EWMA_ALPHA = 0.3
+
+
+def profile_key(backend, circuit) -> ProfileKey:
+    """Return the cost key for one ``(backend, circuit)`` pairing.
+
+    The backend ``name`` already encodes the engine family and, for device
+    backends, the device (``"noisy(ibmqx4)"``); the qubit count is the
+    dominant cost factor within a family.  Seeds, shots and noise scale
+    are deliberately excluded — they change *how much* work runs, not the
+    per-shot unit cost the planner divides by.
+    """
+    return (str(getattr(backend, "name", type(backend).__name__)),
+            int(getattr(circuit, "num_qubits", 0)))
+
+
+class CostModel:
+    """EWMA per-shot cost estimates, one entry per :data:`ProfileKey`.
+
+    Observations arrive from executor done-callbacks on arbitrary
+    threads; one lock covers the table.  Keys are ``(engine name, qubit
+    count)``, so the table stays as small as the set of engines and
+    widths a process runs.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: Dict[ProfileKey, Dict[str, object]] = {}
+
+    def observe_run(self, key: ProfileKey, shots: int, elapsed: float) -> None:
+        """Fold one completed chunk's ``(shots, elapsed seconds)`` in."""
+        if shots <= 0 or not math.isfinite(elapsed) or elapsed < 0:
+            return
+        value = elapsed / shots
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._entries[key] = {"per_shot": value, "shot_samples": 1}
+                return
+            entry["per_shot"] = (
+                (1.0 - EWMA_ALPHA) * entry["per_shot"] + EWMA_ALPHA * value
+            )
+            entry["shot_samples"] += 1
+
+    def per_shot(self, key: ProfileKey) -> Optional[float]:
+        """Return the estimated seconds per shot, or ``None`` when unknown."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return None if entry is None else entry["per_shot"]
+
+    def profile(self, key: ProfileKey) -> Optional[dict]:
+        """Return a copy of the entry for ``key``, or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            return None if entry is None else dict(entry)
+
+    def summary(self) -> Dict[ProfileKey, dict]:
+        """Return ``{key: entry}`` for every profiled key (for stats)."""
+        with self._lock:
+            return {key: dict(entry) for key, entry in self._entries.items()}
+
+    def clear(self) -> None:
+        """Drop every estimate."""
+        with self._lock:
+            self._entries.clear()
+
+
+#: Process-wide default model: every execute() call observes into it,
+#: process-pool chunk planning reads it.
+DEFAULT_COST_MODEL = CostModel()
+
+
+def cost_model_stats() -> dict:
+    """Return the default cost model's profiles, keyed ``"<name>/q<qubits>"``."""
+    return {
+        "profiles": {
+            f"{name}/q{qubits}": entry
+            for (name, qubits), entry in sorted(DEFAULT_COST_MODEL.summary().items())
+        }
+    }
+
 
 def default_schedule_mode() -> str:
     """Return ``"adaptive"``, the one chunk-planning rule ``execute()``
@@ -97,7 +187,7 @@ def plan_chunk_shots(
     """Pick an adaptive ``chunk_shots`` for one job, or ``None`` (unchunked).
 
     Deterministic given the model state: the same ``(backend, circuit,
-    shots, width)`` against the same profile always plans the same split.
+    shots, width)`` against the same estimate always plans the same split.
 
     * Exact-distribution backends and single-worker pools never chunk.
     * With no measured cost yet (cold model), the bootstrap plan splits

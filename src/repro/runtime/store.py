@@ -65,22 +65,16 @@ def set_default_cache_dir(cache_dir: Optional[str]) -> None:
     """Attach (or, with ``None``, detach) disk tiers on the default caches.
 
     Reconfigures the process-wide
-    :data:`~repro.runtime.cache.DEFAULT_CACHE`,
-    :data:`~repro.runtime.distcache.DEFAULT_DISTRIBUTION_CACHE` and
-    :data:`~repro.runtime.profile.DEFAULT_COST_MODEL` in place — the hook
-    behind the experiments CLI's ``--cache-dir`` flag.  Memory tiers and
-    statistics are untouched; cost profiles learned before the attach are
-    flushed through to the new disk tier so they persist too.
+    :data:`~repro.runtime.cache.DEFAULT_CACHE` and
+    :data:`~repro.runtime.distcache.DEFAULT_DISTRIBUTION_CACHE` in place —
+    the hook behind the experiments CLI's ``--cache-dir`` flag.  Memory
+    tiers and statistics are untouched.
     """
     from repro.runtime.cache import DEFAULT_CACHE
     from repro.runtime.distcache import DEFAULT_DISTRIBUTION_CACHE
-    from repro.runtime.profile import DEFAULT_COST_MODEL
 
     DEFAULT_CACHE.attach_disk(cache_dir)
     DEFAULT_DISTRIBUTION_CACHE.attach_disk(cache_dir)
-    DEFAULT_COST_MODEL.attach_disk(cache_dir)
-    if cache_dir:
-        DEFAULT_COST_MODEL.flush(all_entries=True)
 
 
 class TierStats:

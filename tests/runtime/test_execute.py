@@ -91,6 +91,7 @@ class TestExecuteShapes:
     @pytest.mark.parametrize("name, value", [
         ("chunk_shots", 2.5),
         ("chunk_shots", True),
+        ("chunk_shots", "auto"),
         ("shots", 2.5),
         ("shots", False),
         ("shots", "8"),

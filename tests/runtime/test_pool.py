@@ -1,7 +1,14 @@
 """Tests for the shared executor registry and the serial executor."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.exceptions import JobError
 from repro.runtime.pool import (
     EXECUTOR_KINDS,
@@ -99,3 +106,33 @@ class TestDefaultKind:
 
     def test_default_width_positive(self):
         assert default_max_workers() >= 1
+
+
+class TestStartMethod:
+    def test_process_pool_forks(self):
+        pool = get_executor("process", 2)
+        assert pool._mp_context.get_start_method() == "fork"
+
+    def test_unguarded_script_runs_process_jobs(self, tmp_path):
+        """A script without an ``if __name__ == "__main__"`` guard: under
+        ``forkserver`` or ``spawn`` each worker would re-run it and every
+        process-pool job would fail."""
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent("""
+            from repro.circuits import library
+            from repro.runtime import execute
+
+            circuit = library.bell_pair()
+            circuit.measure_all()
+            job = execute(circuit, "stabilizer", shots=64, seed=1,
+                          executor="process", max_workers=2)
+            print(job.result().counts.shots)
+        """))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True,
+            text=True, timeout=120, stdin=subprocess.DEVNULL,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "64"

@@ -1,12 +1,11 @@
 """Planned chunk sizes never change a seeded call's counts.
 
 ``execute()`` may run a job on any executor and, on a process pool, size
-unseeded (or ``chunk_shots="auto"``) chunks from the cost model — but for
-a fixed seed the counts contract is absolute: counts are a pure function
-of ``(circuit, backend, shots, seed, chunk_shots)``.  So every run here
-must draw exactly the histogram of the serial run, or of an explicit
-``chunk_shots`` equal to the size the plan resolved to, on every backend
-family and every executor kind, cold or warm cost model.
+unseeded chunks from the cost model — but for a fixed seed the counts
+contract is absolute: counts are a pure function of ``(circuit, backend,
+shots, seed, chunk_shots)``.  So every run here must draw exactly the
+histogram of the serial run with the same ``chunk_shots``, on every
+backend family and every executor kind, cold or warm cost model.
 """
 
 import pytest
@@ -63,17 +62,6 @@ class TestEveryExecutorMatchesSerial:
         assert planned.plan["chunk_shots"] == 64
         assert dict(planned.counts()) == dict(serial.counts())
 
-    def test_auto_matches_the_chunking_it_resolved_to(self, spec, options, kind):
-        planned = execute(
-            instrumented_circuit(), get_backend(spec, **options), shots=192,
-            seed=29, chunk_shots="auto", executor=kind, max_workers=3,
-        )
-        explicit = execute(
-            instrumented_circuit(), get_backend(spec, **options), shots=192,
-            seed=29, chunk_shots=planned.plan["chunk_shots"], executor="serial",
-        )
-        assert dict(planned.counts()) == dict(explicit.counts())
-
     def test_batch_with_dedupe(self, spec, options, kind):
         circuits = [instrumented_circuit() for _ in range(3)]
         backend = get_backend(spec, **options)
@@ -111,16 +99,14 @@ class TestWarmProfileNeverLeaksIntoSeededCounts:
 
 
 class TestHypothesisPlanEquivalence:
-    """Property: any (shots, seed, chunk_shots) draws the counts of the
-    explicit chunking it resolves to."""
+    """Property: any (shots, seed, chunk_shots) on a process pool draws
+    the serial run's counts."""
 
     @settings(max_examples=15, deadline=None)
     @given(
         shots=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        chunk=st.one_of(
-            st.none(), st.just("auto"), st.integers(min_value=16, max_value=128)
-        ),
+        chunk=st.one_of(st.none(), st.integers(min_value=16, max_value=128)),
     )
     def test_per_shot_engine(self, shots, seed, chunk):
         backend = get_backend("stabilizer")
@@ -133,21 +119,3 @@ class TestHypothesisPlanEquivalence:
             chunk_shots=planned.plan["chunk_shots"], executor="serial",
         )
         assert dict(planned.counts()) == dict(explicit.counts())
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        shots=st.integers(min_value=1, max_value=300),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_exact_engine(self, shots, seed):
-        backend = get_backend("statevector")
-        planned = execute(
-            instrumented_circuit(), backend, shots=shots, seed=seed,
-            chunk_shots="auto", executor="serial",
-        )
-        whole = execute(
-            instrumented_circuit(), backend, shots=shots, seed=seed,
-            executor="serial",
-        )
-        assert planned.plan["chunk_shots"] is None
-        assert dict(planned.counts()) == dict(whole.counts())

@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.runtime.scheduler` and its execute() integration:
-adaptive chunk planning, backend-aware executor defaults, the parent-side
-process-fan-out prepare, and the fair-share multi-client queue.
+the in-memory cost model, adaptive chunk planning, backend-aware executor
+defaults, the parent-side process-fan-out prepare, and the fair-share
+multi-client queue.
 """
 
 import math
@@ -20,6 +21,7 @@ from repro.results.counts import Counts
 from repro.results.result import Result
 from repro.runtime import (
     DEFAULT_COST_MODEL,
+    CostModel,
     Scheduler,
     TranspileCache,
     execute,
@@ -28,8 +30,8 @@ from repro.runtime import (
 )
 from repro.runtime.cache import transpile_key
 from repro.runtime.pool import EXECUTOR_ENV_VAR
-from repro.runtime.profile import CostModel
 from repro.runtime.scheduler import (
+    EWMA_ALPHA,
     MIN_CHUNK_SHOTS,
     OVERSUBSCRIBE,
     TARGET_CHUNK_SECONDS,
@@ -117,6 +119,100 @@ class TestExecutorDefaults:
         job = execute(measured_bell(), "stabilizer", shots=8, seed=1)
         assert "schedule" not in job.plan
         assert job.result().counts.shots == 8
+
+
+# ----------------------------------------------------------------------
+# The in-memory cost model
+# ----------------------------------------------------------------------
+
+
+class TestProfileKey:
+    def test_backend_name_and_qubits(self):
+        bell = library.bell_pair()
+        ghz = library.ghz_state(3)
+        stab = get_backend("stabilizer")
+        noisy = get_backend("noisy:ibmqx4")
+        assert profile_key(stab, bell) == ("stabilizer", 2)
+        assert profile_key(noisy, bell) == ("noisy(ibmqx4)", 2)
+        assert profile_key(stab, ghz) != profile_key(stab, bell)
+
+    def test_seeds_and_shots_do_not_participate(self):
+        """The key is (engine, size) — nothing run-specific."""
+        key = profile_key(get_backend("stabilizer"), library.bell_pair())
+        assert key == ("stabilizer", 2)
+
+
+class TestObservation:
+    def test_first_sample_initialises_directly(self):
+        model = CostModel()
+        model.observe_run(("engine", 2), shots=100, elapsed=1.0)
+        assert model.per_shot(("engine", 2)) == pytest.approx(0.01)
+
+    def test_ewma_update(self):
+        model = CostModel()
+        key = ("engine", 2)
+        model.observe_run(key, shots=10, elapsed=1.0)   # 0.1 s/shot
+        model.observe_run(key, shots=10, elapsed=2.0)   # 0.2 s/shot
+        expected = (1 - EWMA_ALPHA) * 0.1 + EWMA_ALPHA * 0.2
+        assert model.per_shot(key) == pytest.approx(expected)
+        assert model.profile(key)["shot_samples"] == 2
+
+    def test_unknown_key_estimates_none(self):
+        model = CostModel()
+        assert model.per_shot(("never-seen", 9)) is None
+        assert model.profile(("never-seen", 9)) is None
+
+    def test_garbage_observations_ignored(self):
+        model = CostModel()
+        key = ("engine", 2)
+        model.observe_run(key, shots=0, elapsed=1.0)
+        model.observe_run(key, shots=10, elapsed=-1.0)
+        model.observe_run(key, shots=10, elapsed=float("nan"))
+        assert model.per_shot(key) is None
+
+    def test_concurrent_observations_all_counted(self):
+        model = CostModel()
+        key = ("engine", 3)
+
+        def hammer():
+            for _ in range(200):
+                model.observe_run(key, shots=10, elapsed=0.5)
+
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert model.profile(key)["shot_samples"] == 800
+        assert model.per_shot(key) == pytest.approx(0.05)
+
+    def test_clear_drops_every_estimate(self):
+        model = CostModel()
+        model.observe_run(("engine", 2), shots=10, elapsed=1.0)
+        model.clear()
+        assert model.per_shot(("engine", 2)) is None
+        assert model.summary() == {}
+
+
+class TestExecuteFeedsDefaultModel:
+    def test_completed_chunks_observed(self):
+        backend = get_backend("stabilizer")
+        circuit = measured_ghz(4)
+        key = profile_key(backend, circuit)
+        before = (DEFAULT_COST_MODEL.profile(key) or {}).get("shot_samples", 0)
+        execute(circuit, backend, shots=64, seed=1, executor="serial").result()
+        after = DEFAULT_COST_MODEL.profile(key)["shot_samples"]
+        assert after == before + 1
+        assert DEFAULT_COST_MODEL.per_shot(key) > 0
+
+    def test_cost_model_stats_shape(self):
+        from repro.runtime import cost_model_stats
+
+        stats = cost_model_stats()
+        assert "profiles" in stats
+        for label, entry in stats["profiles"].items():
+            assert "/q" in label
+            assert set(entry) == {"per_shot", "shot_samples"}
 
 
 # ----------------------------------------------------------------------
@@ -219,16 +315,15 @@ class TestAdaptiveChunkingInExecute:
         assert job.result().counts.shots == 320
 
     @pytest.mark.parametrize("kind", ["serial", "thread"])
-    @pytest.mark.parametrize("chunk_shots", [None, "auto"])
-    def test_warmed_job_stays_whole_off_process_pools(self, kind, chunk_shots):
+    def test_warmed_job_stays_whole_off_process_pools(self, kind):
         # Thread chunks of the in-repo engines do not overlap, and serial
         # ones run back to back: the same job the process pool splits
         # runs as one task here.
         backend = get_backend("stabilizer")
         circuit = measured_ghz(6)
         self._warmed_key(backend, circuit)
-        job = execute(circuit, backend, shots=320, chunk_shots=chunk_shots,
-                      executor=kind, max_workers=4)
+        job = execute(circuit, backend, shots=320, executor=kind,
+                      max_workers=4)
         assert job.plan["chunk_shots"] is None
         assert len(job._futures) == 1
         assert job.result().counts.shots == 320
@@ -246,18 +341,6 @@ class TestAdaptiveChunkingInExecute:
         assert planned.plan["chunk_shots"] is None
         assert len(planned._futures) == 1
         assert dict(planned.counts()) == dict(serial.counts())
-
-    def test_auto_opt_in_matches_explicit_chunking(self):
-        backend = get_backend("stabilizer")
-        circuit = measured_ghz(6)
-        self._warmed_key(backend, circuit)
-        auto = execute(circuit, backend, shots=320, seed=11,
-                       chunk_shots="auto", executor="process", max_workers=4)
-        resolved = auto.plan["chunk_shots"]
-        assert resolved is not None and resolved < 320
-        explicit = execute(circuit, backend, shots=320, seed=11,
-                           chunk_shots=resolved, executor="serial")
-        assert dict(auto.counts()) == dict(explicit.counts())
 
     def test_bogus_chunk_string_rejected(self):
         with pytest.raises(JobError, match="chunk_shots"):
