@@ -6,7 +6,12 @@ contract is absolute: counts are a pure function of ``(circuit, backend,
 shots, seed, chunk_shots)``.  So every run here must draw exactly the
 histogram of the serial run with the same ``chunk_shots``, on every
 backend family and every executor kind, cold or warm cost model.
+Unseeded jobs carry no such contract; they are checked against the one
+chunking rule instead: only a process pool splits them, and only on a
+sampling engine.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,7 @@ from repro.circuits import library
 from repro.core.injector import AssertionInjector
 from repro.runtime import DEFAULT_COST_MODEL, execute, get_backend, profile_key
 from repro.runtime.pool import EXECUTOR_KINDS
+from repro.runtime.scheduler import MIN_CHUNK_SHOTS
 
 #: All four backend families; trajectory at scale 0.25 keeps it fast.
 BACKEND_SPECS = [
@@ -74,6 +80,25 @@ class TestEveryExecutorMatchesSerial:
         ).counts()
         assert [dict(c) for c in planned] == [dict(c) for c in serial]
 
+    def test_unseeded_job_follows_the_one_rule(self, spec, options, kind):
+        # A heavy learned cost: the planner splits any sampling-engine job
+        # it is asked about, so a whole job below means it was not asked.
+        backend = get_backend(spec, **options)
+        circuit = instrumented_circuit()
+        DEFAULT_COST_MODEL.observe_run(profile_key(backend, circuit), 100, 500.0)
+        job = execute(circuit, backend, shots=192, executor=kind, max_workers=3)
+        counts = job.counts()
+        planned = kind == "process" and not backend.returns_probabilities
+        if planned:
+            chunk = job.plan["chunk_shots"]
+            assert MIN_CHUNK_SHOTS <= chunk < 192
+            assert len(job._futures) == math.ceil(192 / chunk)
+        else:
+            assert job.plan["chunk_shots"] is None
+            assert len(job._futures) == 1
+        assert sum(counts.values()) == 192
+        assert {len(key) for key in counts} == {circuit.num_clbits}
+
 
 class TestWarmProfileNeverLeaksIntoSeededCounts:
     """A learned profile must not change a seeded call's histogram."""
@@ -119,3 +144,29 @@ class TestHypothesisPlanEquivalence:
             chunk_shots=planned.plan["chunk_shots"], executor="serial",
         )
         assert dict(planned.counts()) == dict(explicit.counts())
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        shots=st.integers(min_value=1, max_value=300),
+        seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2**31 - 1)),
+    )
+    def test_exact_engine(self, shots, seed):
+        """An exact-distribution engine runs whole on a process pool, seeded
+        or not and however costly the model thinks it is."""
+        backend = get_backend("statevector")
+        circuit = instrumented_circuit()
+        DEFAULT_COST_MODEL.observe_run(profile_key(backend, circuit), 10, 1000.0)
+        planned = execute(
+            circuit, backend, shots=shots, seed=seed, executor="process",
+            max_workers=4,
+        )
+        assert planned.plan["chunk_shots"] is None
+        assert len(planned._futures) == 1
+        if seed is None:
+            assert sum(planned.counts().values()) == shots
+            return
+        whole = execute(
+            instrumented_circuit(), backend, shots=shots, seed=seed,
+            executor="serial",
+        )
+        assert dict(planned.counts()) == dict(whole.counts())

@@ -4,14 +4,20 @@ defaults, the parent-side process-fan-out prepare, and the fair-share
 multi-client queue.
 """
 
+import json
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.circuits import library
 from repro.circuits.circuit import QuantumCircuit
 from repro.devices.backend import Backend, NoisyDeviceBackend
@@ -34,6 +40,7 @@ from repro.runtime.scheduler import (
     EWMA_ALPHA,
     MIN_CHUNK_SHOTS,
     OVERSUBSCRIBE,
+    SPLIT_THRESHOLD_SECONDS,
     TARGET_CHUNK_SECONDS,
     default_schedule_mode,
     plan_chunk_shots,
@@ -193,6 +200,45 @@ class TestObservation:
         assert model.per_shot(("engine", 2)) is None
         assert model.summary() == {}
 
+    def test_observation_after_clear_initialises_directly(self):
+        model = CostModel()
+        key = ("engine", 2)
+        model.observe_run(key, shots=10, elapsed=5.0)
+        model.clear()
+        model.observe_run(key, shots=10, elapsed=1.0)
+        assert model.per_shot(key) == pytest.approx(0.1)
+        assert model.profile(key)["shot_samples"] == 1
+
+    def test_infinite_elapsed_ignored(self):
+        model = CostModel()
+        key = ("engine", 2)
+        model.observe_run(key, shots=10, elapsed=1.0)
+        model.observe_run(key, shots=10, elapsed=float("inf"))
+        assert model.per_shot(key) == pytest.approx(0.1)
+        assert model.profile(key)["shot_samples"] == 1
+
+    def test_zero_elapsed_is_a_sample(self):
+        """A chunk faster than the clock's resolution still counts."""
+        model = CostModel()
+        model.observe_run(("engine", 2), shots=10, elapsed=0.0)
+        assert model.per_shot(("engine", 2)) == 0.0
+        assert model.profile(("engine", 2))["shot_samples"] == 1
+
+    def test_profile_and_summary_are_copies(self):
+        model = CostModel()
+        key = ("engine", 2)
+        model.observe_run(key, shots=10, elapsed=1.0)
+        model.profile(key)["per_shot"] = 99.0
+        model.summary()[key]["shot_samples"] = 99
+        assert model.profile(key) == {"per_shot": pytest.approx(0.1),
+                                      "shot_samples": 1}
+
+    def test_models_do_not_share_entries(self):
+        first, second = CostModel(), CostModel()
+        first.observe_run(("engine", 2), shots=10, elapsed=1.0)
+        assert second.per_shot(("engine", 2)) is None
+        assert second.summary() == {}
+
 
 class TestExecuteFeedsDefaultModel:
     def test_completed_chunks_observed(self):
@@ -213,6 +259,29 @@ class TestExecuteFeedsDefaultModel:
         for label, entry in stats["profiles"].items():
             assert "/q" in label
             assert set(entry) == {"per_shot", "shot_samples"}
+
+    def test_stats_label_is_name_and_width(self):
+        from repro.runtime import cost_model_stats
+
+        DEFAULT_COST_MODEL.observe_run(("stats-engine", 7), 4, 1.0)
+        entry = cost_model_stats()["profiles"]["stats-engine/q7"]
+        assert entry["per_shot"] == pytest.approx(0.25)
+        assert entry["shot_samples"] >= 1
+
+    def test_metric_families_read_the_default_model(self):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.sources import register_runtime_sources
+
+        DEFAULT_COST_MODEL.observe_run(("metric-engine", 5), 8, 2.0)
+        text = register_runtime_sources(MetricsRegistry()).render_prometheus()
+        lines = text.splitlines()
+        assert ('repro_cost_model_per_shot_seconds{profile="metric-engine/q5"} 0.25'
+                in lines)
+        assert any(
+            line.startswith(
+                'repro_cost_model_shot_samples_total{profile="metric-engine/q5"}')
+            for line in lines
+        )
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +365,49 @@ class TestPlanChunkShots:
         }
         assert len(plans) == 1
 
+    def test_split_boundary_is_a_threshold_per_worker(self):
+        """Under one target's worth of work, a job splits only once it is
+        worth the split threshold on every worker."""
+        backend = get_backend("stabilizer")
+        key = profile_key(backend, measured_bell())
+        below, above = CostModel(), CostModel()
+        below.observe_run(key, 1000, 4 * SPLIT_THRESHOLD_SECONDS * 0.9)
+        above.observe_run(key, 1000, 4 * SPLIT_THRESHOLD_SECONDS * 1.1)
+        assert plan_chunk_shots(backend, measured_bell(), 1000, width=4,
+                                cost_model=below) is None
+        assert plan_chunk_shots(backend, measured_bell(), 1000, width=4,
+                                cost_model=above) == 250
+
+    def test_costly_job_saturates_pool(self):
+        """A job worth exactly a threshold per worker gets one chunk per
+        worker."""
+        backend = get_backend("stabilizer")
+        model = CostModel()
+        total = 4 * SPLIT_THRESHOLD_SECONDS
+        assert total < TARGET_CHUNK_SECONDS
+        model.observe_run(profile_key(backend, measured_bell()), 1000, total)
+        chunk = plan_chunk_shots(backend, measured_bell(), 1000, width=4,
+                                 cost_model=model)
+        assert chunk == 250
+
+    def test_default_width_is_the_pool_default(self, monkeypatch):
+        import repro.runtime.scheduler as scheduler
+
+        monkeypatch.setattr(scheduler, "default_max_workers", lambda: 5)
+        assert plan_chunk_shots(get_backend("stabilizer"), measured_bell(),
+                                1000, cost_model=CostModel()) == 200
+        monkeypatch.setattr(scheduler, "default_max_workers", lambda: 1)
+        assert plan_chunk_shots(get_backend("stabilizer"), measured_bell(),
+                                1000, cost_model=CostModel()) is None
+
+    def test_explicit_model_ignores_the_default(self):
+        backend = get_backend("stabilizer")
+        circuit = measured_ghz(5)
+        DEFAULT_COST_MODEL.observe_run(profile_key(backend, circuit), 10, 100.0)
+        assert plan_chunk_shots(backend, circuit, 1000, width=4) == 63
+        assert plan_chunk_shots(backend, circuit, 1000, width=4,
+                                cost_model=CostModel()) == 250
+
 
 class TestAdaptiveChunkingInExecute:
     def _warmed_key(self, backend, circuit, per_shot=0.5):
@@ -355,6 +467,123 @@ class TestAdaptiveChunkingInExecute:
                       executor="process", max_workers=4)
         assert job.plan["chunk_shots"] == 320
         assert len(job._futures) == 1
+
+
+# ----------------------------------------------------------------------
+# Estimates live in memory only
+# ----------------------------------------------------------------------
+
+
+#: Runs one seeded trajectory job in a fresh interpreter and reports the
+#: cost model before and after it, as JSON on stdout.
+_FRESH_PROCESS_SCRIPT = textwrap.dedent("""
+    import json
+    from repro.circuits import library
+    from repro.runtime import DEFAULT_COST_MODEL, execute, get_backend, profile_key
+    from repro.runtime.scheduler import plan_chunk_shots
+
+    circuit = library.bell_pair()
+    circuit.measure_all()
+    backend = get_backend("trajectory:ibmqx4")
+    key = profile_key(backend, circuit)
+    before = DEFAULT_COST_MODEL.per_shot(key)
+    plan = plan_chunk_shots(backend, circuit, 96, width=4)
+    job = execute(circuit, backend, shots=96, seed=5, executor="serial")
+    counts = dict(sorted(job.counts().items()))
+    print(json.dumps({
+        "before": before,
+        "plan": plan,
+        "after": DEFAULT_COST_MODEL.profile(key),
+        "counts": counts,
+    }))
+""")
+
+
+@pytest.fixture(scope="module")
+def fresh_processes(tmp_path_factory):
+    """Two interpreters run the same job, one after the other, against
+    one ``$REPRO_CACHE_DIR``."""
+    cache_dir = tmp_path_factory.mktemp("cache")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, REPRO_CACHE_DIR=str(cache_dir))
+    reports = []
+    for _ in range(2):
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120,
+            stdin=subprocess.DEVNULL,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads(done.stdout))
+    return {"cache_dir": cache_dir, "first": reports[0], "second": reports[1]}
+
+
+class TestEstimatesLiveInMemory:
+    def test_first_process_learns(self, fresh_processes):
+        first = fresh_processes["first"]
+        assert first["before"] is None
+        assert first["after"]["per_shot"] > 0
+        assert first["after"]["shot_samples"] == 1
+
+    def test_fresh_process_starts_cold(self, fresh_processes):
+        """Nothing the first process measured reaches the second."""
+        second = fresh_processes["second"]
+        assert second["before"] is None
+        assert second["after"]["shot_samples"] == 1
+
+    def test_fresh_process_plans_the_bootstrap(self, fresh_processes):
+        assert fresh_processes["first"]["plan"] == 24  # 96 shots / width 4
+        assert fresh_processes["second"]["plan"] == 24
+
+    def test_seeded_counts_agree_across_processes(self, fresh_processes):
+        assert fresh_processes["first"]["counts"] == fresh_processes["second"]["counts"]
+        assert sum(fresh_processes["first"]["counts"].values()) == 96
+
+    def test_cache_dir_holds_no_profile_namespace(self, fresh_processes):
+        namespaces = set(os.listdir(fresh_processes["cache_dir"]))
+        assert "transpile" in namespaces
+        assert namespaces <= {"transpile", "distribution"}
+
+    def test_cache_dir_hook_leaves_the_model_alone(self, tmp_path):
+        from repro.runtime import set_default_cache_dir
+        from repro.runtime.cache import DEFAULT_CACHE
+        from repro.runtime.distcache import DEFAULT_DISTRIBUTION_CACHE
+
+        key = ("hook-engine", 3)
+        DEFAULT_COST_MODEL.observe_run(key, 10, 1.0)
+        before_t = DEFAULT_CACHE._store.disk
+        before_d = DEFAULT_DISTRIBUTION_CACHE._store.disk
+        try:
+            set_default_cache_dir(str(tmp_path))
+            assert DEFAULT_COST_MODEL.per_shot(key) == pytest.approx(0.1)
+            set_default_cache_dir(None)
+            assert DEFAULT_COST_MODEL.per_shot(key) == pytest.approx(0.1)
+        finally:
+            DEFAULT_CACHE._store.disk = before_t
+            DEFAULT_DISTRIBUTION_CACHE._store.disk = before_d
+        assert not (tmp_path / "profile").exists()
+
+    def test_planned_runs_write_no_profile_namespace(self, tmp_path):
+        from repro.runtime import set_default_cache_dir
+        from repro.runtime.cache import DEFAULT_CACHE
+        from repro.runtime.distcache import DEFAULT_DISTRIBUTION_CACHE
+
+        backend = get_backend("trajectory:ibmqx4")
+        before_t = DEFAULT_CACHE._store.disk
+        before_d = DEFAULT_DISTRIBUTION_CACHE._store.disk
+        try:
+            set_default_cache_dir(str(tmp_path))
+            planned = execute(measured_ghz(3), backend, shots=96,
+                              executor="process", max_workers=2)
+            seeded = execute(measured_ghz(3), backend, shots=96, seed=3,
+                             executor="serial")
+            assert planned.result().counts.shots == 96
+            assert seeded.result().counts.shots == 96
+        finally:
+            DEFAULT_CACHE._store.disk = before_t
+            DEFAULT_DISTRIBUTION_CACHE._store.disk = before_d
+        assert DEFAULT_COST_MODEL.per_shot(profile_key(backend, measured_ghz(3))) > 0
+        assert set(os.listdir(tmp_path)) <= {"transpile", "distribution"}
 
 
 # ----------------------------------------------------------------------
