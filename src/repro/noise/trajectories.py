@@ -16,11 +16,13 @@ less than one statevector walk per shot.  A run has one Philox key
 derived from its seed, and trajectory ``t`` draws from its own run of
 Philox counters (the blocks after ``t * ceil(D / 4)``, ``D`` the most
 uniforms one trajectory can take: one per multi-branch Born step,
-measurement, readout flip and reset), so counts are bit-identical for a
-fixed seed at every ``max_batch`` tiling.  The noise model is compiled
-once per run: any model with ``channels_for`` / ``readout_confusion``,
-duck-typed or a :class:`repro.noise.model.NoiseModel`, is asked for each
-gate's channels once per run.
+mid-circuit measurement, mid-circuit readout flip and reset, and one for
+the joint readout of the terminal measurements), so counts are
+bit-identical for a fixed seed at every ``max_batch`` tiling.  The noise
+model is compiled once per run: any model with ``channels_for`` /
+``readout_confusion``, duck-typed or a
+:class:`repro.noise.model.NoiseModel`, is asked for each gate's channels
+once per run.
 """
 
 from __future__ import annotations

@@ -193,11 +193,11 @@ def plan_chunk_shots(
     * With no measured cost yet (cold model), the bootstrap plan splits
       into one chunk per worker — saturating the pool is the best guess
       available — subject to the :data:`MIN_CHUNK_SHOTS` floor.
-    * With a measured per-shot cost, jobs cheaper than
-      :data:`SPLIT_THRESHOLD_SECONDS` stay whole, and everything else is
-      cut into roughly :data:`TARGET_CHUNK_SECONDS` pieces, at least one
-      per worker when the job is big enough and at most
-      :data:`OVERSUBSCRIBE` per worker.
+    * With a measured per-shot cost, the job is cut into roughly
+      :data:`TARGET_CHUNK_SECONDS` pieces, at most :data:`OVERSUBSCRIBE`
+      per worker.  A job under one target's worth splits only once it is
+      worth :data:`SPLIT_THRESHOLD_SECONDS` on every worker, and then
+      into one chunk per worker: the threshold is per worker.
     """
     if shots <= MIN_CHUNK_SHOTS or getattr(backend, "returns_probabilities", False):
         return None
@@ -210,8 +210,6 @@ def plan_chunk_shots(
         chunk = max(MIN_CHUNK_SHOTS, math.ceil(shots / width))
         return chunk if chunk < shots else None
     total = per_shot * shots
-    if total < SPLIT_THRESHOLD_SECONDS:
-        return None
     chunks = min(
         width * OVERSUBSCRIBE, max(1, math.ceil(total / TARGET_CHUNK_SECONDS))
     )

@@ -16,15 +16,20 @@ a ``(B,)`` row-to-class map, and its cost follows the number of distinct
 histories ``C`` rather than the number of shots ``B``.  The walker runs
 the compiled program of :mod:`repro.simulators._program`: gates act on the
 class columns, and every stochastic step (a noisy gate's channels folded
-into one Kraus set per segment, a measurement, a reset) is one
-Born-weighted step, :func:`_born_step`: the rows that keep branch 0 keep
-their class, and only the ``(class, branch)`` columns the other rows
+into one Kraus set per segment, a mid-circuit measurement, a reset) is
+one Born-weighted step, :func:`_born_step`: the rows that keep branch 0
+keep their class, and only the ``(class, branch)`` columns the other rows
 choose are built, each from its parent column with the arithmetic the
 row would have done alone.  Readout flips touch only the rows' classical
 bits.  A classically conditioned step first splits the classes on the
-condition bit and acts on the passing classes only.  Weak device noise
-keeps ``C`` small: on the paper's ibmqx4 assertion circuits a 1024-shot
-tile holds tens to a few hundred classes.
+condition bit and acts on the passing classes only.  The terminal
+measurements are taken out of the walk
+(:func:`~repro.simulators._program.split_terminal`); after the last step
+each row draws its recorded bits for all of them at once, from its
+class's joint populations of the measured qubits composed with the
+confusions (:class:`~repro.simulators._program.Readout`).  Weak device
+noise keeps ``C`` small: on the paper's ibmqx4 assertion circuits a
+1024-shot tile holds tens to a few hundred classes.
 
 Why this is exact: every batched kernel is **column-wise deterministic** —
 a column's output floats depend only on that column's input, never on the
@@ -41,15 +46,17 @@ program's bound on the uniforms one shot consumes (:func:`_max_draws`) and
 ``S = ceil(D / 4)``, shot ``t`` owns the Philox blocks after counter
 ``t * S`` (NumPy increments the counter before each block), one uniform
 per 64-bit output.  It consumes one uniform per stochastic decision it
-actually executes (Kraus branch choice, measurement outcome, readout
-flip, reset), in program order: one per Born step with more than one
-branch, however many channels fold into it.  A tile starting at shot ``start`` takes
-its uniforms from one call of NumPy's own generator started at counter
-``start * S`` (:func:`tile_uniforms`), and the walker advances one cursor
-shared by all rows until a conditioned step splits them, then one per
-row.  Counts are therefore bit-identical for a fixed seed at **every**
-``max_batch`` tiling — which is what lets the runtime's chunk-seed plan,
-dedup and cost model treat ``max_batch`` as a pure throughput knob.  The
+actually executes (Kraus branch choice, mid-circuit measurement outcome
+and readout flip, reset), in program order: one per Born step with more
+than one branch, however many channels fold into it.  Last it takes one
+uniform for the terminal readout, however many measurements that reads.
+A tile starting at shot ``start`` takes its uniforms from one call of
+NumPy's own generator started at counter ``start * S``
+(:func:`tile_uniforms`), and the walker advances one cursor shared by all
+rows until a conditioned step splits them, then one per row.  Counts are
+therefore bit-identical for a fixed seed at **every** ``max_batch``
+tiling — which is what lets the runtime's chunk-seed plan, dedup and cost
+model treat ``max_batch`` as a pure throughput knob.  The
 test suite keeps a per-shot walker that builds each shot's generator at
 its own counter and runs the same kernels at batch width 1
 (``tests/simulators/loop_reference.py``); batched counts must equal its
@@ -78,16 +85,20 @@ def validate_max_batch(max_batch: int) -> int:
 
 
 def _max_draws(steps: List[tuple]) -> int:
-    """Upper bound on the uniforms any one trajectory consumes."""
-    draws = 0
+    """Upper bound on the uniforms any one trajectory consumes: one per
+    multi-branch Born step, reset and mid-circuit measurement, one more per
+    mid-circuit readout flip, and one for the terminal readout."""
+    draws, terminal = 0, 0
     for step in steps:
         if step[0] == _program.GATE:
             draws += sum(kraus.draws for kraus in step[3])
+        elif step[0] == _program.MEASURE and step[4]:
+            terminal = 1
         elif step[0] == _program.MEASURE:
             draws += 1 + (1 if step[3] is not None else 0)
         else:
             draws += 1
-    return draws
+    return draws + terminal
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +277,7 @@ def run_batched(
     """Simulate trajectories ``0..shots-1`` of Philox ``key`` in ``max_batch`` tiles."""
     counts: Dict[str, int] = {}
     draws = _max_draws(steps)
+    steps, readout = _program.split_terminal(steps)
     for start in range(0, shots, max_batch):
         batch = min(max_batch, shots - start)
         take = _Draws(tile_uniforms(key, start, batch, draws)).take
@@ -307,7 +319,7 @@ def run_batched(
             layout = outcome.targets
             source, klass, branch = _born_step(source, klass, rows, outcome, take(rows))
             if kind == _program.MEASURE:
-                _, _, clbit, confusion, _ = step
+                _, _, clbit, confusion, _, _ = step
                 outcomes = (branch == 0).astype(np.uint8)
                 recorded = outcomes
                 if confusion is not None:
@@ -317,6 +329,12 @@ def run_batched(
                     flips = (take(rows) < flip_prob).astype(np.uint8)
                     recorded = outcomes ^ flips
                 clbits[rows, clbit] = recorded
+        if readout is not None:
+            # One draw per row from its class's joint recorded outcomes.
+            source = _kernels.relayout(source, layout, readout.qubits)
+            weights = readout.recorded(_kernels.batched_target_features(source))
+            outcome = _select(weights, klass, take(all_rows))
+            clbits[:, readout.clbits] = readout.bits[outcome]
         for bits, value in _kernels.pack_counts(clbits).items():
             counts[bits] = counts.get(bits, 0) + value
     return counts

@@ -8,14 +8,26 @@ re-derives structure per branch or per shot:
 * ``(GATE, matrix, qubits, folded, condition)`` — the gate's matrix, its
   operand tuple and the ``(kraus_operators, targets)`` channels the noise
   model attaches to it, as the engine's ``fold`` compiled them;
-* ``(MEASURE, qubit, clbit, confusion, condition)`` — ``confusion`` is the
-  readout matrix (``confusion[r][m] = P(recorded r | true m)``) or
-  ``None``;
+* ``(MEASURE, qubit, clbit, confusion, terminal, condition)`` —
+  ``confusion`` is the readout matrix (``confusion[r][m] = P(recorded r |
+  true m)``) or ``None``; ``terminal`` marks a measurement nothing later
+  depends on (see below);
 * ``(RESET, qubit, condition)``.
 
 ``condition`` is the instruction's ``(clbit, value)`` pair or ``None``.
 The noise model is queried exactly once per instruction, so a duck-typed
 model sees one ``channels_for`` call per gate per run.
+
+A measurement is **terminal** when it is unconditioned, no later step acts
+on its qubit (a gate's noise channels included), no later condition reads
+its clbit and no later measurement writes that clbit.  Terminal
+measurements commute with everything after them, so an engine may take
+them all out of the walk (:func:`split_terminal`) and read their joint
+outcome once at the end with a :class:`Readout`: the density-matrix
+engine from the diagonal of each branch, the trajectory walker with one
+uniform per shot.  Measurements the rest of the circuit depends on stay
+steps of their own.  The paper's assertions post-select on their ancilla
+outcomes after the run, so every measurement in them is terminal.
 
 Both engines fold a gate's channels by one rule, :func:`channel_segments`,
 cached per gate (:func:`cached_fold`): the density-matrix engine into
@@ -27,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -53,9 +65,11 @@ def build_program(circuit, noise_model, fold) -> List[tuple]:
 
     ``fold(qubits, channels)`` compiles each gate's channels.  Barriers
     are dropped.  Raises on non-gate unitaries at compile time, whether or
-    not a run would reach them.
+    not a run would reach them.  Terminal measurements are marked in one
+    backward pass over the steps.
     """
     steps: List[tuple] = []
+    touched: List[tuple] = []  # the qubits each step acts on
     for inst in circuit.data:
         if inst.name == "barrier":
             continue
@@ -67,9 +81,11 @@ def build_program(circuit, noise_model, fold) -> List[tuple]:
                 if noise_model is not None
                 else None
             )
-            steps.append((MEASURE, qubit, clbit, confusion, condition))
+            steps.append((MEASURE, qubit, clbit, confusion, False, condition))
+            touched.append((qubit,))
         elif inst.name == "reset":
             steps.append((RESET, inst.qubits[0], condition))
+            touched.append((inst.qubits[0],))
         else:
             op = inst.operation
             if not isinstance(op, Gate):
@@ -81,7 +97,99 @@ def build_program(circuit, noise_model, fold) -> List[tuple]:
                     for kraus, targets in noise_model.channels_for(inst)
                 )
             steps.append((GATE, op.matrix, qubits, fold(qubits, channels), condition))
+            touched.append(qubits + sum((targets for _, targets in channels), ()))
+    _mark_terminal(steps, touched)
     return steps
+
+
+def _mark_terminal(steps: List[tuple], touched: List[tuple]) -> None:
+    """Set the ``terminal`` flag of the measurements nothing later depends on."""
+    acted, read, written = set(), set(), set()
+    for index in range(len(steps) - 1, -1, -1):
+        step = steps[index]
+        condition = step[-1]
+        if step[0] == MEASURE:
+            _, qubit, clbit, confusion, _, _ = step
+            if (
+                condition is None
+                and qubit not in acted
+                and clbit not in read
+                and clbit not in written
+            ):
+                steps[index] = (MEASURE, qubit, clbit, confusion, True, None)
+            written.add(clbit)
+        if condition is not None:
+            read.add(condition[0])
+        acted.update(touched[index])
+
+
+def split_terminal(steps: List[tuple]) -> Tuple[List[tuple], Optional["Readout"]]:
+    """The steps without the terminal measurements, and their :class:`Readout`
+    (``None`` when there are none)."""
+    terminal = [step for step in steps if step[0] == MEASURE and step[4]]
+    if not terminal:
+        return steps, None
+    walked = [step for step in steps if not (step[0] == MEASURE and step[4])]
+    return walked, Readout([step[1:4] for step in terminal])
+
+
+class Readout:
+    """The terminal measurements of a program, read as one joint outcome.
+
+    ``measurements`` are their ``(qubit, clbit, confusion)`` triples in
+    program order.  Outcome index ``i`` over :attr:`qubits` has the first
+    measurement as its most significant bit; :attr:`bits` holds each
+    index's recorded clbit values, one column per measurement.  The
+    qubits are distinct, since a measured qubit that is measured again is
+    acted on later.
+    """
+
+    def __init__(self, measurements) -> None:
+        self.qubits = tuple(qubit for qubit, _, _ in measurements)
+        self.clbits = np.array([clbit for _, clbit, _ in measurements], dtype=np.intp)
+        self.confusions = [
+            None if confusion is None
+            else tuple(float(x) for x in np.asarray(confusion, dtype=float).ravel())
+            for _, _, confusion in measurements
+        ]
+        count = len(self.qubits)
+        shifts = np.arange(count - 1, -1, -1)
+        self.bits = ((np.arange(2 ** count)[:, np.newaxis] >> shifts) & 1).astype(
+            np.uint8
+        )
+
+    def recorded(self, populations: np.ndarray, floor: float = 0.0) -> np.ndarray:
+        """Map ``(2^k, ...)`` true-outcome populations of :attr:`qubits` to
+        the weights of each recorded outcome.
+
+        Each measurement's confusion acts as a classical 2x2 along its
+        axis, ``P(r) = c[r][0] P(0) + c[r][1] P(1)``, elementwise in a fixed
+        order, so a column's weights depend on that column alone.
+
+        A positive ``floor`` drops, one measurement at a time in program
+        order, what a walk that branches on each measurement drops: a true
+        outcome whose probability given the values recorded before it is
+        at or below ``floor``, and a confusion entry at or below ``floor``.
+        """
+        count = len(self.qubits)
+        weights = populations
+        for axis, confusion in enumerate(self.confusions):
+            split = weights.reshape((2 ** axis, 2, 2 ** (count - axis - 1), -1))
+            if floor:
+                marginal = split.sum(axis=2, keepdims=True)
+                total = marginal.sum(axis=1, keepdims=True)
+                split = np.where(marginal > floor * total, split, 0.0)
+                weights = split.reshape(populations.shape)
+            if confusion is None:
+                continue
+            if floor:
+                confusion = tuple(c if c > floor else 0.0 for c in confusion)
+            c00, c01, c10, c11 = confusion
+            zero, one = split[:, 0], split[:, 1]
+            weights = np.stack(
+                [c00 * zero + c01 * one, c10 * zero + c11 * one], axis=1
+            ).reshape(populations.shape)
+        return weights
 
 
 def channel_segments(qubits: tuple, channels: tuple) -> list:

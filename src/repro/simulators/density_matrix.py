@@ -9,11 +9,26 @@ gate's row and column axes, where ``C = sum_j K_j (x) conj(K_j)`` and a
 1-qubit channel on one operand of a wider gate is first lifted to the
 gate's arity.  ``C`` does not depend on the gate angle and is cached, so a
 gate costs one tensor contraction whatever its noise.  Readout error is a
-classical confusion process at measurement time.  Measurement uses the
-same branch-enumeration strategy as the statevector engine, so the
-classical-outcome distribution is **exact** — shot histograms are
-multinomial samples from it, exactly like repeated runs on a (modelled)
-device.
+classical confusion process at measurement time.
+
+:meth:`DensityMatrixSimulator.run` reads the terminal measurements (the
+ones nothing later depends on, marked by
+:func:`~repro.simulators._program.build_program`) once, at the end: the
+diagonal of each branch's ``rho`` marginalised onto the measured qubits,
+each clbit's confusion applied along its axis.  It drops what branching
+drops, one measurement at a time in program order: a true outcome whose
+probability given the values recorded before it is at or below ``1e-14``,
+and a confusion entry at or below ``1e-14``
+(:meth:`~repro.simulators._program.Readout.recorded`).  So it keeps the
+branch path's outcomes whenever no measurement that stays a step follows
+a terminal one; otherwise the two condition an outcome on different
+records and may disagree on one whose probability is near ``1e-14``.  A
+measurement that something later depends on branches as in the
+statevector engine, and same-clbit branches merge.  :meth:`final_density_matrix` and
+:meth:`conditional_density_matrix` need the post-measurement states, so
+they branch on every measurement.  Either way the classical-outcome
+distribution is **exact** — shot histograms are multinomial samples from
+it, exactly like repeated runs on a (modelled) device.
 
 The density matrix is stored as a rank-``2n`` tensor with row axes
 ``0..n-1`` and column axes ``n..2n-1``; axis ``k`` / ``n+k`` is qubit ``k``.
@@ -185,7 +200,12 @@ class DensityMatrixSimulator:
         too.  Each run asks it once per instruction, when the circuit is
         compiled, and applies the answer to every measurement branch.
     max_branches:
-        Cap on measurement branches (true-outcome x recorded-value pairs).
+        Cap on the measurement branches a walk holds, each with its own
+        ``rho`` (true-outcome x recorded-value pairs, merged by record).
+        :meth:`run` reads the terminal measurements without a branch per
+        outcome, so only the other measurements count toward it there;
+        :meth:`final_density_matrix` and
+        :meth:`conditional_density_matrix` branch on every measurement.
     """
 
     name = "density_matrix"
@@ -207,8 +227,9 @@ class DensityMatrixSimulator:
     ) -> Result:
         """Execute ``circuit``; exact probabilities + multinomial counts."""
         rng = np.random.default_rng(seed)
-        branches = self._enumerate(circuit, initial_state)
-        probabilities = self._distribution(circuit, branches)
+        steps, readout = _program.split_terminal(self._program(circuit))
+        branches = self._enumerate(circuit, steps, initial_state)
+        probabilities = self._distribution(circuit, branches, readout)
         counts = (
             counts_from_probabilities(probabilities, shots, rng)
             if probabilities
@@ -231,7 +252,7 @@ class DensityMatrixSimulator:
         initial_state: Optional[np.ndarray] = None,
     ) -> DensityMatrix:
         """Return the final state, averaging over measurement outcomes."""
-        branches = self._enumerate(circuit, initial_state)
+        branches = self._enumerate(circuit, self._program(circuit), initial_state)
         n = circuit.num_qubits
         dim = 2 ** n
         total = np.zeros((dim, dim), dtype=complex)
@@ -249,7 +270,7 @@ class DensityMatrixSimulator:
 
         Returns ``(state, probability_of_conditions)``.
         """
-        branches = self._enumerate(circuit, initial_state)
+        branches = self._enumerate(circuit, self._program(circuit), initial_state)
         n = circuit.num_qubits
         dim = 2 ** n
         total = np.zeros((dim, dim), dtype=complex)
@@ -264,15 +285,19 @@ class DensityMatrixSimulator:
 
     # ------------------------------------------------------------------
 
+    def _program(self, circuit: QuantumCircuit) -> List[tuple]:
+        return _program.build_program(circuit, self.noise_model, _channel_segments)
+
     def _enumerate(
         self,
         circuit: QuantumCircuit,
+        steps: List[tuple],
         initial_state: Optional[np.ndarray],
     ) -> List[_Branch]:
+        """Walk ``steps``, branching on each measurement they hold."""
         rho = _rho_tensor(circuit.num_qubits, initial_state)
         branches = [_Branch(1.0, [0] * circuit.num_clbits, rho)]
-        program = _program.build_program(circuit, self.noise_model, _channel_segments)
-        for step in program:
+        for step in steps:
             kind, condition = step[0], step[-1]
             if kind == _program.GATE:
                 _, matrix, qubits, segments, _ = step
@@ -285,7 +310,7 @@ class DensityMatrixSimulator:
                         new_branches.append(branch)
                         continue
                 if kind == _program.MEASURE:
-                    _, qubit, clbit, confusion, _ = step
+                    _, qubit, clbit, confusion, _, _ = step
                     new_branches.extend(self._measure(branch, qubit, clbit, confusion))
                 elif kind == _program.RESET:
                     new_branches.append(self._reset(branch, step[1]))
@@ -335,14 +360,34 @@ class DensityMatrixSimulator:
         return branch
 
     def _distribution(
-        self, circuit: QuantumCircuit, branches: List[_Branch]
+        self,
+        circuit: QuantumCircuit,
+        branches: List[_Branch],
+        readout: Optional[_program.Readout],
     ) -> Dict[str, float]:
         if circuit.num_clbits == 0 or not circuit.has_measurements():
             return {}
         out: Dict[str, float] = {}
+        if readout is None:
+            for branch in branches:
+                key = "".join(str(b) for b in branch.clbits)
+                out[key] = out.get(key, 0.0) + branch.probability
+            return out
+        dim = 2 ** circuit.num_qubits
+        rows = np.empty((len(readout.bits), circuit.num_clbits), dtype=np.uint8)
         for branch in branches:
-            key = "".join(str(b) for b in branch.clbits)
-            out[key] = out.get(key, 0.0) + branch.probability
+            diagonal = np.diagonal(branch.rho.reshape(dim, dim)).real
+            populations = _kernels.relayout(
+                diagonal.reshape(-1, 1, 1), (), readout.qubits
+            ).sum(axis=0)
+            weights = readout.recorded(populations, floor=1e-14)[:, 0]
+            kept = np.flatnonzero(weights > 0.0)
+            rows[:] = branch.clbits
+            rows[:, readout.clbits] = readout.bits
+            labels = rows[kept] + ord("0")
+            for label, weight in zip(labels, weights[kept]):
+                key = label.tobytes().decode()
+                out[key] = out.get(key, 0.0) + branch.probability * float(weight)
         return out
 
 

@@ -29,6 +29,9 @@ from repro.service import (
 
 EXECUTORS = ("thread", "process")
 
+#: The checkout these tests run from: a ``--serve`` child serves its ``src``.
+CHECKOUT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
+
 
 def measured(circuit):
     circuit.measure_all()
@@ -293,7 +296,7 @@ class TestRestartOverTheWire:
             execute(circuit, "statevector", shots=256, seed=42)
             .result().counts
         )
-        env = dict(os.environ, PYTHONPATH="src",
+        env = dict(os.environ, PYTHONPATH=os.path.join(CHECKOUT, "src"),
                    REPRO_CACHE_DIR=str(tmp_path))
         env.pop("REPRO_EXECUTOR", None)
         proc = subprocess.Popen(
@@ -301,7 +304,7 @@ class TestRestartOverTheWire:
              "--serve", "127.0.0.1:0",
              "--serve-client", "alice:tok-alice:submit+read"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env, cwd="/root/repo")
+            env=env, cwd=CHECKOUT)
         try:
             banner = proc.stdout.readline()
             match = re.search(r"http://[\d.]+:(\d+)", banner)

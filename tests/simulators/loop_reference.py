@@ -10,9 +10,13 @@ Philox blocks after counter ``t * S``, where ``D`` bounds the uniforms
 one shot can consume.  Each noisy gate's channels are compiled by the
 engines' own :func:`repro.simulators._program.born_steps`, and a shot
 makes one Born-weighted choice per multi-branch step with the step's own
-forms at batch width 1.  Batched counts must equal :func:`loop_counts` bit
-for bit at every ``max_batch`` tiling; ``test_batched.py`` and the
-trajectory tests hold them to it.
+forms at batch width 1.  A measurement nothing later depends on (this
+module finds them on its own, :func:`terminal_measurements`) is not walked:
+after the last step the shot takes one uniform for the joint recorded
+outcome of all of them, from its state's populations composed with the
+confusions (:class:`repro.simulators._program.Readout`).  Batched counts
+must equal :func:`loop_counts` bit for bit at every ``max_batch`` tiling;
+``test_batched.py`` and the trajectory tests hold them to it.
 """
 
 from collections import Counter
@@ -38,10 +42,11 @@ def loop_counts(
     """
     key = run_key(seed)
     draws = max_draws(circuit, noise_model)
+    terminal = terminal_measurements(circuit, noise_model)
     counts: Counter = Counter()
     for shot in range(shots):
         rng = shot_generator(key, shot, draws)
-        counts[_loop_shot(circuit, noise_model, rng, initial_state)] += 1
+        counts[_loop_shot(circuit, noise_model, rng, initial_state, terminal)] += 1
     return dict(counts)
 
 
@@ -55,13 +60,44 @@ def run_key(seed: Optional[int]) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
+def terminal_measurements(circuit, noise_model) -> set:
+    """The indices in ``circuit.data`` of the measurements nothing later
+    depends on: unconditioned, with no later instruction or noise channel
+    on the qubit, no later condition on the clbit and no later measurement
+    into it."""
+    terminal = set()
+    for index, inst in enumerate(circuit.data):
+        if inst.name != "measure" or inst.condition is not None:
+            continue
+        qubit, clbit = inst.qubits[0], inst.clbits[0]
+        later = circuit.data[index + 1:]
+        if not any(
+            qubit in _acted_on(other, noise_model)
+            or (other.condition is not None and other.condition[0] == clbit)
+            or (other.name == "measure" and other.clbits[0] == clbit)
+            for other in later
+            if other.name != "barrier"
+        ):
+            terminal.add(index)
+    return terminal
+
+
+def _acted_on(inst, noise_model) -> set:
+    qubits = set(inst.qubits)
+    if noise_model is not None and inst.name not in ("measure", "reset"):
+        for _, targets in noise_model.channels_for(inst):
+            qubits.update(targets)
+    return qubits
+
+
 def max_draws(circuit, noise_model) -> int:
     """Upper bound on the uniforms one shot consumes: one per multi-branch
-    Born step, measurement, readout flip and reset, whether or not a
-    condition skips it."""
-    draws = 0
-    for inst in circuit.data:
-        if inst.name == "barrier":
+    Born step, mid-circuit measurement, mid-circuit readout flip and reset,
+    whether or not a condition skips it, and one for the terminal readout."""
+    terminal = terminal_measurements(circuit, noise_model)
+    draws = 1 if terminal else 0
+    for index, inst in enumerate(circuit.data):
+        if inst.name == "barrier" or index in terminal:
             continue
         if inst.name == "measure":
             draws += 1
@@ -99,11 +135,11 @@ def apply_matrix(states, matrix, qubits):
     return _kernels.relayout(values, qubits, ()).reshape(states.shape)
 
 
-def _loop_shot(circuit, noise_model, rng, initial_state) -> str:
+def _loop_shot(circuit, noise_model, rng, initial_state, terminal) -> str:
     state = _kernels.batched_state_tensor(1, circuit.num_qubits, initial_state)
     clbits = [0] * circuit.num_clbits
-    for inst in circuit.data:
-        if inst.name == "barrier":
+    for index, inst in enumerate(circuit.data):
+        if inst.name == "barrier" or index in terminal:
             continue
         if inst.condition is not None:
             clbit, value = inst.condition
@@ -124,20 +160,48 @@ def _loop_shot(circuit, noise_model, rng, initial_state) -> str:
                         state = _loop_born(state, step, rng.random())[0]
                     else:
                         state = apply_matrix(state, step.operators[0], step.targets)
+    if terminal:
+        measurements = [circuit.data[index] for index in sorted(terminal)]
+        _loop_readout(state, measurements, clbits, noise_model, rng)
     return "".join(str(b) for b in clbits)
 
 
+def _loop_readout(state, measurements, clbits, noise_model, rng):
+    """One uniform for the joint recorded outcome of the terminal
+    ``measurements``, chosen by :func:`_loop_select`."""
+    confusion = noise_model.readout_confusion if noise_model is not None else None
+    readout = _program.Readout([
+        (inst.qubits[0], inst.clbits[0], confusion and confusion(inst.qubits[0]))
+        for inst in measurements
+    ])
+    source = _kernels.relayout(state.reshape(-1, 1, 1), (), readout.qubits)
+    weights = readout.recorded(_kernels.batched_target_features(source))[:, 0]
+    outcome = _loop_select(weights, rng.random())
+    for clbit, bit in zip(readout.clbits, readout.bits[outcome]):
+        clbits[clbit] = int(bit)
+
+
 def _loop_born(state, step, uniform):
-    """Early-exiting scalar twin of ``_batched._born_step`` and ``_select``.
+    """Early-exiting scalar twin of ``_batched._born_step``: the branch is
+    :func:`_loop_select`'s.  Returns ``(state, branch)``."""
+    source = _kernels.relayout(state.reshape(-1, 1, 1), (), step.targets)
+    weights = step.weights(step.features(source))[:, 0]
+    choice = _loop_select(weights, uniform)
+    if choice == 0:
+        source = step.first(source, weights[:1])
+    else:
+        source = step.build(source, np.array([choice]), weights[choice:choice + 1])
+    return _kernels.relayout(source, step.targets, ()).reshape(state.shape), choice
+
+
+def _loop_select(weights, uniform):
+    """Scalar twin of ``_batched._select``.
 
     Walks the cumulative weights as Python floats, the same float64
     sequence as ``np.cumsum``: the first branch whose cumulative weight
     exceeds the draw wins, and round-off past the last branch (or a chosen
-    branch without support) takes the last branch with support.  Returns
-    ``(state, branch)``.
+    branch without support) takes the last branch with support.
     """
-    source = _kernels.relayout(state.reshape(-1, 1, 1), (), step.targets)
-    weights = step.weights(step.features(source))[:, 0]
     cumulative = 0.0
     choice = None
     for branch, weight in enumerate(weights):
@@ -151,11 +215,7 @@ def _loop_born(state, step, uniform):
         if supported.size == 0:
             raise SimulationError("Kraus sampling found no branch with support")
         choice = int(supported[-1])
-    if choice == 0:
-        source = step.first(source, weights[:1])
-    else:
-        source = step.build(source, np.array([choice]), weights[choice:choice + 1])
-    return _kernels.relayout(source, step.targets, ()).reshape(state.shape), choice
+    return choice
 
 
 def _loop_measure(state, inst, clbits, noise_model, rng):
